@@ -1,8 +1,11 @@
 /** @file Google-benchmark microbenchmarks of the concurrent query
  *  engine: batch throughput versus worker-thread count and cache
- *  state. The acceptance ratio for the subsystem is the warm-cache
- *  8-thread batch against the cold-cache single-thread batch. */
+ *  state, the cost of a hit through to its answer bytes, and the
+ *  one-time JSON render per query type. The acceptance ratio for the
+ *  subsystem is the warm-cache 8-thread batch against the cold-cache
+ *  single-thread batch. */
 
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -99,6 +102,52 @@ BM_SingleQueryWarm(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SingleQueryWarm);
+
+/**
+ * A cache hit through to its answer bytes, as the router serves it,
+ * over the mixed batch: lookup plus handing back the bytes rendered
+ * when the key was first evaluated.
+ */
+void
+BM_EngineWarmHit(benchmark::State &state)
+{
+    svc::EngineOptions opts;
+    opts.threads = 1;
+    svc::QueryEngine engine(opts);
+    std::vector<svc::Query> queries = benchBatch();
+    engine.evaluateBatch(queries); // prime
+    std::size_t i = 0;
+    for (auto _ : state) {
+        std::string body = engine.evaluate(queries[i])->toJson();
+        benchmark::DoNotOptimize(body.data());
+        benchmark::ClobberMemory();
+        i = (i + 1) % queries.size();
+    }
+    state.counters["hitRate"] = engine.cacheStats().hitRate();
+}
+BENCHMARK(BM_EngineWarmHit);
+
+/** Rendering one evaluated answer of @p type to JSON from its rows. */
+void
+BM_RenderQueryResult(benchmark::State &state, svc::QueryType type)
+{
+    svc::Query q;
+    q.type = type;
+    q.workload = wl::Workload::mmm();
+    svc::QueryResult result = svc::evaluateQuery(q);
+    for (auto _ : state) {
+        std::string body = result.toJson();
+        benchmark::DoNotOptimize(body.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["bytes"] =
+        static_cast<double>(result.toJson().size());
+}
+BENCHMARK_CAPTURE(BM_RenderQueryResult, optimize, svc::QueryType::Optimize);
+BENCHMARK_CAPTURE(BM_RenderQueryResult, energy, svc::QueryType::Energy);
+BENCHMARK_CAPTURE(BM_RenderQueryResult, pareto, svc::QueryType::Pareto);
+BENCHMARK_CAPTURE(BM_RenderQueryResult, projection,
+                  svc::QueryType::Projection);
 
 /** Cost of building the canonical memoization key. */
 void

@@ -22,6 +22,20 @@ errnoMessage(const char *what)
     return std::string(what) + ": " + std::strerror(errno);
 }
 
+/**
+ * Send each frame as soon as it is written. With Nagle's algorithm a
+ * response written while the previous one is still unacknowledged
+ * waits for that ACK, which the peer may delay by tens of ms — on a
+ * pipelined connection that stalls the next answer. Best effort: a
+ * socket that refuses still works, only slower.
+ */
+void
+setNoDelay(const Socket &sock)
+{
+    int one = 1;
+    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 /** Parse a dotted-quad host into @p addr (no DNS: loopback tier). */
 bool
 makeAddress(const std::string &host, std::uint16_t port,
@@ -155,8 +169,11 @@ acceptOn(const Socket &listener, std::string *error)
 {
     while (true) {
         int fd = ::accept(listener.fd(), nullptr, nullptr);
-        if (fd >= 0)
-            return Socket(fd);
+        if (fd >= 0) {
+            Socket sock(fd);
+            setNoDelay(sock);
+            return sock;
+        }
         if (errno == EINTR)
             continue;
         if (error)
@@ -185,6 +202,7 @@ connectTo(const std::string &host, std::uint16_t port,
                 *error = errnoMessage("connect");
             return Socket();
         }
+        setNoDelay(sock);
         return sock;
     }
     // Bounded connect: non-blocking connect + poll for writability.
@@ -219,6 +237,7 @@ connectTo(const std::string &host, std::uint16_t port,
         }
     }
     ::fcntl(sock.fd(), F_SETFL, flags);
+    setNoDelay(sock);
     return sock;
 }
 

@@ -98,12 +98,16 @@ std::pair<Socket, std::uint16_t> listenOn(const std::string &host,
                                           std::uint16_t port,
                                           std::string *error);
 
-/** Accept one connection; invalid socket + @p error on failure. */
+/**
+ * Accept one connection, with TCP_NODELAY set; invalid socket +
+ * @p error on failure.
+ */
 Socket acceptOn(const Socket &listener, std::string *error);
 
 /**
  * Connect to @p host:@p port, waiting at most @p timeout_ms (0 = the
- * OS default). Invalid socket + @p error on failure.
+ * OS default), with TCP_NODELAY set. Invalid socket + @p error on
+ * failure.
  */
 Socket connectTo(const std::string &host, std::uint16_t port,
                  std::uint64_t timeout_ms, std::string *error);

@@ -25,15 +25,6 @@ elapsedNs(std::chrono::steady_clock::time_point start)
             .count());
 }
 
-/** A future already holding @p value. */
-std::shared_future<QueryEngine::ResultPtr>
-readyFuture(QueryEngine::ResultPtr value)
-{
-    std::promise<QueryEngine::ResultPtr> prom;
-    prom.set_value(std::move(value));
-    return prom.get_future().share();
-}
-
 /**
  * Runs its function at scope exit, exceptions included — the worker's
  * "always resolve the promise, always erase the in-flight entry"
@@ -135,7 +126,13 @@ QueryEngine::inflightCount() const
     return _inflight.size();
 }
 
-std::shared_future<QueryEngine::ResultPtr>
+QueryEngine::ResultPtr
+QueryEngine::Pending::get() const
+{
+    return ready ? ready : future.get();
+}
+
+QueryEngine::Pending
 QueryEngine::acquire(const Query &q, const std::string &key)
 {
     auto start = std::chrono::steady_clock::now();
@@ -163,7 +160,7 @@ QueryEngine::acquire(const Query &q, const std::string &key)
             recordFlight(q, "hit", 0, hit_ns);
             if (_opts.slowQueryNs > 0 && hit_ns > _opts.slowQueryNs)
                 noteSlowQuery(q, key, 0, hit_ns);
-            return readyFuture(std::move(hit));
+            return {std::move(hit), {}};
         }
     }
 
@@ -174,7 +171,7 @@ QueryEngine::acquire(const Query &q, const std::string &key)
         auto it = _inflight.find(key);
         if (it != _inflight.end()) {
             query_scope.arg("outcome", "inflight");
-            return it->second; // someone is already computing it
+            return {nullptr, it->second}; // someone is computing it
         }
         prom = std::make_shared<std::promise<ResultPtr>>();
         fut = prom->get_future().share();
@@ -260,8 +257,17 @@ QueryEngine::acquire(const Query &q, const std::string &key)
                 hwc::CounterRegion eval_counters(&eval_scope.span());
                 try {
                     FaultInjector::instance().maybeInject("eval");
-                    result =
+                    auto fresh =
                         std::make_shared<QueryResult>(evaluateQuery(q));
+                    // Render once and keep only the bytes, trimmed to
+                    // size since the cache holds them for long: every
+                    // later answer for this key, hit or piggybacked
+                    // waiter, splices them instead of rendering again.
+                    fresh->json = fresh->toJson();
+                    fresh->json.shrink_to_fit();
+                    fresh->rows.clear();
+                    fresh->rows.shrink_to_fit();
+                    result = std::move(fresh);
                 } catch (...) {
                     eval_scope.arg("outcome", "error");
                     throw;
@@ -326,11 +332,11 @@ QueryEngine::acquire(const Query &q, const std::string &key)
             std::lock_guard<std::mutex> lock(_inflightMu);
             _inflight.erase(key);
         }
-        prom->set_value(std::move(error));
-        return fut;
+        prom->set_value(error);
+        return {std::move(error), {}};
     }
     query_scope.arg("outcome", "miss");
-    return fut;
+    return {nullptr, std::move(fut)};
 }
 
 QueryEngine::ResultPtr
@@ -344,23 +350,23 @@ QueryEngine::evaluateBatch(const std::vector<Query> &queries)
 {
     prof::Scope batch_scope("svc.batch", "svc");
     batch_scope.arg("queries", queries.size());
-    std::vector<std::shared_future<ResultPtr>> futures;
-    futures.reserve(queries.size());
+    std::vector<Pending> pending;
+    pending.reserve(queries.size());
     // Batch-local dedup keeps repeated queries down to one future even
     // before the engine-wide in-flight map gets involved.
     std::unordered_map<std::string, std::size_t> first_use;
     for (const Query &q : queries) {
         std::string key = q.canonicalKey();
-        auto [it, fresh] = first_use.emplace(key, futures.size());
+        auto [it, fresh] = first_use.emplace(key, pending.size());
         if (fresh)
-            futures.push_back(acquire(q, key));
+            pending.push_back(acquire(q, key));
         else
-            futures.push_back(futures[it->second]);
+            pending.push_back(pending[it->second]);
     }
     std::vector<ResultPtr> results;
-    results.reserve(futures.size());
-    for (auto &fut : futures)
-        results.push_back(fut.get());
+    results.reserve(pending.size());
+    for (const Pending &p : pending)
+        results.push_back(p.get());
     return results;
 }
 

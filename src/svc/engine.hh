@@ -114,8 +114,20 @@ class QueryEngine
     void writeMetricsProm(std::ostream &out) const;
 
   private:
-    std::shared_future<ResultPtr> acquire(const Query &q,
-                                          const std::string &key);
+    /**
+     * One acquired query: @c ready when the answer was known at once
+     * (a cache hit, or admission shed it), else the future of the
+     * evaluation it started or joined.
+     */
+    struct Pending
+    {
+        ResultPtr ready;
+        std::shared_future<ResultPtr> future;
+
+        ResultPtr get() const;
+    };
+
+    Pending acquire(const Query &q, const std::string &key);
 
     /** Count + log one query past the slow threshold. */
     void noteSlowQuery(const Query &q, const std::string &key,

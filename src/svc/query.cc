@@ -1,7 +1,6 @@
 #include "query.hh"
 
 #include <cstdio>
-#include <sstream>
 
 #include "core/budget.hh"
 #include "core/multi_amdahl.hh"
@@ -17,13 +16,13 @@ namespace hcm {
 namespace svc {
 namespace {
 
-/** Round-trip-exact double for canonical keys. */
-std::string
-keyDouble(double v)
+/** Append a round-trip-exact double to a canonical key. */
+void
+appendKeyDouble(std::string &key, double v)
 {
     char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    int len = std::snprintf(buf, sizeof(buf), "%.17g", v);
+    key.append(buf, static_cast<std::size_t>(len));
 }
 
 /** Per-organization rows at one node (Optimize / Energy). */
@@ -193,21 +192,34 @@ makeQueryError(const Query &q, QueryErrorKind kind, std::string why,
 std::string
 Query::canonicalKey() const
 {
-    std::ostringstream key;
-    key << queryTypeName(type) << '|' << workload.name() << "|f="
-        << keyDouble(f) << "|s=" << scenario;
+    std::string key;
+    key.reserve(96);
+    key += queryTypeName(type);
+    key += '|';
+    key += workload.name();
+    key += "|f=";
+    appendKeyDouble(key, f);
+    key += "|s=";
+    key += scenario;
     // Projection spans every node, so the node is not part of its
     // identity — leaving it out lets differently-spelled requests share
     // one cache entry.
-    if (type != QueryType::Projection)
-        key << "|n=" << keyDouble(node);
-    key << "|d=" << (device ? dev::deviceName(*device) : "*");
-    return key.str();
+    if (type != QueryType::Projection) {
+        key += "|n=";
+        appendKeyDouble(key, node);
+    }
+    key += "|d=";
+    key += device ? dev::deviceName(*device) : "*";
+    return key;
 }
 
 void
 QueryResult::writeJson(JsonWriter &json) const
 {
+    if (!this->json.empty()) {
+        json.raw(this->json);
+        return;
+    }
     json.beginObject();
     // Errors lead with the machine-readable fields so line-oriented
     // clients can dispatch on the first keys; the query echo follows
@@ -260,12 +272,15 @@ QueryResult::writeJson(JsonWriter &json) const
 std::string
 QueryResult::toJson() const
 {
-    std::ostringstream oss;
-    {
-        JsonWriter json(oss);
-        writeJson(json);
-    }
-    return oss.str();
+    if (!json.empty())
+        return json;
+    std::string body;
+    // Room for the query echo plus a handful of rows; larger answers
+    // (pareto, projection) grow it a few times.
+    body.reserve(256 + 160 * rows.size());
+    JsonWriter out(body);
+    writeJson(out);
+    return body;
 }
 
 QueryResult

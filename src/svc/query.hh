@@ -118,6 +118,14 @@ struct QueryResult
 {
     Query query;
     std::vector<ResultRow> rows;
+    /**
+     * The rendered answer, when set: toJson() returns it and
+     * writeJson() splices it, so the rows need not be kept. The engine
+     * renders each successful answer once and caches these bytes in
+     * place of its rows; error results never set it, since their bytes
+     * depend on the request (the requestId echo).
+     */
+    std::string json;
     QueryErrorKind errorKind = QueryErrorKind::None;
     std::string error; ///< human-readable reason; empty on success
     /** Overloaded only: client hint for when to retry. */
@@ -128,11 +136,11 @@ struct QueryResult
     /**
      * Emit {"query": {...}, "rows": [...]} on success, or the error
      * object {"error": ..., "type": ..., ["retryAfterMs": ...,]
-     * "query": {...}} via the streaming writer.
+     * "query": {...}} via the writer; splices #json when it is set.
      */
     void writeJson(JsonWriter &json) const;
 
-    /** Whole result as one compact JSON document (tests, serve mode). */
+    /** Whole result as one compact JSON document: #json when set. */
     std::string toJson() const;
 };
 

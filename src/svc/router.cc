@@ -17,14 +17,12 @@ namespace {
 std::string
 errorBody(const std::string &why)
 {
-    std::ostringstream oss;
-    {
-        JsonWriter json(oss);
-        json.beginObject();
-        json.kv("error", why);
-        json.endObject();
-    }
-    return oss.str();
+    std::string body;
+    JsonWriter json(body);
+    json.beginObject();
+    json.kv("error", why);
+    json.endObject();
+    return body;
 }
 
 /** The "format" member as a validated string; @p fallback when absent. */
@@ -81,19 +79,15 @@ RequestRouter::route(const std::string &text)
                 q.requestId = obs::mintRequestId();
         std::vector<QueryEngine::ResultPtr> results =
             _engine.evaluateBatch(*queries);
-        std::ostringstream oss;
-        {
-            JsonWriter json(oss);
-            json.beginObject();
-            json.key("results").beginArray();
-            for (const QueryEngine::ResultPtr &result : results) {
-                result->writeJson(json);
-                reply.served += result->ok() ? 1 : 0;
-            }
-            json.endArray();
-            json.endObject();
+        JsonWriter json(reply.body);
+        json.beginObject();
+        json.key("results").beginArray();
+        for (const QueryEngine::ResultPtr &result : results) {
+            result->writeJson(json);
+            reply.served += result->ok() ? 1 : 0;
         }
-        reply.body = oss.str();
+        json.endArray();
+        json.endObject();
         return reply;
     }
     if (doc && doc->isObject()) {
@@ -122,15 +116,18 @@ RequestRouter::route(const std::string &text)
                 }
                 scope = field->asString();
             }
-            std::ostringstream oss;
             if (format == "prom") {
                 // Prometheus text is multi-line; keep the trailing
                 // newline so the line transport's delimiter becomes
                 // the blank line that terminates the block.
+                std::ostringstream oss;
                 _engine.writeMetricsProm(oss);
                 obs::globalRegistry().writePrometheus(oss);
-            } else if (scope == "all") {
-                JsonWriter json(oss);
+                reply.body = oss.str();
+                return reply;
+            }
+            JsonWriter json(reply.body);
+            if (scope == "all") {
                 json.beginObject();
                 json.key("svc");
                 _engine.writeMetricsJson(json);
@@ -138,10 +135,8 @@ RequestRouter::route(const std::string &text)
                 obs::globalRegistry().writeJson(json);
                 json.endObject();
             } else {
-                JsonWriter json(oss);
                 _engine.writeMetricsJson(json);
             }
-            reply.body = oss.str();
             return reply;
         }
         if (type && type->isString() &&
@@ -154,12 +149,8 @@ RequestRouter::route(const std::string &text)
             }
             // The flight recorder's ring as one JSON body (capacity 0
             // and no records when the process never sized it).
-            std::ostringstream oss;
-            {
-                JsonWriter json(oss);
-                FlightRecorder::instance().writeJson(json);
-            }
-            reply.body = oss.str();
+            JsonWriter json(reply.body);
+            FlightRecorder::instance().writeJson(json);
             return reply;
         }
         if (type && type->isString() && type->asString() == "trace") {

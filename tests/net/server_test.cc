@@ -2,6 +2,10 @@
 
 #include <string>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
 #include "net/framing.hh"
@@ -151,6 +155,34 @@ TEST(SocketTest, ConnectToClosedPortFailsWithError)
     Socket sock = connectTo("127.0.0.1", port, 1000, &error);
     EXPECT_FALSE(sock.valid());
     EXPECT_FALSE(error.empty());
+}
+
+bool
+noDelaySet(const Socket &sock)
+{
+    int value = 0;
+    socklen_t len = sizeof(value);
+    EXPECT_EQ(::getsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &value,
+                           &len),
+              0);
+    return value != 0;
+}
+
+TEST(SocketTest, BothEndsDisableNagle)
+{
+    // Both connect paths (bounded and OS-default timeout) and the
+    // accepted end: a pipelined answer must not wait for a delayed ACK.
+    std::string error;
+    auto [listener, port] = listenOn("127.0.0.1", 0, &error);
+    ASSERT_TRUE(listener.valid()) << error;
+    for (std::uint64_t timeout_ms : {1000u, 0u}) {
+        Socket client = connectTo("127.0.0.1", port, timeout_ms, &error);
+        ASSERT_TRUE(client.valid()) << error;
+        Socket server = acceptOn(listener, &error);
+        ASSERT_TRUE(server.valid()) << error;
+        EXPECT_TRUE(noDelaySet(client)) << "timeout " << timeout_ms;
+        EXPECT_TRUE(noDelaySet(server)) << "timeout " << timeout_ms;
+    }
 }
 
 } // namespace

@@ -81,7 +81,7 @@ TEST(QueryEngineTest, ResultsComeBackInInputOrder)
         ASSERT_NE(results[i], nullptr);
         EXPECT_EQ(results[i]->query.canonicalKey(),
                   queries[i].canonicalKey());
-        EXPECT_FALSE(results[i]->rows.empty());
+        EXPECT_EQ(results[i]->toJson(), evaluateQuery(queries[i]).toJson());
     }
 }
 
@@ -117,6 +117,25 @@ TEST(QueryEngineTest, SecondBatchIsServedFromTheCache)
     EXPECT_EQ(warm.hits, queries.size());
     EXPECT_EQ(warm.misses, queries.size());
     EXPECT_DOUBLE_EQ(warm.hitRate(), 0.5);
+}
+
+TEST(QueryEngineTest, AnswersAreMemoizedAsBytes)
+{
+    QueryEngine engine(options(2, 64));
+    Query q;
+    q.type = QueryType::Projection;
+    q.workload = wl::Workload::mmm();
+    auto miss = engine.evaluate(q);
+    ASSERT_TRUE(miss->ok());
+    // Rendered once by the worker; the rows are released so the cache
+    // holds the answer only once.
+    EXPECT_EQ(miss->json, evaluateQuery(q).toJson());
+    EXPECT_TRUE(miss->rows.empty());
+    EXPECT_EQ(miss->rows.capacity(), 0u);
+    // A hit hands back the cached object itself.
+    auto hit = engine.evaluate(q);
+    EXPECT_EQ(hit, miss);
+    EXPECT_EQ(engine.cacheStats().hits, 1u);
 }
 
 TEST(QueryEngineTest, EvaluateSingleMatchesBatch)
@@ -325,6 +344,7 @@ TEST_F(QueryEngineLifecycleTest, ThrowingEvaluationResolvesToError)
     EXPECT_EQ(result->errorKind, QueryErrorKind::EvaluationFailed);
     EXPECT_EQ(result->error, "model exploded");
     EXPECT_TRUE(result->rows.empty());
+    EXPECT_TRUE(result->json.empty()); // rendered per request instead
     EXPECT_EQ(engine.inflightCount(), 0u);
     EXPECT_EQ(engine.metrics().errors(), 1u);
     std::string json = result->toJson();
@@ -338,7 +358,7 @@ TEST_F(QueryEngineLifecycleTest, ThrowingEvaluationResolvesToError)
     auto retry = engine.evaluate(q);
     ASSERT_NE(retry, nullptr);
     EXPECT_TRUE(retry->ok());
-    EXPECT_FALSE(retry->rows.empty());
+    EXPECT_EQ(retry->toJson(), evaluateQuery(q).toJson());
     EXPECT_EQ(engine.cacheStats().hits, 0u); // both passes were misses
 }
 

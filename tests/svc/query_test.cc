@@ -110,6 +110,46 @@ TEST(QueryKeyTest, ProjectionIgnoresNode)
     EXPECT_EQ(a.canonicalKey(), b.canonicalKey());
 }
 
+TEST(QueryKeyTest, KeysArePinnedByteForByte)
+{
+    // Hash-ring placement and slow-query logs are keyed on these exact
+    // bytes: a new spelling would move every key to another shard.
+    Query optimize; // defaults: FFT-1024, f 0.99, baseline, 22 nm
+    EXPECT_EQ(optimize.canonicalKey(),
+              "optimize|FFT-1024|f=0.98999999999999999|s=baseline|"
+              "n=22|d=*");
+
+    Query projection;
+    projection.type = QueryType::Projection;
+    projection.workload = wl::Workload::mmm();
+    projection.f = 0.9;
+    projection.node = 40.0; // not part of a projection's identity
+    projection.device = dev::DeviceId::Gtx285;
+    EXPECT_EQ(projection.canonicalKey(),
+              "projection|MMM|f=0.90000000000000002|s=baseline|"
+              "d=GTX285");
+
+    Query energy;
+    energy.type = QueryType::Energy;
+    energy.workload = wl::Workload::mmm();
+    energy.f = 0.5;
+    energy.scenario = "power-10w";
+    energy.node = 11.0;
+    EXPECT_EQ(energy.canonicalKey(),
+              "energy|MMM|f=0.5|s=power-10w|n=11|d=*");
+
+    Query pareto;
+    pareto.type = QueryType::Pareto;
+    pareto.workload = wl::Workload::blackScholes();
+    pareto.f = 0.123456789012345;
+    pareto.scenario = "thermal-3d";
+    pareto.node = 16.0;
+    pareto.device = dev::DeviceId::Lx760;
+    EXPECT_EQ(pareto.canonicalKey(),
+              "pareto|BS|f=0.123456789012345|s=thermal-3d|n=16|"
+              "d=V6-LX760");
+}
+
 TEST(QueryEvalTest, OptimizeMatchesDirectCoreCall)
 {
     Query q;

@@ -1,8 +1,13 @@
 /** @file Unit tests for the streaming JSON writer. */
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <functional>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -89,6 +94,130 @@ TEST(JsonTest, NonFiniteNumbersBecomeNull)
 TEST(JsonTest, ScalarRoot)
 {
     EXPECT_EQ(build([](JsonWriter &j) { j.value(42); }), "42");
+}
+
+TEST(JsonTest, StringTargetAppends)
+{
+    std::string out = "prefix:";
+    JsonWriter j(out);
+    j.beginObject().kv("k", "v").endObject();
+    EXPECT_EQ(out, "prefix:{\"k\":\"v\"}");
+}
+
+TEST(JsonTest, RawSplicesOneValue)
+{
+    std::string out = build([](JsonWriter &j) {
+        j.beginObject();
+        j.key("a").raw("{\"x\":[1,2]}");
+        j.key("b").beginArray();
+        j.raw("1").raw("\"two\"").value(3);
+        j.endArray();
+        j.endObject();
+    });
+    EXPECT_EQ(out, "{\"a\":{\"x\":[1,2]},\"b\":[1,\"two\",3]}");
+    EXPECT_EQ(build([](JsonWriter &j) { j.raw("[]"); }), "[]");
+}
+
+TEST(JsonTest, StreamSeesEachDocumentBeforeLaterWrites)
+{
+    // Callers write delimiters to the stream between documents while
+    // the writer is still alive; the root close must have flushed.
+    std::ostringstream oss;
+    JsonWriter first(oss);
+    first.beginObject().kv("n", 1).endObject();
+    oss << "\n";
+    JsonWriter second(oss);
+    second.beginArray().value(2).endArray();
+    oss << "\n";
+    JsonWriter scalar(oss);
+    scalar.value("s");
+    oss << "\n";
+    EXPECT_EQ(oss.str(), "{\"n\":1}\n[2]\n\"s\"\n");
+}
+
+TEST(JsonTest, LargeStreamedDocumentsFlushAsTheyGrow)
+{
+    std::ostringstream oss;
+    JsonWriter json(oss);
+    json.beginArray();
+    std::string chunk(1000, 'x');
+    while (oss.tellp() <= 0)
+        json.value(chunk);
+    // Flushed once the buffer passed the threshold, well before the
+    // document ends, and never much more than the threshold at once.
+    std::size_t flushed = static_cast<std::size_t>(oss.tellp());
+    EXPECT_GE(flushed, JsonWriter::kFlushBytes);
+    EXPECT_LT(flushed, JsonWriter::kFlushBytes + chunk.size() + 8);
+    json.endArray();
+    std::string doc = oss.str();
+    EXPECT_EQ(doc.front(), '[');
+    EXPECT_EQ(doc.back(), ']');
+}
+
+/** What the writer produced before to_chars: printf's "%.12g". */
+std::string
+printfG12(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.12g", v);
+    return buf;
+}
+
+std::string
+rendered(double v)
+{
+    std::string out;
+    JsonWriter(out).value(v);
+    return out;
+}
+
+TEST(JsonTest, DoublesMatchPrintfG12)
+{
+    std::vector<double> values = {
+        0.0, -0.0, 0.1, 0.5, 1.0, -1.0, 1e21, 1e-21, 1e-5, 1e-4,
+        123456789012.0, 1234567890123.0, 999999999999.0,
+        9007199254740992.0, // 2^53
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        2.2250738585072009e-308, // largest subnormal
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::epsilon(),
+        // Exact ties at the 12th significant digit: round half to even.
+        123456789012.5, 123456789013.5, 999999999999.5,
+        1234567890125.0, 1234567890135.0, 0.5e-300,
+    };
+    std::mt19937_64 rng(20101204);
+    // 13-digit integers ending in 5 and 12-digit ones plus a half are
+    // exactly representable, so each is a true decimal tie.
+    std::uniform_int_distribution<long long> twelve(100000000000LL,
+                                                    999999999999LL);
+    for (int i = 0; i < 2000; ++i) {
+        long long m = twelve(rng);
+        values.push_back(static_cast<double>(m) + 0.5);
+        values.push_back(static_cast<double>(m * 10 + 5));
+        values.push_back(-static_cast<double>(m * 10 + 5) / 1024.0);
+    }
+    // Random bit patterns cover every exponent and both subnormals and
+    // normals; non-finite ones are the writer's null case.
+    for (int i = 0; i < 200000; ++i) {
+        std::uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        values.push_back(v);
+    }
+    // Values shaped like model outputs: a few significant digits.
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 20000; ++i)
+        values.push_back(unit(rng) * std::pow(10.0, (i % 40) - 20));
+    for (double v : values) {
+        if (!std::isfinite(v)) {
+            EXPECT_EQ(rendered(v), "null");
+            continue;
+        }
+        ASSERT_EQ(rendered(v), printfG12(v)) << std::hexfloat << v;
+    }
 }
 
 TEST(JsonDeathTest, StructuralMisuse)
