@@ -20,40 +20,6 @@
 
 namespace hcm {
 namespace net {
-namespace {
-
-std::string
-errorBody(const std::string &why)
-{
-    std::ostringstream oss;
-    {
-        JsonWriter json(oss);
-        json.beginObject();
-        json.kv("error", why);
-        json.endObject();
-    }
-    return oss.str();
-}
-
-/**
- * Error taxonomy of a response payload, resolved cheaply: success
- * bodies never start with {"error": (writeJson leads errors with the
- * machine-readable fields), so only error bodies pay for a parse.
- */
-std::string
-responseErrorType(const std::string &body)
-{
-    if (body.rfind("{\"error\":", 0) != 0)
-        return "";
-    auto doc = JsonValue::parse(body, nullptr);
-    if (!doc || !doc->isObject())
-        return "";
-    const JsonValue *type = doc->find("type");
-    return type && type->isString() ? type->asString() : "";
-}
-
-} // namespace
-
 TcpShardBackend::TcpShardBackend(const std::string &host,
                                  std::uint16_t port,
                                  std::uint64_t timeout_ms,
@@ -203,9 +169,9 @@ class FrontDoor::Impl
     handle(const std::string &request)
     {
         obs::Span span("net.route", "net");
-        // Single query: the common case, worth resolving first.
-        svc::RequestParse parsed = svc::parseQueryRequestText(request);
-        if (parsed.ok) {
+        svc::ParsedRequest parsed = svc::classifyRequest(request);
+        switch (parsed.kind) {
+          case svc::ParsedRequest::Kind::Query:
             span.arg("kind", "query");
             // The front door is the fleet's ingress: requests without
             // trace context get an id minted here and spliced into the
@@ -219,26 +185,22 @@ class FrontDoor::Impl
                     return dispatch(parsed.query, *tagged);
             }
             return dispatch(parsed.query, request);
-        }
-        auto doc = JsonValue::parse(request, nullptr);
-        if (doc && (doc->isArray() ||
-                    (doc->isObject() && doc->find("requests")))) {
+          case svc::ParsedRequest::Kind::Batch:
             span.arg("kind", "batch");
-            return handleBatch(request);
-        }
-        if (doc && doc->isObject()) {
-            const JsonValue *type = doc->find("type");
-            if (type && type->isString() &&
-                type->asString() == "metrics")
-                return handleMetrics(*doc);
-            if (type && type->isString() && type->asString() == "fleet")
+            return handleBatch(parsed.batch);
+          case svc::ParsedRequest::Kind::Verb:
+            if (parsed.verb == "metrics")
+                return handleMetrics(parsed);
+            if (parsed.verb == "fleet")
                 return handleFleet();
-            if (type && type->isString() &&
-                type->asString() == "requests")
-                return handleRequests();
+            if (parsed.verb == "requests")
+                return handleRequests(parsed);
+            break;
+          case svc::ParsedRequest::Kind::Invalid:
+            break;
         }
         span.arg("kind", "error");
-        return errorBody(parsed.error);
+        return svc::errorBody(parsed.error);
     }
 
     const std::string *
@@ -292,7 +254,7 @@ class FrontDoor::Impl
                                           outstanding + 1, 1))
                 .toJson();
         }
-        std::string error_type = responseErrorType(response);
+        std::string error_type = svc::responseErrorType(response);
         if (error_type == "overloaded")
             _shed.add(1);
         recordFlight(q, backend.name(),
@@ -320,35 +282,29 @@ class FrontDoor::Impl
     }
 
     std::string
-    handleBatch(const std::string &request)
+    handleBatch(svc::BatchRequests &batch)
     {
-        // Validate the whole document first — parseBatchDocument
-        // rejects any malformed member, mirroring `hcm batch` — then
-        // slice out the raw request texts so shards receive the
-        // original bytes (re-serialization would round doubles).
-        std::string error;
-        auto queries = svc::parseBatchDocument(request, &error);
-        if (!queries)
-            return errorBody(error);
-        auto texts = svc::splitBatchRequestTexts(request);
-        hcm_assert(texts && texts->size() == queries->size(),
-                   "batch splitter disagrees with batch parser");
-        // Each member is its own hop with its own trace context;
-        // members that arrived without an id get one spliced into
-        // their raw bytes before fan-out.
-        for (std::size_t i = 0; i < queries->size(); ++i) {
-            if (!(*queries)[i].requestId.empty())
+        // The batch parse kept each member's raw bytes beside the
+        // query parsed from them, so shards receive exactly what was
+        // validated (re-serialization would round doubles). Each
+        // member is its own hop with its own trace context; members
+        // that arrived without an id get one spliced into their raw
+        // bytes before fan-out.
+        std::vector<svc::Query> &queries = batch.queries;
+        std::vector<std::string> &texts = batch.texts;
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+            if (!queries[i].requestId.empty())
                 continue;
             std::string rid = obs::mintRequestId();
-            if (auto tagged = svc::injectRequestId((*texts)[i], rid)) {
-                (*queries)[i].requestId = rid;
-                (*texts)[i] = std::move(*tagged);
+            if (auto tagged = svc::injectRequestId(texts[i], rid)) {
+                queries[i].requestId = rid;
+                texts[i] = std::move(*tagged);
             }
         }
 
-        std::vector<std::string> responses(queries->size());
+        std::vector<std::string> responses(queries.size());
         std::atomic<std::size_t> next{0};
-        std::size_t count = queries->size();
+        std::size_t count = queries.size();
         auto work = [&]() {
             while (true) {
                 std::size_t i =
@@ -356,46 +312,37 @@ class FrontDoor::Impl
                 if (i >= count)
                     return;
                 _outstanding.fetch_add(1, std::memory_order_relaxed);
-                responses[i] =
-                    dispatch((*queries)[i], (*texts)[i]);
+                responses[i] = dispatch(queries[i], texts[i]);
                 _outstanding.fetch_sub(1, std::memory_order_relaxed);
             }
         };
         runFanout(work, count);
 
-        // Merge in input order. Response texts concatenate into the
-        // exact document a single-process engine would emit, because
-        // each element is the same writeJson() byte stream.
-        std::string body = "{\"results\":[";
-        for (std::size_t i = 0; i < responses.size(); ++i) {
-            if (i > 0)
-                body += ",";
-            body += responses[i];
-        }
-        body += "]}";
+        // Merge in input order: each element is the same writeJson()
+        // byte stream a single-process engine would emit.
+        std::string body;
+        JsonWriter json(body);
+        svc::writeBatchAnswer(json, count, [&](std::size_t i) {
+            json.raw(responses[i]);
+        });
         return body;
     }
 
     std::string
-    handleMetrics(const JsonValue &doc)
+    handleMetrics(const svc::ParsedRequest &request)
     {
-        const JsonValue *format = doc.find("format");
-        std::string fmt = "json";
-        if (format) {
-            if (!format->isString() ||
-                (format->asString() != "json" &&
-                 format->asString() != "prom"))
-                return errorBody("metrics format must be json or prom");
-            fmt = format->asString();
-        }
-        std::ostringstream oss;
-        if (fmt == "prom") {
+        std::string body;
+        auto format = svc::verbFormat(request, true, &body);
+        if (!format)
+            return body;
+        if (*format == "prom") {
+            std::ostringstream oss;
             obs::globalRegistry().writePrometheus(oss);
-        } else {
-            JsonWriter json(oss);
-            obs::globalRegistry().writeJson(json);
+            return oss.str();
         }
-        return oss.str();
+        JsonWriter json(body);
+        obs::globalRegistry().writeJson(json);
+        return body;
     }
 
     /** The fleet verb: per-shard telemetry plus this door's counters. */
@@ -426,14 +373,14 @@ class FrontDoor::Impl
 
     /** The requests verb: this process's flight-recorder ring. */
     std::string
-    handleRequests()
+    handleRequests(const svc::ParsedRequest &request)
     {
-        std::ostringstream oss;
-        {
-            JsonWriter json(oss);
-            svc::FlightRecorder::instance().writeJson(json);
-        }
-        return oss.str();
+        std::string body;
+        if (!svc::verbFormat(request, false, &body))
+            return body;
+        JsonWriter json(body);
+        svc::FlightRecorder::instance().writeJson(json);
+        return body;
     }
 
     /**

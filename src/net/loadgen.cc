@@ -52,19 +52,6 @@ loadGenMetrics()
     return metrics;
 }
 
-/** "overloaded", "shard_unavailable", ... or "" for success bodies. */
-std::string
-responseErrorType(const std::string &body)
-{
-    if (body.rfind("{\"error\":", 0) != 0)
-        return "";
-    auto doc = JsonValue::parse(body, nullptr);
-    if (!doc || !doc->isObject())
-        return "error";
-    const JsonValue *type = doc->find("type");
-    return type && type->isString() ? type->asString() : "error";
-}
-
 /**
  * Exact percentile over sorted samples (nearest-rank with linear
  * interpolation). The registry's log2 histogram is only accurate to a
@@ -115,15 +102,9 @@ parseMixText(const std::string &text, std::string *error)
     // A mix that parses as ONE document is a batch file; the parser
     // insists on consuming the whole input, so multi-line JSONL can
     // never be mistaken for one.
-    auto doc = JsonValue::parse(text, nullptr);
-    if (doc &&
-        (doc->isArray() || (doc->isObject() && doc->find("requests")))) {
-        auto texts = svc::splitBatchRequestTexts(text);
-        if (!texts || texts->empty()) {
-            if (error)
-                *error = "batch mix has no requests";
-            return {};
-        }
+    if (auto texts = svc::splitBatchRequestTexts(text)) {
+        if (texts->empty() && error)
+            *error = "batch mix has no requests";
         return *texts;
     }
     std::vector<std::string> requests;
@@ -256,7 +237,7 @@ runLoadGen(const std::vector<std::string> &requests,
             outcomes[i] = "transport_failure";
             continue;
         }
-        std::string type = responseErrorType(responses[i]);
+        std::string type = svc::responseErrorType(responses[i]);
         if (type.empty()) {
             ++report->ok;
             outcomes[i] = "ok";
@@ -299,13 +280,11 @@ runLoadGen(const std::vector<std::string> &requests,
         }
         // Responses join verbatim: each element is the same byte
         // stream a single-process `hcm batch --results-only` emits.
-        out << "{\"results\":[";
-        for (std::size_t i = 0; i < total; ++i) {
-            if (i > 0)
-                out << ",";
-            out << responses[i];
-        }
-        out << "]}\n";
+        JsonWriter json(out);
+        svc::writeBatchAnswer(json, total, [&](std::size_t i) {
+            json.raw(responses[i]);
+        });
+        out << "\n";
     }
 
     if (!opts.samplesPath.empty()) {

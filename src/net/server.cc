@@ -1,30 +1,15 @@
 #include "server.hh"
 
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "util/json.hh"
+#include "svc/request.hh"
 #include "util/logging.hh"
 
 namespace hcm {
 namespace net {
 namespace {
-
-/** One {"error": ...} payload (the transport-level error frame). */
-std::string
-errorPayload(const std::string &why)
-{
-    std::ostringstream oss;
-    {
-        JsonWriter json(oss);
-        json.beginObject();
-        json.kv("error", why);
-        json.endObject();
-    }
-    return oss.str();
-}
 
 struct NetMetrics
 {
@@ -172,7 +157,7 @@ TcpServer::connectionLoop(Connection *conn)
         if (decoder.failed()) {
             // Oversized frame: answer one structured error, then
             // drop the connection — the stream can't be resynced.
-            std::string body = errorPayload(decoder.error());
+            std::string body = svc::errorBody(decoder.error());
             conn->sock.sendAll(encodeFrame(body).data(),
                                kFrameHeaderBytes + body.size(),
                                nullptr);

@@ -108,7 +108,7 @@ QueryEngine::retryAfterMsHint() const
     std::uint64_t count = 0;
     for (QueryType type : allQueryTypes()) {
         QueryTypeStats stats = _metrics.snapshot(type);
-        mean_ns += stats.latency.meanNs() *
+        mean_ns += stats.latency.mean() *
                    static_cast<double>(stats.queries);
         count += stats.queries;
     }

@@ -94,7 +94,7 @@ MetricsRegistry::snapshot(QueryType type) const
     QueryTypeStats stats;
     stats.queries = instruments.queries->value();
     stats.cacheHits = instruments.cacheHits->value();
-    stats.latency = LatencyHistogram(*instruments.latency);
+    stats.latency = *instruments.latency;
     return stats;
 }
 
@@ -133,10 +133,10 @@ MetricsRegistry::writeJson(JsonWriter &json,
         json.kv("count", stats.queries);
         json.kv("cacheHits", stats.cacheHits);
         json.key("latencyMs").beginObject();
-        json.kv("mean", stats.latency.meanNs() / 1e6);
-        json.kv("p50", stats.latency.percentileNs(50.0) / 1e6);
-        json.kv("p95", stats.latency.percentileNs(95.0) / 1e6);
-        json.kv("p99", stats.latency.percentileNs(99.0) / 1e6);
+        json.kv("mean", stats.latency.mean() / 1e6);
+        json.kv("p50", stats.latency.percentile(50.0) / 1e6);
+        json.kv("p95", stats.latency.percentile(95.0) / 1e6);
+        json.kv("p99", stats.latency.percentile(99.0) / 1e6);
         json.endObject();
         json.endObject();
     }

@@ -25,32 +25,12 @@
 namespace hcm {
 namespace svc {
 
-/** Log2-bucketed nanosecond histogram (obs::Histogram with the
- *  engine's historical nanosecond-flavoured accessors). */
-class LatencyHistogram : public obs::Histogram
-{
-  public:
-    LatencyHistogram() = default;
-    LatencyHistogram(const obs::Histogram &other) : obs::Histogram(other)
-    {
-    }
-
-    /** Mean latency in nanoseconds (0 when empty). */
-    double meanNs() const { return mean(); }
-
-    /**
-     * Latency below which @p p percent of samples fall, interpolated
-     * within the containing bucket. @p p in (0, 100]; 0 when empty.
-     */
-    double percentileNs(double p) const { return percentile(p); }
-};
-
 /** Counters + latency for one query type. */
 struct QueryTypeStats
 {
     std::uint64_t queries = 0;
     std::uint64_t cacheHits = 0;
-    LatencyHistogram latency;
+    obs::Histogram latency; ///< nanoseconds
 };
 
 /** Thread-safe registry of per-query-type metrics. */

@@ -190,48 +190,6 @@ parseQueryRequestText(const std::string &text)
     return parseQueryRequest(*doc);
 }
 
-std::optional<std::vector<Query>>
-parseBatchDocument(const std::string &text, std::string *error)
-{
-    std::string why;
-    auto doc = JsonValue::parse(text, &why);
-    if (!doc) {
-        if (error)
-            *error = "malformed JSON: " + why;
-        return std::nullopt;
-    }
-    const JsonValue *list = nullptr;
-    if (doc->isArray()) {
-        list = &*doc;
-    } else if (doc->isObject()) {
-        list = doc->find("requests");
-        if (!list || !list->isArray()) {
-            if (error)
-                *error = "expected {\"requests\": [...]} or a "
-                         "top-level array";
-            return std::nullopt;
-        }
-    } else {
-        if (error)
-            *error = "batch document must be an array or object";
-        return std::nullopt;
-    }
-
-    std::vector<Query> queries;
-    queries.reserve(list->size());
-    for (std::size_t i = 0; i < list->items().size(); ++i) {
-        RequestParse parsed = parseQueryRequest(list->items()[i]);
-        if (!parsed.ok) {
-            if (error)
-                *error = "request " + std::to_string(i) + ": " +
-                         parsed.error;
-            return std::nullopt;
-        }
-        queries.push_back(parsed.query);
-    }
-    return queries;
-}
-
 namespace {
 
 /** First index >= @p i of a non-whitespace byte (JSON whitespace). */
@@ -245,43 +203,61 @@ skipJsonSpace(const std::string &s, std::size_t i)
 }
 
 /**
- * Index one past the end of the JSON value starting at @p i, found by
- * bracket counting with string/escape awareness. Assumes the text is
- * well-formed (validated by a full parse beforehand).
+ * The one batch-shape rule: the requests of batch document @p doc are
+ * the document itself when it is an array, else its "requests" member
+ * (the last occurrence, by decoded key, as JsonValue::find() picks).
+ * Null when @p doc is not a batch document.
  */
-std::size_t
-jsonValueEnd(const std::string &s, std::size_t i)
+const JsonValue *
+batchRequests(const JsonValue &doc)
 {
-    int depth = 0;
-    bool in_string = false;
-    bool escaped = false;
-    for (; i < s.size(); ++i) {
-        char c = s[i];
-        if (in_string) {
-            if (escaped) {
-                escaped = false;
-            } else if (c == '\\') {
-                escaped = true;
-            } else if (c == '"') {
-                in_string = false;
-                if (depth == 0)
-                    return i + 1; // bare string value ends here
-            }
-            continue;
-        }
-        if (c == '"') {
-            in_string = true;
-        } else if (c == '{' || c == '[') {
-            ++depth;
-        } else if (c == '}' || c == ']') {
-            --depth;
-            if (depth == 0)
-                return i + 1;
-        } else if (depth == 0 && (c == ',' || c == '}' || c == ']')) {
-            return i; // scalar value ends at the delimiter
-        }
+    return doc.isArray() ? &doc
+           : doc.isObject() ? doc.find("requests")
+                            : nullptr;
+}
+
+/** The source bytes of each element of @p list, parsed from @p text. */
+std::vector<std::string>
+memberTexts(const std::string &text, const JsonValue &list)
+{
+    std::vector<std::string> texts;
+    texts.reserve(list.size());
+    for (const JsonValue &item : list.items()) {
+        auto [begin, end] = item.span();
+        texts.push_back(text.substr(begin, end - begin));
     }
-    return s.size();
+    return texts;
+}
+
+/** parseBatchDocument() over the already-parsed @p doc of @p text. */
+std::optional<BatchRequests>
+parseBatch(const std::string &text, const JsonValue &doc,
+           std::string *error)
+{
+    const JsonValue *list = batchRequests(doc);
+    if (!list || !list->isArray()) {
+        if (error)
+            *error = doc.isArray() || doc.isObject()
+                         ? "expected {\"requests\": [...]} or a "
+                           "top-level array"
+                         : "batch document must be an array or object";
+        return std::nullopt;
+    }
+    // Texts and queries come from one parse, so the bytes a front door
+    // forwards are exactly the ones validated here.
+    BatchRequests out;
+    out.texts = memberTexts(text, *list);
+    for (std::size_t i = 0; i < list->size(); ++i) {
+        RequestParse parsed = parseQueryRequest(list->items()[i]);
+        if (!parsed.ok) {
+            if (error)
+                *error = "request " + std::to_string(i) + ": " +
+                         parsed.error;
+            return std::nullopt;
+        }
+        out.queries.push_back(std::move(parsed.query));
+    }
+    return out;
 }
 
 } // namespace
@@ -301,61 +277,115 @@ injectRequestId(const std::string &text, const std::string &rid)
     return out;
 }
 
+std::optional<BatchRequests>
+parseBatchDocument(const std::string &text, std::string *error)
+{
+    std::string why;
+    auto doc = JsonValue::parse(text, &why);
+    if (!doc) {
+        if (error)
+            *error = "malformed JSON: " + why;
+        return std::nullopt;
+    }
+    return parseBatch(text, *doc, error);
+}
+
 std::optional<std::vector<std::string>>
 splitBatchRequestTexts(const std::string &text)
 {
-    // Locate the requests array: the document itself when it is a
-    // top-level array, otherwise the value of the "requests" member.
-    std::size_t i = skipJsonSpace(text, 0);
-    if (i >= text.size())
+    auto doc = JsonValue::parse(text, nullptr);
+    const JsonValue *list = doc ? batchRequests(*doc) : nullptr;
+    if (!list)
         return std::nullopt;
-    if (text[i] == '{') {
-        // Walk the object's members for the "requests" key.
-        ++i;
-        while (true) {
-            i = skipJsonSpace(text, i);
-            if (i >= text.size() || text[i] == '}')
-                return std::nullopt;
-            if (text[i] != '"')
-                return std::nullopt;
-            std::size_t key_end = jsonValueEnd(text, i);
-            std::string key = text.substr(i, key_end - i);
-            i = skipJsonSpace(text, key_end);
-            if (i >= text.size() || text[i] != ':')
-                return std::nullopt;
-            i = skipJsonSpace(text, i + 1);
-            if (i >= text.size())
-                return std::nullopt;
-            std::size_t value_end = jsonValueEnd(text, i);
-            if (key == "\"requests\"")
-                break;
-            i = skipJsonSpace(text, value_end);
-            if (i < text.size() && text[i] == ',')
-                ++i;
-            else
-                return std::nullopt; // no "requests" member
+    return list->isArray() ? memberTexts(text, *list)
+                           : std::vector<std::string>{};
+}
+
+ParsedRequest
+classifyRequest(const std::string &text)
+{
+    ParsedRequest out;
+    RequestParse parsed = parseQueryRequestText(text);
+    if (parsed.ok) {
+        out.kind = ParsedRequest::Kind::Query;
+        out.query = std::move(parsed.query);
+        return out;
+    }
+    out.error = std::move(parsed.error);
+    // Not a single query: control verbs and batch documents fail that
+    // parse, so the document is read a second time only here.
+    auto doc = JsonValue::parse(text, nullptr);
+    if (doc && batchRequests(*doc)) {
+        std::string why;
+        if (auto batch = parseBatch(text, *doc, &why)) {
+            out.kind = ParsedRequest::Kind::Batch;
+            out.batch = std::move(*batch);
+        } else {
+            out.error = std::move(why);
+        }
+        return out;
+    }
+    if (doc && doc->isObject()) {
+        const JsonValue *type = doc->find("type");
+        if (type && type->isString()) {
+            out.kind = ParsedRequest::Kind::Verb;
+            out.verb = type->asString();
+            out.doc = std::move(doc);
         }
     }
-    if (i >= text.size() || text[i] != '[')
-        return std::nullopt;
+    return out;
+}
 
-    std::vector<std::string> items;
-    i = skipJsonSpace(text, i + 1);
-    if (i < text.size() && text[i] == ']')
-        return items; // empty batch
-    while (i < text.size()) {
-        std::size_t end = jsonValueEnd(text, i);
-        items.push_back(text.substr(i, end - i));
-        i = skipJsonSpace(text, end);
-        if (i >= text.size())
-            return std::nullopt;
-        if (text[i] == ']')
-            return items;
-        if (text[i] != ',')
-            return std::nullopt;
-        i = skipJsonSpace(text, i + 1);
-    }
+std::optional<std::string>
+verbFormat(const ParsedRequest &request, bool prom_ok, std::string *body)
+{
+    const JsonValue *field = request.doc ? request.doc->find("format")
+                                         : nullptr;
+    if (!field)
+        return "json";
+    if (field->isString() && (field->asString() == "json" ||
+                              (prom_ok && field->asString() == "prom")))
+        return field->asString();
+    *body = errorBody(request.verb + " format must be json" +
+                      (prom_ok ? " or prom" : ""));
     return std::nullopt;
+}
+
+std::string
+errorBody(std::string_view why)
+{
+    std::string body;
+    JsonWriter json(body);
+    json.beginObject();
+    json.kv("error", why);
+    json.endObject();
+    return body;
+}
+
+std::string
+responseErrorType(const std::string &body)
+{
+    if (body.rfind("{\"error\":", 0) != 0)
+        return "";
+    auto doc = JsonValue::parse(body, nullptr);
+    const JsonValue *type =
+        doc && doc->isObject() ? doc->find("type") : nullptr;
+    return type && type->isString() ? type->asString() : "error";
+}
+
+void
+writeBatchAnswer(JsonWriter &json, std::size_t count,
+                 const std::function<void(std::size_t)> &answer,
+                 const std::function<void()> &trailer)
+{
+    json.beginObject();
+    json.key("results").beginArray();
+    for (std::size_t i = 0; i < count; ++i)
+        answer(i);
+    json.endArray();
+    if (trailer)
+        trailer();
+    json.endObject();
 }
 
 } // namespace svc

@@ -1,9 +1,15 @@
 /**
  * @file
- * Wire format of the query service: JSON requests -> typed Query.
- * Every field is validated non-fatally (unknown scenario, bad node,
- * malformed workload spec, ...) so a server can answer one bad request
- * with an error instead of dying. The request schema:
+ * Wire format of the query service, the one home of every decision
+ * about it that the router, the net front door, the batch runner, the
+ * TCP server and the load generator share: what a request text is
+ * (query, batch document, control verb, or error), which member of a
+ * batch document holds its requests, the {"error": why} body, the
+ * error type of an answer, the {"results": [...]} envelope, and the
+ * control verbs' "format" check. Every field is validated non-fatally
+ * (unknown scenario, bad node, malformed workload spec, ...) so a
+ * server can answer one bad request with an error instead of dying.
+ * The request schema:
  *
  *   {"type": "optimize" | "projection" | "energy" | "pareto",
  *    "workload": "mmm" | "bs" | "fft:N",   // default "fft:1024"
@@ -19,10 +25,13 @@
 #ifndef HCM_SVC_REQUEST_HH
 #define HCM_SVC_REQUEST_HH
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "svc/query.hh"
+#include "util/json.hh"
 #include "util/json_parse.hh"
 
 namespace hcm {
@@ -51,24 +60,77 @@ RequestParse parseQueryRequest(const JsonValue &v);
 RequestParse parseQueryRequestText(const std::string &text);
 
 /**
- * Parse a batch document: either a top-level array of request objects
- * or {"requests": [...]}. Returns the queries, or sets @p error (with
- * the offending index) and returns nullopt.
- */
-std::optional<std::vector<Query>> parseBatchDocument(
-    const std::string &text, std::string *error);
-
-/**
- * Slice a batch document into the raw byte spans of its request
- * objects, in order. The net front door forwards these verbatim to
- * shards: re-serializing through JsonWriter would round doubles to 12
- * significant digits, silently changing canonical keys, so the
- * original bytes are the only faithful representation. @p text must
- * be a batch document that parseBatchDocument() accepts (call it
- * first); malformed input returns nullopt.
+ * The raw bytes of each request in batch document @p text (a top-level
+ * array, or an object whose last "requests" member is one), in order.
+ * Callers forward them verbatim: re-serializing through JsonWriter
+ * would round doubles to 12 significant digits and change canonical
+ * keys. Nullopt when @p text is not a batch document; empty when its
+ * "requests" member is not an array.
  */
 std::optional<std::vector<std::string>> splitBatchRequestTexts(
     const std::string &text);
+
+/** A batch document's requests: raw texts and the queries they hold. */
+struct BatchRequests
+{
+    std::vector<std::string> texts;
+    std::vector<Query> queries; ///< queries[i] is parsed from texts[i]
+};
+
+/**
+ * Parse a batch document (see splitBatchRequestTexts()). Returns its
+ * requests, or sets @p error (with the offending index) and returns
+ * nullopt.
+ */
+std::optional<BatchRequests> parseBatchDocument(const std::string &text,
+                                                std::string *error);
+
+/** What one request text is, decided once for every transport. */
+struct ParsedRequest
+{
+    enum class Kind { Query, Batch, Verb, Invalid };
+
+    Kind kind = Kind::Invalid;
+    Query query;                  ///< Kind::Query
+    BatchRequests batch;          ///< Kind::Batch
+    std::string verb;             ///< Kind::Verb: the "type" member
+    std::optional<JsonValue> doc; ///< Kind::Verb: the whole document
+    /** Why @p text is no query or batch (the answer to unknown verbs). */
+    std::string error;
+};
+
+/**
+ * Classify @p text: a single query (parsed first, so a query costs one
+ * parse), else a batch document, else an object with a string "type"
+ * (a control verb for the endpoint to dispatch), else invalid.
+ */
+ParsedRequest classifyRequest(const std::string &text);
+
+/**
+ * The control verb's "format" member: "json" when absent, "prom" only
+ * where @p prom_ok. Anything else returns nullopt after setting @p body
+ * to {"error":"<verb> format must be json[ or prom]"}.
+ */
+std::optional<std::string> verbFormat(const ParsedRequest &request,
+                                      bool prom_ok, std::string *body);
+
+/** The {"error": @p why} answer body. */
+std::string errorBody(std::string_view why);
+
+/**
+ * The error type of answer @p body: "" for a success, else its "type"
+ * ("overloaded", ...), or "error" when it has none (a transport-level
+ * frame rejection). Errors lead with "error", so only they are parsed.
+ */
+std::string responseErrorType(const std::string &body);
+
+/**
+ * Write the batch answer {"results":[...]}, answer i in input order by
+ * @p answer(i), then any members @p trailer adds (`hcm batch` metrics).
+ */
+void writeBatchAnswer(JsonWriter &json, std::size_t count,
+                      const std::function<void(std::size_t)> &answer,
+                      const std::function<void()> &trailer = nullptr);
 
 /**
  * Splice "requestId": @p rid into the raw request text @p text without

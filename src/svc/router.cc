@@ -8,184 +8,119 @@
 #include "prof/profiler.hh"
 #include "svc/flight_recorder.hh"
 #include "svc/request.hh"
-#include "util/format.hh"
 
 namespace hcm {
 namespace svc {
-namespace {
-
-std::string
-errorBody(const std::string &why)
-{
-    std::string body;
-    JsonWriter json(body);
-    json.beginObject();
-    json.kv("error", why);
-    json.endObject();
-    return body;
-}
-
-/** The "format" member as a validated string; @p fallback when absent. */
-bool
-formatField(const JsonValue &doc, const char *fallback,
-            std::string *format)
-{
-    const JsonValue *field = doc.find("format");
-    if (!field) {
-        *format = fallback;
-        return true;
-    }
-    if (!field->isString())
-        return false;
-    *format = field->asString();
-    return true;
-}
-
-} // namespace
 
 RouteReply
 RequestRouter::route(const std::string &text)
 {
     RouteReply reply;
-    RequestParse parsed = parseQueryRequestText(text);
-    if (parsed.ok) {
+    ParsedRequest request = classifyRequest(text);
+    switch (request.kind) {
+      case ParsedRequest::Kind::Query: {
         // This router is an ingress: a query arriving without trace
         // context gets one minted here so every downstream span, log
         // line, and flight-recorder entry is joinable. Minted ids are
         // never echoed (requestIdEcho stays false), keeping response
         // bytes identical whether or not tracing is in play.
-        if (parsed.query.requestId.empty())
-            parsed.query.requestId = obs::mintRequestId();
-        QueryEngine::ResultPtr result = _engine.evaluate(parsed.query);
+        if (request.query.requestId.empty())
+            request.query.requestId = obs::mintRequestId();
+        QueryEngine::ResultPtr result = _engine.evaluate(request.query);
         reply.body = result->toJson();
         reply.served = result->ok() ? 1 : 0;
         return reply;
-    }
-
-    // Not a single query. Control verbs ("metrics", "trace",
-    // "profile") and batch documents fail normal parsing; dispatch on
-    // the document shape before falling back to the parse error.
-    auto doc = JsonValue::parse(text, nullptr);
-    if (doc && (doc->isArray() ||
-                (doc->isObject() && doc->find("requests")))) {
-        std::string error;
-        auto queries = parseBatchDocument(text, &error);
-        if (!queries) {
-            reply.body = errorBody(error);
-            return reply;
-        }
-        for (Query &q : *queries)
+      }
+      case ParsedRequest::Kind::Batch: {
+        std::vector<Query> &queries = request.batch.queries;
+        for (Query &q : queries)
             if (q.requestId.empty())
                 q.requestId = obs::mintRequestId();
         std::vector<QueryEngine::ResultPtr> results =
-            _engine.evaluateBatch(*queries);
+            _engine.evaluateBatch(queries);
         JsonWriter json(reply.body);
-        json.beginObject();
-        json.key("results").beginArray();
-        for (const QueryEngine::ResultPtr &result : results) {
-            result->writeJson(json);
-            reply.served += result->ok() ? 1 : 0;
-        }
-        json.endArray();
-        json.endObject();
+        writeBatchAnswer(json, results.size(), [&](std::size_t i) {
+            results[i]->writeJson(json);
+            reply.served += results[i]->ok() ? 1 : 0;
+        });
         return reply;
+      }
+      case ParsedRequest::Kind::Verb:
+        if (answerVerb(request, &reply.body))
+            return reply;
+        break;
+      case ParsedRequest::Kind::Invalid:
+        break;
     }
-    if (doc && doc->isObject()) {
-        const JsonValue *type = doc->find("type");
-        if (type && type->isString() && type->asString() == "metrics") {
-            std::string format;
-            if (!formatField(*doc, "json", &format) ||
-                (format != "json" && format != "prom")) {
-                reply.body =
-                    errorBody("metrics format must be json or prom");
-                return reply;
-            }
-            // "scope" widens the JSON payload: "svc" (the default,
-            // byte-compatible with pre-fleet clients) is the engine's
-            // own registry; "all" wraps it with the process-wide one,
-            // which is what the fleet collector scrapes for queue
-            // depth, uptime, and RSS.
-            std::string scope = "svc";
-            if (const JsonValue *field = doc->find("scope")) {
-                if (!field->isString() ||
-                    (field->asString() != "svc" &&
-                     field->asString() != "all")) {
-                    reply.body =
-                        errorBody("metrics scope must be svc or all");
-                    return reply;
-                }
-                scope = field->asString();
-            }
-            if (format == "prom") {
-                // Prometheus text is multi-line; keep the trailing
-                // newline so the line transport's delimiter becomes
-                // the blank line that terminates the block.
-                std::ostringstream oss;
-                _engine.writeMetricsProm(oss);
-                obs::globalRegistry().writePrometheus(oss);
-                reply.body = oss.str();
-                return reply;
-            }
-            JsonWriter json(reply.body);
-            if (scope == "all") {
-                json.beginObject();
-                json.key("svc");
-                _engine.writeMetricsJson(json);
-                json.key("process");
-                obs::globalRegistry().writeJson(json);
-                json.endObject();
-            } else {
-                _engine.writeMetricsJson(json);
-            }
-            return reply;
-        }
-        if (type && type->isString() &&
-            type->asString() == "requests") {
-            std::string format;
-            if (!formatField(*doc, "json", &format) ||
-                format != "json") {
-                reply.body = errorBody("requests format must be json");
-                return reply;
-            }
-            // The flight recorder's ring as one JSON body (capacity 0
-            // and no records when the process never sized it).
-            JsonWriter json(reply.body);
-            FlightRecorder::instance().writeJson(json);
-            return reply;
-        }
-        if (type && type->isString() && type->asString() == "trace") {
-            // Only JSON exists for traces; reject anything else
-            // instead of silently ignoring the field.
-            std::string format;
-            if (!formatField(*doc, "json", &format) ||
-                format != "json") {
-                reply.body = errorBody("trace format must be json");
-                return reply;
-            }
-            // The accumulated Chrome trace as one response body
-            // (empty traceEvents when tracing is off).
-            std::ostringstream oss;
-            obs::Tracer::instance().writeChromeTrace(oss);
-            reply.body = oss.str();
-            return reply;
-        }
-        if (type && type->isString() && type->asString() == "profile") {
-            std::string format;
-            if (!formatField(*doc, "json", &format) ||
-                format != "json") {
-                reply.body = errorBody("profile format must be json");
-                return reply;
-            }
-            // The aggregated profile tree as one JSON body (empty
-            // roots when profiling is off).
-            std::ostringstream oss;
-            prof::Profiler::instance().writeJson(oss);
-            reply.body = oss.str();
-            return reply;
-        }
-    }
-    reply.body = errorBody(parsed.error);
+    reply.body = errorBody(request.error);
     return reply;
+}
+
+bool
+RequestRouter::answerVerb(const ParsedRequest &request, std::string *body)
+{
+    const std::string &verb = request.verb;
+    if (verb != "metrics" && verb != "requests" && verb != "trace" &&
+        verb != "profile")
+        return false;
+    auto format = verbFormat(request, verb == "metrics", body);
+    if (!format)
+        return true;
+    if (verb == "metrics") {
+        // "scope" widens the JSON payload: "svc" (the default,
+        // byte-compatible with pre-fleet clients) is the engine's own
+        // registry; "all" wraps it with the process-wide one, which is
+        // what the fleet collector scrapes for queue depth, uptime,
+        // and RSS.
+        std::string scope = "svc";
+        if (const JsonValue *field = request.doc->find("scope")) {
+            if (!field->isString() || (field->asString() != "svc" &&
+                                       field->asString() != "all")) {
+                *body = errorBody("metrics scope must be svc or all");
+                return true;
+            }
+            scope = field->asString();
+        }
+        if (*format == "prom") {
+            // Prometheus text is multi-line; keep the trailing newline
+            // so the line transport's delimiter becomes the blank line
+            // that terminates the block.
+            std::ostringstream oss;
+            _engine.writeMetricsProm(oss);
+            obs::globalRegistry().writePrometheus(oss);
+            *body = oss.str();
+            return true;
+        }
+        JsonWriter json(*body);
+        if (scope == "all") {
+            json.beginObject();
+            json.key("svc");
+            _engine.writeMetricsJson(json);
+            json.key("process");
+            obs::globalRegistry().writeJson(json);
+            json.endObject();
+        } else {
+            _engine.writeMetricsJson(json);
+        }
+    } else if (verb == "requests") {
+        // The flight recorder's ring as one JSON body (capacity 0 and
+        // no records when the process never sized it).
+        JsonWriter json(*body);
+        FlightRecorder::instance().writeJson(json);
+    } else if (verb == "trace") {
+        // The accumulated Chrome trace as one response body (empty
+        // traceEvents when tracing is off).
+        std::ostringstream oss;
+        obs::Tracer::instance().writeChromeTrace(oss);
+        *body = oss.str();
+    } else {
+        // The aggregated profile tree as one JSON body (empty roots
+        // when profiling is off).
+        std::ostringstream oss;
+        prof::Profiler::instance().writeJson(oss);
+        *body = oss.str();
+    }
+    return true;
 }
 
 } // namespace svc

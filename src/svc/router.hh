@@ -23,6 +23,7 @@
 #include <string>
 
 #include "svc/engine.hh"
+#include "svc/request.hh"
 
 namespace hcm {
 namespace svc {
@@ -55,6 +56,12 @@ class RequestRouter
     QueryEngine &engine() { return _engine; }
 
   private:
+    /**
+     * Answer the control verb @p request into @p body; false when the
+     * verb is not one this router serves.
+     */
+    bool answerVerb(const ParsedRequest &request, std::string *body);
+
     QueryEngine &_engine;
 };
 

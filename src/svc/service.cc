@@ -1,7 +1,5 @@
 #include "service.hh"
 
-#include <sstream>
-
 #include "svc/request.hh"
 #include "svc/router.hh"
 #include "util/format.hh"
@@ -14,26 +12,25 @@ bool
 runBatch(const std::string &text, QueryEngine &engine, std::ostream &out,
          std::string *error, bool results_only)
 {
-    auto queries = parseBatchDocument(text, error);
-    if (!queries)
+    auto batch = parseBatchDocument(text, error);
+    if (!batch)
         return false;
 
     std::vector<QueryEngine::ResultPtr> results =
-        engine.evaluateBatch(*queries);
+        engine.evaluateBatch(batch->queries);
 
     JsonWriter json(out);
-    json.beginObject();
-    json.key("results").beginArray();
-    for (const QueryEngine::ResultPtr &result : results)
-        result->writeJson(json);
-    json.endArray();
-    if (!results_only) {
-        json.key("metrics");
-        engine.writeMetricsJson(json);
-    }
-    json.endObject();
+    std::function<void()> metrics;
+    if (!results_only)
+        metrics = [&] {
+            json.key("metrics");
+            engine.writeMetricsJson(json);
+        };
+    writeBatchAnswer(
+        json, results.size(),
+        [&](std::size_t i) { results[i]->writeJson(json); }, metrics);
     out << "\n";
-    hcm_debug("batch served", logField("queries", queries->size()),
+    hcm_debug("batch served", logField("queries", results.size()),
               logField("threads", engine.threadCount()));
     return true;
 }

@@ -85,8 +85,18 @@ class JsonParser
         skipSpace();
         if (_pos >= _text.size())
             return fail("unexpected end of input");
-        char c = _text[_pos];
-        switch (c) {
+        out._begin = _pos;
+        if (!parseToken(out, depth))
+            return false;
+        out._end = _pos;
+        return true;
+    }
+
+    /** One value starting at the current (non-space) byte. */
+    bool
+    parseToken(JsonValue &out, std::size_t depth)
+    {
+        switch (_text[_pos]) {
           case '{':
             return parseObject(out, depth);
           case '[':

@@ -68,6 +68,17 @@ class JsonValue
     /** Element/member count; 0 for scalars. */
     std::size_t size() const;
 
+    /**
+     * Byte offsets [first, second) of this value in the text it was
+     * parsed from, so a caller can forward a member's original bytes
+     * (re-serializing would round doubles).
+     */
+    std::pair<std::size_t, std::size_t>
+    span() const
+    {
+        return {_begin, _end};
+    }
+
   private:
     friend class JsonParser;
 
@@ -77,6 +88,8 @@ class JsonValue
     std::string _string;
     std::vector<JsonValue> _items;
     std::vector<std::pair<std::string, JsonValue>> _members;
+    std::size_t _begin = 0;
+    std::size_t _end = 0;
 };
 
 } // namespace hcm

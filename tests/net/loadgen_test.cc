@@ -51,6 +51,20 @@ TEST(ParseMixTest, AcceptsRequestsWrapperDocument)
     EXPECT_EQ(requests[1], R"({"type":"pareto"})");
 }
 
+TEST(ParseMixTest, UsesTheRequestsMemberTheParserUses)
+{
+    // Duplicate keys keep the last occurrence, keys compare decoded:
+    // the replayed members are the ones `hcm batch` would answer.
+    std::string error;
+    auto requests = parseMixText(
+        R"({"requests":[{"type":"optimize"}],)"
+        R"("\u0072equests":[{"type":"pareto"},{"type":"energy"}]})",
+        &error);
+    ASSERT_EQ(requests.size(), 2u) << error;
+    EXPECT_EQ(requests[0], R"({"type":"pareto"})");
+    EXPECT_EQ(requests[1], R"({"type":"energy"})");
+}
+
 TEST(ParseMixTest, EmptyInputIsAnError)
 {
     std::string error;

@@ -8,6 +8,7 @@
 
 #include "net/front_door.hh"
 #include "svc/engine.hh"
+#include "svc/flight_recorder.hh"
 
 namespace hcm {
 namespace net {
@@ -40,6 +41,49 @@ class DeadBackend : public ShardBackend
 
   private:
     std::string _name;
+};
+
+/** A reachable shard that answers every request with one fixed body. */
+class FixedBackend : public ShardBackend
+{
+  public:
+    FixedBackend(std::string name, std::string body)
+        : _name(std::move(name)), _body(std::move(body))
+    {
+    }
+
+    const std::string &name() const override { return _name; }
+
+    bool
+    roundTrip(const std::string &, std::string *response,
+              std::string *) override
+    {
+        *response = _body;
+        return true;
+    }
+
+  private:
+    std::string _name;
+    std::string _body;
+};
+
+/** A front door over two in-process shards, and a lone reference. */
+struct TwoShardFixture
+{
+    svc::QueryEngine reference{smallEngine()};
+    svc::RequestRouter direct{reference};
+    svc::QueryEngine e0{smallEngine()};
+    svc::QueryEngine e1{smallEngine()};
+    FrontDoor front{backends(e0, e1)};
+
+    static std::vector<std::unique_ptr<ShardBackend>>
+    backends(svc::QueryEngine &a, svc::QueryEngine &b)
+    {
+        std::vector<std::unique_ptr<ShardBackend>> out;
+        out.push_back(std::make_unique<LocalShardBackend>("shard-0", a));
+        out.push_back(std::make_unique<LocalShardBackend>("shard-1", b));
+        return out;
+    }
 };
 
 TEST(RequestRouterTest, RoutesSingleQuery)
@@ -213,6 +257,70 @@ TEST(FrontDoorTest, MalformedBatchMemberAnswersErrorBody)
     std::string body =
         front.handle(R"([{"type":"optimize"},{"type":17}])");
     EXPECT_EQ(body.rfind("{\"error\":", 0), 0u);
+}
+
+TEST(FrontDoorTest, HostileBatchDocumentsAnswerLikeTheRouter)
+{
+    // Duplicate, escaped, nested and space-padded "requests" keys: the
+    // front door must pick the member the parser picks (decoded key,
+    // last occurrence) and answer the router's bytes, never panic.
+    TwoShardFixture tier;
+    const std::string q1 = R"({"type":"optimize","workload":"mmm","f":0.97})";
+    const std::string q2 = R"({"type":"energy","workload":"bs","f":0.5})";
+    const std::vector<std::string> docs = {
+        R"({"requests":[],"requests":[)" + q1 + "]}",
+        R"({"requests":[)" + q1 + R"(],"requests":[)" + q2 + "]}",
+        R"({"\u0072equests":[)" + q1 + "]}",
+        R"({"x":{"requests":[]},"requests":[)" + q1 + "]}",
+        "{ \"requests\" : [ ] ,\n\t\"requests\"\r:\f[ " + q1 + " ] }",
+        "{\"requests\":[" + q1 + "] ,  \"requests\" : [" + q2 + ",\n" +
+            q1 + "]}\n",
+        " {\"\\u0072equests\" :[ ]}",
+    };
+    for (const std::string &doc : docs) {
+        std::string expected = tier.direct.route(doc).body;
+        EXPECT_EQ(expected.rfind("{\"results\":[", 0), 0u) << doc;
+        EXPECT_EQ(tier.front.handle(doc), expected) << doc;
+    }
+}
+
+TEST(FrontDoorTest, VerbFormatErrorsMatchTheRouter)
+{
+    TwoShardFixture tier;
+    for (const char *verb :
+         {R"({"type":"requests","format":"prom"})",
+          R"({"type":"requests","format":7})",
+          R"({"type":"requests","format":"json"})",
+          R"({"type":"requests"})",
+          R"({"type":"metrics","format":"xml"})",
+          R"({"type":"metrics","format":null})",
+          R"({"type":"warp-drive"})"}) {
+        EXPECT_EQ(tier.front.handle(verb), tier.direct.route(verb).body)
+            << verb;
+    }
+    EXPECT_EQ(tier.front.handle(R"({"type":"requests","format":"prom"})"),
+              R"({"error":"requests format must be json"})");
+}
+
+TEST(FrontDoorTest, TypelessShardErrorIsRecordedAsError)
+{
+    // A shard's transport-level rejection ({"error": why}, no "type")
+    // is a failure, not an "ok" hop.
+    svc::FlightRecorder &recorder = svc::FlightRecorder::instance();
+    recorder.configure(8);
+    {
+        std::vector<std::unique_ptr<ShardBackend>> backends;
+        backends.push_back(
+            std::make_unique<FixedBackend>("shard-0", R"({"error":"x"})"));
+        FrontDoor front(std::move(backends));
+        EXPECT_EQ(front.handle(R"({"type":"optimize","workload":"mmm"})"),
+                  R"({"error":"x"})");
+    }
+    std::vector<svc::RequestRecord> records = recorder.snapshot();
+    recorder.configure(0);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].shard, "shard-0");
+    EXPECT_EQ(records[0].outcome, "error");
 }
 
 } // namespace

@@ -97,6 +97,47 @@ TEST(HistogramTest, MaxValueLandsInTopBucketWithoutOverflow)
     EXPECT_LE(p100, Histogram::bucketUpperEdge(Histogram::kBuckets - 1));
 }
 
+TEST(HistogramTest, MeanIsExact)
+{
+    Histogram h;
+    h.record(100);
+    h.record(200);
+    h.record(300);
+    EXPECT_EQ(h.count(), 3u);
+    EXPECT_DOUBLE_EQ(h.mean(), 200.0);
+}
+
+TEST(HistogramTest, PercentilesWithinBucketResolution)
+{
+    Histogram h;
+    // 99 samples at ~1us, one at ~1ms: p50 must sit near 1us, p99
+    // within a power of two of... the tail sample.
+    for (int i = 0; i < 99; ++i)
+        h.record(1000);
+    h.record(1000000);
+    double p50 = h.percentile(50.0);
+    EXPECT_GE(p50, 512.0);
+    EXPECT_LE(p50, 2048.0);
+    double p99 = h.percentile(99.0);
+    EXPECT_LE(p99, 2048.0); // the 99th sample is still a fast one
+    double p995 = h.percentile(99.5);
+    EXPECT_GE(p995, 524288.0); // the slow sample's bucket
+}
+
+TEST(HistogramTest, PercentilesAreMonotonic)
+{
+    Histogram h;
+    for (std::uint64_t ns : {10u, 100u, 1000u, 10000u, 100000u})
+        for (int i = 0; i < 20; ++i)
+            h.record(ns);
+    double last = 0.0;
+    for (double p : {10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0}) {
+        double v = h.percentile(p);
+        EXPECT_GE(v, last) << "p" << p;
+        last = v;
+    }
+}
+
 TEST(HistogramTest, BucketEdgesArePowersOfTwo)
 {
     EXPECT_DOUBLE_EQ(Histogram::bucketUpperEdge(0), 2.0);

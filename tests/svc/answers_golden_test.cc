@@ -1,12 +1,14 @@
 /** @file Golden answer bytes: every way an answer leaves the service
  *  (a direct evaluateQuery() render, an engine miss, an engine hit,
- *  the router's batch body, and `hcm batch --results-only`) must
+ *  the router's batch body, a front door's batch body over three
+ *  shards, and `hcm batch --results-only`) must
  *  reproduce data/answers_golden.json byte for byte. The golden file
  *  is `hcm batch data/answers_mix.json --results-only` as rendered by
  *  the snprintf("%.12g") writer, before answers were memoized as
  *  bytes; regenerate it only for an intended change of wire format. */
 
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -15,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scenario.hh"
+#include "net/front_door.hh"
 #include "svc/engine.hh"
 #include "svc/request.hh"
 #include "svc/router.hh"
@@ -66,9 +69,9 @@ class AnswersGoldenTest : public ::testing::Test
         _mix = readData("answers_mix.json");
         _golden = readData("answers_golden.json");
         std::string error;
-        auto queries = parseBatchDocument(_mix, &error);
-        ASSERT_TRUE(queries) << error;
-        _queries = *queries;
+        auto batch = parseBatchDocument(_mix, &error);
+        ASSERT_TRUE(batch) << error;
+        _queries = batch->queries;
     }
 
     static EngineOptions
@@ -139,6 +142,20 @@ TEST_F(AnswersGoldenTest, RouterBatchServesTheGoldenBytes)
     RouteReply warm = router.route(_mix);
     EXPECT_GT(engine.cacheStats().hits, 0u);
     EXPECT_EQ(warm.body + "\n", _golden);
+}
+
+TEST_F(AnswersGoldenTest, FrontDoorBatchServesTheGoldenBytes)
+{
+    std::vector<std::unique_ptr<QueryEngine>> engines;
+    std::vector<std::unique_ptr<net::ShardBackend>> backends;
+    for (int i = 0; i < 3; ++i) {
+        engines.push_back(std::make_unique<QueryEngine>(engineOptions()));
+        backends.push_back(std::make_unique<net::LocalShardBackend>(
+            "shard-" + std::to_string(i), *engines.back()));
+    }
+    net::FrontDoor front(std::move(backends));
+    EXPECT_EQ(front.handle(_mix) + "\n", _golden);
+    EXPECT_EQ(front.handle(_mix) + "\n", _golden); // warm shards
 }
 
 TEST_F(AnswersGoldenTest, RunBatchResultsOnlyIsTheGoldenFile)

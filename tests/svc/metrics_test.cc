@@ -1,8 +1,6 @@
-/** @file Tests for latency histograms and the metrics registry. */
+/** @file Tests for the query engine's metrics registry. */
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -15,97 +13,6 @@
 namespace hcm {
 namespace svc {
 namespace {
-
-TEST(LatencyHistogramTest, EmptyIsZero)
-{
-    LatencyHistogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.meanNs(), 0.0);
-    EXPECT_DOUBLE_EQ(h.percentileNs(50.0), 0.0);
-}
-
-TEST(LatencyHistogramTest, MeanIsExact)
-{
-    LatencyHistogram h;
-    h.record(100);
-    h.record(200);
-    h.record(300);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_DOUBLE_EQ(h.meanNs(), 200.0);
-}
-
-TEST(LatencyHistogramTest, PercentilesWithinBucketResolution)
-{
-    LatencyHistogram h;
-    // 99 samples at ~1us, one at ~1ms: p50 must sit near 1us, p99
-    // within a power of two of... the tail sample.
-    for (int i = 0; i < 99; ++i)
-        h.record(1000);
-    h.record(1000000);
-    double p50 = h.percentileNs(50.0);
-    EXPECT_GE(p50, 512.0);
-    EXPECT_LE(p50, 2048.0);
-    double p99 = h.percentileNs(99.0);
-    EXPECT_LE(p99, 2048.0); // the 99th sample is still a fast one
-    double p995 = h.percentileNs(99.5);
-    EXPECT_GE(p995, 524288.0); // the slow sample's bucket
-}
-
-TEST(LatencyHistogramTest, PercentilesAreMonotonic)
-{
-    LatencyHistogram h;
-    for (std::uint64_t ns : {10u, 100u, 1000u, 10000u, 100000u})
-        for (int i = 0; i < 20; ++i)
-            h.record(ns);
-    double last = 0.0;
-    for (double p : {10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0}) {
-        double v = h.percentileNs(p);
-        EXPECT_GE(v, last) << "p" << p;
-        last = v;
-    }
-}
-
-TEST(LatencyHistogramTest, SingleSampleStaysInItsBucket)
-{
-    LatencyHistogram h;
-    h.record(1000);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_DOUBLE_EQ(h.meanNs(), 1000.0);
-    for (double p : {1.0, 50.0, 100.0}) {
-        EXPECT_GE(h.percentileNs(p), 512.0) << "p" << p;
-        EXPECT_LE(h.percentileNs(p), 1024.0) << "p" << p;
-    }
-}
-
-TEST(LatencyHistogramTest, ZeroLatencyIsRepresentable)
-{
-    LatencyHistogram h;
-    h.record(0);
-    EXPECT_EQ(h.count(), 1u);
-    EXPECT_DOUBLE_EQ(h.meanNs(), 0.0);
-    // Bucket 0 spans [0, 2), so the percentile resolves below 2 ns.
-    EXPECT_LE(h.percentileNs(50.0), 2.0);
-}
-
-TEST(LatencyHistogramTest, MaxLatencyDoesNotOverflowTopBucket)
-{
-    LatencyHistogram h;
-    h.record(std::numeric_limits<std::uint64_t>::max());
-    EXPECT_EQ(h.count(), 1u);
-    double p100 = h.percentileNs(100.0);
-    EXPECT_GE(p100, std::ldexp(1.0, 63));
-    EXPECT_LE(p100, std::ldexp(1.0, 64));
-}
-
-TEST(LatencyHistogramTest, SnapshotConversionPreservesCounts)
-{
-    obs::Histogram generic;
-    generic.record(100);
-    generic.record(300);
-    LatencyHistogram snap(generic);
-    EXPECT_EQ(snap.count(), 2u);
-    EXPECT_DOUBLE_EQ(snap.meanNs(), 200.0);
-}
 
 TEST(MetricsRegistryTest, CountsPerType)
 {

@@ -163,17 +163,17 @@ TEST(BatchDocumentTest, AcceptsArrayAndWrappedForms)
     auto bare = parseBatchDocument(
         R"([{"type":"optimize"},{"type":"energy"}])", &error);
     ASSERT_TRUE(bare) << error;
-    EXPECT_EQ(bare->size(), 2u);
+    EXPECT_EQ(bare->queries.size(), 2u);
 
     auto wrapped = parseBatchDocument(
         R"({"requests":[{"type":"pareto"}]})", &error);
     ASSERT_TRUE(wrapped) << error;
-    ASSERT_EQ(wrapped->size(), 1u);
-    EXPECT_EQ((*wrapped)[0].type, QueryType::Pareto);
+    ASSERT_EQ(wrapped->queries.size(), 1u);
+    EXPECT_EQ(wrapped->queries[0].type, QueryType::Pareto);
 
     auto empty = parseBatchDocument("[]", &error);
     ASSERT_TRUE(empty);
-    EXPECT_TRUE(empty->empty());
+    EXPECT_TRUE(empty->queries.empty());
 }
 
 TEST(BatchDocumentTest, ReportsOffendingRequestIndex)
@@ -191,6 +191,75 @@ TEST(BatchDocumentTest, RejectsNonBatchShapes)
     EXPECT_FALSE(parseBatchDocument("42", &error));
     EXPECT_FALSE(parseBatchDocument(R"({"queries":[]})", &error));
     EXPECT_FALSE(parseBatchDocument("{", &error));
+}
+
+TEST(BatchDocumentTest, TextsAreTheRawBytesOfTheQueries)
+{
+    std::string error;
+    auto batch = parseBatchDocument(
+        "[ {\"type\":\"optimize\",\"f\":0.123456789012345678} ,\f"
+        "{\"type\":\"energy\"}\n]",
+        &error);
+    ASSERT_TRUE(batch) << error;
+    ASSERT_EQ(batch->texts.size(), 2u);
+    EXPECT_EQ(batch->texts[0],
+              R"({"type":"optimize","f":0.123456789012345678})");
+    EXPECT_EQ(batch->texts[1], R"({"type":"energy"})");
+    ASSERT_EQ(batch->queries.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(batch->queries[i].canonicalKey(),
+                  parseQueryRequestText(batch->texts[i])
+                      .query.canonicalKey());
+}
+
+TEST(BatchDocumentTest, RequestsAreTheLastMemberByDecodedKey)
+{
+    // The splitter follows JsonValue::find(): keys compare decoded,
+    // and a later duplicate replaces an earlier one.
+    for (const char *doc :
+         {R"({"requests":[],"requests":[{"type":"pareto"}]})",
+          R"({"requests":[{"type":"optimize"}],)"
+          R"("requests":[{"type":"pareto"}]})",
+          R"({"\u0072equests":[{"type":"pareto"}]})",
+          R"({"x":{"requests":[]},"requests":[{"type":"pareto"}]})",
+          "{ \"requests\" :\t[ ] ,\n\"requests\"\r: "
+          "[ {\"type\":\"pareto\"} ] }"}) {
+        std::string error;
+        auto batch = parseBatchDocument(doc, &error);
+        ASSERT_TRUE(batch) << doc << ": " << error;
+        ASSERT_EQ(batch->queries.size(), 1u) << doc;
+        EXPECT_EQ(batch->queries[0].type, QueryType::Pareto) << doc;
+        EXPECT_EQ(batch->texts,
+                  std::vector<std::string>{R"({"type":"pareto"})"})
+            << doc;
+        auto texts = splitBatchRequestTexts(doc);
+        ASSERT_TRUE(texts) << doc;
+        EXPECT_EQ(*texts, batch->texts) << doc;
+    }
+}
+
+TEST(BatchDocumentTest, SplitterAnswersOnlyForBatchShapes)
+{
+    EXPECT_FALSE(splitBatchRequestTexts(R"({"type":"optimize"})"));
+    EXPECT_FALSE(splitBatchRequestTexts("[{"));
+    auto not_array = splitBatchRequestTexts(R"({"requests":5})");
+    ASSERT_TRUE(not_array);
+    EXPECT_TRUE(not_array->empty());
+    auto scalars = splitBatchRequestTexts("[1,true, \"x\" ,null]");
+    ASSERT_TRUE(scalars);
+    EXPECT_EQ(*scalars,
+              (std::vector<std::string>{"1", "true", "\"x\"", "null"}));
+}
+
+TEST(WireAnswerTest, ErrorBodyAndErrorType)
+{
+    EXPECT_EQ(errorBody("bad \"input\""), R"({"error":"bad \"input\""})");
+    EXPECT_EQ(responseErrorType(R"({"query":{"type":"optimize"}})"), "");
+    EXPECT_EQ(responseErrorType(errorBody("frame too large")), "error");
+    EXPECT_EQ(responseErrorType(
+                  R"({"error":"queue full","type":"overloaded"})"),
+              "overloaded");
+    EXPECT_EQ(responseErrorType("{\"error\":"), "error");
 }
 
 TEST(RequestIdParseTest, ClientSuppliedIdIsKeptAndMarkedForEcho)

@@ -119,6 +119,24 @@ TEST(JsonParseTest, RoundTripsWriterOutput)
     EXPECT_EQ(v->find("nodes")->size(), 3u);
 }
 
+TEST(JsonParseTest, ValuesRecordTheirSourceSpan)
+{
+    const std::string text =
+        " {\"a\" : [ 0.123456789012345678 ,{\"b\":\"x\\\"]\"} ] ,\"c\":null}\n";
+    auto v = JsonValue::parse(text);
+    ASSERT_TRUE(v);
+    auto source = [&](const JsonValue &value) {
+        auto [begin, end] = value.span();
+        return text.substr(begin, end - begin);
+    };
+    EXPECT_EQ(source(*v), text.substr(1, text.size() - 2));
+    const JsonValue &a = *v->find("a");
+    EXPECT_EQ(source(a), R"([ 0.123456789012345678 ,{"b":"x\"]"} ])");
+    EXPECT_EQ(source(a.items()[0]), "0.123456789012345678");
+    EXPECT_EQ(source(a.items()[1]), R"({"b":"x\"]"})");
+    EXPECT_EQ(source(*v->find("c")), "null");
+}
+
 TEST(JsonParseTest, TypeMismatchesDieLoudly)
 {
     auto v = JsonValue::parse("[1]");
