@@ -1,10 +1,11 @@
 /** @file Google-benchmark microbenchmarks of the concurrent query
  *  engine: batch throughput versus worker-thread count and cache
- *  state, the cost of a hit through to its answer bytes, and the
- *  one-time JSON render per query type. The acceptance ratio for the
- *  subsystem is the warm-cache 8-thread batch against the cold-cache
- *  single-thread batch. */
+ *  state, the cost of a hit through to its answer bytes, a single
+ *  miss through evaluate(), and the one-time JSON render per query
+ *  type. The acceptance ratio for the subsystem is the warm-cache
+ *  8-thread batch against the cold-cache single-thread batch. */
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,30 @@ BM_EngineWarmHit(benchmark::State &state)
     state.counters["hitRate"] = engine.cacheStats().hitRate();
 }
 BENCHMARK(BM_EngineWarmHit);
+
+/**
+ * A miss through evaluate() on a 1-worker engine, as a shard serves a
+ * single query: distinct keys (f steps through [0.5, 1)), so every
+ * iteration evaluates, renders and inserts. The miss runs on the
+ * calling thread when the worker slot is free; this is the handoff
+ * cost a served single query pays on top of its model work.
+ */
+void
+BM_EngineMiss(benchmark::State &state)
+{
+    svc::EngineOptions opts;
+    opts.threads = 1;
+    svc::QueryEngine engine(opts);
+    svc::Query q;
+    q.workload = wl::Workload::mmm();
+    std::uint64_t i = 0;
+    for (auto _ : state) {
+        q.f = 0.5 + 0.5 * static_cast<double>(i++ % 1000003) / 1000003.0;
+        auto result = engine.evaluate(q);
+        benchmark::DoNotOptimize(result.get());
+    }
+}
+BENCHMARK(BM_EngineMiss);
 
 /** Rendering one evaluated answer of @p type to JSON from its rows. */
 void

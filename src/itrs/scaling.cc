@@ -6,10 +6,20 @@
 namespace hcm {
 namespace itrs {
 
-std::string
+const std::string &
 NodeParams::label() const
 {
-    return fmtSig(nodeNm, 3) + "nm";
+    static const std::vector<std::string> labels = [] {
+        std::vector<std::string> out;
+        for (const NodeParams &n : nodeTable())
+            out.push_back(fmtSig(n.nodeNm, 3) + "nm");
+        return out;
+    }();
+    const std::vector<NodeParams> &table = nodeTable();
+    for (std::size_t i = 0; i < table.size(); ++i)
+        if (table[i].nodeNm == nodeNm)
+            return labels[i];
+    hcm_panic("node ", nodeNm, "nm is not in Table 6");
 }
 
 const std::vector<NodeParams> &

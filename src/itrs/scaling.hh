@@ -32,8 +32,12 @@ struct NodeParams
     double relPowerPerTransistor; ///< vs 40nm (1 .. 0.25)
     double relBandwidth;     ///< vs 40nm (1 .. 1.4)
 
-    /** Display label ("40nm"). */
-    std::string label() const;
+    /**
+     * Display label ("40nm"): fmtSig(nodeNm, 3) + "nm", formatted once
+     * per Table 6 node (answers print one per row). Panics when
+     * nodeNm is not a Table 6 node.
+     */
+    const std::string &label() const;
 };
 
 /** The five Table 6 nodes in order: 40, 32, 22, 16, 11 nm. */

@@ -86,6 +86,18 @@ TcpShardBackend::roundTrip(const std::string &request,
 }
 
 bool
+ShardBackend::answerQuery(const ShardQuery &q, std::string *response,
+                          std::string *error)
+{
+    // A text that parsed as a query is a JSON object, so the splice
+    // cannot fail; the shard parses the id back out and echoes it.
+    if (q.idMinted)
+        if (auto tagged = svc::injectRequestId(q.text, q.query.requestId))
+            return roundTrip(*tagged, response, error);
+    return roundTrip(q.text, response, error);
+}
+
+bool
 parseHostPort(const std::string &spec, std::string *host,
               std::uint16_t *port, std::string *error)
 {
@@ -171,20 +183,17 @@ class FrontDoor::Impl
         obs::Span span("net.route", "net");
         svc::ParsedRequest parsed = svc::classifyRequest(request);
         switch (parsed.kind) {
-          case svc::ParsedRequest::Kind::Query:
+          case svc::ParsedRequest::Kind::Query: {
             span.arg("kind", "query");
             // The front door is the fleet's ingress: requests without
-            // trace context get an id minted here and spliced into the
-            // forwarded bytes, so the owning shard stamps the same id
-            // into its spans and logs. Client-supplied ids forward
-            // untouched (the raw text already carries them).
-            if (parsed.query.requestId.empty()) {
-                parsed.query.requestId = obs::mintRequestId();
-                if (auto tagged = svc::injectRequestId(
-                        request, parsed.query.requestId))
-                    return dispatch(parsed.query, *tagged);
-            }
-            return dispatch(parsed.query, request);
+            // trace context get an id minted here, which the owning
+            // shard stamps into its spans and logs. Client-supplied
+            // ids forward untouched (the raw text already carries
+            // them).
+            bool minted = mintIfAbsent(parsed.query);
+            std::string key = parsed.query.canonicalKey();
+            return dispatch({parsed.query, key, request, minted});
+          }
           case svc::ParsedRequest::Kind::Batch:
             span.arg("kind", "batch");
             return handleBatch(parsed.batch);
@@ -210,11 +219,26 @@ class FrontDoor::Impl
     }
 
   private:
-    /** Route one parsed query (forwarding its raw @p request text). */
-    std::string
-    dispatch(const svc::Query &q, const std::string &request)
+    /**
+     * Give @p q a minted id, echoed in the shard's error answers like
+     * one parsed from spliced bytes, when it has none; true if minted.
+     */
+    static bool
+    mintIfAbsent(svc::Query &q)
     {
-        std::size_t index = _ring.shardIndexFor(q.canonicalKey());
+        if (!q.requestId.empty())
+            return false;
+        q.requestId = obs::mintRequestId();
+        q.requestIdEcho = true;
+        return true;
+    }
+
+    /** Route one parsed query to the shard owning its key. */
+    std::string
+    dispatch(const ShardQuery &sq)
+    {
+        const svc::Query &q = sq.query;
+        std::size_t index = _ring.shardIndexFor(sq.key);
         ShardBackend &backend = *_backends[index];
         // One slice per hop: batch members dispatch on fan-out
         // workers outside the net.route slice, so the flow start
@@ -233,7 +257,7 @@ class FrontDoor::Impl
         std::uint64_t net_start = flight ? obs::Tracer::nowNs() : 0;
         std::string response;
         std::string error;
-        if (!backend.roundTrip(request, &response, &error)) {
+        if (!backend.answerQuery(sq, &response, &error)) {
             _shardUnavailable.add(1);
             _unavailableByShard[index]->add(1);
             hcm_warn("shard unavailable",
@@ -246,8 +270,11 @@ class FrontDoor::Impl
                          flight ? obs::Tracer::nowNs() - net_start : 0);
             std::size_t outstanding =
                 _outstanding.load(std::memory_order_relaxed);
+            // The door's own answer: an id it minted stays out of it.
+            svc::Query echo = q;
+            echo.requestIdEcho = q.requestIdEcho && !sq.idMinted;
             return svc::makeQueryError(
-                       q, svc::QueryErrorKind::ShardUnavailable,
+                       echo, svc::QueryErrorKind::ShardUnavailable,
                        "shard " + backend.name() +
                            " unavailable: " + error,
                        svc::backoffHintMs(svc::kDefaultPerTaskMs,
@@ -285,21 +312,17 @@ class FrontDoor::Impl
     handleBatch(svc::BatchRequests &batch)
     {
         // The batch parse kept each member's raw bytes beside the
-        // query parsed from them, so shards receive exactly what was
-        // validated (re-serialization would round doubles). Each
-        // member is its own hop with its own trace context; members
-        // that arrived without an id get one spliced into their raw
-        // bytes before fan-out.
+        // query parsed from them, so byte-forwarding shards receive
+        // exactly what was validated (re-serialization would round
+        // doubles). Each member is its own hop with its own trace
+        // context; members that arrived without an id get one here.
         std::vector<svc::Query> &queries = batch.queries;
         std::vector<std::string> &texts = batch.texts;
+        std::vector<std::string> keys(queries.size());
+        std::vector<char> minted(queries.size());
         for (std::size_t i = 0; i < queries.size(); ++i) {
-            if (!queries[i].requestId.empty())
-                continue;
-            std::string rid = obs::mintRequestId();
-            if (auto tagged = svc::injectRequestId(texts[i], rid)) {
-                queries[i].requestId = rid;
-                texts[i] = std::move(*tagged);
-            }
+            minted[i] = mintIfAbsent(queries[i]);
+            keys[i] = queries[i].canonicalKey();
         }
 
         std::vector<std::string> responses(queries.size());
@@ -312,7 +335,8 @@ class FrontDoor::Impl
                 if (i >= count)
                     return;
                 _outstanding.fetch_add(1, std::memory_order_relaxed);
-                responses[i] = dispatch(queries[i], texts[i]);
+                responses[i] = dispatch(
+                    {queries[i], keys[i], texts[i], minted[i] != 0});
                 _outstanding.fetch_sub(1, std::memory_order_relaxed);
             }
         };

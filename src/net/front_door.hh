@@ -42,6 +42,25 @@
 namespace hcm {
 namespace net {
 
+/**
+ * One single query as the front door hands it to the shard that owns
+ * it: parsed and keyed once, at the door.
+ */
+struct ShardQuery
+{
+    /**
+     * The query exactly as the shard would parse it from the forwarded
+     * bytes. An id the door minted is set and echoed in error answers
+     * (requestIdEcho), as the shard's parse of the spliced bytes would
+     * have it.
+     */
+    const svc::Query &query;
+    const std::string &key;  ///< query.canonicalKey()
+    const std::string &text; ///< the request bytes as the client sent them
+    /** The door minted query.requestId: @c text does not carry it. */
+    bool idMinted = false;
+};
+
 /** One shard's transport: a request payload in, a response out. */
 class ShardBackend
 {
@@ -58,6 +77,15 @@ class ShardBackend
     virtual bool roundTrip(const std::string &request,
                            std::string *response,
                            std::string *error) = 0;
+
+    /**
+     * Answer one single query (a request or a batch member). The
+     * default forwards its bytes through roundTrip(), with a
+     * door-minted id spliced in; a backend holding the engine answers
+     * the parsed query instead, byte for byte the same.
+     */
+    virtual bool answerQuery(const ShardQuery &q, std::string *response,
+                             std::string *error);
 };
 
 /** In-process backend: one QueryEngine behind a RequestRouter. */
@@ -77,6 +105,16 @@ class LocalShardBackend : public ShardBackend
     {
         (void)error;
         *response = _router.route(request).body;
+        return true;
+    }
+
+    /** The engine answers the door's query under the door's key. */
+    bool
+    answerQuery(const ShardQuery &q, std::string *response,
+                std::string *error) override
+    {
+        (void)error;
+        *response = _router.engine().evaluate(q.query, q.key)->toJson();
         return true;
     }
 
@@ -158,8 +196,8 @@ class FrontDoor
      * process registry, {"type":"fleet"} with the scraped per-shard
      * telemetry, {"type":"requests"} with this process's flight
      * recorder; anything else answers {"error": ...}. Queries that
-     * arrive without a requestId get one minted and spliced into the
-     * bytes forwarded to the owning shard.
+     * arrive without a requestId get one minted, which the owning
+     * shard sees (ShardQuery::idMinted).
      */
     std::string handle(const std::string &request);
 

@@ -75,12 +75,13 @@ TcpServer::stop()
         for (auto &conn : _connections)
             conn->sock.shutdownBoth();
     }
-    // Closing the listener makes the blocked accept() fail, ending
-    // the accept loop.
+    // Shutting the listener down makes the blocked accept() fail,
+    // ending the accept loop. Close it only once that thread is gone:
+    // close() rewrites the fd that acceptOn() is still reading.
     _listener.shutdownBoth();
-    _listener.close();
     if (_acceptThread.joinable())
         _acceptThread.join();
+    _listener.close();
     std::vector<std::unique_ptr<Connection>> connections;
     std::vector<std::thread> finished;
     {
@@ -166,11 +167,13 @@ TcpServer::connectionLoop(Connection *conn)
             break;
         }
     }
-    conn->sock.close();
     netMetrics().liveConnections.add(-1);
-    // Hand the thread handle to the reap list: a thread cannot join
-    // itself, so the accept loop (or stop()) joins it later.
+    // Close under _mu: stop() shuts down every listed socket under it,
+    // and close() rewrites the fd that shutdownBoth() reads. Then hand
+    // the thread handle to the reap list: a thread cannot join itself,
+    // so the accept loop (or stop()) joins it later.
     std::lock_guard<std::mutex> lock(_mu);
+    conn->sock.close();
     for (auto it = _connections.begin(); it != _connections.end(); ++it) {
         if (it->get() == conn) {
             _finished.push_back(std::move((*it)->thread));

@@ -9,9 +9,11 @@
  *
  * Threading: one accept thread plus one thread per live connection
  * (the concurrency story inside a shard is the engine's worker pool;
- * connection threads mostly block on I/O). stop() closes the listener
- * and half-closes every live connection, so no thread outlives the
- * server — tests and the CLI both rely on that join.
+ * connection threads mostly block on I/O, or run one query's
+ * evaluation when the engine has a free worker slot). stop() shuts
+ * the listener down, half-closes every live connection and joins
+ * every thread, so no thread outlives the server — tests and the CLI
+ * both rely on that join.
  *
  * Instrumented from day one: spans net.accept / net.frame, counters
  * hcm_net_connections_total / hcm_net_frames_total, plus a live

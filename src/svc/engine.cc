@@ -26,9 +26,9 @@ elapsedNs(std::chrono::steady_clock::time_point start)
 }
 
 /**
- * Runs its function at scope exit, exceptions included — the worker's
- * "always resolve the promise, always erase the in-flight entry"
- * guarantee hangs off one of these.
+ * Runs its function at scope exit, exceptions included — the miss
+ * task's "always resolve the promise, always erase the in-flight
+ * entry" guarantee hangs off one of these.
  */
 template <typename F>
 class ScopeExit
@@ -132,12 +132,145 @@ QueryEngine::Pending::get() const
     return ready ? ready : future.get();
 }
 
+void
+QueryEngine::runMiss(const Query &q, const std::string &key,
+                     std::promise<ResultPtr> &prom, std::uint64_t submit_ns,
+                     std::uint64_t deadline_ns,
+                     std::chrono::steady_clock::time_point start)
+{
+    std::uint64_t wait_ns = 0;
+    if (submit_ns > 0) {
+        std::uint64_t now = obs::Tracer::nowNs();
+        wait_ns = now > submit_ns ? now - submit_ns : 0;
+        if (obs::Tracer::instance().enabled()) {
+            std::vector<obs::TraceArg> wargs = {
+                {"type", queryTypeName(q.type)}};
+            if (!q.requestId.empty())
+                wargs.push_back({"rid", q.requestId});
+            obs::Tracer::instance().recordSpan(
+                "svc.queue_wait", "svc", submit_ns, wait_ns,
+                std::move(wargs));
+        }
+        // Queue wait has no RAII scope (it straddles threads), so
+        // hand the measured duration to the profiler directly.
+        prof::Profiler::instance().record("svc.queue_wait", wait_ns);
+    }
+    auto task_start = std::chrono::steady_clock::now();
+    ResultPtr result;
+    bool hit = false;
+    // The seed bug this layer kills: nothing below may leave the
+    // promise unset or the in-flight entry behind, whatever
+    // evaluation does — so both are discharged by a scope guard.
+    ScopeExit finish([&] {
+        if (!result)
+            result = std::make_shared<QueryResult>(makeQueryError(
+                q, QueryErrorKind::EvaluationFailed,
+                "internal error: worker produced no result"));
+        // Erase before resolving: a waiter that has seen the
+        // result must also see the key gone, so its retry starts
+        // a fresh evaluation instead of rendezvousing with a
+        // finished one.
+        recordFlight(q,
+                     result->ok()
+                         ? (hit ? "hit" : "ok")
+                         : queryErrorKindName(result->errorKind)
+                               .c_str(),
+                     wait_ns, elapsedNs(task_start));
+        {
+            std::lock_guard<std::mutex> inner(_inflightMu);
+            _inflight.erase(key);
+        }
+        prom.set_value(result);
+    });
+    try {
+        FaultInjector::instance().maybeInject("dequeue");
+        if (deadline_ns > 0 && elapsedNs(start) > deadline_ns) {
+            // Abandoned in the queue: don't burn the worker on it.
+            _metrics.recordDeadlineExceeded();
+            result = std::make_shared<QueryResult>(makeQueryError(
+                q, QueryErrorKind::DeadlineExceeded,
+                "deadline exceeded while queued"));
+            return;
+        }
+        if (_cache) {
+            // Double-check: a concurrent batch may have filled it
+            // between our miss and this task running. Uncounted —
+            // the acquire-time lookup already charged this query.
+            result = _cache->peek(key);
+            hit = result != nullptr;
+        }
+        if (!result) {
+            prof::Scope eval_scope("svc.eval", "svc");
+            eval_scope.arg("type", queryTypeName(q.type));
+            if (!q.requestId.empty())
+                eval_scope.arg("rid", q.requestId);
+            hwc::CounterRegion eval_counters(&eval_scope.span());
+            try {
+                FaultInjector::instance().maybeInject("eval");
+                auto fresh =
+                    std::make_shared<QueryResult>(evaluateQuery(q));
+                // Render once and keep only the bytes, trimmed to
+                // size since the cache holds them for long: every
+                // later answer for this key, hit or piggybacked
+                // waiter, splices them instead of rendering again.
+                fresh->json = fresh->toJson();
+                fresh->json.shrink_to_fit();
+                fresh->rows.clear();
+                fresh->rows.shrink_to_fit();
+                result = std::move(fresh);
+            } catch (...) {
+                eval_scope.arg("outcome", "error");
+                throw;
+            }
+            eval_counters.end();
+            eval_scope.end();
+            if (_cache)
+                _cache->put(key, result);
+        }
+        if (deadline_ns > 0 && elapsedNs(start) > deadline_ns) {
+            // Evaluated, but past its deadline: the cache keeps
+            // the value for a retry; this waiter gets the error.
+            _metrics.recordDeadlineExceeded();
+            result = std::make_shared<QueryResult>(makeQueryError(
+                q, QueryErrorKind::DeadlineExceeded,
+                "deadline exceeded during evaluation"));
+            return;
+        }
+    } catch (const std::exception &e) {
+        _metrics.recordError();
+        hcm_warn("query evaluation failed",
+                 logField("type", queryTypeName(q.type)),
+                 logField("key", key),
+                 logField("requestId", ridOrDash(q.requestId)),
+                 logField("error", e.what()));
+        result = std::make_shared<QueryResult>(makeQueryError(
+            q, QueryErrorKind::EvaluationFailed, e.what()));
+        return;
+    } catch (...) {
+        _metrics.recordError();
+        hcm_warn("query evaluation failed",
+                 logField("type", queryTypeName(q.type)),
+                 logField("key", key),
+                 logField("requestId", ridOrDash(q.requestId)),
+                 logField("error", "non-standard exception"));
+        result = std::make_shared<QueryResult>(makeQueryError(
+            q, QueryErrorKind::EvaluationFailed,
+            "evaluation failed with a non-standard exception"));
+        return;
+    }
+    std::uint64_t eval_ns = elapsedNs(task_start);
+    _metrics.recordQuery(q.type, eval_ns, hit);
+    if (_opts.slowQueryNs > 0 &&
+        wait_ns + eval_ns > _opts.slowQueryNs)
+        noteSlowQuery(q, key, wait_ns, eval_ns);
+}
+
 QueryEngine::Pending
-QueryEngine::acquire(const Query &q, const std::string &key)
+QueryEngine::acquire(const Query &q, const std::string &key, bool run_here)
 {
     auto start = std::chrono::steady_clock::now();
-    // One scope per query on the submitting thread; the worker adds
-    // queue-wait and eval scopes when the query misses the cache.
+    // One scope per query on the submitting thread; the miss task adds
+    // queue-wait and eval scopes (nested here when it runs inline).
     prof::Scope query_scope("svc.query", "svc");
     query_scope.arg("type", queryTypeName(q.type));
     if (!q.requestId.empty()) {
@@ -177,142 +310,26 @@ QueryEngine::acquire(const Query &q, const std::string &key)
         fut = prom->get_future().share();
         _inflight.emplace(key, fut);
     }
-    // Submit with _inflightMu released: a full queue waits here, and
-    // finishing workers need that mutex to erase their entries. Later
-    // acquirers of this key rendezvous on the map entry made above and
-    // wait on the future, not the queue.
+    // Run or submit with _inflightMu released: a full queue waits
+    // here, and finishing tasks need that mutex to erase their
+    // entries. Later acquirers of this key rendezvous on the map entry
+    // made above and wait on the future, not the queue.
     bool timing_wanted = obs::Tracer::instance().enabled() ||
                          prof::Profiler::instance().enabled() ||
                          FlightRecorder::instance().enabled() ||
                          _opts.slowQueryNs > 0;
     std::uint64_t submit_ns = timing_wanted ? obs::Tracer::nowNs() : 0;
     std::uint64_t deadline_ns = effectiveDeadlineNs(q);
+    if (run_here && _pool.tryRunHere([&] {
+            runMiss(q, key, *prom, submit_ns, deadline_ns, start);
+        })) {
+        // A free worker slot and an empty queue: handing the task to a
+        // worker would only add a wake-up, so it ran here, in full.
+        query_scope.arg("outcome", "miss");
+        return {fut.get(), {}};
+    }
     auto task = [this, q, key, prom, submit_ns, deadline_ns, start] {
-        std::uint64_t wait_ns = 0;
-        if (submit_ns > 0) {
-            std::uint64_t now = obs::Tracer::nowNs();
-            wait_ns = now > submit_ns ? now - submit_ns : 0;
-            if (obs::Tracer::instance().enabled()) {
-                std::vector<obs::TraceArg> wargs = {
-                    {"type", queryTypeName(q.type)}};
-                if (!q.requestId.empty())
-                    wargs.push_back({"rid", q.requestId});
-                obs::Tracer::instance().recordSpan(
-                    "svc.queue_wait", "svc", submit_ns, wait_ns,
-                    std::move(wargs));
-            }
-            // Queue wait has no RAII scope (it straddles threads), so
-            // hand the measured duration to the profiler directly.
-            prof::Profiler::instance().record("svc.queue_wait", wait_ns);
-        }
-        auto task_start = std::chrono::steady_clock::now();
-        ResultPtr result;
-        bool hit = false;
-        // The seed bug this layer kills: nothing below may leave the
-        // promise unset or the in-flight entry behind, whatever
-        // evaluation does — so both are discharged by a scope guard.
-        ScopeExit finish([&] {
-            if (!result)
-                result = std::make_shared<QueryResult>(makeQueryError(
-                    q, QueryErrorKind::EvaluationFailed,
-                    "internal error: worker produced no result"));
-            // Erase before resolving: a waiter that has seen the
-            // result must also see the key gone, so its retry starts
-            // a fresh evaluation instead of rendezvousing with a
-            // finished one.
-            recordFlight(q,
-                         result->ok()
-                             ? (hit ? "hit" : "ok")
-                             : queryErrorKindName(result->errorKind)
-                                   .c_str(),
-                         wait_ns, elapsedNs(task_start));
-            {
-                std::lock_guard<std::mutex> inner(_inflightMu);
-                _inflight.erase(key);
-            }
-            prom->set_value(result);
-        });
-        try {
-            FaultInjector::instance().maybeInject("dequeue");
-            if (deadline_ns > 0 && elapsedNs(start) > deadline_ns) {
-                // Abandoned in the queue: don't burn the worker on it.
-                _metrics.recordDeadlineExceeded();
-                result = std::make_shared<QueryResult>(makeQueryError(
-                    q, QueryErrorKind::DeadlineExceeded,
-                    "deadline exceeded while queued"));
-                return;
-            }
-            if (_cache) {
-                // Double-check: a concurrent batch may have filled it
-                // between our miss and this task running. Uncounted —
-                // the acquire-time lookup already charged this query.
-                result = _cache->peek(key);
-                hit = result != nullptr;
-            }
-            if (!result) {
-                prof::Scope eval_scope("svc.eval", "svc");
-                eval_scope.arg("type", queryTypeName(q.type));
-                if (!q.requestId.empty())
-                    eval_scope.arg("rid", q.requestId);
-                hwc::CounterRegion eval_counters(&eval_scope.span());
-                try {
-                    FaultInjector::instance().maybeInject("eval");
-                    auto fresh =
-                        std::make_shared<QueryResult>(evaluateQuery(q));
-                    // Render once and keep only the bytes, trimmed to
-                    // size since the cache holds them for long: every
-                    // later answer for this key, hit or piggybacked
-                    // waiter, splices them instead of rendering again.
-                    fresh->json = fresh->toJson();
-                    fresh->json.shrink_to_fit();
-                    fresh->rows.clear();
-                    fresh->rows.shrink_to_fit();
-                    result = std::move(fresh);
-                } catch (...) {
-                    eval_scope.arg("outcome", "error");
-                    throw;
-                }
-                eval_counters.end();
-                eval_scope.end();
-                if (_cache)
-                    _cache->put(key, result);
-            }
-            if (deadline_ns > 0 && elapsedNs(start) > deadline_ns) {
-                // Evaluated, but past its deadline: the cache keeps
-                // the value for a retry; this waiter gets the error.
-                _metrics.recordDeadlineExceeded();
-                result = std::make_shared<QueryResult>(makeQueryError(
-                    q, QueryErrorKind::DeadlineExceeded,
-                    "deadline exceeded during evaluation"));
-                return;
-            }
-        } catch (const std::exception &e) {
-            _metrics.recordError();
-            hcm_warn("query evaluation failed",
-                     logField("type", queryTypeName(q.type)),
-                     logField("key", key),
-                     logField("requestId", ridOrDash(q.requestId)),
-                     logField("error", e.what()));
-            result = std::make_shared<QueryResult>(makeQueryError(
-                q, QueryErrorKind::EvaluationFailed, e.what()));
-            return;
-        } catch (...) {
-            _metrics.recordError();
-            hcm_warn("query evaluation failed",
-                     logField("type", queryTypeName(q.type)),
-                     logField("key", key),
-                     logField("requestId", ridOrDash(q.requestId)),
-                     logField("error", "non-standard exception"));
-            result = std::make_shared<QueryResult>(makeQueryError(
-                q, QueryErrorKind::EvaluationFailed,
-                "evaluation failed with a non-standard exception"));
-            return;
-        }
-        std::uint64_t eval_ns = elapsedNs(task_start);
-        _metrics.recordQuery(q.type, eval_ns, hit);
-        if (_opts.slowQueryNs > 0 &&
-            wait_ns + eval_ns > _opts.slowQueryNs)
-            noteSlowQuery(q, key, wait_ns, eval_ns);
+        runMiss(q, key, *prom, submit_ns, deadline_ns, start);
     };
     if (!_pool.trySubmit(std::move(task), _opts.admissionWaitNs)) {
         // Admission shed the task (queue saturated for the whole
@@ -342,7 +359,13 @@ QueryEngine::acquire(const Query &q, const std::string &key)
 QueryEngine::ResultPtr
 QueryEngine::evaluate(const Query &q)
 {
-    return acquire(q, q.canonicalKey()).get();
+    return evaluate(q, q.canonicalKey());
+}
+
+QueryEngine::ResultPtr
+QueryEngine::evaluate(const Query &q, const std::string &key)
+{
+    return acquire(q, key, true).get();
 }
 
 std::vector<QueryEngine::ResultPtr>
@@ -359,7 +382,7 @@ QueryEngine::evaluateBatch(const std::vector<Query> &queries)
         std::string key = q.canonicalKey();
         auto [it, fresh] = first_use.emplace(key, pending.size());
         if (fresh)
-            pending.push_back(acquire(q, key));
+            pending.push_back(acquire(q, key, false));
         else
             pending.push_back(pending[it->second]);
     }

@@ -18,6 +18,7 @@
 #ifndef HCM_SVC_ENGINE_HH
 #define HCM_SVC_ENGINE_HH
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -86,13 +87,23 @@ class QueryEngine
     QueryEngine(const QueryEngine &) = delete;
     QueryEngine &operator=(const QueryEngine &) = delete;
 
-    /** Evaluate one query through the cache + pool; blocks for it. */
+    /**
+     * Evaluate one query through the cache + pool; blocks for it. A
+     * miss runs on the calling thread when the pool has a free slot
+     * and an empty queue (ThreadPool::tryRunHere()), and is queued for
+     * a worker otherwise — same admission, deadlines and dedup either
+     * way.
+     */
     ResultPtr evaluate(const Query &q);
+
+    /** evaluate() with @p key, which must be q.canonicalKey(). */
+    ResultPtr evaluate(const Query &q, const std::string &key);
 
     /**
      * Evaluate @p queries concurrently and return results in input
      * order. Duplicate queries within the batch (and across concurrent
-     * batches) are evaluated once and shared.
+     * batches) are evaluated once and shared. Misses always go to the
+     * workers: running them on the caller would serialize the batch.
      */
     std::vector<ResultPtr> evaluateBatch(const std::vector<Query> &queries);
 
@@ -127,7 +138,22 @@ class QueryEngine
         ResultPtr get() const;
     };
 
-    Pending acquire(const Query &q, const std::string &key);
+    /**
+     * Look @p key up, join its in-flight evaluation, or start one —
+     * on this thread when @p run_here and the pool allows it.
+     */
+    Pending acquire(const Query &q, const std::string &key,
+                    bool run_here);
+
+    /**
+     * The miss task: evaluate @p q (deadline and fault checks, render,
+     * cache insert) and always resolve @p prom and erase the in-flight
+     * entry, on whichever thread runs it.
+     */
+    void runMiss(const Query &q, const std::string &key,
+                 std::promise<ResultPtr> &prom, std::uint64_t submit_ns,
+                 std::uint64_t deadline_ns,
+                 std::chrono::steady_clock::time_point start);
 
     /** Count + log one query past the slow threshold. */
     void noteSlowQuery(const Query &q, const std::string &key,

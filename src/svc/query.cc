@@ -1,6 +1,6 @@
 #include "query.hh"
 
-#include <cstdio>
+#include <charconv>
 
 #include "core/budget.hh"
 #include "core/multi_amdahl.hh"
@@ -16,13 +16,19 @@ namespace hcm {
 namespace svc {
 namespace {
 
-/** Append a round-trip-exact double to a canonical key. */
+/**
+ * Append a round-trip-exact double to a canonical key: printf "%.17g"'s
+ * bytes, which the standard defines to_chars(general, 17) to produce,
+ * without snprintf's format parsing and locale lookup.
+ */
 void
 appendKeyDouble(std::string &key, double v)
 {
     char buf[40];
-    int len = std::snprintf(buf, sizeof(buf), "%.17g", v);
-    key.append(buf, static_cast<std::size_t>(len));
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                   std::chars_format::general, 17);
+    hcm_assert(ec == std::errc(), "to_chars overflowed ", v);
+    key.append(buf, end);
 }
 
 /** Per-organization rows at one node (Optimize / Energy). */

@@ -1,7 +1,5 @@
 #include "thread_pool.hh"
 
-#include <chrono>
-
 #include "util/logging.hh"
 
 namespace hcm {
@@ -59,6 +57,10 @@ ThreadPool::shutdown()
     _notFull.notify_all();
     for (std::thread &w : _workers)
         w.join();
+    // Workers have drained the queue; tasks run by callers may still
+    // be going, and they use whatever owns this pool.
+    std::unique_lock<std::mutex> lock(_mu);
+    _callerDone.wait(lock, [this] { return _running == 0; });
 }
 
 bool
@@ -124,30 +126,69 @@ ThreadPool::pendingTasks() const
     return _queue.size();
 }
 
+bool
+ThreadPool::tryTakeSlot()
+{
+    std::lock_guard<std::mutex> lock(_mu);
+    if (_stopping || !_queue.empty() || _running >= _workers.size())
+        return false;
+    ++_running;
+    return true;
+}
+
+void
+ThreadPool::releaseCallerSlot(std::chrono::steady_clock::time_point start)
+{
+    recordTask(start);
+    bool queued, stopping;
+    {
+        std::lock_guard<std::mutex> lock(_mu);
+        --_running;
+        queued = !_queue.empty();
+        stopping = _stopping;
+    }
+    // Wake a worker only for a task that waited for this slot, and
+    // shutdown() only when it may be waiting for this task: a needless
+    // wake-up is a context switch, which is what running here saves.
+    if (queued)
+        _notEmpty.notify_one();
+    if (stopping)
+        _callerDone.notify_all();
+}
+
+void
+ThreadPool::recordTask(std::chrono::steady_clock::time_point start)
+{
+    _taskLatencyNs.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+    _tasksRun.add(1);
+}
+
 void
 ThreadPool::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(_mu);
     while (true) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(_mu);
-            _notEmpty.wait(lock, [this] {
-                return !_queue.empty() || _stopping;
-            });
-            if (_queue.empty())
-                return; // stopping and fully drained
-            task = std::move(_queue.front());
-            _queue.pop_front();
-            _queueDepth.set(static_cast<std::int64_t>(_queue.size()));
-        }
+        _notEmpty.wait(lock, [this] {
+            return (_stopping && _queue.empty()) ||
+                   (!_queue.empty() && _running < _workers.size());
+        });
+        if (_queue.empty())
+            return; // stopping and fully drained
+        std::function<void()> task = std::move(_queue.front());
+        _queue.pop_front();
+        ++_running;
+        _queueDepth.set(static_cast<std::int64_t>(_queue.size()));
+        lock.unlock();
         _notFull.notify_one();
         auto start = std::chrono::steady_clock::now();
         task();
-        _taskLatencyNs.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()));
-        _tasksRun.add(1);
+        task = nullptr; // release its captures before taking the lock
+        recordTask(start);
+        lock.lock();
+        --_running;
     }
 }
 

@@ -7,11 +7,19 @@
  * task before joining, so accepted work always runs exactly once.
  * Submission after shutdown begins is a rejection (false), never a
  * crash — a serve loop racing its own teardown must degrade, not die.
+ *
+ * The pool has threadCount() slots, and every running task holds one:
+ * a worker's, or one a caller takes through tryRunHere() to run a task
+ * on its own thread when the pool is idle enough that a handoff would
+ * only add a wake-up. So at most threadCount() tasks run at once, a
+ * queued task waits for a free slot, and a caller never jumps a
+ * non-empty queue.
  */
 
 #ifndef HCM_SVC_THREAD_POOL_HH
 #define HCM_SVC_THREAD_POOL_HH
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -66,6 +74,30 @@ class ThreadPool
     bool trySubmit(std::function<void()> task, std::uint64_t wait_ns);
 
     /**
+     * Run @p task on the calling thread, now, when a slot is free and
+     * nothing is queued; otherwise (or once shutdown began) return
+     * false without running it. The task counts in the pool's task
+     * metrics like a worker's, and shutdown() waits for it.
+     */
+    template <typename F>
+    bool
+    tryRunHere(F &&task)
+    {
+        if (!tryTakeSlot())
+            return false;
+        // Released on unwind too, so a throwing task cannot leak it.
+        struct Slot
+        {
+            ThreadPool &pool;
+            std::chrono::steady_clock::time_point start =
+                std::chrono::steady_clock::now();
+            ~Slot() { pool.releaseCallerSlot(start); }
+        } slot{*this};
+        task();
+        return true;
+    }
+
+    /**
      * Begin shutdown: already-queued tasks still run ("drain-aware"),
      * new submissions are rejected, workers are joined. Idempotent;
      * called by the destructor.
@@ -88,12 +120,26 @@ class ThreadPool
     /** Locked: push the task and publish the new depth. */
     void enqueueLocked(std::function<void()> &&task);
 
+    /** Take a slot for a caller-run task (tryRunHere()'s admission). */
+    bool tryTakeSlot();
+
+    /** Give back a caller's slot and record its task from @p start. */
+    void releaseCallerSlot(std::chrono::steady_clock::time_point start);
+
+    /** Count one finished task in the pool instruments. */
+    void recordTask(std::chrono::steady_clock::time_point start);
+
     mutable std::mutex _mu;
     std::condition_variable _notEmpty;
     std::condition_variable _notFull;
+    /** Signalled when a caller-run task gives back its slot while
+     *  shutdown() may be waiting for it. */
+    std::condition_variable _callerDone;
     std::deque<std::function<void()>> _queue;
     std::vector<std::thread> _workers;
     std::size_t _capacity;
+    /** Tasks running now, on workers and on callers (<= workers). */
+    std::size_t _running = 0;
     bool _stopping = false;
     bool _joined = false;
 

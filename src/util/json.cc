@@ -1,70 +1,65 @@
 #include "json.hh"
 
+#include <algorithm>
 #include <charconv>
-#include <cmath>
+#include <cstring>
 
 #include "logging.hh"
 
 namespace hcm {
-namespace {
 
-/** Append @p s to @p out with JSON escapes, copying plain runs whole. */
 void
-appendEscaped(std::string &out, std::string_view s)
+detail::appendJsonEscaped(std::string &out, std::string_view s)
 {
     static constexpr char kHex[] = "0123456789abcdef";
     std::size_t run = 0; // start of the pending unescaped run
     for (std::size_t i = 0; i < s.size(); ++i) {
         unsigned char c = static_cast<unsigned char>(s[i]);
-        const char *esc = nullptr;
+        if (!kJsonEscapes.escape[c])
+            continue;
+        out.append(s.data() + run, i - run);
         switch (c) {
           case '"':
-            esc = "\\\"";
+            out += "\\\"";
             break;
           case '\\':
-            esc = "\\\\";
+            out += "\\\\";
             break;
           case '\n':
-            esc = "\\n";
+            out += "\\n";
             break;
           case '\r':
-            esc = "\\r";
+            out += "\\r";
             break;
           case '\t':
-            esc = "\\t";
+            out += "\\t";
             break;
-          default:
-            if (c >= 0x20)
-                continue;
-        }
-        out.append(s.data() + run, i - run);
-        if (esc) {
-            out += esc;
-        } else {
+          default: {
             const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4],
                                  kHex[c & 0xf]};
             out.append(code, sizeof(code));
+          }
         }
         run = i + 1;
     }
     out.append(s.data() + run, s.size() - run);
 }
 
-} // namespace
-
-JsonWriter::JsonWriter(std::string &out) : _out(out)
+JsonWriter::JsonWriter(std::string &out) : _out(out), _len(out.size())
 {
 }
 
-JsonWriter::JsonWriter(std::ostream &out) : _out(_buffer), _stream(&out)
+JsonWriter::JsonWriter(std::ostream &out)
+    : _out(_buffer), _len(0), _stream(&out)
 {
 }
 
 JsonWriter::~JsonWriter()
 {
-    flush();
-    hcm_assert(_stack.empty(), "JSON writer destroyed with ",
-               _stack.size(), " open scope(s)");
+    if (_stream)
+        flush();
+    hcm_assert(_depth == 0, "JSON writer destroyed with ", _depth,
+               " open scope(s)");
 }
 
 std::string
@@ -72,158 +67,59 @@ JsonWriter::escape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
-    appendEscaped(out, s);
+    detail::appendJsonEscaped(out, s);
     return out;
+}
+
+void
+JsonWriter::misuse(const char *why) const
+{
+    hcm_panic("JSON writer misuse: ", why, " (", _depth,
+              " open scope(s))");
+}
+
+void
+JsonWriter::grow(std::size_t n)
+{
+    // Whatever the caller reserved, then doubling: amortized O(1) per
+    // byte, like appends. The new bytes are reserved, not output.
+    _out.resize(std::max({_out.capacity(), 2 * _out.size(),
+                          _len + n + 256}));
 }
 
 void
 JsonWriter::flush()
 {
-    if (!_stream || _buffer.empty())
-        return;
-    _stream->write(_buffer.data(),
-                   static_cast<std::streamsize>(_buffer.size()));
-    _buffer.clear();
-}
-
-void
-JsonWriter::beforeValue()
-{
-    if (_stack.empty()) {
-        hcm_assert(!_rootWritten, "JSON document has a single root");
-        _rootWritten = true;
+    if (!_stream) {
+        _out.resize(_len); // the document is whole: drop the reserve
         return;
     }
-    if (_stack.back() == Scope::Object) {
-        hcm_assert(_keyPending, "object members need a key first");
-        _keyPending = false;
-        return;
-    }
-    if (_hasElement.back())
-        _out += ',';
-    _hasElement.back() = true;
+    _stream->write(_out.data(), static_cast<std::streamsize>(_len));
+    _len = 0;
 }
 
-void
-JsonWriter::afterValue()
+char *
+JsonWriter::putEscaped(std::string_view s, char *p)
 {
-    if (_stream && (_stack.empty() || _buffer.size() >= kFlushBytes))
-        flush();
-}
-
-JsonWriter &
-JsonWriter::key(std::string_view name)
-{
-    hcm_assert(!_stack.empty() && _stack.back() == Scope::Object,
-               "key() outside an object");
-    hcm_assert(!_keyPending, "two keys in a row");
-    if (_hasElement.back())
-        _out += ',';
-    _hasElement.back() = true;
-    _out += '"';
-    appendEscaped(_out, name);
-    _out += "\":";
-    _keyPending = true;
-    return *this;
-}
-
-void
-JsonWriter::open(Scope scope, char c)
-{
-    beforeValue();
-    _stack.push_back(scope);
-    _hasElement.push_back(false);
-    _out += c;
-}
-
-void
-JsonWriter::close(Scope scope, char c)
-{
-    hcm_assert(!_stack.empty() && _stack.back() == scope,
-               "mismatched JSON scope close");
-    hcm_assert(!_keyPending, "dangling key at scope close");
-    _stack.pop_back();
-    _hasElement.pop_back();
-    _out += c;
-    afterValue();
-}
-
-JsonWriter &
-JsonWriter::beginObject()
-{
-    open(Scope::Object, '{');
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endObject()
-{
-    close(Scope::Object, '}');
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::beginArray()
-{
-    open(Scope::Array, '[');
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::endArray()
-{
-    close(Scope::Array, ']');
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(double v)
-{
-    beforeValue();
-    if (std::isfinite(v)) {
-        // The standard defines to_chars(general, precision) as printf
-        // "%.*g" in the "C" locale, so these are "%.12g"'s bytes
-        // without snprintf's format parsing and locale lookup.
-        char buf[32];
-        auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
-                                       std::chars_format::general, 12);
-        hcm_assert(ec == std::errc(), "to_chars overflowed ", v);
-        _out.append(buf, end);
-    } else {
-        _out += "null"; // JSON has no inf/nan
-    }
-    afterValue();
-    return *this;
+    commit(p);
+    std::string escaped;
+    detail::appendJsonEscaped(escaped, s);
+    p = room(escaped.size() + 3);
+    *p++ = '"';
+    std::memcpy(p, escaped.data(), escaped.size());
+    p += escaped.size();
+    *p++ = '"';
+    return p;
 }
 
 JsonWriter &
 JsonWriter::value(long long v)
 {
-    beforeValue();
-    char buf[24];
-    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-    hcm_assert(ec == std::errc(), "to_chars overflowed ", v);
-    _out.append(buf, end);
-    afterValue();
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(bool v)
-{
-    beforeValue();
-    _out += v ? "true" : "false";
-    afterValue();
-    return *this;
-}
-
-JsonWriter &
-JsonWriter::value(std::string_view v)
-{
-    beforeValue();
-    _out += '"';
-    appendEscaped(_out, v);
-    _out += '"';
+    char *p = beforeValue(room(25));
+    auto [end, ec] = std::to_chars(p, p + 24, v);
+    if (ec != std::errc())
+        misuse("to_chars overflowed");
+    commit(end);
     afterValue();
     return *this;
 }
@@ -231,8 +127,9 @@ JsonWriter::value(std::string_view v)
 JsonWriter &
 JsonWriter::null()
 {
-    beforeValue();
-    _out += "null";
+    char *p = beforeValue(room(5));
+    std::memcpy(p, "null", 4);
+    commit(p + 4);
     afterValue();
     return *this;
 }
@@ -240,8 +137,9 @@ JsonWriter::null()
 JsonWriter &
 JsonWriter::raw(std::string_view fragment)
 {
-    beforeValue();
-    _out += fragment;
+    char *p = beforeValue(room(fragment.size() + 1));
+    std::memcpy(p, fragment.data(), fragment.size());
+    commit(p + fragment.size());
     afterValue();
     return *this;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "itrs/scaling.hh"
+#include "util/format.hh"
 
 namespace hcm {
 namespace itrs {
@@ -18,6 +19,18 @@ TEST(ScalingTest, FiveNodesInOrder)
         EXPECT_DOUBLE_EQ(nodes[i].nodeNm, nms[i]);
         EXPECT_EQ(nodes[i].year, years[i]);
     }
+}
+
+TEST(ScalingTest, NodeLabelsAreFormattedOnce)
+{
+    for (const NodeParams &n : nodeTable()) {
+        EXPECT_EQ(n.label(), fmtSig(n.nodeNm, 3) + "nm");
+        // One string per node, handed out by reference on every call,
+        // whichever copy of the node asks.
+        NodeParams copy = n;
+        EXPECT_EQ(&copy.label(), &n.label());
+    }
+    EXPECT_EQ(nodeParams(22.0).label(), "22nm");
 }
 
 TEST(ScalingTest, Table6ValuesVerbatim)

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "net/front_door.hh"
+#include "net/server.hh"
 #include "svc/engine.hh"
+#include "svc/fault.hh"
 #include "svc/flight_recorder.hh"
+#include "util/logging.hh"
 
 namespace hcm {
 namespace net {
@@ -178,6 +181,102 @@ TEST(FrontDoorTest, BatchMergesInInputOrderByteIdentically)
         R"({"type":"optimize","workload":"mmm","f":0.123456789012345},)"
         R"({"type":"projection","workload":"bs","f":0.9}])";
     EXPECT_EQ(front.handle(batch), direct.route(batch).body);
+}
+
+/** @p body with every "requestId":"..." value replaced by "*". */
+std::string
+maskRequestIds(const std::string &body)
+{
+    const std::string member = "\"requestId\":\"";
+    std::string out;
+    std::size_t from = 0;
+    for (std::size_t at = body.find(member); at != std::string::npos;
+         at = body.find(member, from)) {
+        out.append(body, from, at + member.size() - from);
+        out += '*';
+        from = body.find('"', at + member.size());
+    }
+    out.append(body, from, std::string::npos);
+    return out;
+}
+
+TEST(FrontDoorTest, LocalAndTcpShardsAnswerAlike)
+{
+    // The same 2-shard tier twice: in-process shards answer the door's
+    // parsed query, TCP shards parse the bytes the door forwards. Ring
+    // names match, so each key lands on the same shard on both sides.
+    svc::QueryEngine t0(smallEngine()), t1(smallEngine());
+    svc::RequestRouter r0(t0), r1(t1);
+    TcpServer s0(TcpServerOptions{}, [&](const std::string &request) {
+        return r0.route(request).body;
+    });
+    TcpServer s1(TcpServerOptions{}, [&](const std::string &request) {
+        return r1.route(request).body;
+    });
+    std::string error;
+    ASSERT_TRUE(s0.start(&error)) << error;
+    ASSERT_TRUE(s1.start(&error)) << error;
+    std::vector<std::unique_ptr<ShardBackend>> tcp_backends;
+    tcp_backends.push_back(
+        std::make_unique<TcpShardBackend>("127.0.0.1", s0.port(), 2000));
+    tcp_backends.push_back(
+        std::make_unique<TcpShardBackend>("127.0.0.1", s1.port(), 2000));
+    FrontDoor tcp(std::move(tcp_backends));
+
+    svc::QueryEngine l0(smallEngine()), l1(smallEngine());
+    std::vector<std::unique_ptr<ShardBackend>> local_backends;
+    local_backends.push_back(std::make_unique<LocalShardBackend>(
+        "127.0.0.1:" + std::to_string(s0.port()), l0));
+    local_backends.push_back(std::make_unique<LocalShardBackend>(
+        "127.0.0.1:" + std::to_string(s1.port()), l1));
+    FrontDoor local(std::move(local_backends));
+
+    const std::vector<std::string> answered = {
+        R"({"type":"optimize","workload":"mmm","f":0.97})",
+        R"({"type":"pareto","workload":"bs","f":0.5,"node":16,)"
+        R"("requestId":"client-1"})",
+        R"({"requestId":"client-2","type":"projection","f":0.123456789012345})",
+        R"([{"type":"energy","workload":"fft:1024","f":0.9},)"
+        R"({"type":"optimize","f":0.99,"requestId":"client-3"},)"
+        R"({"type":"optimize","workload":"mmm","f":0.97}])",
+    };
+    for (const std::string &request : answered)
+        EXPECT_EQ(local.handle(request), tcp.handle(request)) << request;
+
+    // Every evaluation fails: the shard's error echoes the request's
+    // id, the client's verbatim and a door-minted one too.
+    svc::FaultInjector::instance().reset();
+    LogLevel previous = logThreshold();
+    setLogThreshold(LogLevel::Fatal);
+    ASSERT_TRUE(
+        svc::FaultInjector::instance().configure("eval:throw=boom"));
+    const std::string with_id =
+        R"({"type":"optimize","workload":"bs","f":0.31,)"
+        R"("requestId":"client-4"})";
+    std::string local_fault = local.handle(with_id);
+    EXPECT_NE(local_fault.find(R"("requestId":"client-4")"),
+              std::string::npos)
+        << local_fault;
+    EXPECT_EQ(local_fault, tcp.handle(with_id));
+
+    const std::vector<std::string> minted = {
+        R"({"type":"energy","workload":"mmm","f":0.32})",
+        R"([{"type":"optimize","f":0.33},)"
+        R"({"type":"pareto","f":0.34,"requestId":"client-5"}])",
+    };
+    for (const std::string &request : minted) {
+        std::string a = local.handle(request);
+        std::string b = tcp.handle(request);
+        EXPECT_NE(a.find("\"type\":\"evaluation_failed\""),
+                  std::string::npos)
+            << a;
+        EXPECT_EQ(a.find(R"("requestId":"*")"), std::string::npos);
+        EXPECT_NE(maskRequestIds(a), a) << "no door-minted id in " << a;
+        EXPECT_NE(maskRequestIds(b), b) << "no door-minted id in " << b;
+        EXPECT_EQ(maskRequestIds(a), maskRequestIds(b)) << request;
+    }
+    svc::FaultInjector::instance().reset();
+    setLogThreshold(previous);
 }
 
 TEST(FrontDoorTest, ShardPlacementIsDisjointAndTotal)

@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -211,6 +213,103 @@ TEST(ThreadPoolTest, ShardLabelTagsTheMetricSeries)
     unlabeled.shutdown();
     EXPECT_NE(&tasks, &obs::globalRegistry().counter(
                           "hcm_pool_tasks_total"));
+}
+
+TEST(ThreadPoolTest, CallerRunTasksRunOnTheCallingThread)
+{
+    obs::Labels labels = {{"shard", "tp-caller-run-test"}};
+    obs::Counter &tasks = obs::globalRegistry().counter(
+        "hcm_pool_tasks_total", labels);
+    std::int64_t tasks_before = tasks.value();
+    ThreadPool pool(2, ThreadPool::kDefaultQueueCapacity,
+                    "tp-caller-run-test");
+    std::thread::id ran_on;
+    EXPECT_TRUE(pool.tryRunHere([&] { ran_on = std::this_thread::get_id(); }));
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    // Counted in the pool's instruments like a worker's task.
+    EXPECT_EQ(tasks.value(), tasks_before + 1);
+}
+
+TEST(ThreadPoolTest, CallerRunIsRefusedWhileSlotsAreBusyOrTasksQueued)
+{
+    std::atomic<bool> gate{false};
+    std::atomic<bool> started{false};
+    std::atomic<int> ran{0};
+    ThreadPool pool(1, 4);
+    pool.submit([&] {
+        started = true;
+        while (!gate.load())
+            std::this_thread::yield();
+    });
+    while (!started.load())
+        std::this_thread::yield();
+    // The only slot is the worker's: refused, and not run.
+    EXPECT_FALSE(pool.tryRunHere([&] { ++ran; }));
+    // A queued task must not be jumped, even once a slot frees.
+    pool.submit([&] { ++ran; });
+    EXPECT_FALSE(pool.tryRunHere([&] { ++ran; }));
+    gate = true;
+    while (ran.load() < 1)
+        std::this_thread::yield();
+    while (pool.pendingTasks() > 0)
+        std::this_thread::yield();
+    pool.shutdown();
+    EXPECT_EQ(ran.load(), 1);
+    // Stopping: refused.
+    EXPECT_FALSE(pool.tryRunHere([&] { ++ran; }));
+    EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(ThreadPoolTest, CallersAndWorkersNeverExceedTheSlotCount)
+{
+    // 8 callers on a 2-thread pool, mixing caller-runs and queued
+    // tasks: at no moment do more than 2 tasks run.
+    ThreadPool pool(2, 64);
+    std::atomic<int> running{0};
+    std::atomic<int> high_water{0};
+    std::atomic<int> done{0};
+    auto task = [&] {
+        int now = ++running;
+        int seen = high_water.load();
+        while (now > seen && !high_water.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+        --running;
+        ++done;
+    };
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 8; ++c)
+        callers.emplace_back([&] {
+            for (int i = 0; i < 50; ++i) {
+                if (!pool.tryRunHere(task))
+                    pool.submit(task);
+            }
+        });
+    for (std::thread &t : callers)
+        t.join();
+    pool.shutdown();
+    EXPECT_EQ(done.load(), 400);
+    EXPECT_LE(high_water.load(), 2);
+    EXPECT_GE(high_water.load(), 1);
+}
+
+TEST(ThreadPoolTest, ShutdownWaitsForACallerRunTask)
+{
+    ThreadPool pool(1);
+    std::atomic<bool> inside{false};
+    std::atomic<bool> finished{false};
+    std::thread caller([&] {
+        pool.tryRunHere([&] {
+            inside = true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            finished = true;
+        });
+    });
+    while (!inside.load())
+        std::this_thread::yield();
+    pool.shutdown();
+    EXPECT_TRUE(finished.load());
+    caller.join();
 }
 
 } // namespace
