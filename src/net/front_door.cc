@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <sstream>
@@ -16,6 +15,7 @@
 #include "svc/backpressure.hh"
 #include "svc/flight_recorder.hh"
 #include "svc/request.hh"
+#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -108,22 +108,21 @@ parseHostPort(const std::string &spec, std::string *host,
             *error = "expected host:port, got '" + spec + "'";
         return false;
     }
-    char *end = nullptr;
-    unsigned long value =
-        std::strtoul(spec.c_str() + colon + 1, &end, 10);
-    if (*end != '\0' || value == 0 || value > 65535) {
+    auto value = parseNumber<std::uint16_t>(
+        std::string_view(spec).substr(colon + 1));
+    if (!value || *value == 0) {
         if (error)
             *error = "bad port in '" + spec + "'";
         return false;
     }
     *host = spec.substr(0, colon);
-    *port = static_cast<std::uint16_t>(value);
+    *port = *value;
     return true;
 }
 
 /**
- * The front door internals: the ring, the backends, a small fan-out
- * pool for batch requests, and the net routing metrics.
+ * The front door internals: the ring, the backends, a fan-out pool of
+ * one worker per shard for batch requests, and the net routing metrics.
  */
 class FrontDoor::Impl
 {
@@ -159,10 +158,7 @@ class FrontDoor::Impl
             std::move(fleet_backends));
         if (opts.scrapeIntervalMs > 0)
             _fleet->start(opts.scrapeIntervalMs);
-        std::size_t threads = opts.fanoutThreads > 0
-                                  ? opts.fanoutThreads
-                                  : _backends.size();
-        for (std::size_t i = 0; i < threads; ++i)
+        for (std::size_t i = 0; i < _backends.size(); ++i)
             _workers.emplace_back([this] { workerLoop(); });
     }
 

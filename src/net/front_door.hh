@@ -164,8 +164,6 @@ bool parseHostPort(const std::string &spec, std::string *host,
 /** Front door policy knobs. */
 struct FrontDoorOptions
 {
-    /** Worker threads for batch fan-out (0 = one per shard). */
-    std::size_t fanoutThreads = 0;
     /** Virtual points per shard on the ring. */
     std::size_t ringReplicas = HashRing::kDefaultReplicas;
     /**

@@ -1,7 +1,6 @@
 #include "fault.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "util/format.hh"
@@ -9,20 +8,6 @@
 namespace hcm {
 namespace svc {
 namespace {
-
-/** Strictly-decimal u64; false on anything else (empty, trailing junk). */
-bool
-parseU64(const std::string &text, std::uint64_t *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
-        return false;
-    *out = static_cast<std::uint64_t>(v);
-    return true;
-}
 
 /** Parse one "site:action[:modifier...]" rule. */
 bool
@@ -48,10 +33,12 @@ parseRule(const std::string &text, FaultRule *rule, std::string *error)
         rule->message = action.substr(6);
     } else if (action.rfind("delay=", 0) == 0) {
         rule->action = FaultRule::Action::Delay;
-        if (!parseU64(action.substr(6), &rule->delayMs)) {
+        auto ms = parseNumber<std::uint64_t>(action.substr(6));
+        if (!ms) {
             *error = "bad delay milliseconds in '" + text + "'";
             return false;
         }
+        rule->delayMs = *ms;
     } else {
         *error = "unknown fault action '" + action +
                  "' (throw[=msg], delay=ms)";
@@ -59,13 +46,12 @@ parseRule(const std::string &text, FaultRule *rule, std::string *error)
     }
     for (std::size_t i = 2; i < parts.size(); ++i) {
         const std::string &mod = parts[i];
-        bool ok = false;
-        if (mod.rfind("nth=", 0) == 0)
-            ok = parseU64(mod.substr(4), &rule->nth) && rule->nth > 0;
-        else if (mod.rfind("every=", 0) == 0)
-            ok = parseU64(mod.substr(6), &rule->every) &&
-                 rule->every > 0;
-        if (!ok) {
+        auto n = parseNumber<std::uint64_t>(mod.substr(mod.find('=') + 1));
+        if (n && *n > 0 && mod.rfind("nth=", 0) == 0) {
+            rule->nth = *n;
+        } else if (n && *n > 0 && mod.rfind("every=", 0) == 0) {
+            rule->every = *n;
+        } else {
             *error = "bad fault modifier '" + mod +
                      "' (nth=N, every=K; both >= 1)";
             return false;

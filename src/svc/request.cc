@@ -1,22 +1,18 @@
 #include "request.hh"
 
-#include <cmath>
-#include <cstdlib>
-
 #include "core/scenario.hh"
+#include "devices/measured.hh"
 #include "itrs/scaling.hh"
 #include "obs/request_id.hh"
 #include "util/format.hh"
 
 namespace hcm {
 namespace svc {
-namespace {
 
 // Scenario lookups go through core::findScenario — the one
 // case-insensitive registry shared with scenarioByName and the sweep
 // spec parser.
 
-/** Non-fatal counterpart of itrs::nodeParams(). */
 bool
 nodeExists(double node_nm)
 {
@@ -25,8 +21,6 @@ nodeExists(double node_nm)
             return true;
     return false;
 }
-
-} // namespace
 
 std::optional<wl::Workload>
 parseWorkloadSpec(const std::string &spec, std::string *error)
@@ -38,18 +32,10 @@ parseWorkloadSpec(const std::string &spec, std::string *error)
     if (iequals(spec, "fft"))
         return wl::Workload::fft(1024);
     if (spec.size() >= 4 && iequals(spec.substr(0, 4), "fft:")) {
-        // Digits only: strtoul alone also accepts "+8" and wraps "-8".
         const std::string digits = spec.substr(4);
-        bool all_digits = !digits.empty();
-        for (char c : digits)
-            if (c < '0' || c > '9')
-                all_digits = false;
-        char *end = nullptr;
-        unsigned long n =
-            all_digits ? std::strtoul(digits.c_str(), &end, 10) : 0;
-        if (all_digits && end == digits.c_str() + digits.size() &&
-            n >= 2 && (n & (n - 1)) == 0)
-            return wl::Workload::fft(n);
+        auto n = parseNumber<std::size_t>(digits); // digits only
+        if (n && *n >= 2 && (*n & (*n - 1)) == 0)
+            return wl::Workload::fft(*n);
         if (error)
             *error = "fft size must be a power of two >= 2, got '" +
                      digits + "'";
@@ -59,6 +45,29 @@ parseWorkloadSpec(const std::string &spec, std::string *error)
         *error = "unknown workload '" + spec +
                  "' (expected mmm, bs, or fft:N)";
     return std::nullopt;
+}
+
+bool
+checkCalibrated(const wl::Workload &w, std::string *error)
+{
+    static const std::vector<wl::Workload> calibrated =
+        dev::table5Workloads();
+    for (const wl::Workload &c : calibrated)
+        if (c == w)
+            return true;
+    if (error)
+        *error = "no Table 5 calibration for " + w.name() +
+                 " (calibrated FFT sizes: 64, 1024, 16384)";
+    return false;
+}
+
+std::optional<wl::Workload>
+parseModelWorkload(const std::string &spec, std::string *error)
+{
+    auto w = parseWorkloadSpec(spec, error);
+    if (w && !checkCalibrated(*w, error))
+        return std::nullopt;
+    return w;
 }
 
 std::optional<dev::DeviceId>
@@ -104,7 +113,7 @@ parseQueryRequest(const JsonValue &v)
         if (!workload->isString())
             return RequestParse::failure("'workload' must be a string");
         std::string why;
-        auto parsed = parseWorkloadSpec(workload->asString(), &why);
+        auto parsed = parseModelWorkload(workload->asString(), &why);
         if (!parsed)
             return RequestParse::failure(why);
         q.workload = *parsed;

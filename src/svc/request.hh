@@ -8,11 +8,12 @@
  * error type of an answer, the {"results": [...]} envelope, and the
  * control verbs' "format" check. Every field is validated non-fatally
  * (unknown scenario, bad node, malformed workload spec, ...) so a
- * server can answer one bad request with an error instead of dying.
- * The request schema:
+ * server can answer one bad request with an error instead of dying;
+ * the sweep spec and the CLI share these checks. The request schema:
  *
  *   {"type": "optimize" | "projection" | "energy" | "pareto",
- *    "workload": "mmm" | "bs" | "fft:N",   // default "fft:1024"
+ *    "workload": "mmm" | "bs" | "fft:N",   // N in 64|1024|16384;
+ *                                          // default "fft:1024"
  *    "f": 0.99,                            // parallel fraction
  *    "scenario": "baseline" | ...,         // Section 6.2 names
  *    "node": 40|32|22|16|11,               // ignored by projection
@@ -143,12 +144,24 @@ void writeBatchAnswer(JsonWriter &json, std::size_t count,
 std::optional<std::string> injectRequestId(const std::string &text,
                                            const std::string &rid);
 
-/** Workload spec parser shared with the CLI ("mmm", "bs", "fft:N"). */
+/** The workload spelling ("mmm", "bs", "fft:N" for any power of two
+ *  N >= 2, any case). Only the cache-traffic model takes every N. */
 std::optional<wl::Workload> parseWorkloadSpec(const std::string &spec,
                                               std::string *error);
 
+/** True when the model can evaluate @p w (one of
+ *  dev::table5Workloads()); else false + *error. */
+bool checkCalibrated(const wl::Workload &w, std::string *error);
+
+/** parseWorkloadSpec() + checkCalibrated(): for input to the model. */
+std::optional<wl::Workload> parseModelWorkload(const std::string &spec,
+                                               std::string *error);
+
 /** Device name parser ("asic", "gtx285", ...); nullopt when unknown. */
 std::optional<dev::DeviceId> parseDeviceName(const std::string &name);
+
+/** Non-panicking counterpart of itrs::nodeParams(). */
+bool nodeExists(double node_nm);
 
 } // namespace svc
 } // namespace hcm

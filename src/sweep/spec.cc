@@ -1,57 +1,13 @@
 #include "spec.hh"
 
-#include <stdexcept>
-
 #include "core/paper.hh"
+#include "svc/request.hh"
 #include "util/format.hh"
 
 namespace hcm {
 namespace sweep {
 
 namespace {
-
-/** Workload from a CLI token; nullopt on an unknown spelling. */
-std::optional<wl::Workload>
-workloadFromToken(const std::string &token)
-{
-    if (iequals(token, "mmm"))
-        return wl::Workload::mmm();
-    if (iequals(token, "bs") || iequals(token, "blackscholes"))
-        return wl::Workload::blackScholes();
-    if (iequals(token, "fft"))
-        return wl::Workload::fft(1024);
-    if (token.size() > 4 && iequals(token.substr(0, 4), "fft:")) {
-        // Strict digits-only size: stoul alone accepts leading
-        // whitespace, '+', '-' (wrapping), and trailing junk
-        // ("fft:1024abc" silently became fft:1024).
-        const std::string digits = token.substr(4);
-        for (char c : digits)
-            if (c < '0' || c > '9')
-                return std::nullopt;
-        std::size_t n = 0;
-        try {
-            std::size_t used = 0;
-            n = std::stoul(digits, &used);
-            if (used != digits.size())
-                return std::nullopt;
-        } catch (const std::exception &) {
-            return std::nullopt; // out of range
-        }
-        if (n < 2 || (n & (n - 1)) != 0)
-            return std::nullopt; // FFT sizes are powers of two
-        return wl::Workload::fft(n);
-    }
-    return std::nullopt;
-}
-
-/** Scenario by name without panicking on unknown input. Matching is
- *  case-insensitive via the one shared registry lookup, exactly like
- *  workload tokens (and core::scenarioByName). */
-const core::Scenario *
-scenarioFromToken(const std::string &token)
-{
-    return core::findScenario(token);
-}
 
 std::vector<std::string>
 tokens(const std::string &spec)
@@ -88,13 +44,15 @@ parseWorkloadList(const std::string &spec, std::string *error)
 {
     std::vector<wl::Workload> out;
     for (const std::string &t : tokens(spec)) {
-        auto w = workloadFromToken(t);
+        auto w = svc::parseWorkloadSpec(t, nullptr);
         if (!w) {
             setError(error, "unknown workload '" + t +
                                 "' (expected mmm, bs, or fft:N with N a "
                                 "power of two)");
             return std::nullopt;
         }
+        if (!svc::checkCalibrated(*w, error))
+            return std::nullopt;
         out.push_back(*w);
     }
     if (out.empty()) {
@@ -109,21 +67,16 @@ parseFractionList(const std::string &spec, std::string *error)
 {
     std::vector<double> out;
     for (const std::string &t : tokens(spec)) {
-        double f = 0.0;
-        try {
-            std::size_t used = 0;
-            f = std::stod(t, &used);
-            if (used != t.size())
-                throw std::invalid_argument(t);
-        } catch (const std::exception &) {
+        auto f = parseNumber<double>(t);
+        if (!f) {
             setError(error, "bad fraction '" + t + "'");
             return std::nullopt;
         }
-        if (f < 0.0 || f > 1.0) {
+        if (*f < 0.0 || *f > 1.0) {
             setError(error, "fraction " + t + " outside [0, 1]");
             return std::nullopt;
         }
-        out.push_back(f);
+        out.push_back(*f);
     }
     if (out.empty()) {
         setError(error, "fraction list is empty");
@@ -151,7 +104,7 @@ parseScenarioList(const std::string &spec, std::string *error)
                 push_unique(s);
             continue;
         }
-        const core::Scenario *s = scenarioFromToken(t);
+        const core::Scenario *s = core::findScenario(t);
         if (!s) {
             setError(error, "unknown scenario '" + t + "'");
             return std::nullopt;

@@ -45,7 +45,8 @@ struct SweepSpec
 SweepSpec paperSweep();
 
 /** Parse "mmm,bs,fft:1024" into workloads; nullopt + *error on a bad
- *  token or an empty list. */
+ *  token, a workload without Table 5 calibration (svc::checkCalibrated),
+ *  or an empty list. */
 std::optional<std::vector<wl::Workload>> parseWorkloadList(
     const std::string &spec, std::string *error);
 

@@ -8,7 +8,12 @@
 #ifndef HCM_UTIL_FORMAT_HH
 #define HCM_UTIL_FORMAT_HH
 
+#include <charconv>
+#include <cmath>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace hcm {
@@ -53,6 +58,23 @@ std::string trim(const std::string &s);
 
 /** Split @p s on @p delim (no quoting; see CsvReader for quoted fields). */
 std::vector<std::string> split(const std::string &s, char delim);
+
+/** All of @p text as a finite T (std::from_chars: no whitespace or
+ *  '+', no '-' for unsigned T); nullopt otherwise, overflow included. */
+template <typename T>
+std::optional<T>
+parseNumber(std::string_view text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || stop != end)
+        return std::nullopt;
+    if constexpr (std::is_floating_point_v<T>)
+        if (!std::isfinite(value))
+            return std::nullopt;
+    return value;
+}
 
 } // namespace hcm
 

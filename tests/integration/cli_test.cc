@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -136,6 +137,29 @@ TEST(CliTest, BadInputsFailCleanly)
     EXPECT_EQ(runCli("frobnicate").first, 1);
     EXPECT_NE(runCli("frobnicate").second.find("unknown command"),
               std::string::npos);
+    // Regressions: each of these died of an uncaught exception or a
+    // model panic (exit 134), or was silently misread.
+    // Its own request file: the shared one is rewritten by tests that
+    // may run at the same time.
+    const std::string batch =
+        ::testing::TempDir() + "hcm_cli_bad_inputs.json";
+    writeFile(batch, R"([{"type":"optimize","workload":"mmm"}])");
+    for (const std::string &args : std::vector<std::string>{
+             "optimize --workload fft:",
+             "optimize --workload fft:1024abc",
+             "optimize --workload fft:128", "optimize --f 1.5",
+             "optimize --f abc", "optimize --node 23",
+             "optimize --scenario nope", "table x",
+             "batch " + batch + " --threads -1",
+             "sweep --workloads fft:128", "sweep --fractions nan"}) {
+        auto [code, out] = runCli(args);
+        EXPECT_EQ(code, 1) << args << "\n" << out;
+        EXPECT_EQ(out.rfind("fatal: ", 0), 0u) << args << "\n" << out;
+    }
+    // The workload spelling is case-insensitive on every path, and the
+    // cache-traffic model takes any power of two.
+    EXPECT_EQ(runCli("optimize --workload Fft:1024").first, 0);
+    EXPECT_EQ(runCli("traffic --workload fft:2048").first, 0);
 }
 
 TEST(CliTest, ParetoFrontier)
@@ -190,6 +214,16 @@ TEST(CliTest, MixedFabricChip)
     EXPECT_NE(out.find("ASIC:MMM"), std::string::npos);
     EXPECT_NE(out.find("GTX285:FFT-1024"), std::string::npos);
     EXPECT_NE(out.find("11nm"), std::string::npos);
+}
+
+TEST(CliTest, MixedInfeasibleNodeKeepsTableWidth)
+{
+    // Regression: an infeasible node's row had 4 cells under a header
+    // with one more per slot, which panicked the table (exit 134).
+    auto [code, out] = runCli("mixed --slot asic:mmm:0.9 "
+                              "--scenario power-10w");
+    EXPECT_EQ(code, 0) << out;
+    EXPECT_NE(out.find("infeasible"), std::string::npos);
 }
 
 TEST(CliTest, MixedRequiresSlots)

@@ -136,6 +136,35 @@ TEST(RequestRouterTest, MalformedRequestAnswersError)
     EXPECT_EQ(reply.body.rfind("{\"error\":", 0), 0u);
 }
 
+TEST(RequestRouterTest, UncalibratedWorkloadAnswersErrorThenServes)
+{
+    // Regression: fft:128 parsed, then aborted the process in the
+    // model, so a serve session died on its next request.
+    svc::QueryEngine engine(smallEngine());
+    svc::RequestRouter router(engine);
+    svc::RouteReply bad =
+        router.route(R"({"type":"optimize","workload":"fft:128"})");
+    EXPECT_EQ(bad.served, 0u);
+    EXPECT_EQ(bad.body.rfind("{\"error\":", 0), 0u);
+    EXPECT_NE(bad.body.find("no Table 5 calibration"), std::string::npos);
+    svc::RouteReply good =
+        router.route(R"({"type":"optimize","workload":"mmm"})");
+    EXPECT_EQ(good.served, 1u);
+    EXPECT_NE(good.body.find("\"speedup\""), std::string::npos);
+}
+
+TEST(FrontDoorTest, ParseHostPortTakesWholeDecimalPorts)
+{
+    std::string host, error;
+    std::uint16_t port = 0;
+    ASSERT_TRUE(parseHostPort("127.0.0.1:7070", &host, &port, &error));
+    EXPECT_EQ(host, "127.0.0.1");
+    EXPECT_EQ(port, 7070);
+    for (const char *bad : {"h:0", "h:65536", "h:-1", "h:+80", "h: 80",
+                            "h:80x", "h:", "h", ":80"})
+        EXPECT_FALSE(parseHostPort(bad, &host, &port, &error)) << bad;
+}
+
 TEST(FrontDoorTest, SingleQueryMatchesDirectEngine)
 {
     // The front door over local shards must answer the same bytes a

@@ -77,6 +77,8 @@ TEST_F(FaultInjectorTest, MalformedSpecsAreRejected)
              "eval:throw:nth=0",     // nth is 1-based
              "eval:throw:every=0",   // every must be >= 1
              "eval:throw:color=red", // unknown modifier
+             "eval:throw:nth=-1",    // used to wrap to 2^64 - 1
+             "eval:delay=+5",        // decimal digits only
              ":throw",               // empty site
          }) {
         std::string error;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/scenario.hh"
+#include "devices/measured.hh"
+#include "itrs/scaling.hh"
 #include "svc/request.hh"
 
 namespace hcm {
@@ -51,8 +55,18 @@ TEST(RequestParseTest, RejectsBadInputsWithSpecificErrors)
          "unknown workload"},
         {"{\"type\":\"optimize\",\"workload\":\"fft:1000\"}",
          "power of two"},
+        // Well spelled, but Table 5 calibrates only FFT-64/1024/16384:
+        // these used to pass and then abort the evaluating process.
+        {"{\"type\":\"optimize\",\"workload\":\"fft:2\"}",
+         "no Table 5 calibration for FFT-2"},
+        {"{\"type\":\"optimize\",\"workload\":\"fft:128\"}",
+         "calibrated FFT sizes: 64, 1024, 16384"},
+        {"{\"type\":\"optimize\",\"workload\":\"fft:4096\"}",
+         "no Table 5 calibration"},
         {"{\"type\":\"optimize\",\"f\":1.5}", "[0, 1]"},
         {"{\"type\":\"optimize\",\"f\":\"high\"}", "must be a number"},
+        {"{\"type\":\"optimize\",\"f\":\" 0.5\"}", "must be a number"},
+        {"{\"type\":\"optimize\",\"f\":nan}", "malformed JSON"},
         {"{\"type\":\"optimize\",\"scenario\":\"mars\"}",
          "unknown scenario"},
         {"{\"type\":\"optimize\",\"node\":14}", "unknown node"},
@@ -119,8 +133,9 @@ TEST(RequestParseTest, WorkloadSpecsMatchCliVocabulary)
               wl::Workload::blackScholes());
     EXPECT_EQ(parseWorkloadSpec("fft", &error),
               wl::Workload::fft(1024));
-    EXPECT_EQ(parseWorkloadSpec("fft:4096", &error),
-              wl::Workload::fft(4096));
+    EXPECT_EQ(parseWorkloadSpec("fft:16384", &error),
+              wl::Workload::fft(16384));
+    EXPECT_FALSE(parseModelWorkload("fft:4096", &error));
     EXPECT_FALSE(parseWorkloadSpec("fft:0", &error));
     EXPECT_FALSE(parseWorkloadSpec("fft:", &error));
     EXPECT_FALSE(parseWorkloadSpec("fft:12", &error));
@@ -337,6 +352,71 @@ TEST(InjectRequestIdTest, ExistingIdWinsUnderLastOccurrenceRule)
     RequestParse parsed = parseQueryRequestText(*out);
     ASSERT_TRUE(parsed.ok) << parsed.error;
     EXPECT_EQ(parsed.query.requestId, "client");
+}
+
+/** The wire spelling of a Table 5 workload. */
+std::string
+spelling(const wl::Workload &w)
+{
+    switch (w.kind()) {
+      case wl::Kind::MMM:
+        return "mmm";
+      case wl::Kind::BlackScholes:
+        return "bs";
+      case wl::Kind::FFT:
+        return "fft:" + std::to_string(w.size());
+    }
+    return "";
+}
+
+TEST(RequestParseTest, EveryCalibratedInputEvaluatesAndNoOtherFftSize)
+{
+    // Every Table 5 workload x query type x scenario x Table 6 node x
+    // f edge parses and evaluates to rows: the calibration check
+    // rejects nothing the model can answer.
+    const char *types[] = {"optimize", "projection", "energy", "pareto"};
+    const char *fractions[] = {"0", "0.5", "0.999", "1"};
+    std::size_t evaluated = 0;
+    std::string error;
+    for (const wl::Workload &w : dev::table5Workloads()) {
+        ASSERT_EQ(parseModelWorkload(spelling(w), &error), w) << error;
+        for (const char *type : types)
+            for (const core::Scenario &scenario : core::allScenarios())
+                for (const itrs::NodeParams &node : itrs::nodeTable())
+                    for (const char *f : fractions) {
+                        std::string request =
+                            std::string("{\"type\":\"") + type +
+                            "\",\"workload\":\"" + spelling(w) +
+                            "\",\"scenario\":\"" + scenario.name +
+                            "\",\"node\":" +
+                            std::to_string(static_cast<int>(node.nodeNm)) +
+                            ",\"f\":" + f + "}";
+                        RequestParse parsed = parseQueryRequestText(request);
+                        ASSERT_TRUE(parsed.ok) << request << parsed.error;
+                        QueryResult result = evaluateQuery(parsed.query);
+                        ASSERT_TRUE(result.ok()) << request << result.error;
+                        // A frontier is empty when no design fits the
+                        // budget (power-10w at 40nm).
+                        EXPECT_TRUE(!result.rows.empty() ||
+                                    parsed.query.type == QueryType::Pareto)
+                            << request;
+                        ++evaluated;
+                    }
+    }
+    EXPECT_EQ(evaluated, 4000u);
+
+    // Every other power of two up to 2^20 is spelled right but has no
+    // calibration, so it never reaches the model.
+    const auto &sizes = dev::table5FftSizes();
+    for (std::size_t n = 2; n <= (1u << 20); n *= 2) {
+        std::string spec = "fft:" + std::to_string(n);
+        bool calibrated =
+            std::find(sizes.begin(), sizes.end(), n) != sizes.end();
+        EXPECT_TRUE(parseWorkloadSpec(spec, &error)) << spec;
+        EXPECT_EQ(parseModelWorkload(spec, &error).has_value(),
+                  calibrated)
+            << spec;
+    }
 }
 
 } // namespace

@@ -13,12 +13,13 @@ namespace {
 TEST(SweepSpecTest, ParsesWorkloadList)
 {
     std::string error;
-    auto list = parseWorkloadList("mmm,bs,fft:256", &error);
+    auto list = parseWorkloadList("mmm,bs,fft:64", &error);
     ASSERT_TRUE(list.has_value()) << error;
     ASSERT_EQ(list->size(), 3u);
     EXPECT_EQ((*list)[0].name(), wl::Workload::mmm().name());
     EXPECT_EQ((*list)[1].name(), wl::Workload::blackScholes().name());
-    EXPECT_EQ((*list)[2].name(), wl::Workload::fft(256).name());
+    EXPECT_EQ((*list)[2].name(), wl::Workload::fft(64).name());
+    EXPECT_FALSE(parseWorkloadList("mmm,bs,fft:256", &error));
 }
 
 TEST(SweepSpecTest, RejectsUnknownWorkload)
@@ -35,6 +36,18 @@ TEST(SweepSpecTest, RejectsNonPowerOfTwoFft)
     EXPECT_FALSE(error.empty());
 }
 
+TEST(SweepSpecTest, RejectsFftSizesWithoutCalibration)
+{
+    // Regression: any power of two parsed, then the sweep aborted on
+    // the first device without a Table 5 measurement for that size.
+    for (const char *spec : {"fft:2", "fft:128", "mmm,fft:4096"}) {
+        std::string error;
+        EXPECT_FALSE(parseWorkloadList(spec, &error)) << spec;
+        EXPECT_NE(error.find("no Table 5 calibration"), std::string::npos)
+            << spec << " -> " << error;
+    }
+}
+
 TEST(SweepSpecTest, ParsesFractionList)
 {
     std::string error;
@@ -49,6 +62,10 @@ TEST(SweepSpecTest, RejectsFractionOutOfRange)
     EXPECT_FALSE(parseFractionList("0.5,1.5", &error));
     EXPECT_FALSE(parseFractionList("-0.1", &error));
     EXPECT_FALSE(parseFractionList("0.5x", &error));
+    // Regression: NaN slipped past the range check and aborted the
+    // sweep; stod also skipped leading whitespace.
+    EXPECT_FALSE(parseFractionList("nan", &error));
+    EXPECT_FALSE(parseFractionList(" 0.5", &error));
 }
 
 TEST(SweepSpecTest, ParsesScenarioListAndAll)

@@ -1,6 +1,7 @@
 /** @file Unit tests for util/format. */
 
 #include <cmath>
+#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +96,25 @@ TEST(FormatTest, Split)
     EXPECT_EQ(split("", ','), (std::vector<std::string>{""}));
     EXPECT_EQ(split("a,,b", ','), (std::vector<std::string>{"a", "", "b"}));
     EXPECT_EQ(split(",", ','), (std::vector<std::string>{"", ""}));
+}
+
+TEST(FormatTest, ParseNumberTakesWholeFiniteTokens)
+{
+    // Every value the old stod path accepted parses to the same double.
+    for (const char *text : {"0", "1", "0.5", "0.999", "0.123456789012345",
+                             "-0.1", "1e3", "2.5E-3", "22", "1500.0"})
+        EXPECT_EQ(parseNumber<double>(text), std::strtod(text, nullptr))
+            << text;
+    EXPECT_EQ(parseNumber<int>("-1"), -1);
+    EXPECT_EQ(parseNumber<std::size_t>("4096"), 4096u);
+
+    for (const char *text : {"", "abc", "0.9x", " 0.5", "0.5 ", "+0.5",
+                             "nan", "inf", "-inf", "1e999", "0x10"})
+        EXPECT_FALSE(parseNumber<double>(text)) << text;
+    for (const char *text : {"-1", "+1", "1.5", "4x", "",
+                             "99999999999999999999999"})
+        EXPECT_FALSE(parseNumber<std::size_t>(text)) << text;
+    EXPECT_FALSE(parseNumber<int>("99999999999"));
 }
 
 } // namespace

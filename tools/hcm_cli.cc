@@ -10,7 +10,6 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -44,6 +43,7 @@
 #include "svc/engine.hh"
 #include "svc/fault.hh"
 #include "svc/flight_recorder.hh"
+#include "svc/request.hh"
 #include "svc/router.hh"
 #include "svc/service.hh"
 #include "sweep/export.hh"
@@ -127,7 +127,9 @@ commands:
   help                    this text
 
 options (project/optimize/scenarios):
-  --workload <mmm|bs|fft:N>   kernel (default fft:1024)
+  --workload <mmm|bs|fft:N>   kernel (default fft:1024); N is a
+                              Table 5 size (64, 1024, 16384), or any
+                              power of two for traffic
   --f <value>                 parallel fraction (default 0.99)
   --scenario <name>           baseline | bandwidth-90 | bandwidth-1tb |
                               half-area | power-200w | power-10w |
@@ -284,7 +286,7 @@ struct Options
     double f = 0.99;
     std::string scenario = "baseline";
     double node = 22.0;
-    std::string device;
+    std::optional<dev::DeviceId> device;
     bool energy = false;
     bool json = false;
     std::size_t chunks = 20000;
@@ -341,43 +343,46 @@ struct Options
     bool once = false;
 };
 
+using WorkloadParser = std::optional<wl::Workload> (*)(
+    const std::string &, std::string *);
+
+/** @p spec through one of svc's workload parsers; fatal on its error. */
 wl::Workload
-parseWorkload(const std::string &spec)
+workloadOrDie(const std::string &spec,
+              WorkloadParser parse = svc::parseModelWorkload)
 {
-    if (iequals(spec, "mmm"))
-        return wl::Workload::mmm();
-    if (iequals(spec, "bs") || iequals(spec, "blackscholes"))
-        return wl::Workload::blackScholes();
-    if (spec.rfind("fft:", 0) == 0 || spec.rfind("FFT:", 0) == 0)
-        return wl::Workload::fft(std::stoul(spec.substr(4)));
-    if (iequals(spec, "fft"))
-        return wl::Workload::fft(1024);
-    hcm_fatal("unknown workload '", spec,
-              "' (expected mmm, bs, or fft:N)");
+    std::string error;
+    auto w = parse(spec, &error);
+    if (!w)
+        hcm_fatal(error);
+    return *w;
 }
 
+/** svc::parseDeviceName(); fatal on an unknown name. */
 dev::DeviceId
-parseDevice(const std::string &name)
+deviceOrDie(const std::string &name)
 {
-    static const std::map<std::string, dev::DeviceId> devices = {
-        {"gtx285", dev::DeviceId::Gtx285},
-        {"gtx480", dev::DeviceId::Gtx480},
-        {"r5870", dev::DeviceId::R5870},
-        {"lx760", dev::DeviceId::Lx760},
-        {"asic", dev::DeviceId::Asic},
-    };
-    std::string lower;
-    for (char c : name)
-        lower += static_cast<char>(std::tolower(
-            static_cast<unsigned char>(c)));
-    auto it = devices.find(lower);
-    if (it == devices.end())
+    auto id = svc::parseDeviceName(name);
+    if (!id)
         hcm_fatal("unknown device '", name, "'");
-    return it->second;
+    return *id;
 }
 
+/** parseNumber() of @p what's value @p text; fatal when it is none. */
+template <typename T>
+T
+numberOrDie(const std::string &what, const std::string &text)
+{
+    auto value = parseNumber<T>(text);
+    if (!value)
+        hcm_fatal("bad value '", text, "' for ", what);
+    return *value;
+}
+
+/** Options from args[start...]; --workload through @p parse_workload. */
 Options
-parseOptions(const std::vector<std::string> &args, std::size_t start)
+parseOptions(const std::vector<std::string> &args, std::size_t start,
+             WorkloadParser parse_workload = svc::parseModelWorkload)
 {
     Options opts;
     for (std::size_t i = start; i < args.size(); ++i) {
@@ -387,16 +392,28 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
                 hcm_fatal("missing value after ", a);
             return args[++i];
         };
-        if (a == "--workload")
-            opts.workload = parseWorkload(next());
-        else if (a == "--f")
-            opts.f = std::stod(next());
-        else if (a == "--scenario")
+        auto number = [&](auto &target) {
+            target = numberOrDie<std::remove_reference_t<decltype(target)>>(
+                a, next());
+        };
+        if (a == "--workload") {
+            opts.workload = workloadOrDie(next(), parse_workload);
+        } else if (a == "--f") {
+            number(opts.f);
+            if (!(opts.f >= 0.0 && opts.f <= 1.0))
+                hcm_fatal("--f must lie in [0, 1], got ", opts.f);
+        } else if (a == "--scenario") {
+            // Validate only: crossover echoes the name as typed.
             opts.scenario = next();
-        else if (a == "--node")
-            opts.node = std::stod(next());
-        else if (a == "--device")
-            opts.device = next();
+            if (!core::findScenario(opts.scenario))
+                hcm_fatal("unknown scenario '", opts.scenario, "'");
+        } else if (a == "--node") {
+            number(opts.node);
+            if (!svc::nodeExists(opts.node))
+                hcm_fatal("unknown node ", opts.node,
+                          " (expected 40, 32, 22, 16, or 11)");
+        } else if (a == "--device")
+            opts.device = deviceOrDie(next());
         else if (a == "--energy")
             opts.energy = true;
         else if (a == "--json")
@@ -410,7 +427,7 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         else if (a == "--scenarios")
             opts.sweepSpec.scenarios = next();
         else if (a == "--jobs")
-            opts.jobs = std::stoul(next());
+            number(opts.jobs);
         else if (a == "--progress")
             opts.progress = true;
         else if (a == "--format")
@@ -418,29 +435,29 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         else if (a == "--output")
             opts.output = next();
         else if (a == "--chunks")
-            opts.chunks = std::stoul(next());
+            number(opts.chunks);
         else if (a == "--cache")
-            opts.cacheKib = std::stoul(next());
+            number(opts.cacheKib);
         else if (a == "--slot")
             opts.slots.push_back(next());
         else if (a == "--shared")
             opts.shared = true;
         else if (a == "--target")
-            opts.target = std::stod(next());
+            number(opts.target);
         else if (a == "--out")
             opts.out = next();
         else if (a == "--threads")
-            opts.threads = std::stoul(next());
+            number(opts.threads);
         else if (a == "--cache-entries")
-            opts.cacheEntries = std::stoul(next());
+            number(opts.cacheEntries);
         else if (a == "--no-cache")
             opts.noCache = true;
         else if (a == "--slow-query-ms")
-            opts.slowQueryMs = std::stod(next());
+            number(opts.slowQueryMs);
         else if (a == "--deadline-ms")
-            opts.deadlineMs = std::stod(next());
+            number(opts.deadlineMs);
         else if (a == "--admission-wait-ms")
-            opts.admissionWaitMs = std::stod(next());
+            number(opts.admissionWaitMs);
         else if (a == "--fault-spec")
             opts.faultSpec = next();
         else if (a == "--trace-out")
@@ -462,15 +479,15 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         else if (a == "--smoke")
             opts.smoke = true;
         else if (a == "--repetitions")
-            opts.repetitions = std::stoi(next());
+            number(opts.repetitions);
         else if (a == "--results")
             opts.results = next();
         else if (a == "--tolerance-pct")
-            opts.tolerancePct = std::stod(next());
+            number(opts.tolerancePct);
         else if (a == "--min-time-ns")
-            opts.minTimeNs = std::stod(next());
+            number(opts.minTimeNs);
         else if (a == "--counter-tolerance-pct")
-            opts.counterTolerancePct = std::stod(next());
+            number(opts.counterTolerancePct);
         else if (a == "--measured")
             opts.measured = true;
         else if (a == "--counters")
@@ -478,11 +495,11 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         else if (a == "--results-only")
             opts.resultsOnly = true;
         else if (a == "--port")
-            opts.port = std::stoi(next());
+            number(opts.port);
         else if (a == "--host")
             opts.host = next();
         else if (a == "--shards")
-            opts.shards = std::stoul(next());
+            number(opts.shards);
         else if (a == "--shard-id")
             opts.shardId = next();
         else if (a == "--shard-addrs")
@@ -490,23 +507,23 @@ parseOptions(const std::vector<std::string> &args, std::size_t start)
         else if (a == "--connect")
             opts.connect = next();
         else if (a == "--rate")
-            opts.rate = std::stod(next());
+            number(opts.rate);
         else if (a == "--concurrency")
-            opts.concurrency = std::stoul(next());
+            number(opts.concurrency);
         else if (a == "--repeat")
-            opts.repeat = std::stoul(next());
+            number(opts.repeat);
         else if (a == "--timeout-ms")
-            opts.timeoutMs = std::stod(next());
+            number(opts.timeoutMs);
         else if (a == "--scrape-interval-ms")
-            opts.scrapeIntervalMs = std::stod(next());
+            number(opts.scrapeIntervalMs);
         else if (a == "--flight-recorder-size")
-            opts.flightRecorderSize = std::stoul(next());
+            number(opts.flightRecorderSize);
         else if (a == "--samples-out")
             opts.samplesOut = next();
         else if (a == "--no-request-ids")
             opts.noRequestIds = true;
         else if (a == "--interval-ms")
-            opts.intervalMs = std::stod(next());
+            number(opts.intervalMs);
         else if (a == "--once")
             opts.once = true;
         else
@@ -788,8 +805,8 @@ cmdProject(const Options &opts)
     t.setHeaders(headers);
     for (const auto &series :
          core::projectAll(opts.workload, opts.f, scenario)) {
-        if (!opts.device.empty() && series.org.isHet() &&
-            series.org.device != parseDevice(opts.device))
+        if (opts.device && series.org.isHet() &&
+            series.org.device != *opts.device)
             continue;
         std::vector<std::string> row = {series.org.name};
         for (const core::NodePoint &pt : series.points) {
@@ -878,8 +895,7 @@ cmdOptimize(const Options &opts)
                   "energy (norm.)"});
     for (const core::Organization &org :
          core::paperOrganizations(opts.workload)) {
-        if (!opts.device.empty() && org.isHet() &&
-            org.device != parseDevice(opts.device))
+        if (opts.device && org.isHet() && org.device != *opts.device)
             continue;
         core::EffectiveOrg eff =
             core::effectiveOrganization(org, scenario.segments);
@@ -924,15 +940,14 @@ cmdPareto(const Options &opts)
 int
 cmdSimulate(const Options &opts)
 {
-    if (opts.device.empty())
+    if (!opts.device)
         hcm_fatal("simulate needs --device (the HET fabric to check)");
     applyLogOptions(opts, false);
     TraceSession trace(opts);
     ProfileSession profile(opts);
     const core::Scenario &scenario = core::scenarioByName(opts.scenario);
     const itrs::NodeParams &node = itrs::nodeParams(opts.node);
-    auto org = core::heterogeneous(parseDevice(opts.device),
-                                   opts.workload);
+    auto org = core::heterogeneous(*opts.device, opts.workload);
     if (!org)
         hcm_fatal("no calibration data for that device/workload pair");
     core::Budget budget = core::makeBudget(node, opts.workload, scenario);
@@ -1069,11 +1084,10 @@ parseSlot(const std::string &spec)
     if (parts.size() < 3 || parts.size() > 4)
         hcm_fatal("bad --slot '", spec,
                   "' (expected device:workload:fraction)");
-    dev::DeviceId device = parseDevice(parts[0]);
-    wl::Workload w = parts.size() == 4
-                         ? parseWorkload(parts[1] + ":" + parts[2])
-                         : parseWorkload(parts[1]);
-    double fraction = std::stod(parts.back());
+    dev::DeviceId device = deviceOrDie(parts[0]);
+    wl::Workload w = workloadOrDie(
+        parts.size() == 4 ? parts[1] + ":" + parts[2] : parts[1]);
+    double fraction = numberOrDie<double>("--slot", parts.back());
     return core::makeSlot(device, w, fraction);
 }
 
@@ -1101,7 +1115,10 @@ cmdMixed(const Options &opts)
         core::MixedDesign d =
             core::optimizeMixed(slots, mode, node, scenario);
         if (!d.feasible) {
-            t.addRow({node.label(), "-", "infeasible", "-"});
+            std::vector<std::string> row(headers.size(), "-");
+            row[0] = node.label();
+            row[2] = "infeasible";
+            t.addRow(row);
             continue;
         }
         std::vector<std::string> row = {
@@ -1229,11 +1246,7 @@ applyFaultSpec(const Options &opts)
 int
 cmdBatch(const std::string &path, const Options &opts)
 {
-    std::ifstream in(path);
-    if (!in)
-        hcm_fatal("cannot open '", path, "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
+    std::string text = readFileOrDie(path);
 
     applyLogOptions(opts, false);
     applyFaultSpec(opts);
@@ -1242,7 +1255,7 @@ cmdBatch(const std::string &path, const Options &opts)
     CounterSession counters(opts);
     svc::QueryEngine engine(engineOptions(opts));
     std::string error;
-    if (!svc::runBatch(buffer.str(), engine, std::cout, &error,
+    if (!svc::runBatch(text, engine, std::cout, &error,
                        opts.resultsOnly))
         hcm_fatal(path, ": ", error);
     writeMetricsFile(opts, &engine);
@@ -1413,12 +1426,7 @@ cmdLoadgen(const std::string &mix_path, const Options &opts)
     if (!net::parseHostPort(opts.connect, &host, &port, &error))
         hcm_fatal("loadgen: --connect: ", error);
 
-    std::ifstream in(mix_path);
-    if (!in)
-        hcm_fatal("cannot open '", mix_path, "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto requests = net::parseMixText(buffer.str(), &error);
+    auto requests = net::parseMixText(readFileOrDie(mix_path), &error);
     if (requests.empty())
         hcm_fatal(mix_path, ": ", error);
 
@@ -1532,13 +1540,8 @@ cmdBench(const Options &opts)
 hcm::JsonValue
 loadBenchResults(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        hcm_fatal("cannot open '", path, "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
     std::string error;
-    auto doc = JsonValue::parse(buffer.str(), &error);
+    auto doc = JsonValue::parse(readFileOrDie(path), &error);
     if (!doc)
         hcm_fatal(path, ": not valid JSON: ", error);
     return *doc;
@@ -1570,7 +1573,8 @@ cmdList()
     std::cout << "devices:";
     for (dev::DeviceId id : dev::allDevices())
         std::cout << " " << dev::deviceName(id);
-    std::cout << "\nworkloads: mmm, bs, fft:N (N a power of two)\n";
+    std::cout << "\nworkloads: mmm, bs, fft:N (N = 64, 1024, 16384; "
+                 "traffic takes any power of two)\n";
     std::cout << "scenarios: baseline";
     for (const core::Scenario &s : core::alternativeScenarios())
         std::cout << ", " << s.name;
@@ -1600,12 +1604,13 @@ main(int argc, char **argv)
     if (cmd == "table") {
         if (args.size() < 2)
             hcm_fatal("usage: hcm table <1-6>");
-        return cmdTable(std::stoi(args[1]));
+        return cmdTable(numberOrDie<int>("table", args[1]));
     }
     if (cmd == "figure") {
         if (args.size() < 2)
             hcm_fatal("usage: hcm figure <2-10>");
-        return cmdFigure(std::stoi(args[1]), parseOptions(args, 2));
+        return cmdFigure(numberOrDie<int>("figure", args[1]),
+                         parseOptions(args, 2));
     }
     if (cmd == "project")
         return cmdProject(parseOptions(args, 1));
@@ -1618,7 +1623,7 @@ main(int argc, char **argv)
     if (cmd == "simulate")
         return cmdSimulate(parseOptions(args, 1));
     if (cmd == "traffic")
-        return cmdTraffic(parseOptions(args, 1));
+        return cmdTraffic(parseOptions(args, 1, svc::parseWorkloadSpec));
     if (cmd == "mixed")
         return cmdMixed(parseOptions(args, 1));
     if (cmd == "crossover")
