@@ -273,11 +273,6 @@ runLoadGen(const std::vector<std::string> &requests,
     if (!opts.outputPath.empty()) {
         std::ofstream out(opts.outputPath,
                           std::ios::binary | std::ios::trunc);
-        if (!out) {
-            if (error)
-                *error = "cannot write " + opts.outputPath;
-            return false;
-        }
         // Responses join verbatim: each element is the same byte
         // stream a single-process `hcm batch --results-only` emits.
         JsonWriter json(out);
@@ -285,16 +280,16 @@ runLoadGen(const std::vector<std::string> &requests,
             json.raw(responses[i]);
         });
         out << "\n";
+        if (!out.flush()) {
+            if (error)
+                *error = "cannot write " + opts.outputPath;
+            return false;
+        }
     }
 
     if (!opts.samplesPath.empty()) {
         std::ofstream out(opts.samplesPath,
                           std::ios::binary | std::ios::trunc);
-        if (!out) {
-            if (error)
-                *error = "cannot write " + opts.samplesPath;
-            return false;
-        }
         for (std::size_t i = 0; i < total; ++i) {
             JsonWriter json(out);
             json.beginObject();
@@ -304,6 +299,11 @@ runLoadGen(const std::vector<std::string> &requests,
             json.kv("outcome", outcomes[i]);
             json.endObject();
             out << "\n";
+        }
+        if (!out.flush()) {
+            if (error)
+                *error = "cannot write " + opts.samplesPath;
+            return false;
         }
     }
     return true;

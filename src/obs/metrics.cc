@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
+#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -358,12 +358,11 @@ Registry::writePrometheus(std::ostream &out) const
                 std::uint64_t cumulative = 0;
                 for (std::size_t i = 0; i <= last; ++i) {
                     cumulative += snap.bucketCount(i);
-                    char le[32];
-                    std::snprintf(le, sizeof(le), "%.17g",
-                                  Histogram::bucketUpperEdge(i));
+                    std::string le = "le=\"";
+                    appendDouble17(le, Histogram::bucketUpperEdge(i));
+                    le += '"';
                     out << name << "_bucket"
-                        << promLabels(entry->labels,
-                                      std::string("le=\"") + le + "\"")
+                        << promLabels(entry->labels, le)
                         << " " << cumulative << "\n";
                 }
                 out << name << "_bucket"

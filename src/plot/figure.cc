@@ -1,5 +1,6 @@
 #include "figure.hh"
 
+#include <fstream>
 #include <sstream>
 
 #include "plot/gnuplot.hh"
@@ -39,7 +40,9 @@ void
 Figure::writeFiles(const std::string &out_dir) const
 {
     ensureDirectory(out_dir);
-    CsvWriter csv(out_dir + "/" + _id + ".csv");
+    std::string path = out_dir + "/" + _id + ".csv";
+    std::ofstream file(path);
+    CsvWriter csv(file);
     csv.writeRow({"panel", "series", "x", "y", "segment_style"});
     for (const Panel &p : _panels) {
         for (const Series &s : p.series) {
@@ -54,6 +57,8 @@ Figure::writeFiles(const std::string &out_dir) const
             }
         }
     }
+    if (!file.flush())
+        hcm_fatal("cannot write '", path, "'");
     for (std::size_t i = 0; i < _panels.size(); ++i) {
         const Panel &p = _panels[i];
         std::ostringstream stem;

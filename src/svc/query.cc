@@ -1,7 +1,5 @@
 #include "query.hh"
 
-#include <charconv>
-
 #include "core/budget.hh"
 #include "core/multi_amdahl.hh"
 #include "core/optimizer_batch.hh"
@@ -10,26 +8,12 @@
 #include "core/projection.hh"
 #include "core/scenario.hh"
 #include "itrs/scaling.hh"
+#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace hcm {
 namespace svc {
 namespace {
-
-/**
- * Append a round-trip-exact double to a canonical key: printf "%.17g"'s
- * bytes, which the standard defines to_chars(general, 17) to produce,
- * without snprintf's format parsing and locale lookup.
- */
-void
-appendKeyDouble(std::string &key, double v)
-{
-    char buf[40];
-    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
-                                   std::chars_format::general, 17);
-    hcm_assert(ec == std::errc(), "to_chars overflowed ", v);
-    key.append(buf, end);
-}
 
 /** Per-organization rows at one node (Optimize / Energy). */
 std::vector<ResultRow>
@@ -204,7 +188,7 @@ Query::canonicalKey() const
     key += '|';
     key += workload.name();
     key += "|f=";
-    appendKeyDouble(key, f);
+    appendDouble17(key, f);
     key += "|s=";
     key += scenario;
     // Projection spans every node, so the node is not part of its
@@ -212,7 +196,7 @@ Query::canonicalKey() const
     // one cache entry.
     if (type != QueryType::Projection) {
         key += "|n=";
-        appendKeyDouble(key, node);
+        appendDouble17(key, node);
     }
     key += "|d=";
     key += device ? dev::deviceName(*device) : "*";

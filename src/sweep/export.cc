@@ -1,7 +1,5 @@
 #include "export.hh"
 
-#include <sstream>
-
 #include "core/bounds.hh"
 #include "util/csv.hh"
 #include "util/json.hh"
@@ -9,63 +7,38 @@
 namespace hcm {
 namespace sweep {
 
-namespace {
-
-/** Full-precision numeric cell (matches CsvWriter::writeNumericRow). */
-std::string
-num(double v)
-{
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << v;
-    return oss.str();
-}
-
-void
-writeCsvRow(std::ostream &out, const std::vector<std::string> &cells)
-{
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i > 0)
-            out << ",";
-        out << CsvWriter::escape(cells[i]);
-    }
-    out << "\n";
-}
-
-} // namespace
-
 void
 writeSweepCsv(std::ostream &out, const SweepResult &result)
 {
-    writeCsvRow(out, {"workload", "f", "scenario", "organization",
-                      "paperIndex", "node", "year", "feasible", "r", "n",
-                      "speedup", "limiter", "energyNormalized",
-                      "budgetArea", "budgetPower", "budgetBandwidth"});
+    CsvWriter csv(out);
+    csv.writeRow({"workload", "f", "scenario", "organization",
+                  "paperIndex", "node", "year", "feasible", "r", "n",
+                  "speedup", "limiter", "energyNormalized", "budgetArea",
+                  "budgetPower", "budgetBandwidth"});
     for (const SweepRow &row : result.rows) {
         for (const SweepCell &cell : row.cells) {
-            std::vector<std::string> cells = {
-                row.workload,
-                num(row.f),
-                row.scenario,
-                row.organization,
-                std::to_string(row.paperIndex),
-                cell.node.label(),
-                std::to_string(cell.node.year),
-                cell.design.feasible ? "1" : "0",
-            };
+            csv.cell(row.workload)
+                .cell(row.f)
+                .cell(row.scenario)
+                .cell(row.organization)
+                .cell(row.paperIndex)
+                .cell(cell.node.label())
+                .cell(cell.node.year)
+                .cell(cell.design.feasible ? "1" : "0");
             if (cell.design.feasible) {
-                cells.push_back(num(cell.design.r));
-                cells.push_back(num(cell.design.n));
-                cells.push_back(num(cell.design.speedup));
-                cells.push_back(core::limiterName(cell.design.limiter));
-                cells.push_back(num(cell.energyNormalized));
+                csv.cell(cell.design.r)
+                    .cell(cell.design.n)
+                    .cell(cell.design.speedup)
+                    .cell(core::limiterName(cell.design.limiter))
+                    .cell(cell.energyNormalized);
             } else {
-                cells.insert(cells.end(), 5, "");
+                for (int i = 0; i < 5; ++i)
+                    csv.cell("");
             }
-            cells.push_back(num(cell.budget.area));
-            cells.push_back(num(cell.budget.power));
-            cells.push_back(num(cell.budget.bandwidth));
-            writeCsvRow(out, cells);
+            csv.cell(cell.budget.area)
+                .cell(cell.budget.power)
+                .cell(cell.budget.bandwidth)
+                .endRow();
         }
     }
 }

@@ -1,119 +1,83 @@
 #include "csv.hh"
 
-#include <sstream>
+#include <fstream>
+#include <iterator>
 
 #include "format.hh"
 #include "logging.hh"
 
 namespace hcm {
 
-CsvWriter::CsvWriter(const std::string &path) : _out(path)
-{
-    if (!_out)
-        hcm_fatal("cannot open '", path, "' for writing");
-}
-
 void
-CsvWriter::writeRow(const std::vector<std::string> &cells)
+CsvWriter::separate()
 {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i > 0)
-            _out << ",";
-        _out << escape(cells[i]);
-    }
-    _out << "\n";
-    ++_rows;
+    if (!_first)
+        _row += ',';
+    _first = false;
 }
 
-void
-CsvWriter::writeNumericRow(const std::vector<double> &cells)
+CsvWriter &
+CsvWriter::cell(std::string_view text)
 {
-    std::vector<std::string> text;
-    text.reserve(cells.size());
-    for (double v : cells) {
-        std::ostringstream oss;
-        oss.precision(17);
-        oss << v;
-        text.push_back(oss.str());
+    separate();
+    if (text.find_first_of(",\"\n\r") == std::string_view::npos) {
+        _row += text;
+        return *this;
     }
-    writeRow(text);
-}
-
-std::string
-CsvWriter::escape(const std::string &cell)
-{
-    bool needs_quote = cell.find_first_of(",\"\n\r") != std::string::npos;
-    if (!needs_quote)
-        return cell;
-    std::string out = "\"";
-    for (char c : cell) {
+    _row += '"';
+    for (char c : text) {
         if (c == '"')
-            out += "\"\"";
-        else
-            out += c;
+            _row += '"';
+        _row += c;
     }
-    out += "\"";
-    return out;
+    _row += '"';
+    return *this;
 }
 
-std::vector<std::string>
-parseCsvLine(const std::string &line)
+CsvWriter &
+CsvWriter::cell(double v)
 {
-    std::vector<std::string> cells;
-    std::string cur;
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        char c = line[i];
-        if (quoted) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    cur += '"';
-                    ++i;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                cur += c;
-            }
-        } else if (c == '"') {
-            quoted = true;
-        } else if (c == ',') {
-            cells.push_back(cur);
-            cur.clear();
-        } else if (c == '\r') {
-            // Tolerate CRLF input (outside quotes only: a quoted \r is
-            // data and was handled by the branch above).
-        } else {
-            cur += c;
-        }
-    }
-    cells.push_back(cur);
-    return cells;
+    separate();
+    appendDouble17(_row, v);
+    return *this;
+}
+
+void
+CsvWriter::endRow()
+{
+    _row += '\n';
+    _out.write(_row.data(), static_cast<std::streamsize>(_row.size()));
+    _row.clear();
+    _first = true;
+}
+
+void
+CsvWriter::writeRow(std::initializer_list<std::string_view> cells)
+{
+    for (std::string_view text : cells)
+        cell(text);
+    endRow();
 }
 
 std::vector<std::vector<std::string>>
-readCsv(const std::string &path)
+parseCsv(std::string_view text)
 {
-    std::ifstream in(path);
-    if (!in)
-        hcm_fatal("cannot open '", path, "' for reading");
-
     // Quote-aware record scanner: a newline inside quotes continues the
-    // current cell (the writer quotes embedded newlines, so reading
-    // line-by-line would split one logical row into two mangled ones);
-    // a newline outside quotes ends the record.
+    // current cell (the writer quotes embedded newlines, so splitting
+    // on newlines first would cut one logical row into two mangled
+    // ones); a newline outside quotes ends the record.
     std::vector<std::vector<std::string>> rows;
     std::vector<std::string> cells;
     std::string cur;
     bool quoted = false;
     bool pending = false; // any character consumed since the last record
-    char c;
-    while (in.get(c)) {
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        char c = text[i];
         if (quoted) {
             if (c == '"') {
-                if (in.peek() == '"') {
+                if (i + 1 < text.size() && text[i + 1] == '"') {
                     cur += '"';
-                    in.get();
+                    ++i;
                 } else {
                     quoted = false;
                 }
@@ -125,11 +89,11 @@ readCsv(const std::string &path)
             quoted = true;
             pending = true;
         } else if (c == ',') {
-            cells.push_back(cur);
+            cells.push_back(std::move(cur));
             cur.clear();
             pending = true;
         } else if (c == '\n') {
-            cells.push_back(cur);
+            cells.push_back(std::move(cur));
             cur.clear();
             rows.push_back(std::move(cells));
             cells.clear();
@@ -142,13 +106,23 @@ readCsv(const std::string &path)
             pending = true;
         }
     }
-    if (pending || !cells.empty()) {
+    if (pending) {
         // Final record without a trailing newline (or an unterminated
-        // quote at EOF — parse what we have rather than lose it).
-        cells.push_back(cur);
+        // quote at the end — parse what we have rather than lose it).
+        cells.push_back(std::move(cur));
         rows.push_back(std::move(cells));
     }
     return rows;
+}
+
+std::vector<std::vector<std::string>>
+readCsv(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        hcm_fatal("cannot open '", path, "' for reading");
+    std::string text(std::istreambuf_iterator<char>(in), {});
+    return parseCsv(text);
 }
 
 } // namespace hcm

@@ -1,54 +1,74 @@
 /**
  * @file
- * Minimal CSV reading/writing (RFC-4180-style quoting) used by the bench
- * harness to dump figure data for external plotting.
+ * The one home of CSV (RFC-4180-style quoting): a row writer for the
+ * sweep and figure exporters and a record scanner for reading it back.
  */
 
 #ifndef HCM_UTIL_CSV_HH
 #define HCM_UTIL_CSV_HH
 
-#include <fstream>
+#include <charconv>
+#include <concepts>
+#include <initializer_list>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hcm {
 
 /**
- * Streaming CSV writer. Cells containing commas, quotes, or newlines are
- * quoted; embedded quotes are doubled.
+ * Row-at-a-time CSV writer onto any stream. Cells are appended into
+ * one reused row buffer, which reaches the stream at endRow(). A cell
+ * is quoted if and only if it contains a comma, quote, \n or \r;
+ * embedded quotes are doubled.
  */
 class CsvWriter
 {
   public:
-    /** Open @p path for writing; fatal() on failure. */
-    explicit CsvWriter(const std::string &path);
+    explicit CsvWriter(std::ostream &out) : _out(out) {}
 
-    /** Write a row of string cells. */
-    void writeRow(const std::vector<std::string> &cells);
+    /** A text cell, quoted when it needs to be. */
+    CsvWriter &cell(std::string_view text);
 
-    /** Write a row of numeric cells with full precision. */
-    void writeNumericRow(const std::vector<double> &cells);
+    /** A numeric cell with 17 significant digits (appendDouble17). */
+    CsvWriter &cell(double v);
 
-    /** Number of rows written so far. */
-    std::size_t rowCount() const { return _rows; }
+    /** An integer cell. */
+    CsvWriter &
+    cell(std::integral auto v)
+    {
+        separate();
+        char buf[24];
+        _row.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+        return *this;
+    }
 
-    /** Escape a single cell per CSV quoting rules. */
-    static std::string escape(const std::string &cell);
+    /** End the row and hand it to the stream. */
+    void endRow();
+
+    /** A whole row of text cells. */
+    void writeRow(std::initializer_list<std::string_view> cells);
 
   private:
-    std::ofstream _out;
-    std::size_t _rows = 0;
+    void separate();
+
+    std::ostream &_out;
+    std::string _row;
+    bool _first = true;
 };
 
-/** Parse one CSV line into unescaped cells. */
-std::vector<std::string> parseCsvLine(const std::string &line);
-
 /**
- * Read a whole CSV file into rows of cells; fatal() on open failure.
- * Records continue across physical lines while inside quotes, so cells
- * written with embedded newlines round-trip through CsvWriter intact;
- * CRLF record separators are tolerated, and \r inside quotes is data.
+ * Parse CSV text into rows of unescaped cells. Records continue across
+ * physical lines while inside quotes, so cells written with embedded
+ * newlines round-trip through CsvWriter intact; CRLF record separators
+ * are tolerated, and \r inside quotes is data. A final record needs no
+ * trailing newline, and an unterminated quote at the end keeps what it
+ * has read.
  */
+std::vector<std::vector<std::string>> parseCsv(std::string_view text);
+
+/** parseCsv() over a whole file; fatal() on open failure. */
 std::vector<std::vector<std::string>> readCsv(const std::string &path);
 
 } // namespace hcm

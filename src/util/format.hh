@@ -28,6 +28,22 @@ std::string fmtFixed(double value, int precision);
  */
 std::string fmtSig(double value, int sig = 3);
 
+/**
+ * Append @p v as printf "%.17g" would print it — the standard defines
+ * to_chars(general, 17) as exactly that, and 17 significant digits
+ * round-trip every double. The one home of the round-trip-exact text
+ * form: canonical query keys, sweep CSV cells and Prometheus bucket
+ * bounds all print through it.
+ */
+inline void
+appendDouble17(std::string &out, double v)
+{
+    char buf[32]; // "-2.2250738585072014e-308" is the longest: 24 chars
+    auto result = std::to_chars(buf, buf + sizeof(buf), v,
+                                std::chars_format::general, 17);
+    out.append(buf, result.ptr);
+}
+
 /** Format in scientific notation with @p precision mantissa digits. */
 std::string fmtSci(double value, int precision = 2);
 
@@ -56,7 +72,7 @@ bool iequals(const std::string &a, const std::string &b);
 /** Strip leading and trailing whitespace. */
 std::string trim(const std::string &s);
 
-/** Split @p s on @p delim (no quoting; see CsvReader for quoted fields). */
+/** Split @p s on @p delim (no quoting; see parseCsv for quoted fields). */
 std::vector<std::string> split(const std::string &s, char delim);
 
 /** All of @p text as a finite T (std::from_chars: no whitespace or

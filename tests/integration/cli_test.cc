@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -155,6 +156,21 @@ TEST(CliTest, BadInputsFailCleanly)
         auto [code, out] = runCli(args);
         EXPECT_EQ(code, 1) << args << "\n" << out;
         EXPECT_EQ(out.rfind("fatal: ", 0), 0u) << args << "\n" << out;
+    }
+    // A write that fails (a full disk) is an error, like a failed
+    // open. Roofline warns about counters before its fatal line.
+    if (std::filesystem::exists("/dev/full")) {
+        const std::string slice =
+            "sweep --workloads mmm --fractions 0.99 --scenarios baseline";
+        for (const std::string &args : std::vector<std::string>{
+                 slice + " --output /dev/full", slice + " > /dev/full",
+                 slice + " --output /dev/null --metrics-out /dev/full",
+                 "roofline --measured --smoke --output /dev/full"}) {
+            auto [code, out] = runCli(args);
+            EXPECT_EQ(code, 1) << args << "\n" << out;
+            EXPECT_NE(("\n" + out).find("\nfatal: "), std::string::npos)
+                << args << "\n" << out;
+        }
     }
     // The workload spelling is case-insensitive on every path, and the
     // cache-traffic model takes any power of two.

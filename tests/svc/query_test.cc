@@ -1,12 +1,6 @@
 /** @file Tests for the typed query layer: canonical keys, evaluation
  *  against direct core calls, and JSON serialization. */
 
-#include <cmath>
-#include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <limits>
-#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -156,43 +150,6 @@ TEST(QueryKeyTest, KeysArePinnedByteForByte)
     EXPECT_EQ(pareto.canonicalKey(),
               "pareto|BS|f=0.123456789012345|s=thermal-3d|n=16|"
               "d=V6-LX760");
-}
-
-TEST(QueryKeyTest, KeyDoublesMatchPrintf17g)
-{
-    // canonicalKey() formats doubles with to_chars(general, 17), which
-    // the standard defines as printf "%.17g": the key bytes, and with
-    // them ring placement and cache identity, must be the same.
-    std::vector<double> values = {
-        0.0, -0.0, 0.1, 0.5, 0.99, 9007199254740992.0, // 2^53
-        std::numeric_limits<double>::denorm_min(),
-        -std::numeric_limits<double>::denorm_min(),
-        2.2250738585072009e-308, // largest subnormal
-        std::numeric_limits<double>::min(),
-        std::numeric_limits<double>::max(),
-        std::numeric_limits<double>::lowest(),
-    };
-    std::mt19937_64 rng(20101204);
-    for (int i = 0; i < 100000; ++i) {
-        std::uint64_t bits = rng();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        if (std::isfinite(v))
-            values.push_back(v);
-    }
-    std::size_t mismatches = 0;
-    for (double v : values) {
-        Query q;
-        q.f = v;
-        q.node = v;
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        std::string expected = std::string("optimize|FFT-1024|f=") + buf +
-                               "|s=baseline|n=" + buf + "|d=*";
-        if (q.canonicalKey() != expected && ++mismatches <= 5)
-            ADD_FAILURE() << q.canonicalKey() << " != " << expected;
-    }
-    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(QueryEvalTest, OptimizeMatchesDirectCoreCall)

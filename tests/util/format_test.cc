@@ -1,7 +1,13 @@
 /** @file Unit tests for util/format. */
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -115,6 +121,51 @@ TEST(FormatTest, ParseNumberTakesWholeFiniteTokens)
                              "99999999999999999999999"})
         EXPECT_FALSE(parseNumber<std::size_t>(text)) << text;
     EXPECT_FALSE(parseNumber<int>("99999999999"));
+}
+
+TEST(FormatTest, AppendDouble17MatchesPrintfAndOstream)
+{
+    // Two pinned byte streams depend on this text: printf "%.17g"
+    // (canonical query keys, so ring placement and cache identity;
+    // Prometheus bucket bounds) and an ostringstream at precision 17
+    // (the sweep CSV goldens and digests). It must equal both.
+    std::vector<double> values = {
+        0.0, -0.0, 0.1, 0.5, 0.99, 9007199254740992.0, // 2^53
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        2.2250738585072009e-308, // largest subnormal
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    std::mt19937_64 rng(20101204);
+    for (int i = 0; i < 100000; ++i) {
+        std::uint64_t bits = rng();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (std::isfinite(v))
+            values.push_back(v);
+    }
+    std::size_t mismatches = 0;
+    for (double v : values) {
+        std::string text = "x";
+        appendDouble17(text, v);
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        std::ostringstream oss;
+        oss.precision(17);
+        oss << v;
+        if ((text != std::string("x") + buf ||
+             text != "x" + oss.str()) &&
+            ++mismatches <= 5)
+            ADD_FAILURE() << text << " vs printf " << buf
+                          << " vs ostream " << oss.str();
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 } // namespace

@@ -595,13 +595,13 @@ class TraceSession
             return;
         obs::Tracer::instance().setEnabled(false);
         std::ofstream out(_path);
-        if (!out) {
-            hcm_warn("cannot write trace file '", _path, "'");
-            return;
-        }
         std::size_t spans = obs::Tracer::instance().spanCount();
         obs::Tracer::instance().writeChromeTrace(out);
         out << "\n";
+        if (!out.flush()) {
+            hcm_warn("cannot write trace file '", _path, "'");
+            return;
+        }
         hcm_inform("trace written", logField("file", _path),
                    logField("spans", spans));
     }
@@ -632,16 +632,16 @@ class ProfileSession
         prof::Profiler &profiler = prof::Profiler::instance();
         profiler.setEnabled(false);
         std::ofstream out(_path);
-        if (!out) {
-            hcm_warn("cannot write profile file '", _path, "'");
-            return;
-        }
         std::size_t sites = profiler.siteCount();
         if (_format == "json") {
             profiler.writeJson(out);
             out << "\n";
         } else {
             profiler.writeCollapsed(out);
+        }
+        if (!out.flush()) {
+            hcm_warn("cannot write profile file '", _path, "'");
+            return;
         }
         hcm_inform("profile written", logField("file", _path),
                    logField("sites", sites),
@@ -696,8 +696,6 @@ writeMetricsFile(const Options &opts, const svc::QueryEngine *engine)
     if (opts.metricsOut.empty())
         return;
     std::ofstream out(opts.metricsOut);
-    if (!out)
-        hcm_fatal("cannot write metrics file '", opts.metricsOut, "'");
     if (opts.metricsFormat == "prom") {
         if (engine)
             engine->writeMetricsProm(out);
@@ -714,6 +712,8 @@ writeMetricsFile(const Options &opts, const svc::QueryEngine *engine)
         json.endObject();
         out << "\n";
     }
+    if (!out.flush())
+        hcm_fatal("cannot write metrics file '", opts.metricsOut, "'");
     hcm_inform("metrics written", logField("file", opts.metricsOut),
                logField("format", opts.metricsFormat));
 }
@@ -851,16 +851,17 @@ cmdSweep(const Options &opts)
     sweep::SweepResult result = sweep::runSweep(*spec, sopts);
 
     std::ofstream file;
-    if (!opts.output.empty()) {
+    if (!opts.output.empty())
         file.open(opts.output);
-        if (!file)
-            hcm_fatal("cannot write output file '", opts.output, "'");
-    }
     std::ostream &out = opts.output.empty() ? std::cout : file;
     if (opts.format == "json")
         sweep::writeSweepJson(out, result);
     else
         sweep::writeSweepCsv(out, result);
+    if (!out.flush())
+        hcm_fatal("cannot write ",
+                  opts.output.empty() ? "stdout"
+                                      : "output file '" + opts.output + "'");
     if (!opts.output.empty())
         hcm_inform("sweep written", logField("file", opts.output),
                    logField("rows", result.rows.size()),
@@ -1044,9 +1045,9 @@ cmdTraceMerge(const std::vector<std::string> &paths,
     }
     std::ofstream out(opts.output,
                       std::ios::binary | std::ios::trunc);
-    if (!out)
-        hcm_fatal("cannot write '", opts.output, "'");
     out << merged.str();
+    if (!out.flush())
+        hcm_fatal("cannot write '", opts.output, "'");
     hcm_inform("merged trace written", logField("file", opts.output),
                logField("inputs", inputs.size()));
     return 0;
@@ -1179,9 +1180,9 @@ cmdRooflineMeasured(const Options &opts)
     hwc::SelfRooflineReport report = hwc::measureSelfRoofline(sopts);
     if (!opts.output.empty()) {
         std::ofstream out(opts.output);
-        if (!out)
-            hcm_fatal("cannot write '", opts.output, "'");
         hwc::writeSelfRooflineJson(report, out);
+        if (!out.flush())
+            hcm_fatal("cannot write '", opts.output, "'");
         hcm_inform("self-roofline written",
                    logField("file", opts.output));
     }
@@ -1528,9 +1529,9 @@ cmdBench(const Options &opts)
     if (!prof::runBenchPipeline(bopts, merged, &error))
         hcm_fatal("bench: ", error);
     std::ofstream out(opts.results);
-    if (!out)
-        hcm_fatal("cannot write results file '", opts.results, "'");
     out << merged.str();
+    if (!out.flush())
+        hcm_fatal("cannot write results file '", opts.results, "'");
     hcm_inform("bench results written",
                logField("file", opts.results),
                logField("smoke", opts.smoke ? "yes" : "no"));
