@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "core/projection.hh"
 #include "util/logging.hh"
 #include "util/math.hh"
 
@@ -50,25 +51,22 @@ requiredParallelism(dev::DeviceId device, const wl::Workload &w,
     auto het = heterogeneous(device, w);
     if (!het)
         return std::nullopt;
-    Budget budget = makeBudget(node, w, scenario);
-    OptimizerOptions opts;
-    opts.alpha = scenario.alpha;
+    // Bisect over the sweep fraction f, with every side optimized at the
+    // scenario's effective (org, f).
+    AppliedScenario applied = applyScenario(scenario, node, w);
+    const Organization challenger = applied.organization(*het);
+    const Organization sym = applied.organization(symmetricCmp());
+    const Organization asym = applied.organization(asymmetricCmp());
 
-    // "Better of the two CMPs" varies with f; fold it into the gap by
-    // bisecting against the pointwise max.
+    // "Better of the two CMPs" varies with f: the gap takes the smaller
+    // of the two ratios (an infeasible CMP's is +inf).
     auto gap = [&](double f) {
-        DesignPoint c = optimize(*het, f, budget, opts);
-        if (!c.feasible)
-            return -target;
-        double best_cmp = 0.0;
-        for (const Organization &cmp : {symmetricCmp(), asymmetricCmp()}) {
-            DesignPoint dp = optimize(cmp, f, budget, opts);
-            if (dp.feasible)
-                best_cmp = std::max(best_cmp, dp.speedup);
-        }
-        if (best_cmp <= 0.0)
-            return target; // CMPs infeasible: the HET trivially wins
-        return c.speedup / best_cmp - target;
+        double f_eff = applied.fraction(f);
+        return std::min(speedupRatio(challenger, sym, f_eff,
+                                     applied.budget, applied.opts),
+                        speedupRatio(challenger, asym, f_eff,
+                                     applied.budget, applied.opts)) -
+               target;
     };
     double lo = 0.0, hi = 0.9999;
     if (gap(hi) < 0.0)

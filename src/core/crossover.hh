@@ -41,8 +41,9 @@ std::optional<double> crossoverFraction(
 
 /**
  * Convenience: the minimum parallelism at which the HET for @p device
- * beats the better of the two CMPs by @p target at @p node under the
- * baseline scenario. nullopt when it never does.
+ * beats the better of the two CMPs by @p target at @p node under
+ * @p scenario (applyScenario(), segment profile included). nullopt when
+ * it never does.
  */
 std::optional<double> requiredParallelism(
     dev::DeviceId device, const wl::Workload &w, double target,

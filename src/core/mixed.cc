@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "amdahl/pollack.hh"
+#include "core/projection.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -14,22 +15,6 @@ namespace core {
 namespace {
 
 constexpr double kEps = 1e-12;
-
-/** Sum of slot fractions; validates each slot. */
-double
-totalFraction(const std::vector<KernelSlot> &slots)
-{
-    hcm_assert(!slots.empty(), "mixed chip needs at least one slot");
-    double sum = 0.0;
-    for (const KernelSlot &s : slots) {
-        hcm_assert(s.fraction >= 0.0 && s.fraction <= 1.0,
-                   "slot fraction outside [0,1]");
-        s.ucore.check();
-        sum += s.fraction;
-    }
-    hcm_assert(sum <= 1.0 + 1e-9, "slot fractions sum to ", sum, " > 1");
-    return std::min(sum, 1.0);
-}
 
 /** Per-slot cap from the phase-exclusive power and bandwidth budgets. */
 double
@@ -55,6 +40,23 @@ slotLimiterAt(const KernelSlot &slot, const Budget &slot_budget,
 }
 
 } // namespace
+
+std::string
+slotsError(const std::vector<KernelSlot> &slots)
+{
+    if (slots.empty())
+        return "mixed chip needs at least one slot";
+    double sum = 0.0;
+    for (const KernelSlot &s : slots) {
+        if (!(s.fraction >= 0.0 && s.fraction <= 1.0))
+            return detail::concat("slot fraction ", s.fraction,
+                                  " outside [0, 1]");
+        sum += s.fraction;
+    }
+    if (sum > 1.0 + 1e-9)
+        return detail::concat("slot fractions sum to ", sum, " > 1");
+    return "";
+}
 
 std::vector<double>
 waterfillAreas(const std::vector<double> &fractions,
@@ -112,16 +114,15 @@ KernelSlot
 makeSlot(dev::DeviceId device, const wl::Workload &w, double fraction,
          const BceCalibration &calib)
 {
-    auto params = calib.deriveUCore(device, w);
-    hcm_assert(params.has_value(), "no measurement for ",
+    auto org = heterogeneous(device, w, calib);
+    hcm_assert(org.has_value(), "no measurement for ",
                dev::deviceName(device), " on ", w.name());
     KernelSlot slot;
     slot.workload = w;
     slot.fraction = fraction;
-    slot.ucore = *params;
-    slot.fabricName = dev::deviceName(device);
-    slot.bandwidthExempt =
-        device == dev::DeviceId::Asic && w.kind() == wl::Kind::MMM;
+    slot.ucore = org->ucore;
+    slot.fabricName = org->name;
+    slot.bandwidthExempt = org->bandwidthExempt;
     return slot;
 }
 
@@ -130,17 +131,28 @@ optimizeMixed(const std::vector<KernelSlot> &slots, FabricMode mode,
               const itrs::NodeParams &node, const Scenario &scenario,
               OptimizerOptions opts, const BceCalibration &calib)
 {
-    double f_par = totalFraction(slots);
-    double f_ser = 1.0 - f_par;
-    opts.alpha = scenario.alpha;
+    std::string why = slotsError(slots);
+    hcm_assert(why.empty(), why);
+    hcm_assert(scenario.segments.empty(), "scenario '", scenario.name,
+               "' has a segment profile; mixed chips take their phases "
+               "from the slots");
+    double f_par = 0.0;
+    for (const KernelSlot &s : slots) {
+        s.ucore.check();
+        f_par += s.fraction;
+    }
+    double f_ser = 1.0 - std::min(f_par, 1.0);
 
     // Phase-exclusive budgets per slot (bandwidth units depend on the
     // slot's workload intensity).
     std::vector<Budget> slot_budgets;
     slot_budgets.reserve(slots.size());
-    for (const KernelSlot &s : slots)
-        slot_budgets.push_back(makeBudget(node, s.workload, scenario,
-                                          calib));
+    for (const KernelSlot &s : slots) {
+        AppliedScenario applied =
+            applyScenario(scenario, node, s.workload, opts, calib);
+        slot_budgets.push_back(applied.budget);
+        opts = applied.opts; // the scenario's alpha, the same per slot
+    }
     double area_budget = slot_budgets.front().area;
 
     // Serial bounds: the tightest across slot budgets (power is shared;

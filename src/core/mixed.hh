@@ -72,11 +72,18 @@ KernelSlot makeSlot(dev::DeviceId device, const wl::Workload &w,
                     const BceCalibration &calib =
                         BceCalibration::standard());
 
+/** Why @p slots are not one application ("" when they are): no slot,
+ *  a fraction outside [0, 1], or fractions summing past 1. */
+std::string slotsError(const std::vector<KernelSlot> &slots);
+
 /**
  * Optimize a mixed chip at @p node: sweeps the sequential core size like
  * the single-fabric optimizer, then allocates fabric area per slot.
  *
- * @param slots kernel phases; fractions must sum to <= 1.
+ * The slots are the phases, so a scenario with a segment profile
+ * panics.
+ *
+ * @param slots kernel phases; slotsError() must be empty.
  * @param mode area-sharing discipline.
  */
 MixedDesign optimizeMixed(

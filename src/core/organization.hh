@@ -46,6 +46,12 @@ struct Organization
     bool bandwidthExempt = false;
 
     bool isHet() const { return kind == OrgKind::Heterogeneous; }
+
+    /** The device filter: false only for a HET of another device. */
+    bool matchesDevice(std::optional<dev::DeviceId> only) const
+    {
+        return !only || !isHet() || device == only;
+    }
 };
 
 /** The symmetric CMP line. */

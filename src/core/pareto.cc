@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/multi_amdahl.hh"
 #include "core/optimizer_batch.hh"
 #include "util/logging.hh"
 
@@ -33,22 +32,22 @@ enumerateDesignsScalar(const wl::Workload &w, double f,
                        const Scenario &scenario, OptimizerOptions opts,
                        const BceCalibration &calib)
 {
-    opts.alpha = scenario.alpha;
-    Budget budget = makeBudget(node, w, scenario, calib);
+    AppliedScenario applied = applyScenario(scenario, node, w, opts, calib);
+    const Budget &budget = applied.budget;
+    double alpha = applied.opts.alpha;
 
     std::vector<ParetoPoint> points;
-    double cap = std::min(opts.rMax, serialRCap(budget, opts.alpha));
+    double cap = std::min(opts.rMax, serialRCap(budget, alpha));
     std::vector<double> candidates = rCandidateGrid(cap);
-    double f_eff = effectiveFraction(f, scenario.segments);
+    double f_eff = applied.fraction(f);
     for (const Organization &org : paperOrganizations(w, calib)) {
-        EffectiveOrg eff = effectiveOrganization(org, scenario.segments);
+        Organization eff = applied.organization(org);
         for (double r : candidates) {
             // Evaluate the design at exactly this r.
-            ParallelBound pb =
-                parallelBound(eff.org, r, budget, opts.alpha);
+            ParallelBound pb = parallelBound(eff, r, budget, alpha);
             if (pb.n < r)
                 continue;
-            if (needsParallelHeadroom(eff.org, f_eff) &&
+            if (needsParallelHeadroom(eff, f_eff) &&
                 pb.n - r < kMinParallelHeadroom)
                 continue;
 
@@ -59,9 +58,8 @@ enumerateDesignsScalar(const wl::Workload &w, double f,
             pt.design.r = r;
             pt.design.n = pb.n;
             pt.design.limiter = pb.limiter;
-            pt.design.speedup = evaluateSpeedup(eff.org, f_eff, r, pb.n);
-            pt.design.energy =
-                designEnergy(eff.org, f_eff, r, pb.n, opts.alpha);
+            pt.design.speedup = evaluateSpeedup(eff, f_eff, r, pb.n);
+            pt.design.energy = designEnergy(eff, f_eff, r, pb.n, alpha);
             pt.design.feasible = true;
             pt.energyNormalized = normalizedEnergy(
                 pt.design.energy, node.relPowerPerTransistor);
@@ -76,8 +74,7 @@ enumerateDesigns(const wl::Workload &w, double f,
                  const itrs::NodeParams &node, const Scenario &scenario,
                  OptimizerOptions opts, const BceCalibration &calib)
 {
-    opts.alpha = scenario.alpha;
-    Budget budget = makeBudget(node, w, scenario, calib);
+    AppliedScenario applied = applyScenario(scenario, node, w, opts, calib);
 
     // One SoA table per organization; the per-candidate bound walk of
     // the scalar oracle above becomes contiguous array passes. Results
@@ -85,10 +82,10 @@ enumerateDesigns(const wl::Workload &w, double f,
     std::vector<ParetoPoint> points;
     std::vector<DesignPoint> designs;
     BatchEvaluator evaluator;
-    double f_eff = effectiveFraction(f, scenario.segments);
+    double f_eff = applied.fraction(f);
     for (const Organization &org : paperOrganizations(w, calib)) {
-        EffectiveOrg eff = effectiveOrganization(org, scenario.segments);
-        evaluator.assign(eff.org, budget, opts);
+        evaluator.assign(applied.organization(org), applied.budget,
+                         applied.opts);
         designs.clear();
         evaluator.evaluateAll(f_eff, designs);
         for (const DesignPoint &dp : designs) {
@@ -100,6 +97,28 @@ enumerateDesigns(const wl::Workload &w, double f,
                 normalizedEnergy(dp.energy, node.relPowerPerTransistor);
             points.push_back(pt);
         }
+    }
+    return points;
+}
+
+std::vector<ParetoPoint>
+bestDesigns(const wl::Workload &w, double f, const itrs::NodeParams &node,
+            const Scenario &scenario, std::optional<dev::DeviceId> device,
+            OptimizerOptions opts, const BceCalibration &calib)
+{
+    AppliedScenario applied = applyScenario(scenario, node, w, opts, calib);
+    double f_eff = applied.fraction(f);
+    std::vector<ParetoPoint> points;
+    for (const Organization &org : paperOrganizations(w, calib)) {
+        if (!org.matchesDevice(device))
+            continue;
+        DesignPoint dp = optimize(applied.organization(org), f_eff,
+                                  applied.budget, applied.opts);
+        points.push_back({org.name, org.paperIndex, dp,
+                          dp.feasible ? normalizedEnergy(
+                                            dp.energy,
+                                            node.relPowerPerTransistor)
+                                      : 0.0});
     }
     return points;
 }

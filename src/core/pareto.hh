@@ -11,6 +11,7 @@
 #ifndef HCM_CORE_PARETO_HH
 #define HCM_CORE_PARETO_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,8 @@
 namespace hcm {
 namespace core {
 
-/** One candidate design with both objectives evaluated. */
+/** One candidate design with both objectives evaluated (infeasible
+ *  only from bestDesigns()). */
 struct ParetoPoint
 {
     std::string orgName;
@@ -41,6 +43,15 @@ struct ParetoPoint
 std::vector<ParetoPoint> enumerateDesigns(
     const wl::Workload &w, double f, const itrs::NodeParams &node,
     const Scenario &scenario = baselineScenario(),
+    OptimizerOptions opts = {},
+    const BceCalibration &calib = BceCalibration::standard());
+
+/** The best design (opts.objective) at @p node of each paper
+ *  organization that matches the device filter, in legend order. */
+std::vector<ParetoPoint> bestDesigns(
+    const wl::Workload &w, double f, const itrs::NodeParams &node,
+    const Scenario &scenario = baselineScenario(),
+    std::optional<dev::DeviceId> device = std::nullopt,
     OptimizerOptions opts = {},
     const BceCalibration &calib = BceCalibration::standard());
 

@@ -1,29 +1,37 @@
 #include "projection.hh"
 
-#include "core/multi_amdahl.hh"
-
 namespace hcm {
 namespace core {
+
+AppliedScenario
+applyScenario(const Scenario &scenario, const itrs::NodeParams &node,
+              const wl::Workload &w, OptimizerOptions opts,
+              const BceCalibration &calib)
+{
+    opts.alpha = scenario.alpha;
+    return {makeBudget(node, w, scenario, calib), opts,
+            &scenario.segments};
+}
 
 ProjectionSeries
 projectOrganization(const Organization &org, const wl::Workload &w,
                     double f, const Scenario &scenario,
                     OptimizerOptions opts, const BceCalibration &calib)
 {
-    opts.alpha = scenario.alpha;
-    // Multi-Amdahl scenarios reduce to the single-f model evaluated at
-    // an effective (org, f); identity for single-f scenarios.
-    EffectiveOrg eff = effectiveOrganization(org, scenario.segments);
-    double f_eff = effectiveFraction(f, scenario.segments);
-
     ProjectionSeries series;
     series.org = org;
+    Organization eff;
+    double f_eff = f;
     for (const itrs::NodeParams &node : itrs::nodeTable()) {
-        NodePoint pt;
-        pt.node = node;
-        pt.budget = makeBudget(node, w, scenario, calib);
-        pt.design = optimize(eff.org, f_eff, pt.budget, opts);
-        series.points.push_back(pt);
+        AppliedScenario applied =
+            applyScenario(scenario, node, w, opts, calib);
+        if (series.points.empty()) { // node-independent: reduce once
+            eff = applied.organization(org);
+            f_eff = applied.fraction(f);
+        }
+        series.points.push_back(
+            {node, applied.budget,
+             optimize(eff, f_eff, applied.budget, applied.opts)});
     }
     return series;
 }

@@ -9,12 +9,45 @@
 
 #include <vector>
 
+#include "core/multi_amdahl.hh"
 #include "core/optimizer.hh"
-#include "core/scenario.hh"
 #include "itrs/scaling.hh"
 
 namespace hcm {
 namespace core {
+
+/**
+ * A scenario applied at one node for one workload: the budgets, the
+ * options with the scenario's alpha, and the node-independent
+ * multi-Amdahl reduction of its segment profile (identity when empty).
+ * The scenario must outlive it.
+ */
+struct AppliedScenario
+{
+    Budget budget;
+    OptimizerOptions opts;
+    const SegmentProfile *segments = nullptr;
+
+    /** The effective organization the optimizer sees for @p org. */
+    Organization organization(const Organization &org) const
+    {
+        return effectiveOrganization(org, *segments).org;
+    }
+    /** The effective model fraction for sweep fraction @p f. */
+    double fraction(double f) const { return effectiveFraction(f, *segments); }
+};
+
+/** The one place a scenario becomes optimizer inputs; @p opts keeps
+ *  every field but alpha. */
+AppliedScenario applyScenario(
+    const Scenario &scenario, const itrs::NodeParams &node,
+    const wl::Workload &w, OptimizerOptions opts = {},
+    const BceCalibration &calib = BceCalibration::standard());
+/** A temporary scenario would leave the result's profile dangling. */
+AppliedScenario applyScenario(
+    const Scenario &&, const itrs::NodeParams &, const wl::Workload &,
+    OptimizerOptions = {},
+    const BceCalibration & = BceCalibration::standard()) = delete;
 
 /** One node of a projection line. */
 struct NodePoint

@@ -1,12 +1,6 @@
 #include "query.hh"
 
-#include "core/budget.hh"
-#include "core/multi_amdahl.hh"
-#include "core/optimizer_batch.hh"
-#include "core/organization.hh"
 #include "core/pareto.hh"
-#include "core/projection.hh"
-#include "core/scenario.hh"
 #include "itrs/scaling.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
@@ -15,99 +9,23 @@ namespace hcm {
 namespace svc {
 namespace {
 
-/** Per-organization rows at one node (Optimize / Energy). */
-std::vector<ResultRow>
-evaluateAtNode(const Query &q, core::Objective objective)
+/** One design as a result row; the numbers only when it is feasible. */
+ResultRow
+designRow(std::string org, std::string node,
+          const core::DesignPoint &design, double energy_normalized)
 {
-    const core::Scenario &scenario = core::scenarioByName(q.scenario);
-    const itrs::NodeParams &node = itrs::nodeParams(q.node);
-    core::Budget budget = core::makeBudget(node, q.workload, scenario);
-    core::OptimizerOptions opts;
-    opts.alpha = scenario.alpha;
-    opts.objective = objective;
-
-    // Multi-Amdahl scenarios evaluate at the effective (org, f)
-    // reduction; identity for single-f scenarios.
-    double f_eff = core::effectiveFraction(q.f, scenario.segments);
-    std::vector<ResultRow> rows;
-    core::BatchEvaluator evaluator;
-    for (const core::Organization &org :
-         core::paperOrganizations(q.workload)) {
-        if (q.device && org.isHet() && org.device != q.device)
-            continue;
-        // One SoA evaluator reused across the organization loop: each
-        // assign() recycles the previous table's capacity; bit-identical
-        // to core::optimize on the same (org, budget, opts).
-        core::EffectiveOrg eff =
-            core::effectiveOrganization(org, scenario.segments);
-        evaluator.assign(eff.org, budget, opts);
-        core::DesignPoint dp = evaluator.best(f_eff);
-        ResultRow row;
-        row.org = org.name;
-        row.node = node.label();
-        row.feasible = dp.feasible;
-        if (dp.feasible) {
-            row.r = dp.r;
-            row.n = dp.n;
-            row.speedup = dp.speedup;
-            row.limiter = core::limiterName(dp.limiter);
-            row.energyNormalized = core::normalizedEnergy(
-                dp.energy, node.relPowerPerTransistor);
-        }
-        rows.push_back(row);
+    ResultRow row;
+    row.org = std::move(org);
+    row.node = std::move(node);
+    row.feasible = design.feasible;
+    if (design.feasible) {
+        row.r = design.r;
+        row.n = design.n;
+        row.speedup = design.speedup;
+        row.limiter = core::limiterName(design.limiter);
+        row.energyNormalized = energy_normalized;
     }
-    return rows;
-}
-
-std::vector<ResultRow>
-evaluateProjection(const Query &q)
-{
-    const core::Scenario &scenario = core::scenarioByName(q.scenario);
-    std::vector<ResultRow> rows;
-    for (const core::ProjectionSeries &series :
-         core::projectAll(q.workload, q.f, scenario)) {
-        if (q.device && series.org.isHet() &&
-            series.org.device != q.device)
-            continue;
-        for (const core::NodePoint &pt : series.points) {
-            ResultRow row;
-            row.org = series.org.name;
-            row.node = pt.node.label();
-            row.feasible = pt.design.feasible;
-            if (pt.design.feasible) {
-                row.r = pt.design.r;
-                row.n = pt.design.n;
-                row.speedup = pt.design.speedup;
-                row.limiter = core::limiterName(pt.design.limiter);
-                row.energyNormalized = pt.energyNormalized();
-            }
-            rows.push_back(row);
-        }
-    }
-    return rows;
-}
-
-std::vector<ResultRow>
-evaluatePareto(const Query &q)
-{
-    const core::Scenario &scenario = core::scenarioByName(q.scenario);
-    const itrs::NodeParams &node = itrs::nodeParams(q.node);
-    auto frontier = core::paretoFrontier(
-        core::enumerateDesigns(q.workload, q.f, node, scenario));
-    std::vector<ResultRow> rows;
-    for (const core::ParetoPoint &p : frontier) {
-        ResultRow row;
-        row.org = p.orgName;
-        row.node = node.label();
-        row.feasible = p.design.feasible;
-        row.r = p.design.r;
-        row.n = p.design.n;
-        row.speedup = p.design.speedup;
-        row.limiter = core::limiterName(p.design.limiter);
-        row.energyNormalized = p.energyNormalized;
-        rows.push_back(row);
-    }
-    return rows;
+    return row;
 }
 
 } // namespace
@@ -278,20 +196,33 @@ evaluateQuery(const Query &q)
 {
     QueryResult result;
     result.query = q;
-    switch (q.type) {
-      case QueryType::Optimize:
-        result.rows = evaluateAtNode(q, core::Objective::MaxSpeedup);
-        break;
-      case QueryType::Energy:
-        result.rows = evaluateAtNode(q, core::Objective::MinEnergy);
-        break;
-      case QueryType::Projection:
-        result.rows = evaluateProjection(q);
-        break;
-      case QueryType::Pareto:
-        result.rows = evaluatePareto(q);
-        break;
+    const core::Scenario &scenario = core::scenarioByName(q.scenario);
+    if (q.type == QueryType::Projection) {
+        for (const core::ProjectionSeries &series :
+             core::projectAll(q.workload, q.f, scenario)) {
+            if (!series.org.matchesDevice(q.device))
+                continue;
+            for (const core::NodePoint &pt : series.points)
+                result.rows.push_back(
+                    designRow(series.org.name, pt.node.label(), pt.design,
+                              pt.energyNormalized()));
+        }
+        return result;
     }
+    // Optimize, Energy and Pareto: designs at one node.
+    const itrs::NodeParams &node = itrs::nodeParams(q.node);
+    core::OptimizerOptions opts;
+    if (q.type == QueryType::Energy)
+        opts.objective = core::Objective::MinEnergy;
+    std::vector<core::ParetoPoint> points =
+        q.type == QueryType::Pareto
+            ? core::paretoFrontier(core::enumerateDesigns(
+                  q.workload, q.f, node, scenario))
+            : core::bestDesigns(q.workload, q.f, node, scenario, q.device,
+                                opts);
+    for (const core::ParetoPoint &p : points)
+        result.rows.push_back(designRow(p.orgName, node.label(), p.design,
+                                        p.energyNormalized));
     return result;
 }
 

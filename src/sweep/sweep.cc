@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/multi_amdahl.hh"
 #include "core/optimizer_batch.hh"
 #include "hwc/counter_region.hh"
 #include "obs/metrics.hh"
@@ -19,22 +18,26 @@ namespace sweep {
 
 namespace {
 
-/** One schedulable unit: everything it reads outlives the pool. */
+/**
+ * Everything f-independent about one (workload, scenario), built once
+ * and read by its units from every worker thread: the scenario applied
+ * at each node, and the SoA tables indexed [org * nodes + node] (Table
+ * 1 bounds, limiter classification, the serial-power pow() table).
+ * best(f) is const and allocation-free, so one table serves the whole
+ * f-grid.
+ */
+struct Tables
+{
+    std::vector<core::AppliedScenario> applied;
+    std::vector<core::BatchEvaluator> evaluators;
+};
+
+/** One schedulable unit: everything it reads outlives the pool. The
+ *  unit's index is its row's index. */
 struct Unit
 {
-    std::size_t row = 0;
-    const wl::Workload *workload = nullptr;
     double f = 0.0;
-    const core::Scenario *scenario = nullptr;
-    const core::Organization *org = nullptr;
-    /** Per-node budgets shared by every unit of (workload, scenario). */
-    const std::vector<core::Budget> *budgets = nullptr;
-    /**
-     * Precomputed SoA tables shared by every unit of (workload,
-     * scenario), indexed [org * nodes + node]; best(f) is const, so one
-     * table serves the whole f-grid across all worker threads.
-     */
-    const std::vector<core::BatchEvaluator> *evaluators = nullptr;
+    const Tables *tables = nullptr;
     std::size_t orgIndex = 0;
 };
 
@@ -73,24 +76,22 @@ evaluateUnit(const Unit &unit, SweepRow &row)
     hwc::CounterRegion counters(&span);
 
     const std::vector<itrs::NodeParams> &nodes = itrs::nodeTable();
-    // Multi-Amdahl scenarios evaluate at the effective model fraction
-    // (identity for single-f scenarios); the matching effective
-    // organization was baked into the shared evaluator tables.
-    double f_eff =
-        core::effectiveFraction(unit.f, unit.scenario->segments);
+    // The effective model fraction; the matching effective organization
+    // was baked into the shared evaluator tables.
+    const Tables &tables = *unit.tables;
+    double f_eff = tables.applied.front().fraction(unit.f);
     row.cells.clear();
     row.cells.reserve(nodes.size());
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         SweepCell cell;
         cell.node = nodes[i];
-        cell.budget = (*unit.budgets)[i];
+        cell.budget = tables.applied[i].budget;
         // Shared table lookup: the f-independent work (bounds, limiter
         // classification, pow) was done once in runSweep's evaluator
         // pass and is amortized over the whole fraction grid. Results
         // are bit-identical to core::optimize on (org, budget, opts).
         cell.design =
-            (*unit.evaluators)[unit.orgIndex * nodes.size() + i]
-                .best(f_eff);
+            tables.evaluators[unit.orgIndex * nodes.size() + i].best(f_eff);
         cell.energyNormalized =
             cell.design.feasible
                 ? core::normalizedEnergy(
@@ -146,49 +147,31 @@ runSweep(const SweepSpec &spec, const SweepOptions &opts)
     validate(spec);
 
     // Shared read-only inputs, derived once: the organization list per
-    // workload and the budget table per (workload, scenario) — units
-    // never re-derive either (the serial path re-made budgets for every
-    // organization).
+    // workload and the Tables per (workload, scenario).
     const std::vector<itrs::NodeParams> &nodes = itrs::nodeTable();
     std::vector<std::vector<core::Organization>> orgs;
     orgs.reserve(spec.workloads.size());
     for (const wl::Workload &w : spec.workloads)
         orgs.push_back(core::paperOrganizations(w, spec.calib));
-    std::vector<std::vector<core::Budget>> budgets;
-    budgets.reserve(spec.workloads.size() * spec.scenarios.size());
-    for (const wl::Workload &w : spec.workloads) {
-        for (const core::Scenario &s : spec.scenarios) {
-            std::vector<core::Budget> per_node;
-            per_node.reserve(nodes.size());
-            for (const itrs::NodeParams &node : nodes)
-                per_node.push_back(
-                    core::makeBudget(node, w, s, spec.calib));
-            budgets.push_back(std::move(per_node));
-        }
-    }
-    // Shared BatchEvaluator tables per (workload, scenario), indexed
-    // [org * nodes + node]. Everything f-independent — Table 1 bounds,
-    // limiter classification, the serial-power pow() table — is computed
-    // here ONCE and then read by every fraction of the grid from every
-    // worker thread (best() is const and allocation-free).
-    std::vector<std::vector<core::BatchEvaluator>> evaluators;
-    evaluators.reserve(budgets.size());
+    std::vector<Tables> tables(spec.workloads.size() *
+                               spec.scenarios.size());
     for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
         for (std::size_t si = 0; si < spec.scenarios.size(); ++si) {
-            core::OptimizerOptions eopts = spec.opts;
-            eopts.alpha = spec.scenarios[si].alpha;
-            const std::vector<core::Budget> &per_node =
-                budgets[wi * spec.scenarios.size() + si];
-            std::vector<core::BatchEvaluator> table(orgs[wi].size() *
-                                                    nodes.size());
+            Tables &t = tables[wi * spec.scenarios.size() + si];
+            for (const itrs::NodeParams &node : nodes)
+                t.applied.push_back(
+                    core::applyScenario(spec.scenarios[si], node,
+                                        spec.workloads[wi], spec.opts,
+                                        spec.calib));
+            t.evaluators.resize(orgs[wi].size() * nodes.size());
             for (std::size_t oi = 0; oi < orgs[wi].size(); ++oi) {
-                core::EffectiveOrg eff = core::effectiveOrganization(
-                    orgs[wi][oi], spec.scenarios[si].segments);
+                // The segment reduction does not depend on the node.
+                core::Organization eff =
+                    t.applied.front().organization(orgs[wi][oi]);
                 for (std::size_t ni = 0; ni < nodes.size(); ++ni)
-                    table[oi * nodes.size() + ni].assign(
-                        eff.org, per_node[ni], eopts);
+                    t.evaluators[oi * nodes.size() + ni].assign(
+                        eff, t.applied[ni].budget, t.applied[ni].opts);
             }
-            evaluators.push_back(std::move(table));
         }
     }
 
@@ -198,27 +181,16 @@ runSweep(const SweepSpec &spec, const SweepOptions &opts)
     SweepResult result;
     for (std::size_t wi = 0; wi < spec.workloads.size(); ++wi) {
         std::string workload_name = spec.workloads[wi].name();
-        for (std::size_t fi = 0; fi < spec.fractions.size(); ++fi) {
+        for (double f : spec.fractions) {
             for (std::size_t si = 0; si < spec.scenarios.size(); ++si) {
                 for (std::size_t oi = 0; oi < orgs[wi].size(); ++oi) {
                     const core::Organization &org = orgs[wi][oi];
-                    Unit unit;
-                    unit.row = units.size();
-                    unit.workload = &spec.workloads[wi];
-                    unit.f = spec.fractions[fi];
-                    unit.scenario = &spec.scenarios[si];
-                    unit.org = &org;
-                    unit.budgets =
-                        &budgets[wi * spec.scenarios.size() + si];
-                    unit.evaluators =
-                        &evaluators[wi * spec.scenarios.size() + si];
-                    unit.orgIndex = oi;
-                    units.push_back(unit);
-
+                    units.push_back(
+                        {f, &tables[wi * spec.scenarios.size() + si], oi});
                     SweepRow row;
                     row.workload = workload_name;
-                    row.f = unit.f;
-                    row.scenario = unit.scenario->name;
+                    row.f = f;
+                    row.scenario = spec.scenarios[si].name;
                     row.organization = org.name;
                     row.paperIndex = org.paperIndex;
                     result.rows.push_back(std::move(row));
@@ -239,8 +211,8 @@ runSweep(const SweepSpec &spec, const SweepOptions &opts)
     if (jobs == 1) {
         // Inline serial path: identical code, no pool — `--jobs 1`
         // output is the byte-for-byte reference.
-        for (const Unit &unit : units)
-            runUnit(unit, result.rows[unit.row], progress, units.size(),
+        for (std::size_t i = 0; i < units.size(); ++i)
+            runUnit(units[i], result.rows[i], progress, units.size(),
                     opts);
     } else {
         // Units are a few microseconds each, so submitting them
@@ -261,8 +233,8 @@ runSweep(const SweepSpec &spec, const SweepOptions &opts)
             bool accepted = pool.submit([&units, &result, &progress,
                                          &opts, begin, end, total] {
                 for (std::size_t i = begin; i < end; ++i)
-                    runUnit(units[i], result.rows[units[i].row],
-                            progress, total, opts);
+                    runUnit(units[i], result.rows[i], progress, total,
+                            opts);
             });
             hcm_assert(accepted, "sweep pool rejected a unit block");
         }

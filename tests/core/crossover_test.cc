@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
 #include "core/crossover.hh"
+#include "core/multi_amdahl.hh"
+#include "util/math.hh"
 
 namespace hcm {
 namespace core {
@@ -103,6 +109,69 @@ TEST(CrossoverTest, MissingCalibrationIsNullopt)
     EXPECT_FALSE(requiredParallelism(dev::DeviceId::R5870,
                                      wl::Workload::blackScholes(), 1.5,
                                      node22));
+}
+
+TEST(CrossoverTest, MultiAmdahlBisectsTheEffectiveOrganizations)
+{
+    // The scenario's segment profile reaches the crossover: the answer
+    // is a bisection over the sweep fraction f of the effective HET
+    // against the better effective CMP, each optimized at f_eff.
+    const Scenario &scenario = scenarioByName("multi-amdahl");
+    const wl::Workload w = wl::Workload::fft(1024);
+    const double target = 1.5;
+    for (dev::DeviceId id : {dev::DeviceId::Asic, dev::DeviceId::Gtx285,
+                             dev::DeviceId::Lx760}) {
+        for (const itrs::NodeParams &node : itrs::nodeTable()) {
+            Budget budget = makeBudget(node, w, scenario);
+            OptimizerOptions opts;
+            opts.alpha = scenario.alpha;
+            Organization het =
+                effectiveOrganization(*heterogeneous(id, w),
+                                      scenario.segments)
+                    .org;
+            auto gap = [&](double f) {
+                double f_eff = effectiveFraction(f, scenario.segments);
+                DesignPoint c = optimize(het, f_eff, budget, opts);
+                if (!c.feasible)
+                    return -target;
+                double best_cmp = 0.0;
+                for (const Organization &cmp :
+                     {symmetricCmp(), asymmetricCmp()}) {
+                    DesignPoint dp = optimize(
+                        effectiveOrganization(cmp, scenario.segments).org,
+                        f_eff, budget, opts);
+                    if (dp.feasible)
+                        best_cmp = std::max(best_cmp, dp.speedup);
+                }
+                if (best_cmp <= 0.0)
+                    return target;
+                return c.speedup / best_cmp - target;
+            };
+            std::optional<double> want;
+            if (gap(0.9999) >= 0.0)
+                want = gap(0.0) >= 0.0 ? 0.0
+                                       : bisect(gap, 0.0, 0.9999, 1e-5);
+
+            auto got = requiredParallelism(id, w, target, node, scenario);
+            std::string where =
+                dev::deviceName(id) + " at " + node.label();
+            ASSERT_EQ(got.has_value(), want.has_value()) << where;
+            if (got) {
+                EXPECT_EQ(*got, *want) << where;
+            }
+        }
+    }
+    // The profile moves the answer: at 40nm the ASIC needs more
+    // parallelism than under the baseline, and the GPUs never get there.
+    const itrs::NodeParams &node40 = itrs::nodeParams(40.0);
+    auto asic = requiredParallelism(dev::DeviceId::Asic, w, target,
+                                    node40, scenario);
+    auto asic_base =
+        requiredParallelism(dev::DeviceId::Asic, w, target, node40);
+    ASSERT_TRUE(asic && asic_base);
+    EXPECT_GT(*asic, *asic_base);
+    EXPECT_FALSE(requiredParallelism(dev::DeviceId::Gtx285, w, target,
+                                     node40, scenario));
 }
 
 } // namespace

@@ -187,6 +187,35 @@ TEST(MixedDeathTest, RejectsOverfullFractions)
                  "sum");
 }
 
+TEST(MixedTest, SlotsErrorNamesTheBrokenRule)
+{
+    auto w = wl::Workload::mmm();
+    EXPECT_EQ(slotsError({makeSlot(dev::DeviceId::Asic, w, 0.5)}), "");
+    EXPECT_NE(slotsError({}).find("at least one slot"), std::string::npos);
+    EXPECT_NE(slotsError({makeSlot(dev::DeviceId::Asic, w, -0.5)})
+                  .find("outside [0, 1]"),
+              std::string::npos);
+    EXPECT_NE(slotsError({makeSlot(dev::DeviceId::Asic, w, NAN)})
+                  .find("outside [0, 1]"),
+              std::string::npos);
+    EXPECT_NE(slotsError({makeSlot(dev::DeviceId::Asic, w, 0.7),
+                          makeSlot(dev::DeviceId::Gtx285,
+                                   wl::Workload::fft(1024), 0.7)})
+                  .find("sum to 1.4 > 1"),
+              std::string::npos);
+}
+
+TEST(MixedDeathTest, RejectsASegmentProfile)
+{
+    // The slots are the phases; a segment profile would split them a
+    // second time.
+    std::vector<KernelSlot> slots = {
+        makeSlot(dev::DeviceId::Asic, wl::Workload::mmm(), 0.5)};
+    EXPECT_DEATH(optimizeMixed(slots, FabricMode::Partitioned, node11,
+                               scenarioByName("multi-amdahl")),
+                 "segment profile");
+}
+
 /** Property sweep: the partitioned mix of the per-kernel best fabrics
  *  is never worse than assigning both kernels to one of them. */
 class MixDominates : public ::testing::TestWithParam<double>

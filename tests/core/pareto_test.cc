@@ -197,6 +197,21 @@ TEST(ParetoTest, SingleAndEmptyInputs)
     EXPECT_DOUBLE_EQ(one[0].design.speedup, 3.0);
 }
 
+TEST(ParetoTest, BestDesignsAppliesTheDeviceFilter)
+{
+    const itrs::NodeParams &node = itrs::nodeParams(22.0);
+    auto w = wl::Workload::fft(1024);
+    auto all = bestDesigns(w, 0.99, node);
+    EXPECT_EQ(all.size(), paperOrganizations(w).size());
+    auto asic = bestDesigns(w, 0.99, node, baselineScenario(),
+                            dev::DeviceId::Asic);
+    ASSERT_EQ(asic.size(), 3u); // both CMPs and the one HET
+    EXPECT_EQ(asic[0].orgName, all[0].orgName);
+    EXPECT_EQ(asic[1].orgName, all[1].orgName);
+    EXPECT_EQ(asic[2].orgName, "ASIC");
+    EXPECT_EQ(asic[2].design.speedup, all.back().design.speedup);
+}
+
 } // namespace
 } // namespace core
 } // namespace hcm

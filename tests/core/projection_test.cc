@@ -101,6 +101,31 @@ TEST(ProjectionTest, ProjectAllPreservesLegendOrder)
     EXPECT_EQ(all.back().org.name, "ASIC");
 }
 
+TEST(ProjectionTest, ApplyScenarioCarriesBudgetAlphaAndProfile)
+{
+    const itrs::NodeParams &node = itrs::nodeParams(22.0);
+    auto w = wl::Workload::mmm();
+    OptimizerOptions opts;
+    opts.rMax = 8.0;
+    const Scenario &steep = scenarioByName("alpha-2.25");
+    AppliedScenario applied = applyScenario(steep, node, w, opts);
+    Budget want = makeBudget(node, w, steep);
+    EXPECT_EQ(applied.budget.area, want.area);
+    EXPECT_EQ(applied.budget.power, want.power);
+    EXPECT_EQ(applied.budget.bandwidth, want.bandwidth);
+    EXPECT_EQ(applied.opts.alpha, steep.alpha);
+    EXPECT_EQ(applied.opts.rMax, 8.0);
+    // A single-f scenario leaves (org, f) alone ...
+    EXPECT_EQ(applied.fraction(0.9), 0.9);
+    Organization asic = *heterogeneous(dev::DeviceId::Asic, w);
+    EXPECT_EQ(applied.organization(asic).ucore.mu, asic.ucore.mu);
+    // ... a segment profile reduces both.
+    const Scenario &multi = scenarioByName("multi-amdahl");
+    AppliedScenario seg = applyScenario(multi, node, w);
+    EXPECT_EQ(seg.fraction(0.9), 0.9 * multi.segments.parallelWeight());
+    EXPECT_NE(seg.organization(asic).ucore.mu, asic.ucore.mu);
+}
+
 } // namespace
 } // namespace core
 } // namespace hcm

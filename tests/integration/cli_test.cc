@@ -249,6 +249,60 @@ TEST(CliTest, MixedRequiresSlots)
     EXPECT_NE(out.find("--slot"), std::string::npos);
 }
 
+/** Expect @p args to exit 1 with one `fatal:` line naming @p why. */
+void
+expectFatal(const std::string &args, const std::string &why)
+{
+    auto [code, out] = runCli(args);
+    EXPECT_EQ(code, 1) << args << "\n" << out;
+    EXPECT_EQ(out.rfind("fatal: ", 0), 0u) << args << "\n" << out;
+    EXPECT_NE(out.find(why), std::string::npos) << args << "\n" << out;
+}
+
+// Regressions: each bad --slot set below died of a model panic
+// (exit 134).
+TEST(CliTest, MixedRejectsUncalibratedGpuPair)
+{
+    expectFatal("mixed --slot gtx480:bs:0.5", "no measurement for GTX480");
+}
+
+TEST(CliTest, MixedRejectsUncalibratedFftPair)
+{
+    expectFatal("mixed --slot r5870:fft:1024:0.5",
+                "no measurement for R5870");
+}
+
+TEST(CliTest, MixedRejectsFractionOutsideUnitInterval)
+{
+    expectFatal("mixed --slot asic:mmm:-0.5", "outside [0, 1]");
+}
+
+TEST(CliTest, MixedRejectsFractionsSummingPastOne)
+{
+    expectFatal("mixed --slot asic:mmm:0.7 --slot gtx480:fft:1024:0.7",
+                "sum to 1.4 > 1");
+}
+
+TEST(CliTest, MixedRejectsASegmentProfile)
+{
+    // Regression: the profile was silently dropped, so the table was
+    // the baseline's.
+    expectFatal("mixed --slot asic:mmm:0.5 --scenario multi-amdahl",
+                "mixed takes its phases from --slot");
+}
+
+TEST(CliTest, CrossoverRejectsBadTarget)
+{
+    // Regression: --target -1 printed "HET >= -1x the best CMP" over a
+    // table of 0.000.
+    for (const char *target : {"-1", "0", "-0"})
+        expectFatal(std::string("crossover --target ") + target,
+                    "--target must be finite and > 0");
+    for (const char *target : {"inf", "nan"})
+        expectFatal(std::string("crossover --target ") + target,
+                    "--target");
+}
+
 TEST(CliTest, CrossoverTable)
 {
     auto [code, out] = runCli(

@@ -1,18 +1,18 @@
 /** @file Tests for the typed query layer: canonical keys, evaluation
  *  against direct core calls, and JSON serialization. */
 
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/budget.hh"
-#include "core/organization.hh"
-#include "core/projection.hh"
+#include "core/pareto.hh"
 #include "core/scenario.hh"
 #include "itrs/scaling.hh"
 #include "svc/query.hh"
+#include "sweep/sweep.hh"
 #include "util/json_parse.hh"
 
 namespace hcm {
@@ -152,31 +152,89 @@ TEST(QueryKeyTest, KeysArePinnedByteForByte)
               "d=V6-LX760");
 }
 
+/** True when @p a and @p b are the same double, bit for bit. */
+bool
+bitEq(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/** Bit-for-bit equality of two designs, field by field. */
+void
+expectSameDesign(const core::DesignPoint &got,
+                 const core::DesignPoint &want, const std::string &where)
+{
+    EXPECT_EQ(got.feasible, want.feasible) << where;
+    EXPECT_EQ(got.limiter, want.limiter) << where;
+    EXPECT_TRUE(bitEq(got.f, want.f)) << where;
+    EXPECT_TRUE(bitEq(got.r, want.r)) << where;
+    EXPECT_TRUE(bitEq(got.n, want.n)) << where;
+    EXPECT_TRUE(bitEq(got.speedup, want.speedup)) << where;
+    EXPECT_TRUE(bitEq(got.energy.serial, want.energy.serial)) << where;
+    EXPECT_TRUE(bitEq(got.energy.parallel, want.energy.parallel))
+        << where;
+}
+
 TEST(QueryEvalTest, OptimizeMatchesDirectCoreCall)
 {
-    Query q;
-    q.type = QueryType::Optimize;
-    q.workload = wl::Workload::fft(1024);
-    q.f = 0.99;
-    q.node = 22.0;
-    QueryResult result = evaluateQuery(q);
-
-    const core::Scenario scenario = core::baselineScenario();
+    // Every path a scenario reaches the optimizer by agrees bit for
+    // bit, for every scenario in the registry: the served row,
+    // core::bestDesigns, the projectAll point and a runSweep cell.
     const itrs::NodeParams &node = itrs::nodeParams(22.0);
-    core::Budget budget = core::makeBudget(node, q.workload, scenario);
-    core::OptimizerOptions opts;
-    opts.alpha = scenario.alpha;
-    auto orgs = core::paperOrganizations(q.workload);
+    const std::vector<itrs::NodeParams> &nodes = itrs::nodeTable();
+    std::size_t at = 0;
+    while (nodes[at].nodeNm != node.nodeNm)
+        ++at;
+    for (const core::Scenario &scenario : core::allScenarios()) {
+        Query q;
+        q.type = QueryType::Optimize;
+        q.workload = wl::Workload::fft(1024);
+        q.f = 0.99;
+        q.node = 22.0;
+        q.scenario = scenario.name;
+        QueryResult result = evaluateQuery(q);
 
-    ASSERT_EQ(result.rows.size(), orgs.size());
-    for (std::size_t i = 0; i < orgs.size(); ++i) {
-        core::DesignPoint dp =
-            core::optimize(orgs[i], q.f, budget, opts);
-        EXPECT_EQ(result.rows[i].org, orgs[i].name);
-        EXPECT_EQ(result.rows[i].feasible, dp.feasible);
-        if (dp.feasible) {
-            EXPECT_DOUBLE_EQ(result.rows[i].speedup, dp.speedup);
-            EXPECT_DOUBLE_EQ(result.rows[i].r, dp.r);
+        auto designs =
+            core::bestDesigns(q.workload, q.f, node, scenario);
+        auto series = core::projectAll(q.workload, q.f, scenario);
+        sweep::SweepSpec spec;
+        spec.workloads = {q.workload};
+        spec.fractions = {q.f};
+        spec.scenarios = {scenario};
+        sweep::SweepOptions sopts;
+        sopts.jobs = 1;
+        sweep::SweepResult grid = sweep::runSweep(spec, sopts);
+
+        ASSERT_EQ(result.rows.size(), designs.size()) << scenario.name;
+        ASSERT_EQ(series.size(), designs.size()) << scenario.name;
+        ASSERT_EQ(grid.rows.size(), designs.size()) << scenario.name;
+        for (std::size_t i = 0; i < designs.size(); ++i) {
+            const core::ParetoPoint &d = designs[i];
+            std::string where = scenario.name + " " + d.orgName;
+            expectSameDesign(series[i].points[at].design, d.design,
+                             where + " projectAll");
+            expectSameDesign(grid.rows[i].cells[at].design, d.design,
+                             where + " runSweep");
+            EXPECT_EQ(series[i].org.name, d.orgName);
+            EXPECT_EQ(grid.rows[i].organization, d.orgName);
+
+            const ResultRow &row = result.rows[i];
+            EXPECT_EQ(row.org, d.orgName);
+            EXPECT_EQ(row.feasible, d.design.feasible) << where;
+            if (!d.design.feasible)
+                continue;
+            EXPECT_TRUE(bitEq(row.r, d.design.r)) << where;
+            EXPECT_TRUE(bitEq(row.n, d.design.n)) << where;
+            EXPECT_TRUE(bitEq(row.speedup, d.design.speedup)) << where;
+            EXPECT_EQ(row.limiter, core::limiterName(d.design.limiter));
+            EXPECT_TRUE(bitEq(row.energyNormalized, d.energyNormalized))
+                << where;
+            EXPECT_TRUE(bitEq(series[i].points[at].energyNormalized(),
+                              d.energyNormalized))
+                << where;
+            EXPECT_TRUE(bitEq(grid.rows[i].cells[at].energyNormalized,
+                              d.energyNormalized))
+                << where;
         }
     }
 }

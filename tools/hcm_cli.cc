@@ -19,7 +19,6 @@
 #include "core/crossover.hh"
 #include "core/export.hh"
 #include "core/mixed.hh"
-#include "core/multi_amdahl.hh"
 #include "core/paper.hh"
 #include "devices/roofline.hh"
 #include "core/pareto.hh"
@@ -805,8 +804,7 @@ cmdProject(const Options &opts)
     t.setHeaders(headers);
     for (const auto &series :
          core::projectAll(opts.workload, opts.f, scenario)) {
-        if (opts.device && series.org.isHet() &&
-            series.org.device != *opts.device)
+        if (!series.org.matchesDevice(opts.device))
             continue;
         std::vector<std::string> row = {series.org.name};
         for (const core::NodePoint &pt : series.points) {
@@ -875,10 +873,8 @@ cmdOptimize(const Options &opts)
 {
     const core::Scenario &scenario = core::scenarioByName(opts.scenario);
     const itrs::NodeParams &node = itrs::nodeParams(opts.node);
-    core::Budget budget = core::makeBudget(node, opts.workload, scenario);
-    core::OptimizerOptions oopts;
-    oopts.alpha = scenario.alpha;
-    double f_eff = core::effectiveFraction(opts.f, scenario.segments);
+    core::Budget budget =
+        core::applyScenario(scenario, node, opts.workload).budget;
 
     std::cout << "budgets at " << node.label() << " (BCE units): A="
               << fmtSig(budget.area, 3) << " P=" << fmtSig(budget.power, 3)
@@ -894,22 +890,16 @@ cmdOptimize(const Options &opts)
                 fmtFixed(opts.f, 4));
     t.setHeaders({"Organization", "r", "n", "speedup", "limiter",
                   "energy (norm.)"});
-    for (const core::Organization &org :
-         core::paperOrganizations(opts.workload)) {
-        if (opts.device && org.isHet() && org.device != *opts.device)
-            continue;
-        core::EffectiveOrg eff =
-            core::effectiveOrganization(org, scenario.segments);
-        core::DesignPoint dp =
-            core::optimize(eff.org, f_eff, budget, oopts);
+    for (const core::ParetoPoint &p : core::bestDesigns(
+             opts.workload, opts.f, node, scenario, opts.device)) {
+        const core::DesignPoint &dp = p.design;
         if (!dp.feasible) {
-            t.addRow({org.name, "-", "-", "infeasible", "-", "-"});
+            t.addRow({p.orgName, "-", "-", "infeasible", "-", "-"});
             continue;
         }
-        t.addRow({org.name, fmtSig(dp.r, 3), fmtSig(dp.n, 3),
+        t.addRow({p.orgName, fmtSig(dp.r, 3), fmtSig(dp.n, 3),
                   fmtSig(dp.speedup, 4), core::limiterName(dp.limiter),
-                  fmtSig(core::normalizedEnergy(
-                             dp.energy, node.relPowerPerTransistor), 3)});
+                  fmtSig(p.energyNormalized, 3)});
     }
     std::cout << t;
     return 0;
@@ -951,14 +941,12 @@ cmdSimulate(const Options &opts)
     auto org = core::heterogeneous(*opts.device, opts.workload);
     if (!org)
         hcm_fatal("no calibration data for that device/workload pair");
-    core::Budget budget = core::makeBudget(node, opts.workload, scenario);
-    core::OptimizerOptions oopts;
-    oopts.alpha = scenario.alpha;
-    core::EffectiveOrg eff =
-        core::effectiveOrganization(*org, scenario.segments);
-    double f_eff = core::effectiveFraction(opts.f, scenario.segments);
+    core::AppliedScenario applied =
+        core::applyScenario(scenario, node, opts.workload);
+    core::Organization eff = applied.organization(*org);
+    double f_eff = applied.fraction(opts.f);
     core::DesignPoint design =
-        core::optimize(eff.org, f_eff, budget, oopts);
+        core::optimize(eff, f_eff, applied.budget, applied.opts);
     if (!design.feasible)
         hcm_fatal("design infeasible at this node/scenario");
     if (design.n - design.r < 1.0)
@@ -966,8 +954,8 @@ cmdSimulate(const Options &opts)
                   fmtSig(design.n - design.r, 3),
                   "); the event simulator needs whole tiles");
 
-    sim::Machine m = sim::Machine::fromDesign(eff.org, design, budget,
-                                              scenario.alpha);
+    sim::Machine m = sim::Machine::fromDesign(eff, design, applied.budget,
+                                              applied.opts.alpha);
     sim::SimStats stats = sim::ChipSimulator(m).run(
         sim::TaskGraph::amdahl(f_eff, opts.chunks));
     std::cout << "design: r=" << fmtSig(design.r, 3) << ", tiles="
@@ -1088,6 +1076,9 @@ parseSlot(const std::string &spec)
     dev::DeviceId device = deviceOrDie(parts[0]);
     wl::Workload w = workloadOrDie(
         parts.size() == 4 ? parts[1] + ":" + parts[2] : parts[1]);
+    if (!dev::MeasurementDb::instance().find(device, w))
+        hcm_fatal("bad --slot '", spec, "': no measurement for ",
+                  dev::deviceName(device), " on ", w.name());
     double fraction = numberOrDie<double>("--slot", parts.back());
     return core::makeSlot(device, w, fraction);
 }
@@ -1097,12 +1088,18 @@ cmdMixed(const Options &opts)
 {
     if (opts.slots.empty())
         hcm_fatal("mixed needs at least one --slot");
+    const core::Scenario &scenario = core::scenarioByName(opts.scenario);
+    if (!scenario.segments.empty())
+        hcm_fatal("mixed takes its phases from --slot; scenario '",
+                  scenario.name, "' has a segment profile");
     std::vector<core::KernelSlot> slots;
     for (const std::string &spec : opts.slots)
         slots.push_back(parseSlot(spec));
+    std::string why = core::slotsError(slots);
+    if (!why.empty())
+        hcm_fatal("bad --slot set: ", why);
     core::FabricMode mode = opts.shared ? core::FabricMode::Shared
                                         : core::FabricMode::Partitioned;
-    const core::Scenario &scenario = core::scenarioByName(opts.scenario);
 
     TextTable t(std::string("Mixed-fabric chip (") +
                 (opts.shared ? "shared" : "partitioned") +
@@ -1138,6 +1135,9 @@ cmdMixed(const Options &opts)
 int
 cmdCrossover(const Options &opts)
 {
+    // parseNumber() already refuses inf and nan.
+    if (!(opts.target > 0.0))
+        hcm_fatal("--target must be finite and > 0, got ", opts.target);
     TextTable t("Minimum f for HET >= " + fmtSig(opts.target, 3) +
                 "x the best CMP on " + opts.workload.name() +
                 ", scenario=" + opts.scenario);
@@ -1146,16 +1146,14 @@ cmdCrossover(const Options &opts)
         headers.push_back(node.label());
     t.setHeaders(headers);
     const core::Scenario &scenario = core::scenarioByName(opts.scenario);
-    for (dev::DeviceId id :
-         {dev::DeviceId::Lx760, dev::DeviceId::Gtx285,
-          dev::DeviceId::Gtx480, dev::DeviceId::R5870,
-          dev::DeviceId::Asic}) {
-        if (!dev::MeasurementDb::instance().find(id, opts.workload))
+    for (const core::Organization &org :
+         core::paperOrganizations(opts.workload)) {
+        if (!org.isHet())
             continue;
-        std::vector<std::string> row = {dev::deviceName(id)};
+        std::vector<std::string> row = {org.name};
         for (const auto &node : itrs::nodeTable()) {
             auto f_star = core::requiredParallelism(
-                id, opts.workload, opts.target, node, scenario);
+                *org.device, opts.workload, opts.target, node, scenario);
             row.push_back(f_star ? fmtFixed(*f_star, 3) : "never");
         }
         t.addRow(row);
