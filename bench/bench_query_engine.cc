@@ -119,7 +119,7 @@ BM_EngineWarmHit(benchmark::State &state)
     engine.evaluateBatch(queries); // prime
     std::size_t i = 0;
     for (auto _ : state) {
-        std::string body = engine.evaluate(queries[i])->toJson();
+        std::string body = engine.evaluate(queries[i])->json;
         benchmark::DoNotOptimize(body.data());
         benchmark::ClobberMemory();
         i = (i + 1) % queries.size();

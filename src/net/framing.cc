@@ -25,16 +25,18 @@ FrameDecoder::feed(const char *data, std::size_t len)
 {
     if (_failed)
         return;
+    _buffer.erase(0, _read);
+    _read = 0;
     _buffer.append(data, len);
 }
 
 bool
 FrameDecoder::next(std::string *payload)
 {
-    if (_failed || _buffer.size() < kFrameHeaderBytes)
+    if (_failed || bufferedBytes() < kFrameHeaderBytes)
         return false;
     const unsigned char *p =
-        reinterpret_cast<const unsigned char *>(_buffer.data());
+        reinterpret_cast<const unsigned char *>(_buffer.data() + _read);
     std::uint32_t len = (static_cast<std::uint32_t>(p[0]) << 24) |
                         (static_cast<std::uint32_t>(p[1]) << 16) |
                         (static_cast<std::uint32_t>(p[2]) << 8) |
@@ -49,12 +51,13 @@ FrameDecoder::next(std::string *payload)
                  std::to_string(_maxFrameBytes) + " bytes";
         _buffer.clear();
         _buffer.shrink_to_fit();
+        _read = 0;
         return false;
     }
-    if (_buffer.size() < kFrameHeaderBytes + len)
+    if (bufferedBytes() < kFrameHeaderBytes + len)
         return false; // partial trailing frame: wait for more bytes
-    payload->assign(_buffer, kFrameHeaderBytes, len);
-    _buffer.erase(0, kFrameHeaderBytes + len);
+    payload->assign(_buffer, _read + kFrameHeaderBytes, len);
+    _read += kFrameHeaderBytes + len;
     return true;
 }
 

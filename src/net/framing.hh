@@ -68,11 +68,17 @@ class FrameDecoder
     const std::string &error() const { return _error; }
 
     /** Bytes buffered but not yet returned (partial trailing frame). */
-    std::size_t bufferedBytes() const { return _buffer.size(); }
+    std::size_t bufferedBytes() const { return _buffer.size() - _read; }
 
   private:
     std::uint32_t _maxFrameBytes;
+    /**
+     * Bytes fed so far; those before #_read were already returned.
+     * next() only advances the offset and feed() compacts once, so
+     * popping n coalesced frames costs O(bytes), not O(n x bytes).
+     */
     std::string _buffer;
+    std::size_t _read = 0;
     bool _failed = false;
     std::string _error;
 };

@@ -114,7 +114,7 @@ class LocalShardBackend : public ShardBackend
                 std::string *error) override
     {
         (void)error;
-        *response = _router.engine().evaluate(q.query, q.key)->toJson();
+        *response = _router.engine().evaluate(q.query, q.key)->json;
         return true;
     }
 

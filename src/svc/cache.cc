@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 namespace hcm {
 namespace svc {
@@ -39,7 +40,24 @@ QueryCache::shardFor(const std::string &key)
     return _shards[std::hash<std::string>{}(key) % _shards.size()];
 }
 
-std::shared_ptr<const QueryResult>
+void
+QueryCache::Shard::unlink(Entry &e)
+{
+    Slot &slot = e.second;
+    (slot.newer ? slot.newer->second.older : newest) = slot.older;
+    (slot.older ? slot.older->second.newer : oldest) = slot.newer;
+    slot.newer = slot.older = nullptr;
+}
+
+void
+QueryCache::Shard::pushNewest(Entry &e)
+{
+    e.second.older = newest;
+    (newest ? newest->second.newer : oldest) = &e;
+    newest = &e;
+}
+
+std::shared_ptr<const Answer>
 QueryCache::get(const std::string &key)
 {
     Shard &shard = shardFor(key);
@@ -50,11 +68,12 @@ QueryCache::get(const std::string &key)
         return nullptr;
     }
     ++shard.hits;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->second;
+    shard.unlink(*it);
+    shard.pushNewest(*it);
+    return it->second.answer;
 }
 
-std::shared_ptr<const QueryResult>
+std::shared_ptr<const Answer>
 QueryCache::peek(const std::string &key)
 {
     Shard &shard = shardFor(key);
@@ -62,14 +81,13 @@ QueryCache::peek(const std::string &key)
     auto it = shard.index.find(key);
     if (it == shard.index.end())
         return nullptr;
-    // No splice: a peek must not promote the entry, or internal
+    // No promotion: a peek must not reorder the entry, or internal
     // double-checks would distort the eviction order get() maintains.
-    return it->second->second;
+    return it->second.answer;
 }
 
 void
-QueryCache::put(const std::string &key,
-                std::shared_ptr<const QueryResult> value)
+QueryCache::put(const std::string &key, std::shared_ptr<const Answer> value)
 {
     if (_perShardCapacity == 0)
         return; // storage disabled
@@ -77,17 +95,21 @@ QueryCache::put(const std::string &key,
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
-        it->second->second = std::move(value);
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        it->second.answer = std::move(value);
+        shard.unlink(*it);
+        shard.pushNewest(*it);
         return;
     }
-    if (shard.lru.size() >= _perShardCapacity) {
-        shard.index.erase(shard.lru.back().first);
-        shard.lru.pop_back();
+    if (shard.index.size() >= _perShardCapacity) {
+        Entry &victim = *shard.oldest;
+        shard.unlink(victim);
+        // Erase by iterator: the victim's key lives in the node that
+        // erase() frees.
+        shard.index.erase(shard.index.find(victim.first));
         ++shard.evictions;
     }
-    shard.lru.emplace_front(key, std::move(value));
-    shard.index.emplace(key, shard.lru.begin());
+    auto fresh = shard.index.emplace(key, Slot{std::move(value)}).first;
+    shard.pushNewest(*fresh);
 }
 
 void
@@ -95,8 +117,8 @@ QueryCache::clear()
 {
     for (Shard &shard : _shards) {
         std::lock_guard<std::mutex> lock(shard.mu);
-        shard.lru.clear();
         shard.index.clear();
+        shard.newest = shard.oldest = nullptr;
     }
 }
 
@@ -115,7 +137,7 @@ QueryCache::stats() const
         out.hits += shard.hits;
         out.misses += shard.misses;
         out.evictions += shard.evictions;
-        out.entries += shard.lru.size();
+        out.entries += shard.index.size();
     }
     return out;
 }

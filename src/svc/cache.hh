@@ -1,11 +1,13 @@
 /**
  * @file
- * Sharded LRU memoization cache for query results. Keys are the
- * canonical query strings; values are immutable shared results, so a
+ * Sharded LRU memoization cache for rendered answers. Keys are the
+ * canonical query strings; values are immutable shared Answers, so a
  * hit is a pointer copy and readers never block evaluators for long.
  * Sharding by key hash splits the lock so concurrent workers rarely
- * contend; each shard keeps its own LRU list and hit/miss/eviction
- * counters, aggregated on demand.
+ * contend; each shard keeps its own LRU order and hit/miss/eviction
+ * counters, aggregated on demand. An entry is one hash-map node — the
+ * key, the answer pointer and the LRU links threaded through the
+ * nodes — so the key is stored once.
  */
 
 #ifndef HCM_SVC_CACHE_HH
@@ -14,7 +16,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,7 +49,7 @@ struct CacheStats
     void writeJson(JsonWriter &json) const;
 };
 
-/** Sharded LRU cache: canonical key -> shared immutable result. */
+/** Sharded LRU cache: canonical key -> shared immutable answer. */
 class QueryCache
 {
   public:
@@ -64,22 +65,21 @@ class QueryCache
     QueryCache(const QueryCache &) = delete;
     QueryCache &operator=(const QueryCache &) = delete;
 
-    /** Result for @p key, bumping it to most-recent; null on miss. */
-    std::shared_ptr<const QueryResult> get(const std::string &key);
+    /** Answer for @p key, bumping it to most-recent; null on miss. */
+    std::shared_ptr<const Answer> get(const std::string &key);
 
     /**
      * Read-only lookup: touches neither the hit/miss counters nor the
      * recency order — for internal double-checks that must not count
      * one query twice or distort eviction.
      */
-    std::shared_ptr<const QueryResult> peek(const std::string &key);
+    std::shared_ptr<const Answer> peek(const std::string &key);
 
     /**
      * Insert (or refresh) @p key, evicting the least-recently-used
      * entry of the shard when it is full.
      */
-    void put(const std::string &key,
-             std::shared_ptr<const QueryResult> value);
+    void put(const std::string &key, std::shared_ptr<const Answer> value);
 
     /** Drop every entry (counters survive). */
     void clear();
@@ -103,17 +103,32 @@ class QueryCache
     std::size_t shardCount() const { return _shards.size(); }
 
   private:
+    struct Slot;
+    /** One entry: the map node's key and its slot. */
+    using Entry = std::pair<const std::string, Slot>;
+
+    struct Slot
+    {
+        std::shared_ptr<const Answer> answer;
+        Entry *newer = nullptr; ///< toward the most recently used
+        Entry *older = nullptr; ///< toward the eviction victim
+    };
+
     struct Shard
     {
-        using LruList = std::list<
-            std::pair<std::string, std::shared_ptr<const QueryResult>>>;
-
         mutable std::mutex mu;
-        LruList lru; ///< front = most recently used
-        std::unordered_map<std::string, LruList::iterator> index;
+        /** Node addresses survive rehashing, so the links stay valid. */
+        std::unordered_map<std::string, Slot> index;
+        Entry *newest = nullptr;
+        Entry *oldest = nullptr;
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t evictions = 0;
+
+        /** Take @p e out of the recency order (mu held). */
+        void unlink(Entry &e);
+        /** Make @p e the most recently used (mu held; e unlinked). */
+        void pushNewest(Entry &e);
     };
 
     Shard &shardFor(const std::string &key);

@@ -68,6 +68,18 @@ recordFlight(const Query &q, const char *outcome,
     recorder.record(std::move(rec));
 }
 
+/**
+ * An engine error, rendered when it is made. Never cached: its bytes
+ * belong to the request (they may echo its requestId).
+ */
+QueryEngine::ResultPtr
+errorAnswer(const Query &q, QueryErrorKind kind, std::string why,
+            std::uint64_t retry_after_ms = 0)
+{
+    return std::make_shared<const Answer>(renderAnswer(
+        makeQueryError(q, kind, std::move(why), retry_after_ms)));
+}
+
 } // namespace
 
 QueryEngine::QueryEngine(EngineOptions opts)
@@ -163,9 +175,9 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
     // evaluation does — so both are discharged by a scope guard.
     ScopeExit finish([&] {
         if (!result)
-            result = std::make_shared<QueryResult>(makeQueryError(
+            result = errorAnswer(
                 q, QueryErrorKind::EvaluationFailed,
-                "internal error: worker produced no result"));
+                "internal error: worker produced no result");
         // Erase before resolving: a waiter that has seen the
         // result must also see the key gone, so its retry starts
         // a fresh evaluation instead of rendezvousing with a
@@ -187,9 +199,8 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
         if (deadline_ns > 0 && elapsedNs(start) > deadline_ns) {
             // Abandoned in the queue: don't burn the worker on it.
             _metrics.recordDeadlineExceeded();
-            result = std::make_shared<QueryResult>(makeQueryError(
-                q, QueryErrorKind::DeadlineExceeded,
-                "deadline exceeded while queued"));
+            result = errorAnswer(q, QueryErrorKind::DeadlineExceeded,
+                                 "deadline exceeded while queued");
             return;
         }
         if (_cache) {
@@ -207,17 +218,11 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
             hwc::CounterRegion eval_counters(&eval_scope.span());
             try {
                 FaultInjector::instance().maybeInject("eval");
-                auto fresh =
-                    std::make_shared<QueryResult>(evaluateQuery(q));
-                // Render once and keep only the bytes, trimmed to
-                // size since the cache holds them for long: every
-                // later answer for this key, hit or piggybacked
-                // waiter, splices them instead of rendering again.
-                fresh->json = fresh->toJson();
-                fresh->json.shrink_to_fit();
-                fresh->rows.clear();
-                fresh->rows.shrink_to_fit();
-                result = std::move(fresh);
+                // Render once and keep only the bytes: every later
+                // answer for this key, hit or piggybacked waiter,
+                // splices them instead of rendering again.
+                result = std::make_shared<const Answer>(
+                    renderAnswer(evaluateQuery(q)));
             } catch (...) {
                 eval_scope.arg("outcome", "error");
                 throw;
@@ -231,9 +236,8 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
             // Evaluated, but past its deadline: the cache keeps
             // the value for a retry; this waiter gets the error.
             _metrics.recordDeadlineExceeded();
-            result = std::make_shared<QueryResult>(makeQueryError(
-                q, QueryErrorKind::DeadlineExceeded,
-                "deadline exceeded during evaluation"));
+            result = errorAnswer(q, QueryErrorKind::DeadlineExceeded,
+                                 "deadline exceeded during evaluation");
             return;
         }
     } catch (const std::exception &e) {
@@ -243,8 +247,7 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
                  logField("key", key),
                  logField("requestId", ridOrDash(q.requestId)),
                  logField("error", e.what()));
-        result = std::make_shared<QueryResult>(makeQueryError(
-            q, QueryErrorKind::EvaluationFailed, e.what()));
+        result = errorAnswer(q, QueryErrorKind::EvaluationFailed, e.what());
         return;
     } catch (...) {
         _metrics.recordError();
@@ -253,9 +256,9 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
                  logField("key", key),
                  logField("requestId", ridOrDash(q.requestId)),
                  logField("error", "non-standard exception"));
-        result = std::make_shared<QueryResult>(makeQueryError(
+        result = errorAnswer(
             q, QueryErrorKind::EvaluationFailed,
-            "evaluation failed with a non-standard exception"));
+            "evaluation failed with a non-standard exception");
         return;
     }
     std::uint64_t eval_ns = elapsedNs(task_start);
@@ -340,11 +343,10 @@ QueryEngine::acquire(const Query &q, const std::string &key, bool run_here)
         _metrics.recordRejected();
         recordFlight(q, "overloaded", 0, 0);
         bool stopping = _pool.stopping();
-        auto error = std::make_shared<QueryResult>(makeQueryError(
+        ResultPtr error = errorAnswer(
             q, QueryErrorKind::Overloaded,
-            stopping ? "engine is shutting down"
-                     : "worker queue is full",
-            stopping ? 0 : retryAfterMsHint()));
+            stopping ? "engine is shutting down" : "worker queue is full",
+            stopping ? 0 : retryAfterMsHint());
         {
             std::lock_guard<std::mutex> lock(_inflightMu);
             _inflight.erase(key);

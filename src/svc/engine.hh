@@ -7,9 +7,13 @@
  * and because evaluateQuery() is pure, a batch returns bit-identical
  * answers regardless of thread count or cache state.
  *
+ * The engine's product is an Answer: the rendered bytes a client
+ * receives. A miss renders its QueryResult once and keeps only those
+ * bytes, in the cache and for every waiter.
+ *
  * Request lifecycle guarantees: every future the engine hands out
  * resolves. A throwing evaluation resolves to an evaluation_failed
- * QueryResult (the in-flight entry is erased by a scope guard, so the
+ * Answer (the in-flight entry is erased by a scope guard, so the
  * key re-evaluates cleanly next time); a missed deadline resolves to
  * deadline_exceeded; a saturated or stopping pool resolves to
  * overloaded with a retryAfterMs hint. Error results are never cached.
@@ -80,7 +84,7 @@ struct EngineOptions
 class QueryEngine
 {
   public:
-    using ResultPtr = std::shared_ptr<const QueryResult>;
+    using ResultPtr = std::shared_ptr<const Answer>;
 
     explicit QueryEngine(EngineOptions opts = {});
 

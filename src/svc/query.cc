@@ -124,10 +124,6 @@ Query::canonicalKey() const
 void
 QueryResult::writeJson(JsonWriter &json) const
 {
-    if (!this->json.empty()) {
-        json.raw(this->json);
-        return;
-    }
     json.beginObject();
     // Errors lead with the machine-readable fields so line-oriented
     // clients can dispatch on the first keys; the query echo follows
@@ -180,8 +176,6 @@ QueryResult::writeJson(JsonWriter &json) const
 std::string
 QueryResult::toJson() const
 {
-    if (!json.empty())
-        return json;
     std::string body;
     // Room for the query echo plus a handful of rows; larger answers
     // (pareto, projection) grow it a few times.
@@ -189,6 +183,16 @@ QueryResult::toJson() const
     JsonWriter out(body);
     writeJson(out);
     return body;
+}
+
+Answer
+renderAnswer(const QueryResult &result)
+{
+    Answer answer;
+    answer.json = result.toJson();
+    answer.json.shrink_to_fit();
+    answer.errorKind = result.errorKind;
+    return answer;
 }
 
 QueryResult

@@ -111,38 +111,47 @@ enum class QueryErrorKind {
  *  "shard_unavailable"); empty for None. */
 std::string queryErrorKindName(QueryErrorKind kind);
 
-/** The answer to one query: rows on success, a structured error
- *  otherwise. Futures always resolve to one of the two — an exception
- *  never escapes the engine as a hung waiter. */
-struct QueryResult
+/**
+ * A rendered answer: the bytes a client receives for one query, and
+ * whether they say success. This is the engine's product and the
+ * cache's value; a memoized entry holds nothing else — no Query, no
+ * rows, no request id.
+ */
+struct Answer
+{
+    std::string json;
+    QueryErrorKind errorKind = QueryErrorKind::None;
+
+    bool ok() const { return errorKind == QueryErrorKind::None; }
+};
+
+/**
+ * The answer to one query before rendering: rows on success, a
+ * structured error otherwise. renderAnswer() turns it into the bytes;
+ * the inherited #json stays empty here. It is an Answer so that a
+ * pointer to one converts to the cache's value type.
+ */
+struct QueryResult : Answer
 {
     Query query;
     std::vector<ResultRow> rows;
-    /**
-     * The rendered answer, when set: toJson() returns it and
-     * writeJson() splices it, so the rows need not be kept. The engine
-     * renders each successful answer once and caches these bytes in
-     * place of its rows; error results never set it, since their bytes
-     * depend on the request (the requestId echo).
-     */
-    std::string json;
-    QueryErrorKind errorKind = QueryErrorKind::None;
     std::string error; ///< human-readable reason; empty on success
     /** Overloaded only: client hint for when to retry. */
     std::uint64_t retryAfterMs = 0;
 
-    bool ok() const { return errorKind == QueryErrorKind::None; }
-
     /**
      * Emit {"query": {...}, "rows": [...]} on success, or the error
      * object {"error": ..., "type": ..., ["retryAfterMs": ...,]
-     * "query": {...}} via the writer; splices #json when it is set.
+     * "query": {...}} via the writer.
      */
     void writeJson(JsonWriter &json) const;
 
-    /** Whole result as one compact JSON document: #json when set. */
+    /** Whole result as one compact JSON document. */
     std::string toJson() const;
 };
+
+/** @p result rendered once, its bytes trimmed to size for keeping. */
+Answer renderAnswer(const QueryResult &result);
 
 /** An error-carrying result for @p q (rows empty, ok() false). */
 QueryResult makeQueryError(const Query &q, QueryErrorKind kind,

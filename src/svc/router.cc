@@ -26,9 +26,9 @@ RequestRouter::route(const std::string &text)
         // bytes identical whether or not tracing is in play.
         if (request.query.requestId.empty())
             request.query.requestId = obs::mintRequestId();
-        QueryEngine::ResultPtr result = _engine.evaluate(request.query);
-        reply.body = result->toJson();
-        reply.served = result->ok() ? 1 : 0;
+        QueryEngine::ResultPtr answer = _engine.evaluate(request.query);
+        reply.body = answer->json;
+        reply.served = answer->ok() ? 1 : 0;
         return reply;
       }
       case ParsedRequest::Kind::Batch: {
@@ -36,12 +36,12 @@ RequestRouter::route(const std::string &text)
         for (Query &q : queries)
             if (q.requestId.empty())
                 q.requestId = obs::mintRequestId();
-        std::vector<QueryEngine::ResultPtr> results =
+        std::vector<QueryEngine::ResultPtr> answers =
             _engine.evaluateBatch(queries);
         JsonWriter json(reply.body);
-        writeBatchAnswer(json, results.size(), [&](std::size_t i) {
-            results[i]->writeJson(json);
-            reply.served += results[i]->ok() ? 1 : 0;
+        writeBatchAnswer(json, answers.size(), [&](std::size_t i) {
+            json.raw(answers[i]->json);
+            reply.served += answers[i]->ok() ? 1 : 0;
         });
         return reply;
       }

@@ -16,7 +16,7 @@ runBatch(const std::string &text, QueryEngine &engine, std::ostream &out,
     if (!batch)
         return false;
 
-    std::vector<QueryEngine::ResultPtr> results =
+    std::vector<QueryEngine::ResultPtr> answers =
         engine.evaluateBatch(batch->queries);
 
     JsonWriter json(out);
@@ -27,10 +27,10 @@ runBatch(const std::string &text, QueryEngine &engine, std::ostream &out,
             engine.writeMetricsJson(json);
         };
     writeBatchAnswer(
-        json, results.size(),
-        [&](std::size_t i) { results[i]->writeJson(json); }, metrics);
+        json, answers.size(),
+        [&](std::size_t i) { json.raw(answers[i]->json); }, metrics);
     out << "\n";
-    hcm_debug("batch served", logField("queries", results.size()),
+    hcm_debug("batch served", logField("queries", answers.size()),
               logField("threads", engine.threadCount()));
     return true;
 }

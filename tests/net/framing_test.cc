@@ -1,6 +1,7 @@
 #include "net/framing.hh"
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,6 +81,33 @@ TEST(FramingTest, PartialTrailingFrameWaitsForTheRest)
     decoder.feed(second.substr(second.size() - 2));
     ASSERT_TRUE(decoder.next(&payload));
     EXPECT_EQ(payload, "tail");
+}
+
+// One large read can carry thousands of small frames: they must pop
+// in order from a single feed(), and what stays buffered is exactly
+// the partial frame behind them.
+TEST(FramingTest, ManyCoalescedFramesPopInOrderFromOneFeed)
+{
+    constexpr int kFrames = 16384;
+    std::string stream;
+    for (int i = 0; i < kFrames; ++i)
+        stream += encodeFrame(i % 2 ? std::to_string(i) : "");
+    std::string tail = encodeFrame("trailing");
+    FrameDecoder decoder;
+    decoder.feed(stream + tail.substr(0, 7));
+    std::string payload;
+    for (int i = 0; i < kFrames; ++i) {
+        ASSERT_TRUE(decoder.next(&payload)) << "frame " << i;
+        ASSERT_EQ(payload, i % 2 ? std::to_string(i) : "") << "frame " << i;
+    }
+    EXPECT_FALSE(decoder.next(&payload));
+    EXPECT_EQ(decoder.bufferedBytes(), 7u);
+    decoder.feed(tail.substr(7));
+    EXPECT_EQ(decoder.bufferedBytes(), tail.size());
+    ASSERT_TRUE(decoder.next(&payload));
+    EXPECT_EQ(payload, "trailing");
+    EXPECT_EQ(decoder.bufferedBytes(), 0u);
+    EXPECT_FALSE(decoder.failed());
 }
 
 TEST(FramingTest, ZeroLengthPayloadIsAValidFrame)

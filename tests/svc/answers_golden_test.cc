@@ -56,7 +56,7 @@ resultsDocument(const std::vector<QueryEngine::ResultPtr> &results)
 {
     std::vector<std::string> answers;
     for (const QueryEngine::ResultPtr &result : results)
-        answers.push_back(result->toJson());
+        answers.push_back(result->json);
     return resultsDocument(answers);
 }
 
@@ -128,7 +128,7 @@ TEST_F(AnswersGoldenTest, EngineMissesAndHitsServeTheGoldenBytes)
 
     std::vector<std::string> singles;
     for (const Query &q : _queries)
-        singles.push_back(engine.evaluate(q)->toJson());
+        singles.push_back(engine.evaluate(q)->json);
     EXPECT_EQ(resultsDocument(singles), _golden);
 }
 

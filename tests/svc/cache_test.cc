@@ -1,8 +1,15 @@
 /** @file Tests for the sharded LRU memoization cache. */
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <list>
 #include <memory>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,24 +20,22 @@ namespace hcm {
 namespace svc {
 namespace {
 
-std::shared_ptr<const QueryResult>
-resultNamed(const std::string &org)
+std::shared_ptr<const Answer>
+answerOf(const std::string &json)
 {
-    auto result = std::make_shared<QueryResult>();
-    ResultRow row;
-    row.org = org;
-    result->rows.push_back(row);
-    return result;
+    auto answer = std::make_shared<Answer>();
+    answer->json = json;
+    return answer;
 }
 
 TEST(QueryCacheTest, MissThenHit)
 {
     QueryCache cache(8, 2);
     EXPECT_EQ(cache.get("k"), nullptr);
-    cache.put("k", resultNamed("ASIC"));
+    cache.put("k", answerOf("ASIC"));
     auto hit = cache.get("k");
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->rows[0].org, "ASIC");
+    EXPECT_EQ(hit->json, "ASIC");
 
     CacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
@@ -43,7 +48,7 @@ TEST(QueryCacheTest, PeekDoesNotCount)
 {
     QueryCache cache(8, 1);
     EXPECT_EQ(cache.peek("k"), nullptr);
-    cache.put("k", resultNamed("ASIC"));
+    cache.put("k", answerOf("ASIC"));
     EXPECT_NE(cache.peek("k"), nullptr);
     CacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 0u);
@@ -56,10 +61,10 @@ TEST(QueryCacheTest, PeekDoesNotCount)
 TEST(QueryCacheTest, PeekDoesNotPromote)
 {
     QueryCache cache(2, 1); // one shard so LRU order is global
-    cache.put("a", resultNamed("A"));
-    cache.put("b", resultNamed("B")); // order: b (MRU), a (LRU)
+    cache.put("a", answerOf("A"));
+    cache.put("b", answerOf("B")); // order: b (MRU), a (LRU)
     EXPECT_NE(cache.peek("a"), nullptr);
-    cache.put("c", resultNamed("C")); // must evict "a", not "b"
+    cache.put("c", answerOf("C")); // must evict "a", not "b"
     EXPECT_EQ(cache.get("a"), nullptr);
     EXPECT_NE(cache.get("b"), nullptr);
     EXPECT_NE(cache.get("c"), nullptr);
@@ -68,10 +73,10 @@ TEST(QueryCacheTest, PeekDoesNotPromote)
 TEST(QueryCacheTest, EvictsLeastRecentlyUsed)
 {
     QueryCache cache(2, 1); // one shard so LRU order is global
-    cache.put("a", resultNamed("A"));
-    cache.put("b", resultNamed("B"));
+    cache.put("a", answerOf("A"));
+    cache.put("b", answerOf("B"));
     EXPECT_NE(cache.get("a"), nullptr); // refresh "a"
-    cache.put("c", resultNamed("C"));   // evicts "b"
+    cache.put("c", answerOf("C"));   // evicts "b"
 
     EXPECT_NE(cache.get("a"), nullptr);
     EXPECT_EQ(cache.get("b"), nullptr);
@@ -83,16 +88,16 @@ TEST(QueryCacheTest, EvictsLeastRecentlyUsed)
 TEST(QueryCacheTest, PutRefreshesExistingKey)
 {
     QueryCache cache(2, 1);
-    cache.put("k", resultNamed("old"));
-    cache.put("k", resultNamed("new"));
+    cache.put("k", answerOf("old"));
+    cache.put("k", answerOf("new"));
     EXPECT_EQ(cache.stats().entries, 1u);
-    EXPECT_EQ(cache.get("k")->rows[0].org, "new");
+    EXPECT_EQ(cache.get("k")->json, "new");
 }
 
 TEST(QueryCacheTest, ZeroCapacityDisablesStorage)
 {
     QueryCache cache(0);
-    cache.put("k", resultNamed("X"));
+    cache.put("k", answerOf("X"));
     EXPECT_EQ(cache.get("k"), nullptr);
     EXPECT_EQ(cache.stats().entries, 0u);
 }
@@ -111,7 +116,7 @@ TEST(QueryCacheTest, CapacityHoldsAcrossShards)
     // the ceiling-divided per-shard budget times the shard count.
     QueryCache cache(16, 4);
     for (int i = 0; i < 200; ++i)
-        cache.put("key" + std::to_string(i), resultNamed("X"));
+        cache.put("key" + std::to_string(i), answerOf("X"));
     CacheStats stats = cache.stats();
     EXPECT_LE(stats.entries, stats.capacity);
     EXPECT_LE(stats.entries, 16u);
@@ -127,7 +132,7 @@ TEST(QueryCacheTest, StatsReportEffectiveRoundedUpCapacity)
     EXPECT_EQ(cache.requestedCapacity(), 10u);
     EXPECT_EQ(cache.capacity(), 12u);
     for (int i = 0; i < 200; ++i)
-        cache.put("key" + std::to_string(i), resultNamed("X"));
+        cache.put("key" + std::to_string(i), answerOf("X"));
     CacheStats stats = cache.stats();
     EXPECT_EQ(stats.capacity, 12u);
     EXPECT_LE(stats.entries, stats.capacity);
@@ -136,12 +141,184 @@ TEST(QueryCacheTest, StatsReportEffectiveRoundedUpCapacity)
 TEST(QueryCacheTest, ClearKeepsCounters)
 {
     QueryCache cache(8, 2);
-    cache.put("k", resultNamed("X"));
+    cache.put("k", answerOf("X"));
     EXPECT_NE(cache.get("k"), nullptr);
     cache.clear();
     EXPECT_EQ(cache.stats().entries, 0u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.get("k"), nullptr);
+}
+
+/**
+ * Reference model of QueryCache: one plain recency list per shard,
+ * front = most recently used, searched linearly. Keys go to shards by
+ * the same key hash the cache uses.
+ */
+class LruModel
+{
+  public:
+    using Value = std::shared_ptr<const Answer>;
+
+    explicit LruModel(const QueryCache &cache)
+        : _shards(cache.shardCount()),
+          _perShard(cache.capacity() / cache.shardCount())
+    {
+    }
+
+    Value
+    get(const std::string &key)
+    {
+        Lru &lru = shardOf(key);
+        auto it = find(lru, key);
+        if (it == lru.end()) {
+            ++misses;
+            return nullptr;
+        }
+        ++hits;
+        lru.splice(lru.begin(), lru, it);
+        return it->second;
+    }
+
+    Value
+    peek(const std::string &key)
+    {
+        Lru &lru = shardOf(key);
+        auto it = find(lru, key);
+        return it == lru.end() ? nullptr : it->second;
+    }
+
+    /** Insert or refresh @p key; the evicted key, if any. */
+    std::optional<std::string>
+    put(const std::string &key, Value value)
+    {
+        Lru &lru = shardOf(key);
+        auto it = find(lru, key);
+        if (it != lru.end()) {
+            it->second = std::move(value);
+            lru.splice(lru.begin(), lru, it);
+            return std::nullopt;
+        }
+        std::optional<std::string> victim;
+        if (lru.size() >= _perShard) {
+            victim = lru.back().first;
+            lru.pop_back();
+            ++evictions;
+        }
+        lru.emplace_front(key, std::move(value));
+        return victim;
+    }
+
+    void
+    clear()
+    {
+        for (Lru &lru : _shards)
+            lru.clear();
+    }
+
+    std::vector<std::string>
+    residentKeys() const
+    {
+        std::vector<std::string> keys;
+        for (const Lru &lru : _shards)
+            for (const auto &entry : lru)
+                keys.push_back(entry.first);
+        return keys;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    using Lru = std::list<std::pair<std::string, Value>>;
+
+    static Lru::iterator
+    find(Lru &lru, const std::string &key)
+    {
+        return std::find_if(lru.begin(), lru.end(), [&](const auto &e) {
+            return e.first == key;
+        });
+    }
+
+    Lru &
+    shardOf(const std::string &key)
+    {
+        return _shards[std::hash<std::string>{}(key) % _shards.size()];
+    }
+
+    std::vector<Lru> _shards;
+    std::size_t _perShard;
+};
+
+/**
+ * A seeded run of 20,000 gets, peeks, puts, refreshing puts and
+ * clears over 3x capacity keys: every lookup, every eviction victim
+ * and every counter must match the model, op for op.
+ */
+void
+checkAgainstModel(std::size_t shards)
+{
+    constexpr std::size_t kCapacity = 24;
+    QueryCache cache(kCapacity, shards);
+    LruModel model(cache);
+    std::vector<std::string> keys;
+    for (std::size_t i = 0; i < 3 * kCapacity; ++i)
+        keys.push_back("optimize|mmm|f=0." + std::to_string(i) +
+                       "|s=baseline|n=22|d=*");
+    std::mt19937 rng(1234 + static_cast<unsigned>(shards));
+    for (int op = 0; op < 20000; ++op) {
+        std::string key = keys[rng() % keys.size()];
+        unsigned roll = rng() % 1000;
+        if (roll < 450) {
+            auto want = model.get(key);
+            ASSERT_EQ(cache.get(key), want) << "get, op " << op;
+        } else if (roll < 600) {
+            ASSERT_EQ(cache.peek(key), model.peek(key)) << "peek, op " << op;
+        } else if (roll < 998) {
+            std::vector<std::string> resident = model.residentKeys();
+            if (roll >= 900 && !resident.empty())
+                key = resident[rng() % resident.size()]; // refresh
+            auto value = answerOf(key + "#" + std::to_string(op));
+            std::optional<std::string> victim = model.put(key, value);
+            cache.put(key, value);
+            if (victim) {
+                ASSERT_EQ(cache.peek(*victim), nullptr)
+                    << "victim " << *victim << ", op " << op;
+            }
+            ASSERT_EQ(cache.peek(key), value) << "put, op " << op;
+        } else {
+            model.clear();
+            cache.clear();
+        }
+        CacheStats stats = cache.stats();
+        ASSERT_EQ(stats.hits, model.hits) << "op " << op;
+        ASSERT_EQ(stats.misses, model.misses) << "op " << op;
+        ASSERT_EQ(stats.evictions, model.evictions) << "op " << op;
+        ASSERT_EQ(stats.entries, model.residentKeys().size()) << "op " << op;
+        if (op % 256 != 0)
+            continue;
+        for (const std::string &k : keys)
+            ASSERT_EQ(cache.peek(k), model.peek(k)) << k << ", op " << op;
+    }
+    // The run must have exercised eviction and both lookup outcomes.
+    EXPECT_GT(model.evictions, 1000u);
+    EXPECT_GT(model.hits, 1000u);
+    EXPECT_GT(model.misses, 1000u);
+}
+
+TEST(QueryCacheTest, MatchesLruModelWithOneShard)
+{
+    checkAgainstModel(1);
+}
+
+TEST(QueryCacheTest, MatchesLruModelWithThreeShards)
+{
+    checkAgainstModel(3);
+}
+
+TEST(QueryCacheTest, MatchesLruModelWithEightShards)
+{
+    checkAgainstModel(8);
 }
 
 TEST(QueryCacheTest, ConcurrentMixedTrafficStaysConsistent)
@@ -154,7 +331,7 @@ TEST(QueryCacheTest, ConcurrentMixedTrafficStaysConsistent)
                 std::string key =
                     "key" + std::to_string((t * 31 + i) % 100);
                 if (i % 3 == 0)
-                    cache.put(key, resultNamed(key));
+                    cache.put(key, answerOf(key));
                 else
                     cache.get(key);
             }

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -58,7 +59,7 @@ fingerprint(const std::vector<QueryEngine::ResultPtr> &results)
 {
     std::ostringstream oss;
     for (const auto &result : results)
-        oss << result->toJson() << "\n";
+        oss << result->json << "\n";
     return oss.str();
 }
 
@@ -79,9 +80,7 @@ TEST(QueryEngineTest, ResultsComeBackInInputOrder)
     ASSERT_EQ(results.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
         ASSERT_NE(results[i], nullptr);
-        EXPECT_EQ(results[i]->query.canonicalKey(),
-                  queries[i].canonicalKey());
-        EXPECT_EQ(results[i]->toJson(), evaluateQuery(queries[i]).toJson());
+        EXPECT_EQ(results[i]->json, evaluateQuery(queries[i]).toJson());
     }
 }
 
@@ -127,15 +126,44 @@ TEST(QueryEngineTest, AnswersAreMemoizedAsBytes)
     q.workload = wl::Workload::mmm();
     auto miss = engine.evaluate(q);
     ASSERT_TRUE(miss->ok());
-    // Rendered once by the worker; the rows are released so the cache
-    // holds the answer only once.
+    // Rendered once by the miss, trimmed to size for keeping.
     EXPECT_EQ(miss->json, evaluateQuery(q).toJson());
-    EXPECT_TRUE(miss->rows.empty());
-    EXPECT_EQ(miss->rows.capacity(), 0u);
+    EXPECT_EQ(miss->json.capacity(), miss->json.size());
     // A hit hands back the cached object itself.
     auto hit = engine.evaluate(q);
     EXPECT_EQ(hit, miss);
     EXPECT_EQ(engine.cacheStats().hits, 1u);
+}
+
+// A memo entry is the answer's bytes and nothing else: the engine
+// stores a bare Answer, not a QueryResult with its Query, rows and
+// request id, and a repeat under another id gets the very same object.
+// Answer has no virtual members, so its type is pinned at compile
+// time: the pointer type, and a size that leaves no room for a Query.
+TEST(QueryEngineTest, CachedAnswerIsBareBytes)
+{
+    static_assert(std::is_same_v<QueryEngine::ResultPtr,
+                                 std::shared_ptr<const Answer>>);
+    static_assert(sizeof(Answer) <=
+                  sizeof(std::string) + sizeof(std::uint64_t));
+    QueryEngine engine(options(1, 64));
+    Query q;
+    q.type = QueryType::Pareto;
+    q.requestId = "rid-first";
+    q.requestIdEcho = true;
+    auto miss = engine.evaluate(q);
+    ASSERT_TRUE(miss->ok());
+    EXPECT_EQ(miss->json.find("rid-first"), std::string::npos);
+
+    auto hit = engine.evaluate(q);
+    EXPECT_EQ(hit.get(), miss.get());
+    q.requestId = "rid-second";
+    auto repeat = engine.evaluate(q);
+    EXPECT_EQ(repeat.get(), miss.get());
+    CacheStats stats = engine.cacheStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 2u);
+    EXPECT_EQ(stats.entries, 1u);
 }
 
 TEST(QueryEngineTest, EvaluateSingleMatchesBatch)
@@ -147,7 +175,7 @@ TEST(QueryEngineTest, EvaluateSingleMatchesBatch)
     auto single = engine.evaluate(q);
     auto batch = engine.evaluateBatch({q});
     ASSERT_NE(single, nullptr);
-    EXPECT_EQ(single->toJson(), batch[0]->toJson());
+    EXPECT_EQ(single->json, batch[0]->json);
 }
 
 // Satellite: a batch of mixed queries returns bit-identical results
@@ -342,15 +370,16 @@ TEST_F(QueryEngineLifecycleTest, ThrowingEvaluationResolvesToError)
     ASSERT_NE(result, nullptr);
     EXPECT_FALSE(result->ok());
     EXPECT_EQ(result->errorKind, QueryErrorKind::EvaluationFailed);
-    EXPECT_EQ(result->error, "model exploded");
-    EXPECT_TRUE(result->rows.empty());
-    EXPECT_TRUE(result->json.empty()); // rendered per request instead
     EXPECT_EQ(engine.inflightCount(), 0u);
     EXPECT_EQ(engine.metrics().errors(), 1u);
-    std::string json = result->toJson();
-    EXPECT_NE(json.find("\"error\":\"model exploded\""),
+    // Rendered when made: exactly the error document a client gets.
+    EXPECT_EQ(result->json,
+              makeQueryError(q, QueryErrorKind::EvaluationFailed,
+                             "model exploded")
+                  .toJson());
+    EXPECT_NE(result->json.find("\"error\":\"model exploded\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"type\":\"evaluation_failed\""),
+    EXPECT_NE(result->json.find("\"type\":\"evaluation_failed\""),
               std::string::npos);
 
     // Errors are never cached: disarmed, the same key evaluates fine.
@@ -358,7 +387,7 @@ TEST_F(QueryEngineLifecycleTest, ThrowingEvaluationResolvesToError)
     auto retry = engine.evaluate(q);
     ASSERT_NE(retry, nullptr);
     EXPECT_TRUE(retry->ok());
-    EXPECT_EQ(retry->toJson(), evaluateQuery(q).toJson());
+    EXPECT_EQ(retry->json, evaluateQuery(q).toJson());
     EXPECT_EQ(engine.cacheStats().hits, 0u); // both passes were misses
 }
 
@@ -392,9 +421,11 @@ TEST_F(QueryEngineLifecycleTest, DeadlineAfterEvaluationStillCaches)
     auto late = engine.evaluate(q);
     ASSERT_NE(late, nullptr);
     EXPECT_EQ(late->errorKind, QueryErrorKind::DeadlineExceeded);
-    EXPECT_NE(late->error.find("deadline exceeded"), std::string::npos);
+    EXPECT_NE(late->json.find(
+                  "\"error\":\"deadline exceeded during evaluation\""),
+              std::string::npos);
     EXPECT_EQ(engine.metrics().deadlineExceeded(), 1u);
-    EXPECT_NE(late->toJson().find("\"type\":\"deadline_exceeded\""),
+    EXPECT_NE(late->json.find("\"type\":\"deadline_exceeded\""),
               std::string::npos);
 
     Query retry; // same key: the deadline is not part of identity
@@ -422,7 +453,9 @@ TEST_F(QueryEngineLifecycleTest, DeadlineCheckedAtDequeue)
     ASSERT_EQ(results.size(), 2u);
     EXPECT_TRUE(results[0]->ok());
     EXPECT_EQ(results[1]->errorKind, QueryErrorKind::DeadlineExceeded);
-    EXPECT_NE(results[1]->error.find("while queued"), std::string::npos);
+    EXPECT_NE(results[1]->json.find(
+                  "\"error\":\"deadline exceeded while queued\""),
+              std::string::npos);
     // The doomed query never reached evaluation.
     EXPECT_EQ(FaultInjector::instance().callCount("eval"), 1u);
     EXPECT_EQ(engine.metrics().deadlineExceeded(), 1u);
@@ -471,9 +504,12 @@ TEST_F(QueryEngineLifecycleTest, SaturatedQueueShedsWithRetryHint)
     auto r3 = engine.evaluate(q3);
     ASSERT_NE(r3, nullptr);
     EXPECT_EQ(r3->errorKind, QueryErrorKind::Overloaded);
-    EXPECT_EQ(r3->error, "worker queue is full");
-    EXPECT_GE(r3->retryAfterMs, 1u);
-    EXPECT_NE(r3->toJson().find("\"retryAfterMs\":"), std::string::npos);
+    auto doc = JsonValue::parse(r3->json);
+    ASSERT_TRUE(doc) << r3->json;
+    EXPECT_EQ(doc->find("error")->asString(), "worker queue is full");
+    EXPECT_EQ(doc->find("type")->asString(), "overloaded");
+    ASSERT_NE(doc->find("retryAfterMs"), nullptr) << r3->json;
+    EXPECT_GE(doc->find("retryAfterMs")->asNumber(), 1.0);
     EXPECT_GE(engine.metrics().rejected(), 1u);
 
     c1.join();
@@ -512,7 +548,7 @@ TEST(QueryEngineTest, FaultedEvaluationEchoesAClientRequestId)
     FaultInjector::instance().reset();
     ASSERT_NE(result, nullptr);
     EXPECT_EQ(result->errorKind, QueryErrorKind::EvaluationFailed);
-    EXPECT_NE(result->toJson().find("\"requestId\":\"rid-fault\""),
+    EXPECT_NE(result->json.find("\"requestId\":\"rid-fault\""),
               std::string::npos);
 }
 
@@ -531,7 +567,7 @@ TEST(QueryEngineTest, DeadlineErrorEchoesAClientRequestId)
     FaultInjector::instance().reset();
     ASSERT_NE(result, nullptr);
     EXPECT_EQ(result->errorKind, QueryErrorKind::DeadlineExceeded);
-    EXPECT_NE(result->toJson().find("\"requestId\":\"rid-late\""),
+    EXPECT_NE(result->json.find("\"requestId\":\"rid-late\""),
               std::string::npos);
 }
 
