@@ -1,17 +1,22 @@
 /** @file Google-benchmark microbenchmarks of the concurrent query
  *  engine: batch throughput versus worker-thread count and cache
  *  state, the cost of a hit through to its answer bytes, a single
- *  miss through evaluate(), and the one-time JSON render per query
- *  type. The acceptance ratio for the subsystem is the warm-cache
- *  8-thread batch against the cold-cache single-thread batch. */
+ *  miss through evaluate(), the one-time JSON render per query type,
+ *  and packing and expanding the cached answer bytes. The acceptance
+ *  ratio for the subsystem is the warm-cache 8-thread batch against
+ *  the cold-cache single-thread batch. */
 
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
 
+#include "svc/answer_codec.hh"
 #include "svc/engine.hh"
+#include "svc/request.hh"
 
 namespace {
 
@@ -119,7 +124,8 @@ BM_EngineWarmHit(benchmark::State &state)
     engine.evaluateBatch(queries); // prime
     std::size_t i = 0;
     for (auto _ : state) {
-        std::string body = engine.evaluate(queries[i])->json;
+        std::string body;
+        engine.evaluate(queries[i])->appendTo(body);
         benchmark::DoNotOptimize(body.data());
         benchmark::ClobberMemory();
         i = (i + 1) % queries.size();
@@ -173,6 +179,99 @@ BENCHMARK_CAPTURE(BM_RenderQueryResult, energy, svc::QueryType::Energy);
 BENCHMARK_CAPTURE(BM_RenderQueryResult, pareto, svc::QueryType::Pareto);
 BENCHMARK_CAPTURE(BM_RenderQueryResult, projection,
                   svc::QueryType::Projection);
+
+/** The golden answer mix, rendered: the bytes the codec benches pack. */
+std::vector<std::string>
+goldenAnswers()
+{
+    std::ifstream in(std::string(HCM_SVC_DATA_DIR) + "/answers_mix.json",
+                     std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string error;
+    auto batch = svc::parseBatchDocument(text.str(), &error);
+    std::vector<std::string> answers;
+    if (batch)
+        for (const svc::Query &q : batch->queries)
+            answers.push_back(svc::evaluateQuery(q).toJson());
+    return answers;
+}
+
+/**
+ * Packing one answer, as a miss does before the cache keeps it; the
+ * iterations cycle through the golden mix, so the time is a mean
+ * answer's.
+ */
+void
+BM_AnswerPack(benchmark::State &state)
+{
+    std::vector<std::string> answers = goldenAnswers();
+    if (answers.empty()) {
+        state.SkipWithError("answers_mix.json not found");
+        return;
+    }
+    std::string packed;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        packed.clear();
+        svc::packAnswer(answers[i], packed);
+        benchmark::DoNotOptimize(packed.data());
+        benchmark::ClobberMemory();
+        i = (i + 1) % answers.size();
+    }
+    double text = 0, kept = 0;
+    for (const std::string &a : answers) {
+        packed.clear();
+        svc::packAnswer(a, packed);
+        text += static_cast<double>(a.size());
+        kept += static_cast<double>(packed.size());
+    }
+    state.counters["ratio"] = text / kept;
+}
+BENCHMARK(BM_AnswerPack);
+
+/** Expanding one packed answer into a reused buffer, as a hit does. */
+void
+BM_AnswerUnpack(benchmark::State &state)
+{
+    std::vector<std::string> packed;
+    for (const std::string &a : goldenAnswers())
+        svc::packAnswer(a, packed.emplace_back());
+    if (packed.empty()) {
+        state.SkipWithError("answers_mix.json not found");
+        return;
+    }
+    std::string body;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        body.clear();
+        svc::appendExpanded(packed[i], body);
+        benchmark::DoNotOptimize(body.data());
+        benchmark::ClobberMemory();
+        i = (i + 1) % packed.size();
+    }
+}
+BENCHMARK(BM_AnswerUnpack);
+
+/** A plain copy of one answer's bytes: the floor the codec adds to. */
+void
+BM_AnswerCopy(benchmark::State &state)
+{
+    std::vector<std::string> answers = goldenAnswers();
+    if (answers.empty()) {
+        state.SkipWithError("answers_mix.json not found");
+        return;
+    }
+    std::string body;
+    std::size_t i = 0;
+    for (auto _ : state) {
+        body.assign(answers[i]);
+        benchmark::DoNotOptimize(body.data());
+        benchmark::ClobberMemory();
+        i = (i + 1) % answers.size();
+    }
+}
+BENCHMARK(BM_AnswerCopy);
 
 /** Cost of building the canonical memoization key. */
 void

@@ -5,17 +5,24 @@
 namespace hcm {
 namespace net {
 
+std::array<char, kFrameHeaderBytes>
+frameHeader(std::size_t payload_bytes)
+{
+    hcm_assert(payload_bytes <= UINT32_MAX, "frame payload too large");
+    auto len = static_cast<std::uint32_t>(payload_bytes);
+    return {static_cast<char>((len >> 24) & 0xff),
+            static_cast<char>((len >> 16) & 0xff),
+            static_cast<char>((len >> 8) & 0xff),
+            static_cast<char>(len & 0xff)};
+}
+
 std::string
 encodeFrame(const std::string &payload)
 {
-    hcm_assert(payload.size() <= UINT32_MAX, "frame payload too large");
-    std::uint32_t len = static_cast<std::uint32_t>(payload.size());
+    std::array<char, kFrameHeaderBytes> header = frameHeader(payload.size());
     std::string frame;
     frame.reserve(kFrameHeaderBytes + payload.size());
-    frame.push_back(static_cast<char>((len >> 24) & 0xff));
-    frame.push_back(static_cast<char>((len >> 16) & 0xff));
-    frame.push_back(static_cast<char>((len >> 8) & 0xff));
-    frame.push_back(static_cast<char>(len & 0xff));
+    frame.append(header.data(), header.size());
     frame += payload;
     return frame;
 }

@@ -19,6 +19,7 @@
 #ifndef HCM_NET_FRAMING_HH
 #define HCM_NET_FRAMING_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -31,6 +32,9 @@ constexpr std::uint32_t kDefaultMaxFrameBytes = 16u << 20;
 
 /** Wire size of the length prefix. */
 constexpr std::size_t kFrameHeaderBytes = 4;
+
+/** The length prefix of a frame of @p payload_bytes (big-endian). */
+std::array<char, kFrameHeaderBytes> frameHeader(std::size_t payload_bytes);
 
 /** @p payload as one wire frame (big-endian length + bytes). */
 std::string encodeFrame(const std::string &payload);

@@ -114,7 +114,8 @@ class LocalShardBackend : public ShardBackend
                 std::string *error) override
     {
         (void)error;
-        *response = _router.engine().evaluate(q.query, q.key)->json;
+        response->clear();
+        _router.engine().evaluate(q.query, q.key)->appendTo(*response);
         return true;
     }
 

@@ -1,5 +1,6 @@
 #include "server.hh"
 
+#include <array>
 #include <utility>
 
 #include "obs/metrics.hh"
@@ -32,6 +33,16 @@ netMetrics()
 {
     static NetMetrics metrics;
     return metrics;
+}
+
+/** @p payload as one frame, header and payload in one send. */
+bool
+sendFrame(const Socket &sock, const std::string &payload,
+          std::string *error)
+{
+    std::array<char, kFrameHeaderBytes> header = frameHeader(payload.size());
+    return sock.sendAll(header.data(), header.size(), payload.data(),
+                        payload.size(), error);
 }
 
 } // namespace
@@ -146,9 +157,7 @@ TcpServer::connectionLoop(Connection *conn)
             netMetrics().frames.add(1);
             std::string response = _handler(payload);
             std::string error;
-            if (!conn->sock.sendAll(encodeFrame(response).data(),
-                                    kFrameHeaderBytes + response.size(),
-                                    &error)) {
+            if (!sendFrame(conn->sock, response, &error)) {
                 hcm_debug("net response send failed",
                           logField("error", error));
                 open = false;
@@ -158,10 +167,8 @@ TcpServer::connectionLoop(Connection *conn)
         if (decoder.failed()) {
             // Oversized frame: answer one structured error, then
             // drop the connection — the stream can't be resynced.
-            std::string body = svc::errorBody(decoder.error());
-            conn->sock.sendAll(encodeFrame(body).data(),
-                               kFrameHeaderBytes + body.size(),
-                               nullptr);
+            sendFrame(conn->sock, svc::errorBody(decoder.error()),
+                      nullptr);
             hcm_warn("net frame rejected",
                      logField("error", decoder.error()));
             break;

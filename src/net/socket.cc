@@ -1,5 +1,6 @@
 #include "socket.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -10,6 +11,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace hcm {
@@ -74,11 +76,22 @@ bool
 Socket::sendAll(const void *data, std::size_t len,
                 std::string *error) const
 {
-    const char *p = static_cast<const char *>(data);
-    while (len > 0) {
+    return sendAll(data, len, nullptr, 0, error);
+}
+
+bool
+Socket::sendAll(const void *head, std::size_t head_len, const void *body,
+                std::size_t body_len, std::string *error) const
+{
+    iovec iov[2] = {{const_cast<void *>(head), head_len},
+                    {const_cast<void *>(body), body_len}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    while (iov[0].iov_len + iov[1].iov_len > 0) {
         // MSG_NOSIGNAL: a vanished peer must surface as EPIPE, not
         // kill the process with SIGPIPE.
-        ssize_t n = ::send(_fd, p, len, MSG_NOSIGNAL);
+        ssize_t n = ::sendmsg(_fd, &msg, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -86,8 +99,15 @@ Socket::sendAll(const void *data, std::size_t len,
                 *error = errnoMessage("send");
             return false;
         }
-        p += n;
-        len -= static_cast<std::size_t>(n);
+        // Resume after the bytes sent, which may end inside either
+        // buffer.
+        auto sent = static_cast<std::size_t>(n);
+        for (iovec &v : iov) {
+            std::size_t used = std::min(sent, v.iov_len);
+            v.iov_base = static_cast<char *>(v.iov_base) + used;
+            v.iov_len -= used;
+            sent -= used;
+        }
     }
     return true;
 }

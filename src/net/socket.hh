@@ -72,6 +72,15 @@ class Socket
                  std::string *error) const;
 
     /**
+     * Send all @p head_len bytes of @p head, then all @p body_len of
+     * @p body, as one stream: each sendmsg() offers what is left of
+     * both, so a frame header and its payload leave together without
+     * being copied into one buffer first.
+     */
+    bool sendAll(const void *head, std::size_t head_len, const void *body,
+                 std::size_t body_len, std::string *error) const;
+
+    /**
      * Receive up to @p len bytes; returns the count, 0 on orderly
      * close, -1 on error/timeout with @p error set.
      */

@@ -15,6 +15,7 @@ CacheStats::writeJson(JsonWriter &json) const
     json.kv("misses", misses);
     json.kv("evictions", evictions);
     json.kv("entries", entries);
+    json.kv("bytes", bytes);
     json.kv("capacity", capacity);
     json.kv("hitRate", hitRate());
     json.endObject();
@@ -33,6 +34,16 @@ QueryCache::QueryCache(std::size_t capacity, std::size_t shards)
     for (std::size_t i = 0; i < count; ++i)
         _shards.emplace_back();
 }
+
+namespace {
+
+std::size_t
+bytesOf(const std::shared_ptr<const Answer> &answer)
+{
+    return answer ? answer->packedBytes() : 0;
+}
+
+} // namespace
 
 QueryCache::Shard &
 QueryCache::shardFor(const std::string &key)
@@ -95,6 +106,8 @@ QueryCache::put(const std::string &key, std::shared_ptr<const Answer> value)
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
+        shard.bytes -= bytesOf(it->second.answer);
+        shard.bytes += bytesOf(value);
         it->second.answer = std::move(value);
         shard.unlink(*it);
         shard.pushNewest(*it);
@@ -103,11 +116,13 @@ QueryCache::put(const std::string &key, std::shared_ptr<const Answer> value)
     if (shard.index.size() >= _perShardCapacity) {
         Entry &victim = *shard.oldest;
         shard.unlink(victim);
+        shard.bytes -= bytesOf(victim.second.answer);
         // Erase by iterator: the victim's key lives in the node that
         // erase() frees.
         shard.index.erase(shard.index.find(victim.first));
         ++shard.evictions;
     }
+    shard.bytes += bytesOf(value);
     auto fresh = shard.index.emplace(key, Slot{std::move(value)}).first;
     shard.pushNewest(*fresh);
 }
@@ -119,6 +134,7 @@ QueryCache::clear()
         std::lock_guard<std::mutex> lock(shard.mu);
         shard.index.clear();
         shard.newest = shard.oldest = nullptr;
+        shard.bytes = 0;
     }
 }
 
@@ -138,6 +154,7 @@ QueryCache::stats() const
         out.misses += shard.misses;
         out.evictions += shard.evictions;
         out.entries += shard.index.size();
+        out.bytes += shard.bytes;
     }
     return out;
 }

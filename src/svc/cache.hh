@@ -4,8 +4,8 @@
  * canonical query strings; values are immutable shared Answers, so a
  * hit is a pointer copy and readers never block evaluators for long.
  * Sharding by key hash splits the lock so concurrent workers rarely
- * contend; each shard keeps its own LRU order and hit/miss/eviction
- * counters, aggregated on demand. An entry is one hash-map node — the
+ * contend; each shard keeps its own LRU order, hit/miss/eviction
+ * counters and the packed answer bytes it holds, aggregated on demand. An entry is one hash-map node — the
  * key, the answer pointer and the LRU links threaded through the
  * nodes — so the key is stored once.
  */
@@ -35,6 +35,8 @@ struct CacheStats
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::size_t entries = 0;
+    /** Packed answer bytes the entries hold (Answer::packedBytes()). */
+    std::size_t bytes = 0;
     std::size_t capacity = 0;
 
     std::uint64_t lookups() const { return hits + misses; }
@@ -124,6 +126,8 @@ class QueryCache
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t evictions = 0;
+        /** Packed answer bytes held (mu held to read or write). */
+        std::size_t bytes = 0;
 
         /** Take @p e out of the recency order (mu held). */
         void unlink(Entry &e);

@@ -220,7 +220,7 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
                 FaultInjector::instance().maybeInject("eval");
                 // Render once and keep only the bytes: every later
                 // answer for this key, hit or piggybacked waiter,
-                // splices them instead of rendering again.
+                // expands them instead of rendering again.
                 result = std::make_shared<const Answer>(
                     renderAnswer(evaluateQuery(q)));
             } catch (...) {

@@ -163,6 +163,8 @@ MetricsRegistry::writePrometheus(std::ostream &out,
         << "hcm_svc_cache_evictions_total " << cache->evictions << "\n"
         << "# TYPE hcm_svc_cache_entries gauge\n"
         << "hcm_svc_cache_entries " << cache->entries << "\n"
+        << "# TYPE hcm_svc_cache_bytes gauge\n"
+        << "hcm_svc_cache_bytes " << cache->bytes << "\n"
         << "# TYPE hcm_svc_cache_capacity gauge\n"
         << "hcm_svc_cache_capacity " << cache->capacity << "\n";
 }

@@ -2,6 +2,7 @@
 
 #include "core/pareto.hh"
 #include "itrs/scaling.hh"
+#include "svc/answer_codec.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
 
@@ -185,14 +186,45 @@ QueryResult::toJson() const
     return body;
 }
 
+Answer::Answer(std::string_view json, QueryErrorKind kind) : errorKind(kind)
+{
+    // Packed into a reused buffer, then copied once: the kept string
+    // is allocated at its exact size.
+    thread_local std::string packed;
+    packed.clear();
+    packAnswer(json, packed);
+    _packed = packed;
+}
+
+std::size_t
+Answer::size() const
+{
+    return expandedSize(_packed);
+}
+
+void
+Answer::appendTo(std::string &out) const
+{
+    appendExpanded(_packed, out);
+}
+
+void
+Answer::writeTo(JsonWriter &json) const
+{
+    json.rawInPlace(size(), kAnswerExpandSlack,
+                    [&](char *dst) { expandAnswer(_packed, dst); });
+}
+
 Answer
 renderAnswer(const QueryResult &result)
 {
-    Answer answer;
-    answer.json = result.toJson();
-    answer.json.shrink_to_fit();
-    answer.errorKind = result.errorKind;
-    return answer;
+    thread_local std::string scratch;
+    scratch.clear();
+    {
+        JsonWriter out(scratch);
+        result.writeJson(out);
+    }
+    return Answer(scratch, result.errorKind);
 }
 
 QueryResult

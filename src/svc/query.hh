@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "devices/device.hh"
@@ -115,20 +116,41 @@ std::string queryErrorKindName(QueryErrorKind kind);
  * A rendered answer: the bytes a client receives for one query, and
  * whether they say success. This is the engine's product and the
  * cache's value; a memoized entry holds nothing else — no Query, no
- * rows, no request id.
+ * rows, no request id. The bytes are kept packed (svc/answer_codec.hh)
+ * and read only by expanding them into the caller's buffer.
  */
 struct Answer
 {
-    std::string json;
     QueryErrorKind errorKind = QueryErrorKind::None;
 
+    Answer() = default;
+
+    /** @p json packed; @p kind says whether it is a success. */
+    explicit Answer(std::string_view json,
+                    QueryErrorKind kind = QueryErrorKind::None);
+
     bool ok() const { return errorKind == QueryErrorKind::None; }
+
+    /** Length of the answer's bytes. */
+    std::size_t size() const;
+
+    /** Append the answer's bytes to @p out. */
+    void appendTo(std::string &out) const;
+
+    /** Splice the answer's bytes into @p json as one value. */
+    void writeTo(JsonWriter &json) const;
+
+    /** Bytes the packed form holds (what the cache keeps per entry). */
+    std::size_t packedBytes() const { return _packed.size(); }
+
+  private:
+    std::string _packed;
 };
 
 /**
  * The answer to one query before rendering: rows on success, a
  * structured error otherwise. renderAnswer() turns it into the bytes;
- * the inherited #json stays empty here. It is an Answer so that a
+ * the inherited bytes stay empty here. It is an Answer so that a
  * pointer to one converts to the cache's value type.
  */
 struct QueryResult : Answer
@@ -150,7 +172,10 @@ struct QueryResult : Answer
     std::string toJson() const;
 };
 
-/** @p result rendered once, its bytes trimmed to size for keeping. */
+/**
+ * @p result rendered once into a per-thread scratch buffer and packed
+ * from it, exactly sized for keeping.
+ */
 Answer renderAnswer(const QueryResult &result);
 
 /** An error-carrying result for @p q (rows empty, ok() false). */

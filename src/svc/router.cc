@@ -27,7 +27,7 @@ RequestRouter::route(const std::string &text)
         if (request.query.requestId.empty())
             request.query.requestId = obs::mintRequestId();
         QueryEngine::ResultPtr answer = _engine.evaluate(request.query);
-        reply.body = answer->json;
+        answer->appendTo(reply.body);
         reply.served = answer->ok() ? 1 : 0;
         return reply;
       }
@@ -40,7 +40,7 @@ RequestRouter::route(const std::string &text)
             _engine.evaluateBatch(queries);
         JsonWriter json(reply.body);
         writeBatchAnswer(json, answers.size(), [&](std::size_t i) {
-            json.raw(answers[i]->json);
+            answers[i]->writeTo(json);
             reply.served += answers[i]->ok() ? 1 : 0;
         });
         return reply;

@@ -28,7 +28,7 @@ runBatch(const std::string &text, QueryEngine &engine, std::ostream &out,
         };
     writeBatchAnswer(
         json, answers.size(),
-        [&](std::size_t i) { json.raw(answers[i]->json); }, metrics);
+        [&](std::size_t i) { answers[i]->writeTo(json); }, metrics);
     out << "\n";
     hcm_debug("batch served", logField("queries", answers.size()),
               logField("threads", engine.threadCount()));

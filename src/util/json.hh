@@ -81,6 +81,22 @@ class JsonWriter
      */
     JsonWriter &raw(std::string_view fragment);
 
+    /**
+     * raw() for a fragment of @p n bytes that @p fill writes in place:
+     * it gets the fragment's first byte and may overwrite up to
+     * @p slack bytes past its end.
+     */
+    template <typename Fill>
+    JsonWriter &
+    rawInPlace(std::size_t n, std::size_t slack, Fill &&fill)
+    {
+        char *p = beforeValue(room(n + slack + 1));
+        fill(p);
+        commit(p + n);
+        afterValue();
+        return *this;
+    }
+
     /** key() + value() in one call. */
     template <typename T>
     JsonWriter &

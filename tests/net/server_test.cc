@@ -227,6 +227,78 @@ TEST(SocketTest, BothEndsDisableNagle)
     }
 }
 
+TEST(SocketTest, TwoBufferSendAllResumesPartialWrites)
+{
+    // Small socket buffers, a send timeout and a reader that drains
+    // them slowly make sendmsg() return short, inside either buffer or
+    // across the boundary; every byte must still arrive, in order. The
+    // reader never pauses near the timeout, so each call sends some.
+    std::string error;
+    auto [listener, port] = listenOn("127.0.0.1", 0, &error);
+    ASSERT_TRUE(listener.valid()) << error;
+    Socket sender = connectTo("127.0.0.1", port, 1000, &error);
+    ASSERT_TRUE(sender.valid()) << error;
+    Socket receiver = acceptOn(listener, &error);
+    ASSERT_TRUE(receiver.valid()) << error;
+    int sndbuf = 4096;
+    int rcvbuf = 64 * 1024;
+    ASSERT_EQ(::setsockopt(sender.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                           sizeof(sndbuf)),
+              0);
+    ASSERT_EQ(::setsockopt(receiver.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                           sizeof(rcvbuf)),
+              0);
+    ASSERT_TRUE(sender.setIoTimeoutMs(100, &error)) << error;
+    ASSERT_TRUE(receiver.setIoTimeoutMs(5000, &error)) << error;
+
+    std::string head(768 * 1024, '\0');
+    std::string body(5 * 256 * 1024, '\0');
+    std::uint32_t x = 12345;
+    for (std::string *buf : {&head, &body})
+        for (char &c : *buf) {
+            x = x * 1664525u + 1013904223u;
+            c = static_cast<char>(x >> 24);
+        }
+
+    std::string received;
+    std::thread reader([&] {
+        char buf[4096];
+        std::string why;
+        while (received.size() < head.size() + body.size()) {
+            long n = receiver.recvSome(buf, sizeof(buf), &why);
+            if (n <= 0)
+                return;
+            received.append(buf, static_cast<std::size_t>(n));
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    });
+    bool sent = sender.sendAll(head.data(), head.size(), body.data(),
+                               body.size(), &error);
+    if (!sent)
+        receiver.shutdownBoth();
+    reader.join();
+    ASSERT_TRUE(sent) << error;
+    ASSERT_EQ(received.size(), head.size() + body.size());
+    EXPECT_TRUE(received.compare(0, head.size(), head) == 0);
+    EXPECT_TRUE(received.compare(head.size(), body.size(), body) == 0);
+}
+
+TEST(TcpServerTest, MultiMiBResponseArrivesWhole)
+{
+    // The server sends header and payload in one sendmsg(); a response
+    // far larger than the socket buffers must come back byte-exact.
+    std::string big(3 << 20, 'x');
+    for (std::size_t i = 0; i < big.size(); i += 4099)
+        big[i] = static_cast<char>('a' + i % 26);
+    TcpServerOptions opts;
+    TcpServer server(opts,
+                     [&](const std::string &) { return big; });
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    EXPECT_TRUE(roundTripOnce(server.port(), "go") == big);
+    server.stop();
+}
+
 } // namespace
 } // namespace net
 } // namespace hcm

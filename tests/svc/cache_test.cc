@@ -23,9 +23,15 @@ namespace {
 std::shared_ptr<const Answer>
 answerOf(const std::string &json)
 {
-    auto answer = std::make_shared<Answer>();
-    answer->json = json;
-    return answer;
+    return std::make_shared<const Answer>(json);
+}
+
+std::string
+textOf(const Answer &answer)
+{
+    std::string text;
+    answer.appendTo(text);
+    return text;
 }
 
 TEST(QueryCacheTest, MissThenHit)
@@ -35,7 +41,7 @@ TEST(QueryCacheTest, MissThenHit)
     cache.put("k", answerOf("ASIC"));
     auto hit = cache.get("k");
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->json, "ASIC");
+    EXPECT_EQ(textOf(*hit), "ASIC");
 
     CacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
@@ -91,7 +97,7 @@ TEST(QueryCacheTest, PutRefreshesExistingKey)
     cache.put("k", answerOf("old"));
     cache.put("k", answerOf("new"));
     EXPECT_EQ(cache.stats().entries, 1u);
-    EXPECT_EQ(cache.get("k")->json, "new");
+    EXPECT_EQ(textOf(*cache.get("k")), "new");
 }
 
 TEST(QueryCacheTest, ZeroCapacityDisablesStorage)
@@ -215,6 +221,17 @@ class LruModel
             lru.clear();
     }
 
+    /** Packed bytes of the resident values. */
+    std::size_t
+    residentBytes() const
+    {
+        std::size_t bytes = 0;
+        for (const Lru &lru : _shards)
+            for (const auto &entry : lru)
+                bytes += entry.second->packedBytes();
+        return bytes;
+    }
+
     std::vector<std::string>
     residentKeys() const
     {
@@ -252,8 +269,8 @@ class LruModel
 
 /**
  * A seeded run of 20,000 gets, peeks, puts, refreshing puts and
- * clears over 3x capacity keys: every lookup, every eviction victim
- * and every counter must match the model, op for op.
+ * clears over 3x capacity keys: every lookup, every eviction victim,
+ * every counter and the bytes held must match the model, op for op.
  */
 void
 checkAgainstModel(std::size_t shards)
@@ -295,6 +312,7 @@ checkAgainstModel(std::size_t shards)
         ASSERT_EQ(stats.misses, model.misses) << "op " << op;
         ASSERT_EQ(stats.evictions, model.evictions) << "op " << op;
         ASSERT_EQ(stats.entries, model.residentKeys().size()) << "op " << op;
+        ASSERT_EQ(stats.bytes, model.residentBytes()) << "op " << op;
         if (op % 256 != 0)
             continue;
         for (const std::string &k : keys)
@@ -319,6 +337,28 @@ TEST(QueryCacheTest, MatchesLruModelWithThreeShards)
 TEST(QueryCacheTest, MatchesLruModelWithEightShards)
 {
     checkAgainstModel(8);
+}
+
+TEST(QueryCacheTest, BytesFollowPutRefreshEvictAndClear)
+{
+    QueryCache cache(2, 1);
+    auto a = answerOf(R"({"organization":"ASIC","node":"22nm"})");
+    auto b = answerOf("plain text that is stored raw");
+    auto c = answerOf(R"({"speedup":63.8444659084})");
+    EXPECT_EQ(cache.stats().bytes, 0u);
+    cache.put("a", a);
+    EXPECT_EQ(cache.stats().bytes, a->packedBytes());
+    cache.put("b", b);
+    EXPECT_EQ(cache.stats().bytes, a->packedBytes() + b->packedBytes());
+    cache.put("a", c); // refresh: a's bytes out, c's in
+    EXPECT_EQ(cache.stats().bytes, c->packedBytes() + b->packedBytes());
+    cache.put("d", a); // evicts b
+    EXPECT_EQ(cache.stats().bytes, c->packedBytes() + a->packedBytes());
+    cache.clear();
+    EXPECT_EQ(cache.stats().bytes, 0u);
+    // An answer that was never rendered holds no bytes.
+    cache.put("e", std::make_shared<const QueryResult>());
+    EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
 TEST(QueryCacheTest, ConcurrentMixedTrafficStaysConsistent)

@@ -53,13 +53,22 @@ mixedQueries()
     return queries;
 }
 
+/** An answer's bytes, expanded. */
+std::string
+textOf(const Answer &answer)
+{
+    std::string text;
+    answer.appendTo(text);
+    return text;
+}
+
 /** Serialize a whole batch; bit-identical JSON == identical results. */
 std::string
 fingerprint(const std::vector<QueryEngine::ResultPtr> &results)
 {
     std::ostringstream oss;
     for (const auto &result : results)
-        oss << result->json << "\n";
+        oss << textOf(*result) << "\n";
     return oss.str();
 }
 
@@ -80,7 +89,7 @@ TEST(QueryEngineTest, ResultsComeBackInInputOrder)
     ASSERT_EQ(results.size(), queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) {
         ASSERT_NE(results[i], nullptr);
-        EXPECT_EQ(results[i]->json, evaluateQuery(queries[i]).toJson());
+        EXPECT_EQ(textOf(*results[i]), evaluateQuery(queries[i]).toJson());
     }
 }
 
@@ -126,9 +135,10 @@ TEST(QueryEngineTest, AnswersAreMemoizedAsBytes)
     q.workload = wl::Workload::mmm();
     auto miss = engine.evaluate(q);
     ASSERT_TRUE(miss->ok());
-    // Rendered once by the miss, trimmed to size for keeping.
-    EXPECT_EQ(miss->json, evaluateQuery(q).toJson());
-    EXPECT_EQ(miss->json.capacity(), miss->json.size());
+    // Rendered once by the miss, packed for keeping.
+    EXPECT_EQ(textOf(*miss), evaluateQuery(q).toJson());
+    EXPECT_EQ(miss->size(), textOf(*miss).size());
+    EXPECT_LT(miss->packedBytes() * 3, miss->size());
     // A hit hands back the cached object itself.
     auto hit = engine.evaluate(q);
     EXPECT_EQ(hit, miss);
@@ -153,7 +163,7 @@ TEST(QueryEngineTest, CachedAnswerIsBareBytes)
     q.requestIdEcho = true;
     auto miss = engine.evaluate(q);
     ASSERT_TRUE(miss->ok());
-    EXPECT_EQ(miss->json.find("rid-first"), std::string::npos);
+    EXPECT_EQ(textOf(*miss).find("rid-first"), std::string::npos);
 
     auto hit = engine.evaluate(q);
     EXPECT_EQ(hit.get(), miss.get());
@@ -175,7 +185,7 @@ TEST(QueryEngineTest, EvaluateSingleMatchesBatch)
     auto single = engine.evaluate(q);
     auto batch = engine.evaluateBatch({q});
     ASSERT_NE(single, nullptr);
-    EXPECT_EQ(single->json, batch[0]->json);
+    EXPECT_EQ(textOf(*single), textOf(*batch[0]));
 }
 
 // Satellite: a batch of mixed queries returns bit-identical results
@@ -373,13 +383,13 @@ TEST_F(QueryEngineLifecycleTest, ThrowingEvaluationResolvesToError)
     EXPECT_EQ(engine.inflightCount(), 0u);
     EXPECT_EQ(engine.metrics().errors(), 1u);
     // Rendered when made: exactly the error document a client gets.
-    EXPECT_EQ(result->json,
+    EXPECT_EQ(textOf(*result),
               makeQueryError(q, QueryErrorKind::EvaluationFailed,
                              "model exploded")
                   .toJson());
-    EXPECT_NE(result->json.find("\"error\":\"model exploded\""),
+    EXPECT_NE(textOf(*result).find("\"error\":\"model exploded\""),
               std::string::npos);
-    EXPECT_NE(result->json.find("\"type\":\"evaluation_failed\""),
+    EXPECT_NE(textOf(*result).find("\"type\":\"evaluation_failed\""),
               std::string::npos);
 
     // Errors are never cached: disarmed, the same key evaluates fine.
@@ -387,7 +397,7 @@ TEST_F(QueryEngineLifecycleTest, ThrowingEvaluationResolvesToError)
     auto retry = engine.evaluate(q);
     ASSERT_NE(retry, nullptr);
     EXPECT_TRUE(retry->ok());
-    EXPECT_EQ(retry->json, evaluateQuery(q).toJson());
+    EXPECT_EQ(textOf(*retry), evaluateQuery(q).toJson());
     EXPECT_EQ(engine.cacheStats().hits, 0u); // both passes were misses
 }
 
@@ -421,11 +431,11 @@ TEST_F(QueryEngineLifecycleTest, DeadlineAfterEvaluationStillCaches)
     auto late = engine.evaluate(q);
     ASSERT_NE(late, nullptr);
     EXPECT_EQ(late->errorKind, QueryErrorKind::DeadlineExceeded);
-    EXPECT_NE(late->json.find(
+    EXPECT_NE(textOf(*late).find(
                   "\"error\":\"deadline exceeded during evaluation\""),
               std::string::npos);
     EXPECT_EQ(engine.metrics().deadlineExceeded(), 1u);
-    EXPECT_NE(late->json.find("\"type\":\"deadline_exceeded\""),
+    EXPECT_NE(textOf(*late).find("\"type\":\"deadline_exceeded\""),
               std::string::npos);
 
     Query retry; // same key: the deadline is not part of identity
@@ -453,7 +463,7 @@ TEST_F(QueryEngineLifecycleTest, DeadlineCheckedAtDequeue)
     ASSERT_EQ(results.size(), 2u);
     EXPECT_TRUE(results[0]->ok());
     EXPECT_EQ(results[1]->errorKind, QueryErrorKind::DeadlineExceeded);
-    EXPECT_NE(results[1]->json.find(
+    EXPECT_NE(textOf(*results[1]).find(
                   "\"error\":\"deadline exceeded while queued\""),
               std::string::npos);
     // The doomed query never reached evaluation.
@@ -504,11 +514,11 @@ TEST_F(QueryEngineLifecycleTest, SaturatedQueueShedsWithRetryHint)
     auto r3 = engine.evaluate(q3);
     ASSERT_NE(r3, nullptr);
     EXPECT_EQ(r3->errorKind, QueryErrorKind::Overloaded);
-    auto doc = JsonValue::parse(r3->json);
-    ASSERT_TRUE(doc) << r3->json;
+    auto doc = JsonValue::parse(textOf(*r3));
+    ASSERT_TRUE(doc) << textOf(*r3);
     EXPECT_EQ(doc->find("error")->asString(), "worker queue is full");
     EXPECT_EQ(doc->find("type")->asString(), "overloaded");
-    ASSERT_NE(doc->find("retryAfterMs"), nullptr) << r3->json;
+    ASSERT_NE(doc->find("retryAfterMs"), nullptr) << textOf(*r3);
     EXPECT_GE(doc->find("retryAfterMs")->asNumber(), 1.0);
     EXPECT_GE(engine.metrics().rejected(), 1u);
 
@@ -548,7 +558,7 @@ TEST(QueryEngineTest, FaultedEvaluationEchoesAClientRequestId)
     FaultInjector::instance().reset();
     ASSERT_NE(result, nullptr);
     EXPECT_EQ(result->errorKind, QueryErrorKind::EvaluationFailed);
-    EXPECT_NE(result->json.find("\"requestId\":\"rid-fault\""),
+    EXPECT_NE(textOf(*result).find("\"requestId\":\"rid-fault\""),
               std::string::npos);
 }
 
@@ -567,7 +577,7 @@ TEST(QueryEngineTest, DeadlineErrorEchoesAClientRequestId)
     FaultInjector::instance().reset();
     ASSERT_NE(result, nullptr);
     EXPECT_EQ(result->errorKind, QueryErrorKind::DeadlineExceeded);
-    EXPECT_NE(result->json.find("\"requestId\":\"rid-late\""),
+    EXPECT_NE(textOf(*result).find("\"requestId\":\"rid-late\""),
               std::string::npos);
 }
 

@@ -98,6 +98,7 @@ TEST(MetricsRegistryTest, JsonExportMatchesGoldenBytes)
     cache.misses = 1;
     cache.evictions = 2;
     cache.entries = 5;
+    cache.bytes = 2750;
     cache.capacity = 64;
 
     std::ostringstream oss;
@@ -119,7 +120,8 @@ TEST(MetricsRegistryTest, JsonExportMatchesGoldenBytes)
         "\"pareto\":{\"count\":1,\"cacheHits\":0,\"latencyMs\":{"
         "\"mean\":0,\"p50\":1e-06,\"p95\":1.9e-06,\"p99\":1.98e-06}}},"
         "\"cache\":{\"hits\":3,\"misses\":1,\"evictions\":2,"
-        "\"entries\":5,\"capacity\":64,\"hitRate\":0.75}}";
+        "\"entries\":5,\"bytes\":2750,\"capacity\":64,"
+        "\"hitRate\":0.75}}";
     EXPECT_EQ(oss.str(), golden);
 }
 
@@ -133,6 +135,7 @@ TEST(MetricsRegistryTest, PrometheusExportCoversTypesAndCache)
     cache.misses = 1;
     cache.evictions = 2;
     cache.entries = 5;
+    cache.bytes = 2750;
     cache.capacity = 64;
 
     std::ostringstream oss;
@@ -163,6 +166,9 @@ TEST(MetricsRegistryTest, PrometheusExportCoversTypesAndCache)
     EXPECT_NE(text.find("hcm_svc_cache_evictions_total 2\n"),
               std::string::npos);
     EXPECT_NE(text.find("hcm_svc_cache_entries 5\n"), std::string::npos);
+    EXPECT_NE(text.find("# TYPE hcm_svc_cache_bytes gauge\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("hcm_svc_cache_bytes 2750\n"), std::string::npos);
     EXPECT_NE(text.find("hcm_svc_cache_capacity 64\n"),
               std::string::npos);
     // The slow-query counter rides in the same registry (0 here).

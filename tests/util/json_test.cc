@@ -118,6 +118,32 @@ TEST(JsonTest, RawSplicesOneValue)
     EXPECT_EQ(build([](JsonWriter &j) { j.raw("[]"); }), "[]");
 }
 
+TEST(JsonTest, RawInPlaceKeepsOnlyTheFragmentAndSeparators)
+{
+    // The filler scribbles past the fragment; that scratch must be
+    // overwritten by what follows, in string and in stream mode.
+    auto fill = [](JsonWriter &j, std::string_view text) {
+        j.rawInPlace(text.size(), 8, [&](char *dst) {
+            std::memcpy(dst, text.data(), text.size());
+            std::memset(dst + text.size(), '#', 8);
+        });
+    };
+    auto doc = [&](JsonWriter &j) {
+        j.beginArray();
+        fill(j, "{\"x\":1}");
+        fill(j, "22");
+        j.value(3);
+        j.endArray();
+    };
+    EXPECT_EQ(build(doc), "[{\"x\":1},22,3]");
+    std::string out = "pre";
+    {
+        JsonWriter j(out);
+        doc(j);
+    }
+    EXPECT_EQ(out, "pre[{\"x\":1},22,3]");
+}
+
 TEST(JsonTest, StreamSeesEachDocumentBeforeLaterWrites)
 {
     // Callers write delimiters to the stream between documents while
