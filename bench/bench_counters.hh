@@ -1,8 +1,8 @@
 /**
  * @file
  * Hardware-counter plumbing for the google-benchmark suites. A
- * GbenchCounters wraps a benchmark's timing loop in one hwc counter
- * region and publishes the deltas as gbench user counters —
+ * GbenchCounters opens one counter group around a benchmark's whole
+ * timing loop and publishes the delta as gbench user counters —
  * per-iteration instructions and cycles plus the ratio columns — which
  * the JSON output flattens into the benchmark entry and `hcm bench`
  * copies into BENCH_RESULTS.json. On hosts without perf events the
@@ -17,11 +17,9 @@
 #ifndef HCM_BENCH_BENCH_COUNTERS_HH
 #define HCM_BENCH_BENCH_COUNTERS_HH
 
-#include <optional>
-
 #include <benchmark/benchmark.h>
 
-#include "hwc/counter_region.hh"
+#include "hwc/perf_counters.hh"
 
 namespace hcm {
 namespace bench {
@@ -32,10 +30,8 @@ class GbenchCounters
   public:
     explicit GbenchCounters(benchmark::State &state) : _state(state)
     {
-        hwc::Collector &collector = hwc::Collector::instance();
-        _wasEnabled = collector.enabled();
-        collector.setEnabled(true);
-        _region.emplace();
+        _group.open();
+        _start = _group.read();
     }
 
     GbenchCounters(const GbenchCounters &) = delete;
@@ -43,9 +39,7 @@ class GbenchCounters
 
     ~GbenchCounters()
     {
-        _region->end();
-        const hwc::CounterSample &d = _region->delta();
-        hwc::Collector::instance().setEnabled(_wasEnabled);
+        const hwc::CounterSample d = _group.read().deltaSince(_start);
         if (!d.available || _state.iterations() == 0)
             return;
         double iters = static_cast<double>(_state.iterations());
@@ -60,8 +54,8 @@ class GbenchCounters
 
   private:
     benchmark::State &_state;
-    std::optional<hwc::CounterRegion> _region;
-    bool _wasEnabled = false;
+    hwc::PerfCounterGroup _group;
+    hwc::CounterSample _start;
 };
 
 } // namespace bench

@@ -1,55 +1,18 @@
-/** @file Google-benchmark microbenchmarks of the hardware-counter
- *  layer. The acceptance claim mirrors bench_obs: a CounterRegion with
- *  the collector disabled must cost a handful of nanoseconds (one
- *  relaxed atomic load), so the svc.eval and sweep.unit
- *  instrumentation can stay compiled into release builds. The enabled
- *  numbers quantify what turning collection on actually buys — two
- *  group reads per region — and the counted-loop benchmark shows the
- *  counter columns flowing through the gbench pipeline on hosts that
- *  have them. */
+/** @file Google-benchmark microbenchmark of the hardware-counter
+ *  pipeline. One deterministic loop runs under bench::GbenchCounters,
+ *  which reads a counter group around the whole timing loop, so on
+ *  hosts that have counters the instructions column in
+ *  BENCH_RESULTS.json shows the counter columns flowing end to end. */
 
 #include <cstdint>
 
 #include <benchmark/benchmark.h>
 
 #include "bench_counters.hh"
-#include "hwc/counter_region.hh"
-#include "hwc/perf_counters.hh"
 
 namespace {
 
 using namespace hcm;
-
-/** Disabled region: one relaxed atomic load plus member stores. */
-void
-BM_CounterRegionDisabled(benchmark::State &state)
-{
-    hwc::Collector::instance().setEnabled(false);
-    for (auto _ : state) {
-        hwc::CounterRegion region;
-        benchmark::DoNotOptimize(region.active());
-    }
-}
-BENCHMARK(BM_CounterRegionDisabled);
-
-/** Enabled region: two group read() syscalls bracketing nothing.
- *  On hosts without perf events this measures the degraded path —
- *  one availability check per region — which must also stay cheap. */
-void
-BM_CounterRegionEnabled(benchmark::State &state)
-{
-    hwc::Collector &collector = hwc::Collector::instance();
-    bool was_enabled = collector.enabled();
-    collector.setEnabled(true);
-    for (auto _ : state) {
-        hwc::CounterRegion region;
-        benchmark::DoNotOptimize(region.active());
-    }
-    collector.setEnabled(was_enabled);
-    state.counters["available"] =
-        collector.probe().available ? 1.0 : 0.0;
-}
-BENCHMARK(BM_CounterRegionEnabled);
 
 /** A deterministic integer loop measured under the full pipeline:
  *  with counters available, the instructions column in

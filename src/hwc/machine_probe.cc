@@ -3,7 +3,7 @@
 #include <chrono>
 #include <vector>
 
-#include "hwc/counter_region.hh"
+#include "hwc/perf_counters.hh"
 
 namespace hcm {
 namespace hwc {
@@ -106,9 +106,11 @@ measureMachineCeilings(const ProbeOptions &opts)
     for (int pass = 0; pass < opts.passes; ++pass) {
         std::uint64_t ops = 0;
         double seconds = 0.0;
-        hwc::CounterRegion region; // active only when collection is on
+        PerfCounterGroup group;
+        group.open();
+        CounterSample start = group.read();
         peakPass(opts.minSeconds, &ops, &seconds);
-        region.end();
+        CounterSample delta = group.read().deltaSince(start);
         double rate = seconds > 0.0
                           ? static_cast<double>(ops) / seconds
                           : 0.0;
@@ -117,10 +119,9 @@ measureMachineCeilings(const ProbeOptions &opts)
             out.peakOps = ops;
             out.peakSeconds = seconds;
         }
-        if (region.delta().available && seconds > 0.0) {
+        if (delta.available && seconds > 0.0) {
             double ins_rate =
-                static_cast<double>(region.delta().instructions) /
-                seconds;
+                static_cast<double>(delta.instructions) / seconds;
             if (ins_rate > out.peakInsPerSec)
                 out.peakInsPerSec = ins_rate;
         }

@@ -11,8 +11,8 @@
  * best of several calibration passes, so the ceilings are what a
  * perfectly-behaved hot loop could reach, not an average over noise.
  *
- * When hardware counters are available, the peak-ops kernel is also
- * measured under a CounterRegion and its retired-instruction rate is
+ * When hardware counters are available, each peak-ops pass is also
+ * bracketed by a PerfCounterGroup and its retired-instruction rate is
  * reported: self-roofline placements use instructions as the ops
  * proxy, and a ceiling in the same unit keeps the chart coherent.
  */

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 
 #ifdef __linux__
 #include <linux/perf_event.h>
@@ -67,6 +68,28 @@ perfEventParanoid()
     if (got != 1)
         return std::nullopt;
     return level;
+}
+
+Availability
+counterAvailability()
+{
+    static std::once_flag once;
+    static Availability probed;
+    std::call_once(once, [] {
+        PerfCounterGroup group;
+        probed.available = group.open();
+        probed.reason = group.unavailableReason();
+        auto paranoid = perfEventParanoid();
+        probed.perfEventParanoid = paranoid ? *paranoid : -1;
+        if (!probed.available)
+            hcm_warn("hardware counters unavailable; telemetry degrades "
+                     "to wall time",
+                     logField("reason", probed.reason),
+                     logField("perf_event_paranoid",
+                              paranoid ? std::to_string(*paranoid)
+                                       : "n/a"));
+    });
+    return probed;
 }
 
 PerfCounterGroup::~PerfCounterGroup()

@@ -5,7 +5,9 @@
  * LLC loads/misses, branches/misses, task-clock — so every member is
  * scheduled onto the PMU together and ratios (IPC, miss rates) are
  * coherent: they come from the same slice of execution. Reads are
- * cumulative; callers take deltas (see hwc::CounterRegion).
+ * cumulative: a caller opens a group, reads it before and after one
+ * whole measured loop, and takes the delta (deltaSince). Counters
+ * bracket whole loops only, never individual call sites.
  *
  * Availability is a first-class state, not an error: perf_event_open
  * fails routinely (kernel.perf_event_paranoid, seccomp in containers,
@@ -89,11 +91,29 @@ struct CounterSample
  */
 std::optional<int> perfEventParanoid();
 
+/** What a host offers, as recorded in telemetry metadata. */
+struct Availability
+{
+    bool available = false;
+    std::string reason; ///< empty when available
+    /** kernel.perf_event_paranoid; -1 when the file does not exist. */
+    int perfEventParanoid = -1;
+};
+
+/**
+ * Probe what this host offers: opens a throwaway group on the calling
+ * thread once, then returns the cached answer. The first probe on a
+ * host without counters logs the process's one structured
+ * "hardware counters unavailable" warning. `hcm bench` metadata and
+ * the self-roofline report both record this.
+ */
+Availability counterAvailability();
+
 /**
  * A group of per-thread hardware counters. open() attaches the group
  * to the calling thread and enables it; read() returns cumulative
  * scaled counts from any point on. Not thread-safe: one group belongs
- * to one thread (the collector keeps one per thread).
+ * to one thread, and counts only that thread's work.
  */
 class PerfCounterGroup
 {

@@ -24,9 +24,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /**
- * Run @p body repeatedly for at least @p min_seconds under one counter
- * region, so per-iteration noise averages out and the region's delta
- * covers the whole window the wall clock covers.
+ * Run @p body repeatedly for at least @p min_seconds between two reads
+ * of one counter group, so per-iteration noise averages out and the
+ * counter delta covers the whole window the wall clock covers.
  */
 RooflinePoint
 measureLoop(const std::string &name, double min_seconds,
@@ -34,7 +34,9 @@ measureLoop(const std::string &name, double min_seconds,
 {
     RooflinePoint point;
     point.name = name;
-    CounterRegion region;
+    PerfCounterGroup group;
+    group.open();
+    CounterSample counted = group.read();
     Clock::time_point start = Clock::now();
     double elapsed = 0.0;
     do {
@@ -43,9 +45,8 @@ measureLoop(const std::string &name, double min_seconds,
         elapsed = std::chrono::duration<double>(Clock::now() - start)
                       .count();
     } while (elapsed < min_seconds);
-    region.end();
+    const CounterSample d = group.read().deltaSince(counted);
     point.seconds = elapsed;
-    const CounterSample &d = region.delta();
     point.measured = d.available;
     if (d.available) {
         point.instructions = d.instructions;
@@ -75,10 +76,7 @@ SelfRooflineReport
 measureSelfRoofline(const SelfRooflineOptions &opts)
 {
     SelfRooflineReport report;
-    Collector &collector = Collector::instance();
-    bool was_enabled = collector.enabled();
-    collector.setEnabled(true);
-    report.counters = collector.probe();
+    report.counters = counterAvailability();
 
     report.machine = measureMachineCeilings(opts.probe);
 
@@ -104,8 +102,6 @@ measureSelfRoofline(const SelfRooflineOptions &opts)
     report.points.push_back(measureLoop(
         "sweep-slice", opts.loopMinSeconds,
         [&] { core::projectAll(w, 0.999); }));
-
-    collector.setEnabled(was_enabled);
     return report;
 }
 

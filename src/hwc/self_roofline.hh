@@ -4,9 +4,10 @@
  * on the reproduction itself. measureSelfRoofline() calibrates the
  * host's two ceilings with the machine-probe microkernels, then runs
  * the model's hot loops — the optimizer's r-grid sweep and a dense
- * projection slice — under hardware-counter regions and places each on
- * the machine roofline: attained Gins/s against arithmetic intensity
- * (retired instructions per LLC-miss byte). The chart answers the
+ * projection slice — each between two reads of one hardware-counter
+ * group, and places each on the machine roofline: attained Gins/s
+ * against arithmetic intensity (retired instructions per LLC-miss
+ * byte). The chart answers the
  * question the modeled `hcm roofline` table cannot: is *this code* on
  * *this host* compute-bound or memory-bound, and how far under the
  * ceiling does it run?
@@ -26,8 +27,8 @@
 #include <string>
 #include <vector>
 
-#include "hwc/counter_region.hh"
 #include "hwc/machine_probe.hh"
+#include "hwc/perf_counters.hh"
 
 namespace hcm {
 namespace hwc {
@@ -112,11 +113,10 @@ struct SelfRooflineReport
 };
 
 /**
- * Calibrate the host ceilings and measure the hot loops. Enables the
- * counter Collector for the duration (restoring its previous state),
- * so callers need no setup; on hosts without perf events the report
- * comes back with counters.available == false and wall-time-only
- * points.
+ * Calibrate the host ceilings and measure the hot loops, each loop
+ * bracketed by its own counter group, so callers need no setup. On
+ * hosts without perf events the report comes back with
+ * counters.available == false and wall-time-only points.
  */
 SelfRooflineReport measureSelfRoofline(
     const SelfRooflineOptions &opts = {});

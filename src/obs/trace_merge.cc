@@ -1,6 +1,7 @@
 #include "trace_merge.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 #include <sstream>
@@ -79,9 +80,13 @@ validateChromeTrace(const std::string &text, std::string *error,
     if (!events || !events->isArray())
         return fail(error, "missing \"traceEvents\" array");
     if (const JsonValue *merged = doc->find("mergedFrom")) {
-        if (!merged->isNumber() || merged->asNumber() < 1)
-            return fail(error, "\"mergedFrom\" must be a count >= 1");
-        out.mergedFrom = static_cast<std::size_t>(merged->asNumber());
+        // 2^53: past it a double no longer holds every integer.
+        double count = merged->isNumber() ? merged->asNumber() : 0.0;
+        if (!(count >= 1 && count <= 0x1p53) ||
+            count != std::floor(count))
+            return fail(error,
+                        "\"mergedFrom\" must be an integral count >= 1");
+        out.mergedFrom = static_cast<std::size_t>(count);
     }
 
     // One pass collects everything the cross-file invariants need:
@@ -109,6 +114,12 @@ validateChromeTrace(const std::string &text, std::string *error,
         pids.insert(pid->asNumber());
 
         std::string phase = eventPhase(event);
+        if (phase == "X") {
+            const JsonValue *dur = event.find("dur");
+            if (!dur || !dur->isNumber() || dur->asNumber() < 0.0)
+                return fail(error, at() + " complete event needs a "
+                                          "non-negative \"dur\"");
+        }
         if (phase == "s" || phase == "t" || phase == "f") {
             const JsonValue *id = event.find("id");
             if (!id || !id->isString())

@@ -22,7 +22,6 @@ struct AggNode
     std::uint64_t calls = 0;
     std::uint64_t totalNs = 0;
     std::uint64_t childNs = 0;
-    CounterDelta counters;
     std::map<std::string, AggNode> children;
 
     std::uint64_t
@@ -62,22 +61,6 @@ writeJsonNode(JsonWriter &json, const std::string &name,
     json.kv("calls", node.calls);
     json.kv("totalNs", node.totalNs);
     json.kv("selfNs", node.selfNs());
-    // Counter columns appear only where a CounterRegion measured —
-    // uninstrumented nodes stay time-only rather than showing zeros.
-    if (node.counters.cycles > 0) {
-        json.kv("instructions", node.counters.instructions);
-        json.kv("cycles", node.counters.cycles);
-        json.kv("ipc",
-                static_cast<double>(node.counters.instructions) /
-                    static_cast<double>(node.counters.cycles));
-        if (node.counters.hasLlc && node.counters.llcLoads > 0) {
-            json.kv("llcLoads", node.counters.llcLoads);
-            json.kv("llcMisses", node.counters.llcMisses);
-            json.kv("llcMissRate",
-                    static_cast<double>(node.counters.llcMisses) /
-                        static_cast<double>(node.counters.llcLoads));
-        }
-    }
     json.key("children").beginArray();
     for (const auto &[child_name, child] : node.children)
         writeJsonNode(json, child_name, child);
@@ -158,25 +141,6 @@ Profiler::exitScope(ThreadProfile &tp)
 }
 
 void
-Profiler::chargeCounters(const CounterDelta &delta)
-{
-    if (!enabled())
-        return;
-    ThreadProfile &tp = localProfile();
-    std::lock_guard<std::mutex> lock(tp.mu);
-    if (tp.stack.empty())
-        return;
-    Node &node = tp.nodes[tp.stack.back().node];
-    node.counters.instructions += delta.instructions;
-    node.counters.cycles += delta.cycles;
-    if (delta.hasLlc) {
-        node.counters.llcLoads += delta.llcLoads;
-        node.counters.llcMisses += delta.llcMisses;
-        node.counters.hasLlc = true;
-    }
-}
-
-void
 Profiler::record(const char *name, std::uint64_t dur_ns)
 {
     if (!enabled())
@@ -211,15 +175,6 @@ Profiler::writeAggregate(std::ostream &out, bool as_json)
                     agg->calls += node.calls;
                     agg->totalNs += node.totalNs;
                     agg->childNs += node.childNs;
-                    agg->counters.instructions +=
-                        node.counters.instructions;
-                    agg->counters.cycles += node.counters.cycles;
-                    if (node.counters.hasLlc) {
-                        agg->counters.llcLoads += node.counters.llcLoads;
-                        agg->counters.llcMisses +=
-                            node.counters.llcMisses;
-                        agg->counters.hasLlc = true;
-                    }
                 }
                 for (std::uint32_t child : node.children)
                     todo.emplace_back(

@@ -36,21 +36,6 @@ namespace prof {
 class Scope;
 
 /**
- * Hardware-counter deltas charged to a call-tree node. Defined here
- * (not in hwc) so the profiler stays dependency-free: hwc links prof
- * and feeds regions through chargeCounters(), never the other way.
- */
-struct CounterDelta
-{
-    std::uint64_t instructions = 0;
-    std::uint64_t cycles = 0;
-    std::uint64_t llcLoads = 0;
-    std::uint64_t llcMisses = 0;
-    /** True when the LLC pair is a real measurement. */
-    bool hasLlc = false;
-};
-
-/**
  * Process-wide profile collector. Threads aggregate into thread-local
  * call trees registered here; exporters merge the per-thread trees by
  * call path into one aggregate tree. Aggregation is cumulative until
@@ -76,16 +61,6 @@ class Profiler
      * when disabled.
      */
     void record(const char *name, std::uint64_t dur_ns);
-
-    /**
-     * Accumulate @p delta onto the calling thread's innermost open
-     * scope (what hwc::CounterRegion calls at region end, while its
-     * enclosing prof::Scope is still on the stack). JSON exports then
-     * carry instructions/cycles/IPC — and the LLC miss rate when
-     * measured — next to each node's times. A no-op when disabled or
-     * outside any scope.
-     */
-    void chargeCounters(const CounterDelta &delta);
 
     /**
      * Collapsed-stack text: one `root;child;leaf <self_ns>` line per
@@ -119,7 +94,6 @@ class Profiler
         std::uint64_t calls = 0;
         std::uint64_t totalNs = 0;
         std::uint64_t childNs = 0;
-        CounterDelta counters{};
         std::vector<std::uint32_t> children{};
     };
 
@@ -193,13 +167,6 @@ class Scope
     arg(const char *key, const T &value)
     {
         _span.arg(key, value);
-    }
-
-    /** The underlying trace span (hwc regions attach counter args). */
-    obs::Span &
-    span()
-    {
-        return _span;
     }
 
     /** Record now instead of at scope exit (idempotent). */

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "hwc/counter_region.hh"
 #include "obs/trace.hh"
 #include "prof/profiler.hh"
 #include "svc/backpressure.hh"
@@ -215,7 +214,6 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
             eval_scope.arg("type", queryTypeName(q.type));
             if (!q.requestId.empty())
                 eval_scope.arg("rid", q.requestId);
-            hwc::CounterRegion eval_counters(&eval_scope.span());
             try {
                 FaultInjector::instance().maybeInject("eval");
                 // Render once and keep only the bytes: every later
@@ -227,7 +225,6 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
                 eval_scope.arg("outcome", "error");
                 throw;
             }
-            eval_counters.end();
             eval_scope.end();
             if (_cache)
                 _cache->put(key, result);

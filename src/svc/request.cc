@@ -1,5 +1,8 @@
 #include "request.hh"
 
+#include <cmath>
+#include <sstream>
+
 #include "core/scenario.hh"
 #include "devices/measured.hh"
 #include "itrs/scaling.hh"
@@ -20,6 +23,26 @@ nodeExists(double node_nm)
         if (node.nodeNm == node_nm)
             return true;
     return false;
+}
+
+std::optional<std::uint64_t>
+msToNs(double ms, std::string *error)
+{
+    auto fail = [&](const char *why) {
+        std::ostringstream text;
+        text << why << ", got " << ms;
+        *error = text.str();
+        return std::nullopt;
+    };
+    if (!(ms >= 0.0) || !std::isfinite(ms))
+        return fail("must be a finite number >= 0");
+    double ns = ms * 1e6;
+    if (ns >= 0x1p64)
+        return fail("must be under 1.8e13 ms (2^64 ns)");
+    auto whole = static_cast<std::uint64_t>(ns);
+    if (ms > 0.0 && whole == 0)
+        return fail("must be at least 1e-06 ms (1 ns) when positive");
+    return whole;
 }
 
 std::optional<wl::Workload>
@@ -159,7 +182,11 @@ parseQueryRequest(const JsonValue &v)
         if (!(ms > 0.0))
             return RequestParse::failure(
                 "'deadlineMs' must be > 0, got " + std::to_string(ms));
-        q.deadlineNs = static_cast<std::uint64_t>(ms * 1e6);
+        std::string why;
+        auto ns = msToNs(ms, &why);
+        if (!ns)
+            return RequestParse::failure("'deadlineMs' " + why);
+        q.deadlineNs = *ns;
     }
 
     if (const JsonValue *device = v.find("device")) {

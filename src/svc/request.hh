@@ -26,7 +26,9 @@
 #ifndef HCM_SVC_REQUEST_HH
 #define HCM_SVC_REQUEST_HH
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -162,6 +164,15 @@ std::optional<dev::DeviceId> parseDeviceName(const std::string &name);
 
 /** Non-panicking counterpart of itrs::nodeParams(). */
 bool nodeExists(double node_nm);
+
+/**
+ * @p ms milliseconds as whole nanoseconds (truncated), for the
+ * duration knobs where 0 ns means "off". Nullopt + *error when @p ms
+ * is not a finite number >= 0, when the nanoseconds do not fit 64
+ * bits, and when a positive @p ms is under one nanosecond (it would
+ * truncate to 0 and silently turn the knob off).
+ */
+std::optional<std::uint64_t> msToNs(double ms, std::string *error);
 
 } // namespace svc
 } // namespace hcm

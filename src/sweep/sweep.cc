@@ -7,9 +7,8 @@
 #include <thread>
 
 #include "core/optimizer_batch.hh"
-#include "hwc/counter_region.hh"
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
+#include "prof/profiler.hh"
 #include "svc/thread_pool.hh"
 #include "util/logging.hh"
 
@@ -68,12 +67,11 @@ validate(const SweepSpec &spec)
 void
 evaluateUnit(const Unit &unit, SweepRow &row)
 {
-    obs::Span span("sweep.unit", "sweep");
-    span.arg("workload", row.workload);
-    span.arg("f", row.f);
-    span.arg("scenario", row.scenario);
-    span.arg("organization", row.organization);
-    hwc::CounterRegion counters(&span);
+    prof::Scope scope("sweep.unit", "sweep");
+    scope.arg("workload", row.workload);
+    scope.arg("f", row.f);
+    scope.arg("scenario", row.scenario);
+    scope.arg("organization", row.organization);
 
     const std::vector<itrs::NodeParams> &nodes = itrs::nodeTable();
     // The effective model fraction; the matching effective organization
@@ -203,9 +201,9 @@ runSweep(const SweepSpec &spec, const SweepOptions &opts)
                            ? opts.jobs
                            : std::max(1u,
                                       std::thread::hardware_concurrency());
-    obs::Span run_span("sweep.run", "sweep");
-    run_span.arg("units", units.size());
-    run_span.arg("jobs", jobs);
+    prof::Scope run_scope("sweep.run", "sweep");
+    run_scope.arg("units", units.size());
+    run_scope.arg("jobs", jobs);
 
     Progress progress;
     if (jobs == 1) {

@@ -1,6 +1,7 @@
 #include "json_parse.hh"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "logging.hh"
@@ -274,29 +275,45 @@ class JsonParser
         }
     }
 
+    /** Consume a run of decimal digits; false when there is none. */
+    bool
+    consumeDigits()
+    {
+        std::size_t from = _pos;
+        while (_pos < _text.size() &&
+               std::isdigit(static_cast<unsigned char>(_text[_pos])))
+            ++_pos;
+        return _pos > from;
+    }
+
+    /**
+     * RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]?
+     * [0-9]+)?, and finite as a double (1e400 is rejected, not inf).
+     */
     bool
     parseNumber(JsonValue &out)
     {
         std::size_t start = _pos;
-        // JSON forbids a leading '+' even though strtod accepts one.
-        if (_pos < _text.size() && _text[_pos] == '+')
-            return fail("expected a value");
-        if (consume('-')) {
+        consume('-');
+        if (consume('0')) {
+            if (consumeDigits())
+                return fail("malformed number (leading zero)");
+        } else if (!consumeDigits()) {
+            return fail(_pos == start ? "expected a value"
+                                      : "malformed number");
         }
-        while (_pos < _text.size() &&
-               (std::isdigit(static_cast<unsigned char>(_text[_pos])) ||
-                _text[_pos] == '.' || _text[_pos] == 'e' ||
-                _text[_pos] == 'E' || _text[_pos] == '+' ||
-                _text[_pos] == '-'))
-            ++_pos;
-        if (_pos == start)
-            return fail("expected a value");
+        if (consume('.') && !consumeDigits())
+            return fail("malformed number (no digit after '.')");
+        if (consume('e') || consume('E')) {
+            if (!consume('+'))
+                consume('-');
+            if (!consumeDigits())
+                return fail("malformed number (no exponent digit)");
+        }
         std::string token = _text.substr(start, _pos - start);
-        char *end = nullptr;
-        double v = std::strtod(token.c_str(), &end);
-        if (end == token.c_str() ||
-            end != token.c_str() + token.size())
-            return fail("malformed number");
+        double v = std::strtod(token.c_str(), nullptr);
+        if (!std::isfinite(v))
+            return fail("number out of range");
         out._type = JsonValue::Type::Number;
         out._number = v;
         return true;

@@ -131,6 +131,19 @@ TEST(PerfCounterGroupTest, ParanoidLevelReadsWhenProcExists)
     EXPECT_LE(*level, 4);
 }
 
+TEST(PerfCounterGroupTest, ProbeIsStableAcrossCalls)
+{
+    Availability first = counterAvailability();
+    Availability second = counterAvailability();
+    EXPECT_EQ(first.available, second.available);
+    EXPECT_EQ(first.reason, second.reason);
+    EXPECT_EQ(first.perfEventParanoid, second.perfEventParanoid);
+    // An unavailable host always says why.
+    if (!first.available) {
+        EXPECT_FALSE(first.reason.empty());
+    }
+}
+
 TEST(PerfCounterGroupTest, CountedLoopRetiresAtLeastItsTripCount)
 {
     PerfCounterGroup group;

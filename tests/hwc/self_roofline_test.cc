@@ -54,16 +54,6 @@ TEST(SelfRooflineTest, CeilingsAndHotLoopsAlwaysMeasure)
     }
 }
 
-TEST(SelfRooflineTest, MeasurementRestoresTheCollectorGate)
-{
-    Collector &collector = Collector::instance();
-    bool was = collector.enabled();
-    collector.setEnabled(false);
-    measureSelfRoofline(smokeOptions());
-    EXPECT_FALSE(collector.enabled());
-    collector.setEnabled(was);
-}
-
 TEST(SelfRooflineTest, JsonExportIsWellFormedAndTagged)
 {
     SelfRooflineReport report = measureSelfRoofline(smokeOptions());

@@ -152,7 +152,17 @@ TEST(CliTest, BadInputsFailCleanly)
              "optimize --f abc", "optimize --node 23",
              "optimize --scenario nope", "table x",
              "batch " + batch + " --threads -1",
-             "sweep --workloads fft:128", "sweep --fractions nan"}) {
+             "sweep --workloads fft:128", "sweep --fractions nan",
+             "sweep --counters",
+             // 1e300 ms overflows 64-bit nanoseconds (an undefined
+             // cast); a positive value under 1 ns truncated to 0,
+             // which means "off".
+             "batch " + batch + " --deadline-ms 1e300",
+             "batch " + batch + " --deadline-ms 1e-9",
+             "batch " + batch + " --slow-query-ms 1e300",
+             "batch " + batch + " --slow-query-ms 1e-7",
+             "batch " + batch + " --admission-wait-ms 1e300",
+             "batch " + batch + " --admission-wait-ms 1e-9"}) {
         auto [code, out] = runCli(args);
         EXPECT_EQ(code, 1) << args << "\n" << out;
         EXPECT_EQ(out.rfind("fatal: ", 0), 0u) << args << "\n" << out;
@@ -165,7 +175,10 @@ TEST(CliTest, BadInputsFailCleanly)
         for (const std::string &args : std::vector<std::string>{
                  slice + " --output /dev/full", slice + " > /dev/full",
                  slice + " --output /dev/null --metrics-out /dev/full",
-                 "roofline --measured --smoke --output /dev/full"}) {
+                 "roofline --measured --smoke --output /dev/full",
+                 "batch " + batch + " --trace-out /dev/full > /dev/null",
+                 "batch " + batch +
+                     " --profile-out /dev/full > /dev/null"}) {
             auto [code, out] = runCli(args);
             EXPECT_EQ(code, 1) << args << "\n" << out;
             EXPECT_NE(("\n" + out).find("\nfatal: "), std::string::npos)
@@ -384,6 +397,28 @@ TEST(CliTest, SimulateProfileOutCoversSimulatorScopes)
     std::string text = readFile(profile);
     EXPECT_NE(text.find("sim.run;sim.phase"), std::string::npos)
         << text;
+}
+
+TEST(CliTest, SweepProfileOutCoversSweepScopes)
+{
+    const std::string slice = "sweep --workloads mmm --fractions 0.9 "
+                              "--scenarios baseline --output /dev/null";
+    std::string profile =
+        ::testing::TempDir() + "hcm_cli_sweep_prof.txt";
+    // Serial: every unit nests under the run on one thread.
+    auto [code, out] =
+        runCli(slice + " --jobs 1 --profile-out " + profile);
+    EXPECT_EQ(code, 0) << out;
+    std::string text = readFile(profile);
+    EXPECT_NE(text.find("sweep.run;sweep.unit "), std::string::npos)
+        << text;
+    // Pooled: units are roots on the worker threads.
+    auto [code2, out2] =
+        runCli(slice + " --jobs 2 --profile-out " + profile);
+    EXPECT_EQ(code2, 0) << out2;
+    text = readFile(profile);
+    EXPECT_NE(text.find("sweep.unit "), std::string::npos) << text;
+    EXPECT_NE(text.find("sweep.run"), std::string::npos) << text;
 }
 
 TEST(CliTest, SlowQueryLogCountsAndWarns)

@@ -81,6 +81,37 @@ TEST(ValidateTraceTest, FlowEventsNeedIdAndCat)
         &error));
 }
 
+TEST(ValidateTraceTest, MergedFromMustBeAnIntegralCount)
+{
+    std::string error;
+    for (const char *merged : {"0", "-1", "1.5", "1e30", "\"2\""}) {
+        std::string doc = std::string("{\"mergedFrom\":") + merged +
+                          ",\"traceEvents\":[]}";
+        EXPECT_FALSE(validateChromeTrace(doc, &error)) << doc;
+        EXPECT_NE(error.find("mergedFrom"), std::string::npos) << error;
+    }
+}
+
+TEST(ValidateTraceTest, CompleteEventsNeedANonNegativeDuration)
+{
+    std::string error;
+    EXPECT_FALSE(validateChromeTrace(traceDoc(spanEvent("a", 1.0, -1.0)),
+                                     &error));
+    EXPECT_NE(error.find("dur"), std::string::npos) << error;
+    EXPECT_FALSE(validateChromeTrace(
+        traceDoc("{\"name\":\"a\",\"ph\":\"X\",\"ts\":1,"
+                 "\"pid\":1,\"tid\":1}"),
+        &error));
+    EXPECT_FALSE(validateChromeTrace(
+        traceDoc("{\"name\":\"a\",\"ph\":\"X\",\"ts\":1,"
+                 "\"dur\":\"1\",\"pid\":1,\"tid\":1}"),
+        &error));
+    // A zero-length slice is still a slice.
+    EXPECT_TRUE(validateChromeTrace(traceDoc(spanEvent("a", 1.0, 0.0)),
+                                    &error))
+        << error;
+}
+
 TEST(ValidateTraceTest, SingleProcessFileMayHaveDanglingFlows)
 {
     // A per-process file legitimately holds only one half of a flow —

@@ -73,6 +73,17 @@ TEST(RequestParseTest, RejectsBadInputsWithSpecificErrors)
         {"{\"type\":\"optimize\",\"device\":\"tpu\"}",
          "unknown device"},
         {"{\"type\":", "malformed JSON"},
+        // Numbers outside the JSON grammar, and one that overflows a
+        // double: these used to read as 0.9, 22, 22 and inf.
+        {"{\"type\":\"optimize\",\"f\":.9}", "malformed JSON"},
+        {"{\"type\":\"optimize\",\"node\":022}", "malformed JSON"},
+        {"{\"type\":\"optimize\",\"node\":22.}", "malformed JSON"},
+        {"{\"type\":\"optimize\",\"node\":1e400}", "out of range"},
+        // A deadline whose nanoseconds overflow 64 bits (undefined
+        // behaviour when cast), and one under a nanosecond, which
+        // truncated to 0: "no deadline".
+        {"{\"type\":\"optimize\",\"deadlineMs\":1e300}", "2^64 ns"},
+        {"{\"type\":\"optimize\",\"deadlineMs\":1e-7}", "1 ns"},
     };
     for (const Case &c : cases) {
         RequestParse parsed = parseQueryRequestText(c.text);

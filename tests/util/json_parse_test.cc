@@ -81,10 +81,38 @@ TEST(JsonParseTest, MalformedInputsReportErrors)
     for (const char *bad :
          {"", "{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "1 2",
           "{\"a\":1,}", "[1 2]", "\"unterminated", "nan", "+1",
-          "{'a':1}"}) {
+          "{'a':1}",
+          // RFC 8259 numbers: no leading '.' or zero, a digit after
+          // '.' and after the exponent mark, nothing a double cannot
+          // hold.
+          ".9", "022", "-01", "22.", "1.e5", "1e", "1e+", "-", "--1",
+          "-.5", "1e400", "-1e400", "[1e999]"}) {
         std::string error;
         EXPECT_FALSE(JsonValue::parse(bad, &error)) << bad;
         EXPECT_FALSE(error.empty()) << bad;
+    }
+}
+
+TEST(JsonParseTest, NumbersFollowTheJsonGrammar)
+{
+    std::string error;
+    EXPECT_FALSE(JsonValue::parse("1e400", &error));
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+
+    struct Good
+    {
+        const char *text;
+        double value;
+    };
+    for (const Good &g : {Good{"0", 0.0}, Good{"-0", -0.0},
+                          Good{"0.5", 0.5}, Good{"10", 10.0},
+                          Good{"1e5", 1e5}, Good{"1E+2", 100.0},
+                          Good{"-2.5e-3", -2.5e-3}, Good{"1e-400", 0.0},
+                          Good{"1.7976931348623157e308",
+                               1.7976931348623157e308}}) {
+        auto v = JsonValue::parse(g.text);
+        ASSERT_TRUE(v) << g.text;
+        EXPECT_EQ(v->asNumber(), g.value) << g.text;
     }
 }
 

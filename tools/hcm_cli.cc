@@ -23,7 +23,7 @@
 #include "devices/roofline.hh"
 #include "core/pareto.hh"
 #include "core/projection.hh"
-#include "hwc/counter_region.hh"
+#include "hwc/perf_counters.hh"
 #include "hwc/self_roofline.hh"
 #include "mem/traffic.hh"
 #include "obs/build_info.hh"
@@ -260,12 +260,6 @@ observability (batch/serve/simulate):
                               input) | json (default collapsed)
   --metrics-out <file>        write collected metrics on exit
   --metrics-format <fmt>      json | prom (default json)
-  --counters                  collect hardware counters (perf events)
-                              at the instrumented regions: spans grow
-                              instructions/cycles/IPC args, profile
-                              JSON grows IPC and LLC-miss-rate
-                              columns; degrades to a single warning
-                              when the host offers no counters
   --verbose                   lower the log threshold one step per
                               occurrence (-> Info -> Debug;
                               HCM_LOG_LEVEL wins when set; serve
@@ -297,9 +291,9 @@ struct Options
     std::size_t threads = 0;
     std::size_t cacheEntries = 4096;
     bool noCache = false;
-    double slowQueryMs = 0.0;
-    double deadlineMs = 0.0;
-    double admissionWaitMs = 5000.0;
+    std::uint64_t slowQueryNs = 0;
+    std::uint64_t deadlineNs = 0;
+    std::uint64_t admissionWaitNs = 5'000'000'000;
     std::string faultSpec;
     std::string traceOut;
     std::string profileOut;
@@ -316,7 +310,6 @@ struct Options
     double minTimeNs = 0.0;
     double counterTolerancePct = 0.0;
     bool measured = false;
-    bool counters = false;
     bool csv = false;
     sweep::SpecStrings sweepSpec;
     std::size_t jobs = 0;
@@ -395,6 +388,13 @@ parseOptions(const std::vector<std::string> &args, std::size_t start,
             target = numberOrDie<std::remove_reference_t<decltype(target)>>(
                 a, next());
         };
+        auto nanoseconds = [&](std::uint64_t &target) {
+            std::string error;
+            auto ns = svc::msToNs(numberOrDie<double>(a, next()), &error);
+            if (!ns)
+                hcm_fatal(a, " ", error);
+            target = *ns;
+        };
         if (a == "--workload") {
             opts.workload = workloadOrDie(next(), parse_workload);
         } else if (a == "--f") {
@@ -452,11 +452,11 @@ parseOptions(const std::vector<std::string> &args, std::size_t start,
         else if (a == "--no-cache")
             opts.noCache = true;
         else if (a == "--slow-query-ms")
-            number(opts.slowQueryMs);
+            nanoseconds(opts.slowQueryNs);
         else if (a == "--deadline-ms")
-            number(opts.deadlineMs);
+            nanoseconds(opts.deadlineNs);
         else if (a == "--admission-wait-ms")
-            number(opts.admissionWaitMs);
+            nanoseconds(opts.admissionWaitNs);
         else if (a == "--fault-spec")
             opts.faultSpec = next();
         else if (a == "--trace-out")
@@ -489,8 +489,6 @@ parseOptions(const std::vector<std::string> &args, std::size_t start,
             number(opts.counterTolerancePct);
         else if (a == "--measured")
             opts.measured = true;
-        else if (a == "--counters")
-            opts.counters = true;
         else if (a == "--results-only")
             opts.resultsOnly = true;
         else if (a == "--port")
@@ -534,12 +532,6 @@ parseOptions(const std::vector<std::string> &args, std::size_t start,
     if (opts.profileFormat != "collapsed" && opts.profileFormat != "json")
         hcm_fatal("--profile-format must be collapsed or json, not '",
                   opts.profileFormat, "'");
-    if (opts.slowQueryMs < 0.0)
-        hcm_fatal("--slow-query-ms must be >= 0");
-    if (opts.deadlineMs < 0.0)
-        hcm_fatal("--deadline-ms must be >= 0");
-    if (opts.admissionWaitMs < 0.0)
-        hcm_fatal("--admission-wait-ms must be >= 0");
     if (opts.format != "csv" && opts.format != "json")
         hcm_fatal("--format must be csv or json, not '", opts.format,
                   "'");
@@ -597,10 +589,8 @@ class TraceSession
         std::size_t spans = obs::Tracer::instance().spanCount();
         obs::Tracer::instance().writeChromeTrace(out);
         out << "\n";
-        if (!out.flush()) {
-            hcm_warn("cannot write trace file '", _path, "'");
-            return;
-        }
+        if (!out.flush())
+            hcm_fatal("cannot write trace file '", _path, "'");
         hcm_inform("trace written", logField("file", _path),
                    logField("spans", spans));
     }
@@ -638,10 +628,8 @@ class ProfileSession
         } else {
             profiler.writeCollapsed(out);
         }
-        if (!out.flush()) {
-            hcm_warn("cannot write profile file '", _path, "'");
-            return;
-        }
+        if (!out.flush())
+            hcm_fatal("cannot write profile file '", _path, "'");
         hcm_inform("profile written", logField("file", _path),
                    logField("sites", sites),
                    logField("format", _format));
@@ -650,38 +638,6 @@ class ProfileSession
   private:
     std::string _path;
     std::string _format;
-};
-
-/**
- * RAII counter session: --counters enables hardware-counter
- * collection at the instrumented regions for the command's lifetime.
- * Probing up front surfaces the one unavailability warning before any
- * work runs, so an operator sees immediately that the flag will
- * degrade to wall time on this host.
- */
-class CounterSession
-{
-  public:
-    explicit CounterSession(const Options &opts) : _on(opts.counters)
-    {
-        if (!_on)
-            return;
-        hwc::Collector::instance().setEnabled(true);
-        hwc::Availability avail = hwc::Collector::instance().probe();
-        if (avail.available)
-            hcm_inform("hardware counters enabled",
-                       logField("perf_event_paranoid",
-                                avail.perfEventParanoid));
-    }
-
-    ~CounterSession()
-    {
-        if (_on)
-            hwc::Collector::instance().setEnabled(false);
-    }
-
-  private:
-    bool _on;
 };
 
 /**
@@ -831,7 +787,6 @@ cmdSweep(const Options &opts)
     applyLogOptions(opts, false);
     TraceSession trace(opts);
     ProfileSession profile(opts);
-    CounterSession counters(opts);
     std::string error;
     auto spec = sweep::parseSweepSpec(opts.sweepSpec, &error);
     if (!spec)
@@ -1221,11 +1176,9 @@ engineOptions(const Options &opts)
     svc::EngineOptions eopts;
     eopts.threads = opts.threads;
     eopts.cacheCapacity = opts.noCache ? 0 : opts.cacheEntries;
-    eopts.slowQueryNs =
-        static_cast<std::uint64_t>(opts.slowQueryMs * 1e6);
-    eopts.deadlineNs = static_cast<std::uint64_t>(opts.deadlineMs * 1e6);
-    eopts.admissionWaitNs =
-        static_cast<std::uint64_t>(opts.admissionWaitMs * 1e6);
+    eopts.slowQueryNs = opts.slowQueryNs;
+    eopts.deadlineNs = opts.deadlineNs;
+    eopts.admissionWaitNs = opts.admissionWaitNs;
     return eopts;
 }
 
@@ -1251,7 +1204,6 @@ cmdBatch(const std::string &path, const Options &opts)
     applyFaultSpec(opts);
     TraceSession trace(opts);
     ProfileSession profile(opts);
-    CounterSession counters(opts);
     svc::QueryEngine engine(engineOptions(opts));
     std::string error;
     if (!svc::runBatch(text, engine, std::cout, &error,
@@ -1289,7 +1241,6 @@ cmdServe(const Options &opts)
     svc::FlightRecorder::instance().configure(opts.flightRecorderSize);
     TraceSession trace(opts);
     ProfileSession profile(opts);
-    CounterSession counters(opts);
 
     if (opts.port < 0) {
         // The historical stdin/stdout loop.
@@ -1518,7 +1469,7 @@ cmdBench(const Options &opts)
     bopts.repetitions = opts.repetitions;
     // Stamp counter availability into the results metadata so a diff
     // reader can tell "no counter columns" from "host had none".
-    hwc::Availability avail = hwc::Collector::instance().probe();
+    hwc::Availability avail = hwc::counterAvailability();
     bopts.counters.available = avail.available;
     bopts.counters.reason = avail.reason;
     bopts.counters.perfEventParanoid = avail.perfEventParanoid;
