@@ -2,9 +2,10 @@
  *  engine: batch throughput versus worker-thread count and cache
  *  state, the cost of a hit through to its answer bytes, a single
  *  miss through evaluate(), the one-time JSON render per query type,
- *  and packing and expanding the cached answer bytes. The acceptance
- *  ratio for the subsystem is the warm-cache 8-thread batch against
- *  the cold-cache single-thread batch. */
+ *  packing and expanding the cached answer bytes, and building a key
+ *  and looking it up. The acceptance ratio for the subsystem is the
+ *  warm-cache 8-thread batch against the cold-cache single-thread
+ *  batch. */
 
 #include <cstdint>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include "svc/answer_codec.hh"
+#include "svc/cache.hh"
 #include "svc/engine.hh"
 #include "svc/request.hh"
 
@@ -180,9 +182,9 @@ BENCHMARK_CAPTURE(BM_RenderQueryResult, pareto, svc::QueryType::Pareto);
 BENCHMARK_CAPTURE(BM_RenderQueryResult, projection,
                   svc::QueryType::Projection);
 
-/** The golden answer mix, rendered: the bytes the codec benches pack. */
-std::vector<std::string>
-goldenAnswers()
+/** The golden answer mix's queries; empty when the file is missing. */
+std::vector<svc::Query>
+goldenQueries()
 {
     std::ifstream in(std::string(HCM_SVC_DATA_DIR) + "/answers_mix.json",
                      std::ios::binary);
@@ -190,10 +192,16 @@ goldenAnswers()
     text << in.rdbuf();
     std::string error;
     auto batch = svc::parseBatchDocument(text.str(), &error);
+    return batch ? batch->queries : std::vector<svc::Query>{};
+}
+
+/** The golden answer mix, rendered: the bytes the codec benches pack. */
+std::vector<std::string>
+goldenAnswers()
+{
     std::vector<std::string> answers;
-    if (batch)
-        for (const svc::Query &q : batch->queries)
-            answers.push_back(svc::evaluateQuery(q).toJson());
+    for (const svc::Query &q : goldenQueries())
+        answers.push_back(svc::evaluateQuery(q).toJson());
     return answers;
 }
 
@@ -285,6 +293,33 @@ BM_CanonicalKey(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CanonicalKey);
+
+/**
+ * A hit's key work: build the key, then look it up in a cache holding
+ * every answer of the golden mix; the iterations cycle through the mix.
+ */
+void
+BM_QueryKey(benchmark::State &state)
+{
+    std::vector<svc::Query> queries = goldenQueries();
+    if (queries.empty()) {
+        state.SkipWithError("answers_mix.json not found");
+        return;
+    }
+    svc::QueryCache cache(4096);
+    for (const svc::Query &q : queries)
+        cache.put(q.canonicalKey(), std::make_shared<const svc::Answer>(
+                                        svc::renderAnswer(
+                                            svc::evaluateQuery(q))));
+    std::size_t i = 0;
+    for (auto _ : state) {
+        std::string key = queries[i].canonicalKey();
+        auto answer = cache.get(key);
+        benchmark::DoNotOptimize(answer.get());
+        i = (i + 1) % queries.size();
+    }
+}
+BENCHMARK(BM_QueryKey);
 
 } // namespace
 

@@ -1,5 +1,6 @@
 #include "fleet.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "net/front_door.hh"
@@ -138,12 +139,21 @@ FleetCollector::start(std::uint64_t interval_ms)
 void
 FleetCollector::runLoop(std::uint64_t interval_ms)
 {
+    using Clock = std::chrono::steady_clock;
     while (true) {
         scrapeOnce();
+        // The deadline saturates at the clock's end: a longer interval
+        // (the flag takes up to 1.8e13 ms) would wrap into the past,
+        // and the loop would spin.
+        Clock::time_point now = Clock::now();
+        auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::time_point::max() - now);
+        Clock::time_point deadline =
+            now + std::chrono::milliseconds(std::min<std::uint64_t>(
+                      interval_ms, static_cast<std::uint64_t>(room.count())));
         std::unique_lock<std::mutex> lock(_stopMu);
-        if (_stopCv.wait_for(lock,
-                             std::chrono::milliseconds(interval_ms),
-                             [this] { return _stopping; }))
+        if (_stopCv.wait_until(lock, deadline,
+                               [this] { return _stopping; }))
             return;
     }
 }

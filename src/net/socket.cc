@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 #include <arpa/inet.h>
@@ -237,7 +238,9 @@ connectTo(const std::string &host, std::uint16_t port,
     }
     if (rc < 0) {
         pollfd pfd{sock.fd(), POLLOUT, 0};
-        int ready = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
+        int ready = ::poll(&pfd, 1,
+                           static_cast<int>(std::min<std::uint64_t>(
+                               timeout_ms, INT_MAX)));
         if (ready <= 0) {
             if (error)
                 *error = ready == 0 ? "connect timed out"

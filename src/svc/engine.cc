@@ -1,7 +1,9 @@
 #include "engine.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <ostream>
 #include <utility>
 
 #include "obs/trace.hh"
@@ -50,6 +52,32 @@ ridOrDash(const std::string &rid)
     return rid.empty() ? "-" : rid;
 }
 
+/**
+ * A query's identity as log fields, in place of its key (whose bytes
+ * may hold NULs): type, workload, f (shortest round-trip digits),
+ * scenario, node (not for Projection) and device.
+ */
+struct QueryFields
+{
+    const Query &q;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const QueryFields &fields)
+{
+    const Query &q = fields.q;
+    char f[32];
+    char *f_end = std::to_chars(f, f + sizeof f, q.f).ptr;
+    os << logField("type", queryTypeName(q.type))
+       << logField("workload", q.workload.name())
+       << logField("f", std::string_view(f, f_end - f))
+       << logField("scenario", q.scenario);
+    if (q.type != QueryType::Projection)
+        os << logField("node", q.node);
+    return os << logField("device",
+                          q.device ? dev::deviceName(*q.device) : "*");
+}
+
 /** One flight-recorder entry for a locally-served query. */
 void
 recordFlight(const Query &q, const char *outcome,
@@ -92,12 +120,11 @@ QueryEngine::QueryEngine(EngineOptions opts)
 }
 
 void
-QueryEngine::noteSlowQuery(const Query &q, const std::string &key,
-                           std::uint64_t wait_ns, std::uint64_t eval_ns)
+QueryEngine::noteSlowQuery(const Query &q, std::uint64_t wait_ns,
+                           std::uint64_t eval_ns)
 {
     _metrics.recordSlowQuery();
-    hcm_warn("slow query", logField("type", queryTypeName(q.type)),
-             logField("key", key),
+    hcm_warn("slow query", QueryFields{q},
              logField("requestId", ridOrDash(q.requestId)),
              logField("queueWaitMs", wait_ns / 1e6),
              logField("evalMs", eval_ns / 1e6));
@@ -239,18 +266,14 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
         }
     } catch (const std::exception &e) {
         _metrics.recordError();
-        hcm_warn("query evaluation failed",
-                 logField("type", queryTypeName(q.type)),
-                 logField("key", key),
+        hcm_warn("query evaluation failed", QueryFields{q},
                  logField("requestId", ridOrDash(q.requestId)),
                  logField("error", e.what()));
         result = errorAnswer(q, QueryErrorKind::EvaluationFailed, e.what());
         return;
     } catch (...) {
         _metrics.recordError();
-        hcm_warn("query evaluation failed",
-                 logField("type", queryTypeName(q.type)),
-                 logField("key", key),
+        hcm_warn("query evaluation failed", QueryFields{q},
                  logField("requestId", ridOrDash(q.requestId)),
                  logField("error", "non-standard exception"));
         result = errorAnswer(
@@ -262,7 +285,7 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
     _metrics.recordQuery(q.type, eval_ns, hit);
     if (_opts.slowQueryNs > 0 &&
         wait_ns + eval_ns > _opts.slowQueryNs)
-        noteSlowQuery(q, key, wait_ns, eval_ns);
+        noteSlowQuery(q, wait_ns, eval_ns);
 }
 
 QueryEngine::Pending
@@ -292,7 +315,7 @@ QueryEngine::acquire(const Query &q, const std::string &key, bool run_here)
             _metrics.recordQuery(q.type, hit_ns, true);
             recordFlight(q, "hit", 0, hit_ns);
             if (_opts.slowQueryNs > 0 && hit_ns > _opts.slowQueryNs)
-                noteSlowQuery(q, key, 0, hit_ns);
+                noteSlowQuery(q, 0, hit_ns);
             return {std::move(hit), {}};
         }
     }

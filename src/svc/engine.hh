@@ -160,8 +160,8 @@ class QueryEngine
                  std::chrono::steady_clock::time_point start);
 
     /** Count + log one query past the slow threshold. */
-    void noteSlowQuery(const Query &q, const std::string &key,
-                       std::uint64_t wait_ns, std::uint64_t eval_ns);
+    void noteSlowQuery(const Query &q, std::uint64_t wait_ns,
+                       std::uint64_t eval_ns);
 
     /** The query's own deadline, else the engine default (0 = none). */
     std::uint64_t effectiveDeadlineNs(const Query &q) const;

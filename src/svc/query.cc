@@ -1,9 +1,14 @@
 #include "query.hh"
 
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "core/pareto.hh"
+#include "core/scenario.hh"
 #include "itrs/scaling.hh"
 #include "svc/answer_codec.hh"
-#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -98,27 +103,80 @@ makeQueryError(const Query &q, QueryErrorKind kind, std::string why,
     return result;
 }
 
+namespace {
+
+/** Record value meaning "not in the registry; the full value follows". */
+constexpr unsigned kNodeInFull = 7;
+constexpr unsigned char kScenarioInFull = 0xFF;
+
+/** Index of the first entry of @p registry that @p field accepts, or
+ *  @p none when there is none. */
+template <typename Registry, typename Field>
+unsigned
+indexIn(const Registry &registry, Field field, unsigned none)
+{
+    for (std::size_t i = 0; i < registry.size(); ++i)
+        if (field(registry[i]))
+            return static_cast<unsigned>(i);
+    return none;
+}
+
+/**
+ * The 8 bytes of @p value. Every NaN of one sign prints as the same
+ * text, so NaNs are stored as the one quiet NaN of their sign.
+ */
+void
+appendBits(std::string &key, double value)
+{
+    if (std::isnan(value))
+        value = std::copysign(std::numeric_limits<double>::quiet_NaN(),
+                              value);
+    char bytes[sizeof value];
+    std::memcpy(bytes, &value, sizeof value);
+    key.append(bytes, sizeof bytes);
+}
+
+} // namespace
+
 std::string
 Query::canonicalKey() const
 {
-    std::string key;
-    key.reserve(96);
-    key += queryTypeName(type);
-    key += '|';
-    key += workload.name();
-    key += "|f=";
-    appendDouble17(key, f);
-    key += "|s=";
-    key += scenario;
-    // Projection spans every node, so the node is not part of its
-    // identity — leaving it out lets differently-spelled requests share
+    // Byte 0: type (2 bits), device filter (3 bits: 0 = all, else the
+    // DeviceId + 1), node index (3 bits). Projection spans every node,
+    // so its node is left out and differently-spelled requests share
     // one cache entry.
-    if (type != QueryType::Projection) {
-        key += "|n=";
-        appendDouble17(key, node);
-    }
-    key += "|d=";
-    key += device ? dev::deviceName(*device) : "*";
+    unsigned node_index = 0;
+    if (type != QueryType::Projection)
+        node_index = indexIn(
+            itrs::nodeTable(),
+            [&](const itrs::NodeParams &n) { return n.nodeNm == node; },
+            kNodeInFull);
+    unsigned device_code = device ? static_cast<unsigned>(*device) + 1 : 0;
+    unsigned char scenario_index = static_cast<unsigned char>(indexIn(
+        core::allScenarios(),
+        [&](const core::Scenario &s) { return s.name == scenario; },
+        kScenarioInFull));
+    // The workload as its name prints it: the kind, and for FFT the
+    // power of two (MMM's block size is not part of its name).
+    unsigned workload_code = static_cast<unsigned>(workload.kind()) << 6;
+    if (workload.kind() == wl::Kind::FFT)
+        workload_code |= static_cast<unsigned>(std::countr_zero(
+            static_cast<std::uint64_t>(workload.size())));
+
+    char head[3] = {
+        static_cast<char>(static_cast<unsigned>(type) << 6 |
+                          device_code << 3 | node_index),
+        static_cast<char>(scenario_index),
+        static_cast<char>(workload_code),
+    };
+    std::string key(head, sizeof head);
+    appendBits(key, f);
+    // Values outside the registries follow in full; such queries fail
+    // evaluation, but their keys stay exact.
+    if (node_index == kNodeInFull)
+        appendBits(key, node);
+    if (scenario_index == kScenarioInFull)
+        key += scenario;
     return key;
 }
 
@@ -188,31 +246,33 @@ QueryResult::toJson() const
 
 Answer::Answer(std::string_view json, QueryErrorKind kind) : errorKind(kind)
 {
-    // Packed into a reused buffer, then copied once: the kept string
-    // is allocated at its exact size.
+    // Packed into a reused buffer, then copied once into a block of
+    // exactly its size.
     thread_local std::string packed;
     packed.clear();
     packAnswer(json, packed);
-    _packed = packed;
+    _packedSize = packed.size();
+    _packed = std::make_unique_for_overwrite<char[]>(_packedSize);
+    std::memcpy(_packed.get(), packed.data(), _packedSize);
 }
 
 std::size_t
 Answer::size() const
 {
-    return expandedSize(_packed);
+    return expandedSize(packed());
 }
 
 void
 Answer::appendTo(std::string &out) const
 {
-    appendExpanded(_packed, out);
+    appendExpanded(packed(), out);
 }
 
 void
 Answer::writeTo(JsonWriter &json) const
 {
     json.rawInPlace(size(), kAnswerExpandSlack,
-                    [&](char *dst) { expandAnswer(_packed, dst); });
+                    [&](char *dst) { expandAnswer(packed(), dst); });
 }
 
 Answer

@@ -3,17 +3,19 @@
  * Typed queries over the analytical model — the vocabulary of the
  * design-space query engine. Each query names one model computation
  * (a design-point optimization, a projection series, a min-energy
- * design, or a Pareto frontier) plus its inputs, and serializes to a
- * canonical key so identical requests dedupe and memoize regardless of
- * how they were spelled. evaluateQuery() is a pure function of the
- * query (the model data is immutable after startup), which is what
- * makes both the cache and multi-threaded evaluation sound.
+ * design, or a Pareto frontier) plus its inputs, and packs into a
+ * fixed-size canonical key so identical requests dedupe and memoize
+ * regardless of how they were spelled. evaluateQuery() is a pure
+ * function of the query (the model data is immutable after startup),
+ * which is what makes both the cache and multi-threaded evaluation
+ * sound.
  */
 
 #ifndef HCM_SVC_QUERY_HH
 #define HCM_SVC_QUERY_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -76,9 +78,15 @@ struct Query
     bool requestIdEcho = false;
 
     /**
-     * Deterministic serialized identity: two queries produce the same
-     * key iff they request the same computation. Cache and in-flight
-     * dedup key on this string.
+     * Identity as a fixed binary record: two queries produce the same
+     * key iff they request the same computation. One byte packs the
+     * type, device filter and node index (no node for Projection),
+     * then the scenario's registry index, the workload kind and FFT
+     * size, and the 8 bytes of f: 11 bytes, inside std::string's
+     * small buffer, so no key allocates. A node or scenario outside
+     * its registry follows in full. The bytes may hold NULs; the
+     * cache, in-flight and batch dedup and the shard ring key on them,
+     * and logs print the query's fields instead.
      */
     std::string canonicalKey() const;
 };
@@ -117,7 +125,8 @@ std::string queryErrorKindName(QueryErrorKind kind);
  * whether they say success. This is the engine's product and the
  * cache's value; a memoized entry holds nothing else — no Query, no
  * rows, no request id. The bytes are kept packed (svc/answer_codec.hh)
- * and read only by expanding them into the caller's buffer.
+ * in one exact-size block and read only by expanding them into the
+ * caller's buffer.
  */
 struct Answer
 {
@@ -141,10 +150,18 @@ struct Answer
     void writeTo(JsonWriter &json) const;
 
     /** Bytes the packed form holds (what the cache keeps per entry). */
-    std::size_t packedBytes() const { return _packed.size(); }
+    std::size_t packedBytes() const { return _packedSize; }
 
   private:
-    std::string _packed;
+    std::string_view
+    packed() const
+    {
+        return {_packed.get(), _packedSize};
+    }
+
+    /** One block of exactly the packed size, with no spare capacity. */
+    std::unique_ptr<char[]> _packed;
+    std::size_t _packedSize = 0;
 };
 
 /**

@@ -1,11 +1,12 @@
 /**
  * @file
  * Multi-threaded measurement harness: run a chunked kernel across a
- * thread pool, measure sustained throughput per thread count, and fit
- * the Amdahl parallel fraction f from the observed scaling — the
- * empirical counterpart of the model's central parameter. (The paper's
- * Core i7 numbers come from multithreaded MKL/PARSEC runs; this is the
- * same methodology on the host.)
+ * thread pool, measure its critical path (the busiest thread's CPU
+ * time) per thread count, and fit the Amdahl parallel fraction f from
+ * the observed scaling — the empirical counterpart of the model's
+ * central parameter. (The paper's Core i7 numbers come from
+ * multithreaded MKL/PARSEC runs; this is the same methodology on the
+ * host.)
  */
 
 #ifndef HCM_WORKLOADS_PARALLEL_HARNESS_HH
@@ -32,7 +33,12 @@ struct ScalingPoint
     std::size_t threads = 1;
     double seconds = 0.0;  ///< wall time of the measured repetitions
     std::uint64_t reps = 0;///< whole-kernel repetitions timed
-    double speedup = 0.0;  ///< vs the 1-thread point
+    double speedup = 0.0;  ///< critical path vs the 1-thread point
+    /**
+     * Sum over the timed repetitions of the busiest thread's CPU time:
+     * the critical path, free of time spent waiting for a core.
+     */
+    double criticalSeconds = 0.0;
 };
 
 /** A measured scaling curve plus the fitted Amdahl fraction. */

@@ -162,7 +162,20 @@ TEST(CliTest, BadInputsFailCleanly)
              "batch " + batch + " --slow-query-ms 1e300",
              "batch " + batch + " --slow-query-ms 1e-7",
              "batch " + batch + " --admission-wait-ms 1e300",
-             "batch " + batch + " --admission-wait-ms 1e-9"}) {
+             "batch " + batch + " --admission-wait-ms 1e-9",
+             // The whole-millisecond flags take the same check: each
+             // verb that reads one refuses 1e300 before connecting.
+             "loadgen " + batch +
+                 " --connect 127.0.0.1:1 --timeout-ms 1e300",
+             "top --connect 127.0.0.1:1 --once --timeout-ms 1e300",
+             "top --connect 127.0.0.1:1 --interval-ms 1e300",
+             "top --connect 127.0.0.1:1 --interval-ms 0.5",
+             "front --port 0 --shard-addrs 127.0.0.1:1 --timeout-ms 1e300",
+             "front --port 0 --shard-addrs 127.0.0.1:1 "
+             "--scrape-interval-ms 1e300",
+             "serve --port 0 --shards 2 --scrape-interval-ms 1e300",
+             "front --port 0 --shard-addrs 127.0.0.1:1 --timeout-ms -1",
+             "loadgen " + batch + " --connect 127.0.0.1:1 --timeout-ms 0.5"}) {
         auto [code, out] = runCli(args);
         EXPECT_EQ(code, 1) << args << "\n" << out;
         EXPECT_EQ(out.rfind("fatal: ", 0), 0u) << args << "\n" << out;

@@ -1,5 +1,6 @@
 /** @file Tests for fleet scraping, aggregation, and rendering. */
 
+#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <string>
@@ -29,6 +30,7 @@ class StubBackend : public ShardBackend
               std::string *error) override
     {
         lastRequest = request;
+        ++roundTrips;
         if (!up) {
             *error = "connection refused";
             return false;
@@ -40,6 +42,7 @@ class StubBackend : public ShardBackend
     bool up = true;
     std::string payload;
     std::string lastRequest;
+    std::atomic<int> roundTrips{0};
 
   private:
     std::string _name;
@@ -219,6 +222,21 @@ TEST(FleetCollectorTest, PeriodicScrapingRunsWithoutARequest)
                 std::chrono::milliseconds(5));
         EXPECT_TRUE(fleet.everScraped());
     } // destructor joins the scraper thread
+}
+
+TEST(FleetCollectorTest, LongestScrapeIntervalWaitsInsteadOfSpinning)
+{
+    // The largest interval --scrape-interval-ms takes, 1.8e13 ms, ends
+    // past the steady clock's range; a wrapped deadline would rescrape
+    // at once, over and over.
+    StubBackend shard("shard-0");
+    shard.payload = scrapePayload(10);
+    {
+        FleetCollector fleet({&shard});
+        fleet.start(18000000000000ull);
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        EXPECT_EQ(shard.roundTrips.load(), 1);
+    }
 }
 
 } // namespace

@@ -312,8 +312,12 @@ TEST(QueryEngineTest, SlowQueriesAreLoggedAndCounted)
     std::string log = capture.text();
     EXPECT_NE(log.find("slow query"), std::string::npos) << log;
     EXPECT_NE(log.find("type=optimize"), std::string::npos) << log;
-    EXPECT_NE(log.find("key=" + q.canonicalKey()), std::string::npos)
+    // The query's fields, not its key's raw bytes.
+    EXPECT_NE(log.find(" workload=FFT-1024 f=0.9 scenario=baseline "
+                       "node=22 device=*"),
+              std::string::npos)
         << log;
+    EXPECT_EQ(log.find("key="), std::string::npos) << log;
     EXPECT_NE(log.find("queueWaitMs="), std::string::npos) << log;
     EXPECT_NE(log.find("evalMs="), std::string::npos) << log;
 

@@ -1,7 +1,12 @@
 /** @file Tests for the typed query layer: canonical keys, evaluation
  *  against direct core calls, and JSON serialization. */
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <map>
+#include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,9 +15,11 @@
 
 #include "core/pareto.hh"
 #include "core/scenario.hh"
+#include "devices/measured.hh"
 #include "itrs/scaling.hh"
 #include "svc/query.hh"
 #include "sweep/sweep.hh"
+#include "util/format.hh"
 #include "util/json_parse.hh"
 
 namespace hcm {
@@ -112,44 +119,90 @@ TEST(QueryKeyTest, ProjectionIgnoresNode)
     EXPECT_EQ(a.canonicalKey(), b.canonicalKey());
 }
 
-TEST(QueryKeyTest, KeysArePinnedByteForByte)
+/**
+ * The text key the record replaced, kept as the oracle: the record
+ * must tell two queries apart exactly when this text does.
+ */
+std::string
+textKey(const Query &q)
 {
-    // Hash-ring placement and slow-query logs are keyed on these exact
-    // bytes: a new spelling would move every key to another shard.
-    Query optimize; // defaults: FFT-1024, f 0.99, baseline, 22 nm
-    EXPECT_EQ(optimize.canonicalKey(),
-              "optimize|FFT-1024|f=0.98999999999999999|s=baseline|"
-              "n=22|d=*");
+    std::string key = queryTypeName(q.type) + "|" + q.workload.name() +
+                      "|f=";
+    appendDouble17(key, q.f);
+    key += "|s=" + q.scenario;
+    if (q.type != QueryType::Projection) {
+        key += "|n=";
+        appendDouble17(key, q.node);
+    }
+    key += "|d=";
+    key += q.device ? dev::deviceName(*q.device) : "*";
+    return key;
+}
 
-    Query projection;
-    projection.type = QueryType::Projection;
-    projection.workload = wl::Workload::mmm();
-    projection.f = 0.9;
-    projection.node = 40.0; // not part of a projection's identity
-    projection.device = dev::DeviceId::Gtx285;
-    EXPECT_EQ(projection.canonicalKey(),
-              "projection|MMM|f=0.90000000000000002|s=baseline|"
-              "d=GTX285");
+TEST(QueryKeyTest, RecordKeysMatchTheTextKeyExactly)
+{
+    // f values: the ends of the range, negative zero, seeded 17-digit
+    // values, and each one's neighbouring doubles; NaNs of both signs
+    // and two payloads print alike.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<double> fs = {0.0,  -0.0, 1.0,          0.99,
+                              0.5,  nan,  std::nan("7"), -nan};
+    std::mt19937_64 rng(20101);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 3; ++i)
+        fs.push_back(unit(rng));
+    for (std::size_t i = 0, n = fs.size(); i < n; ++i) {
+        fs.push_back(std::nextafter(fs[i], 2.0));
+        fs.push_back(std::nextafter(fs[i], -1.0));
+    }
 
-    Query energy;
-    energy.type = QueryType::Energy;
-    energy.workload = wl::Workload::mmm();
-    energy.f = 0.5;
-    energy.scenario = "power-10w";
-    energy.node = 11.0;
-    EXPECT_EQ(energy.canonicalKey(),
-              "energy|MMM|f=0.5|s=power-10w|n=11|d=*");
+    std::vector<std::optional<dev::DeviceId>> devices = {std::nullopt};
+    for (dev::DeviceId d : dev::allDevices())
+        devices.push_back(d);
+    std::vector<double> nodes;
+    for (const itrs::NodeParams &n : itrs::nodeTable())
+        nodes.push_back(n.nodeNm);
+    // Outside the registries: followed in full, still exact.
+    nodes.push_back(7.0);
+    std::vector<std::string> scenarios;
+    for (const core::Scenario &s : core::allScenarios())
+        scenarios.push_back(s.name);
+    scenarios.push_back("Baseline");
 
-    Query pareto;
-    pareto.type = QueryType::Pareto;
-    pareto.workload = wl::Workload::blackScholes();
-    pareto.f = 0.123456789012345;
-    pareto.scenario = "thermal-3d";
-    pareto.node = 16.0;
-    pareto.device = dev::DeviceId::Lx760;
-    EXPECT_EQ(pareto.canonicalKey(),
-              "pareto|BS|f=0.123456789012345|s=thermal-3d|n=16|"
-              "d=V6-LX760");
+    std::map<std::string, std::string> text_of;   // record -> text
+    std::map<std::string, std::string> record_of; // text -> record
+    std::size_t queries = 0;
+    for (QueryType type : allQueryTypes())
+        for (const wl::Workload &workload : dev::table5Workloads())
+            for (double node : nodes)
+                for (const std::string &scenario : scenarios)
+                    for (const auto &device : devices)
+                        for (double f : fs) {
+                            Query q;
+                            q.type = type;
+                            q.workload = workload;
+                            q.f = f;
+                            q.scenario = scenario;
+                            q.node = node;
+                            q.device = device;
+                            std::string record = q.canonicalKey();
+                            std::string text = textKey(q);
+                            bool registered = node != 7.0 &&
+                                              scenario != "Baseline";
+                            if (registered)
+                                ASSERT_LE(record.size(), 15u) << text;
+                            auto [r, r_new] =
+                                text_of.emplace(record, text);
+                            ASSERT_EQ(r->second, text) << "record shared";
+                            auto [t, t_new] =
+                                record_of.emplace(text, record);
+                            ASSERT_EQ(t->second, record) << text;
+                            ASSERT_EQ(r_new, t_new) << text;
+                            ++queries;
+                        }
+    // Projection leaves the node out, so its keys repeat across nodes.
+    EXPECT_LT(text_of.size(), queries);
+    EXPECT_EQ(text_of.size(), record_of.size());
 }
 
 /** True when @p a and @p b are the same double, bit for bit. */

@@ -326,12 +326,12 @@ struct Options
     double rate = 0.0;
     std::size_t concurrency = 4;
     std::size_t repeat = 1;
-    double timeoutMs = 5000.0;
-    double scrapeIntervalMs = 1000.0;
+    std::uint64_t timeoutMs = 5000;
+    std::uint64_t scrapeIntervalMs = 1000;
     std::size_t flightRecorderSize = 256;
     std::string samplesOut;
     bool noRequestIds = false;
-    double intervalMs = 1000.0;
+    std::uint64_t intervalMs = 1000;
     bool once = false;
 };
 
@@ -394,6 +394,15 @@ parseOptions(const std::vector<std::string> &args, std::size_t start,
             if (!ns)
                 hcm_fatal(a, " ", error);
             target = *ns;
+        };
+        // Whole milliseconds, checked like nanoseconds and truncated;
+        // a positive value under 1 ms would truncate to 0, "none".
+        auto milliseconds = [&](std::uint64_t &target) {
+            nanoseconds(target);
+            if (target > 0 && target < 1000000)
+                hcm_fatal(a, " must be at least 1 ms when positive, got ",
+                          args[i]);
+            target /= 1000000;
         };
         if (a == "--workload") {
             opts.workload = workloadOrDie(next(), parse_workload);
@@ -510,9 +519,9 @@ parseOptions(const std::vector<std::string> &args, std::size_t start,
         else if (a == "--repeat")
             number(opts.repeat);
         else if (a == "--timeout-ms")
-            number(opts.timeoutMs);
+            milliseconds(opts.timeoutMs);
         else if (a == "--scrape-interval-ms")
-            number(opts.scrapeIntervalMs);
+            milliseconds(opts.scrapeIntervalMs);
         else if (a == "--flight-recorder-size")
             number(opts.flightRecorderSize);
         else if (a == "--samples-out")
@@ -520,7 +529,7 @@ parseOptions(const std::vector<std::string> &args, std::size_t start,
         else if (a == "--no-request-ids")
             opts.noRequestIds = true;
         else if (a == "--interval-ms")
-            number(opts.intervalMs);
+            milliseconds(opts.intervalMs);
         else if (a == "--once")
             opts.once = true;
         else
@@ -541,11 +550,7 @@ parseOptions(const std::vector<std::string> &args, std::size_t start,
         hcm_fatal("--shards must be >= 1");
     if (opts.rate < 0.0)
         hcm_fatal("--rate must be >= 0");
-    if (opts.timeoutMs < 0.0)
-        hcm_fatal("--timeout-ms must be >= 0");
-    if (opts.scrapeIntervalMs < 0.0)
-        hcm_fatal("--scrape-interval-ms must be >= 0");
-    if (opts.intervalMs <= 0.0)
+    if (opts.intervalMs == 0)
         hcm_fatal("--interval-ms must be > 0");
     if (opts.counterTolerancePct < 0.0)
         hcm_fatal("--counter-tolerance-pct must be >= 0");
@@ -1282,8 +1287,7 @@ cmdServe(const Options &opts)
             backends.push_back(std::make_unique<net::LocalShardBackend>(
                 "shard-" + std::to_string(s), *engines[s]));
         net::FrontDoorOptions fopts;
-        fopts.scrapeIntervalMs =
-            static_cast<std::uint64_t>(opts.scrapeIntervalMs);
+        fopts.scrapeIntervalMs = opts.scrapeIntervalMs;
         front = std::make_unique<net::FrontDoor>(std::move(backends),
                                                  fopts);
         handler = [&front](const std::string &request) {
@@ -1334,15 +1338,13 @@ cmdFront(const Options &opts)
         if (!net::parseHostPort(spec, &host, &port, &error))
             hcm_fatal("front: --shard-addrs: ", error);
         backends.push_back(std::make_unique<net::TcpShardBackend>(
-            host, port,
-            static_cast<std::uint64_t>(opts.timeoutMs)));
+            host, port, opts.timeoutMs));
     }
     if (backends.empty())
         hcm_fatal("front: --shard-addrs named no shards");
 
     net::FrontDoorOptions fopts;
-    fopts.scrapeIntervalMs =
-        static_cast<std::uint64_t>(opts.scrapeIntervalMs);
+    fopts.scrapeIntervalMs = opts.scrapeIntervalMs;
     net::FrontDoor front(std::move(backends), fopts);
     net::TcpServerOptions sopts;
     sopts.host = opts.host;
@@ -1386,7 +1388,7 @@ cmdLoadgen(const std::string &mix_path, const Options &opts)
     lopts.rate = opts.rate;
     lopts.concurrency = opts.concurrency;
     lopts.repeat = opts.repeat;
-    lopts.timeoutMs = static_cast<std::uint64_t>(opts.timeoutMs);
+    lopts.timeoutMs = opts.timeoutMs;
     lopts.outputPath = opts.output;
     lopts.samplesPath = opts.samplesOut;
     lopts.tagRequestIds = !opts.noRequestIds;
@@ -1414,7 +1416,7 @@ cmdTop(const Options &opts)
     if (!net::parseHostPort(opts.connect, &host, &port, &error))
         hcm_fatal("top: --connect: ", error);
     net::TcpShardBackend backend(
-        host, port, static_cast<std::uint64_t>(opts.timeoutMs));
+        host, port, opts.timeoutMs);
 
     std::signal(SIGINT, handleShutdownSignal);
     std::signal(SIGTERM, handleShutdownSignal);
@@ -1445,12 +1447,16 @@ cmdTop(const Options &opts)
         }
         if (opts.once)
             return 0;
-        auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(
-                static_cast<long long>(opts.intervalMs));
-        while (!g_shutdownRequested &&
-               std::chrono::steady_clock::now() < deadline)
+        // Compared in whole milliseconds: a deadline the clock could
+        // not represent would wrap and the screen would never pause.
+        auto start = std::chrono::steady_clock::now();
+        auto waited = [&] {
+            return static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::milliseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count());
+        };
+        while (!g_shutdownRequested && waited() < opts.intervalMs)
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(50));
         if (g_shutdownRequested)
