@@ -6,8 +6,9 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
 #include "core/projection.hh"
+#include "util/format.hh"
+#include "util/table.hh"
 
 namespace {
 

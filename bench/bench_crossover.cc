@@ -5,8 +5,9 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
 #include "core/crossover.hh"
+#include "util/format.hh"
+#include "util/table.hh"
 
 namespace {
 

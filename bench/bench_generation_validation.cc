@@ -11,8 +11,9 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
 #include "core/calibration.hh"
+#include "util/format.hh"
+#include "util/table.hh"
 
 int
 main()

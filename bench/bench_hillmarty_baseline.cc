@@ -9,8 +9,9 @@
 #include <iostream>
 
 #include "amdahl/multicore.hh"
-#include "bench_common.hh"
 #include "plot/ascii_chart.hh"
+#include "util/format.hh"
+#include "util/table.hh"
 
 namespace {
 

@@ -7,9 +7,10 @@
 #include <cmath>
 #include <iostream>
 
-#include "bench_common.hh"
 #include "devices/bandwidth_model.hh"
 #include "mem/traffic.hh"
+#include "util/format.hh"
+#include "util/table.hh"
 
 namespace {
 

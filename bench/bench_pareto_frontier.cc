@@ -4,9 +4,10 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
 #include "core/pareto.hh"
 #include "plot/ascii_chart.hh"
+#include "util/format.hh"
+#include "util/table.hh"
 
 namespace {
 

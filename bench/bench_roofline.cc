@@ -5,9 +5,11 @@
 #include <cmath>
 #include <iostream>
 
-#include "bench_common.hh"
+#include "devices/measured.hh"
 #include "devices/roofline.hh"
 #include "plot/ascii_chart.hh"
+#include "util/format.hh"
+#include "util/table.hh"
 
 namespace {
 

@@ -4,8 +4,9 @@
 
 #include <iostream>
 
-#include "bench_common.hh"
 #include "core/sensitivity.hh"
+#include "util/format.hh"
+#include "util/table.hh"
 
 namespace {
 

@@ -8,8 +8,9 @@
 #include <cmath>
 #include <iostream>
 
-#include "bench_common.hh"
 #include "sim/simulator.hh"
+#include "util/format.hh"
+#include "util/table.hh"
 
 namespace {
 

@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Regenerate the paper's artifacts through `hcm` and compare them byte
+# for byte with the goldens in tests/golden/paper:
+#   table<N>.txt   stdout of `hcm table N`, N = 1..6
+#   fig<N>.txt     stdout of `hcm figure N`, N = 2..10, without the
+#                  `[files]` line (it names the output directory)
+#   out/           every CSV, gnuplot .dat and .gp file the figures write
+#   scenarios.txt  `hcm scenarios` for FFT-1024, MMM and Black-Scholes
+#                  at f = 0.9 and 0.99, in that order
+#
+# Usage: scripts/paper_goldens.sh <hcm> [--refresh]
+#
+# Without --refresh, exits 1 and prints the diff when any byte moved.
+# --refresh rewrites the goldens from <hcm>. A refresh is a behaviour
+# change: CHANGES.md says why.
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 2 ] || { [ $# -eq 2 ] && [ "$2" != --refresh ]; }; then
+    echo "usage: $0 <hcm> [--refresh]" >&2
+    exit 2
+fi
+HCM=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
+GOLDEN=$(cd "$(dirname "$0")/../tests/golden/paper" && pwd)
+
+WORK=$(mktemp -d)
+trap 'rm -rf "$WORK"' EXIT
+
+cd "$WORK"
+mkdir out
+for n in 1 2 3 4 5 6; do
+    "$HCM" table "$n" > "table$n.txt"
+done
+for n in 2 3 4 5 6 7 8 9 10; do
+    "$HCM" figure "$n" --out out > "fig$n.stdout"
+    grep -v '^\[files\] ' "fig$n.stdout" > "fig$n.txt"
+    rm "fig$n.stdout"
+done
+for w in fft:1024 mmm bs; do
+    for f in 0.9 0.99; do
+        "$HCM" scenarios --workload "$w" --f "$f"
+    done
+done > scenarios.txt
+
+if [ "${2:-}" = --refresh ]; then
+    rm -rf "${GOLDEN:?}"/*
+    cp -R "$WORK"/. "$GOLDEN"/
+    echo "refreshed $GOLDEN"
+    exit 0
+fi
+diff -r "$GOLDEN" "$WORK"
+echo "paper goldens match: $GOLDEN"

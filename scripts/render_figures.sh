@@ -6,16 +6,16 @@ set -euo pipefail
 
 BUILD=${1:-build}
 OUT=${2:-bench_out}
+HCM="$BUILD/tools/hcm"
 
-if [ ! -d "$BUILD/bench" ]; then
-    echo "error: $BUILD/bench not found — build the project first" >&2
+if [ ! -x "$HCM" ]; then
+    echo "error: $HCM not found — build the project first" >&2
     exit 1
 fi
 
-export HCM_BENCH_OUT="$OUT"
-for b in "$BUILD"/bench/bench_fig*; do
-    echo "== $(basename "$b")"
-    "$b" > /dev/null
+for n in 2 3 4 5 6 7 8 9 10; do
+    echo "== figure $n"
+    "$HCM" figure "$n" --out "$OUT" > /dev/null
 done
 
 if ! command -v gnuplot > /dev/null; then

@@ -26,6 +26,22 @@ limiterName(Limiter limiter)
     hcm_panic("bad limiter");
 }
 
+std::string
+limiterLegend(std::size_t tag_len, bool thermal, const std::string &suffix)
+{
+    std::string legend;
+    for (Limiter limiter : {Limiter::Area, Limiter::Power,
+                            Limiter::Bandwidth, Limiter::Thermal}) {
+        if (limiter == Limiter::Thermal && !thermal)
+            break;
+        std::string name = limiterName(limiter);
+        if (!legend.empty())
+            legend += ", ";
+        legend += "(" + name.substr(0, tag_len) + ") " + name + suffix;
+    }
+    return legend;
+}
+
 Limiter
 classifyLimiter(double n_area, double n_power, double n_bw,
                 double n_thermal)

@@ -49,6 +49,15 @@ enum class Limiter {
 std::string limiterName(Limiter limiter);
 
 /**
+ * The key to the limiter tags a table prints, e.g. "(a) area, (p) power,
+ * (b) bandwidth": each tag is the limiter's name cut to @p tag_len
+ * letters, followed by the name and @p suffix. Thermal is listed only
+ * when @p thermal, since only thermal-bounded scenarios can bind it.
+ */
+std::string limiterLegend(std::size_t tag_len, bool thermal,
+                          const std::string &suffix = "");
+
+/**
  * The binding constraint given the parallel bound values, per the
  * paper's figure conventions: area-limited designs use the full die;
  * otherwise precedence in the (measure-zero) tie cases is

@@ -1,11 +1,17 @@
 #include "paper.hh"
 
+#include <algorithm>
 #include <cmath>
 
+#include "amdahl/pollack.hh"
+#include "core/bounds.hh"
+#include "core/budget.hh"
+#include "core/calibration.hh"
 #include "devices/bandwidth_model.hh"
 #include "devices/measured.hh"
 #include "devices/perf_model.hh"
 #include "devices/power_model.hh"
+#include "devices/probe.hh"
 #include "itrs/roadmap.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
@@ -78,6 +84,35 @@ table1Bounds()
     return t;
 }
 
+namespace {
+
+/** Table 1's bounds evaluated at r = 4 under the 40nm FFT-1024 budgets. */
+TextTable
+table1AtR4()
+{
+    auto w = wl::Workload::fft(1024);
+    Budget b = makeBudget(itrs::nodeParams(40.0), w);
+    double r = 4.0;
+    double alpha = model::kDefaultAlpha;
+
+    TextTable t("Bounds evaluated at 40nm, FFT-1024, r = 4 (BCE units: A=" +
+                fmtSig(b.area, 3) + ", P=" + fmtSig(b.power, 3) +
+                ", B=" + fmtSig(b.bandwidth, 3) + ")");
+    t.setHeaders({"Organization", "area n<=", "power n<=", "bandwidth n<=",
+                  "serial r<="});
+    for (const Organization &org : paperOrganizations(w)) {
+        if (org.kind == OrgKind::DynamicCmp)
+            continue;
+        t.addRow({org.name, fmtSig(areaBoundN(b), 3),
+                  fmtSig(powerBoundN(org, r, b, alpha), 3),
+                  fmtSig(bandwidthBoundN(org, r, b), 3),
+                  fmtSig(serialRCap(b, alpha), 3)});
+    }
+    return t;
+}
+
+} // namespace
+
 TextTable
 table2Devices()
 {
@@ -111,6 +146,28 @@ table3Workloads()
                   info.gtx480, info.r5870, info.asic});
     return t;
 }
+
+namespace {
+
+/** The compulsory intensities behind Table 3's workloads. */
+TextTable
+table3Intensities()
+{
+    TextTable t("Compulsory arithmetic intensity (Section 6 footnotes)");
+    t.setHeaders({"Workload", "ops/invocation", "bytes/invocation",
+                  "bytes/op", "ops/byte"});
+    for (const wl::Workload &w :
+         {wl::Workload::mmm(128), wl::Workload::blackScholes(),
+          wl::Workload::fft(64), wl::Workload::fft(1024),
+          wl::Workload::fft(16384)}) {
+        t.addRow({w.name(), fmtSig(w.opsPerInvocation(), 4),
+                  fmtSig(w.bytesPerInvocation(), 4),
+                  fmtSig(w.bytesPerOp(), 4), fmtSig(w.intensity(), 4)});
+    }
+    return t;
+}
+
+} // namespace
 
 TextTable
 table4Baseline()
@@ -163,6 +220,30 @@ table5UCores()
     return t;
 }
 
+namespace {
+
+/** The BCE calibration behind Table 5 and its worst relative deviation
+ *  from the published (mu, phi). */
+void
+writeTable5Agreement(std::ostream &os)
+{
+    const BceCalibration &calib = BceCalibration::standard();
+    double worst = 0.0;
+    for (const dev::PublishedUCore &p : dev::publishedTable5()) {
+        auto d = calib.deriveUCore(p.device, p.workload);
+        worst = std::max({worst, std::fabs(d->mu - p.mu) / p.mu,
+                          std::fabs(d->phi - p.phi) / p.phi});
+    }
+    os << "BCE calibration: area = " << fmtSig(calib.bceArea().value(), 3)
+       << " mm^2, power = " << fmtSig(calib.bcePower().value(), 3)
+       << " W, Atom cross-check = "
+       << fmtSig(calib.atomComputeArea().value(), 3) << " mm^2\n";
+    os << "worst relative deviation from published Table 5: "
+       << fmtPercent(worst, 2) << "\n";
+}
+
+} // namespace
+
 TextTable
 table6Scaling()
 {
@@ -198,6 +279,62 @@ table6Scaling()
     return t;
 }
 
+namespace {
+
+/** The BCE-unit budgets Table 6 implies per workload. */
+TextTable
+table6Budgets()
+{
+    TextTable t("Implied BCE-unit budgets (A | P | B per workload)");
+    std::vector<std::string> headers = {"Node", "A", "P"};
+    const wl::Workload workloads[] = {wl::Workload::mmm(),
+                                      wl::Workload::blackScholes(),
+                                      wl::Workload::fft(1024)};
+    for (const auto &w : workloads)
+        headers.push_back("B(" + w.name() + ")");
+    t.setHeaders(headers);
+    for (const itrs::NodeParams &node : itrs::nodeTable()) {
+        std::vector<std::string> row = {node.label()};
+        Budget b = makeBudget(node, workloads[0]);
+        row.push_back(fmtSig(b.area, 3));
+        row.push_back(fmtSig(b.power, 3));
+        for (const auto &w : workloads)
+            row.push_back(fmtSig(makeBudget(node, w).bandwidth, 3));
+        t.addRow(row);
+    }
+    return t;
+}
+
+} // namespace
+
+bool
+writeTable(std::ostream &os, int which)
+{
+    switch (which) {
+      case 1:
+        os << table1Bounds() << "\n" << table1AtR4();
+        return true;
+      case 2:
+        os << table2Devices();
+        return true;
+      case 3:
+        os << table3Workloads() << "\n" << table3Intensities();
+        return true;
+      case 4:
+        os << table4Baseline();
+        return true;
+      case 5:
+        os << table5UCores() << "\n";
+        writeTable5Agreement(os);
+        return true;
+      case 6:
+        os << table6Scaling() << "\n" << table6Budgets();
+        return true;
+      default:
+        return false;
+    }
+}
+
 plot::Figure
 fig2FftPerf()
 {
@@ -225,6 +362,40 @@ fig2FftPerf()
     }
     return fig;
 }
+
+namespace {
+
+/** Figure 2 at the anchor sizes, and the paper's headline ratios. */
+void
+writeFig2Rows(std::ostream &os)
+{
+    TextTable t("FFT pseudo-GFLOP/s (per mm^2 at 40nm in parentheses)");
+    std::vector<std::string> headers = {"Device"};
+    for (std::size_t n : {64u, 1024u, 16384u, 1048576u})
+        headers.push_back("N=2^" + std::to_string(
+            static_cast<int>(std::log2(n))));
+    t.setHeaders(headers);
+    for (dev::DeviceId id : dev::FftPerfModel::figureDevices()) {
+        dev::FftPerfModel model(id);
+        std::vector<std::string> row = {dev::deviceName(id)};
+        for (std::size_t n : {64u, 1024u, 16384u, 1048576u})
+            row.push_back(fmtSig(model.perfAt(n).value(), 3) + " (" +
+                          fmtSig(model.perfPerMm2At(n), 3) + ")");
+        t.addRow(row);
+    }
+    os << t;
+
+    dev::FftPerfModel asic(dev::DeviceId::Asic);
+    dev::FftPerfModel gpu(dev::DeviceId::Gtx285);
+    dev::FftPerfModel cpu(dev::DeviceId::CoreI7);
+    os << "\narea-normalized ASIC advantage at N=1024: "
+       << fmtSig(asic.perfPerMm2At(1024) / gpu.perfPerMm2At(1024), 3)
+       << "x vs GTX285, "
+       << fmtSig(asic.perfPerMm2At(1024) / cpu.perfPerMm2At(1024), 3)
+       << "x vs Core i7 (paper: ~100x / ~1000x)\n";
+}
+
+} // namespace
 
 plot::Figure
 fig3FftPower()
@@ -260,6 +431,35 @@ fig3FftPower()
     }
     return fig;
 }
+
+namespace {
+
+/** Figure 3 at N = 1024, with the Section 4.2 probe-subtraction
+ *  methodology's recovered core power beside the model's. */
+TextTable
+fig3Rows()
+{
+    TextTable t("Power breakdown at N = 1024 (raw watts) and the "
+                "probe-recovered core power");
+    t.setHeaders({"Device", "core dyn", "core leak", "uncore static",
+                  "uncore dyn", "unknown", "total", "probe est. core"});
+    for (dev::DeviceId id : dev::FftPerfModel::figureDevices()) {
+        dev::FftPowerModel model(id);
+        dev::PowerBreakdown b = model.breakdownAt(1024);
+        dev::CurrentProbe probe(id, 0.01);
+        dev::UncoreSubtraction sub(probe, 32);
+        t.addRow({dev::deviceName(id), fmtSig(b.coreDynamic.value(), 3),
+                  fmtSig(b.coreLeakage.value(), 3),
+                  fmtSig(b.uncoreStatic.value(), 3),
+                  fmtSig(b.uncoreDynamic.value(), 3),
+                  fmtSig(b.unknown.value(), 3),
+                  fmtSig(b.total().value(), 3),
+                  fmtSig(sub.estimateCorePower(1024).value(), 3)});
+    }
+    return t;
+}
+
+} // namespace
 
 plot::Figure
 fig4FftEnergyBandwidth()
@@ -301,6 +501,31 @@ fig4FftEnergyBandwidth()
     return fig;
 }
 
+namespace {
+
+/** Figure 4's GTX285 bandwidth per size and its on-chip capacity. */
+void
+writeFig4Rows(std::ostream &os)
+{
+    TextTable bw("GTX285 FFT bandwidth (GB/s); peak = 159");
+    bw.setHeaders({"log2(N)", "compulsory", "measured", "passes",
+                   "compute-bound?"});
+    dev::FftBandwidthModel m285(dev::DeviceId::Gtx285);
+    for (std::size_t n : dev::FftPerfModel::figureSizes()) {
+        bw.addRow({std::to_string(static_cast<int>(std::log2(n))),
+                   fmtSig(m285.compulsoryAt(n).value(), 3),
+                   fmtSig(m285.measuredAt(n).value(), 3),
+                   fmtSig(m285.trafficMultiplier(n), 2),
+                   m285.computeBoundAt(n) ? "yes" : "no"});
+    }
+    os << bw;
+    os << "\non-chip capacity: 2^"
+       << static_cast<int>(std::log2(m285.onchipCapacityPoints()))
+       << " points — compulsory traffic until then (paper: 2^12)\n";
+}
+
+} // namespace
+
 plot::Figure
 fig5Itrs()
 {
@@ -323,6 +548,25 @@ fig5Itrs()
     panel.series = {pins, vdd, cap, pwr};
     return fig;
 }
+
+namespace {
+
+/** Figure 5's projections per year. */
+TextTable
+fig5Rows()
+{
+    TextTable t("ITRS 2009 projections (normalized to 2011)");
+    t.setHeaders({"Year", "Package pins", "Vdd", "Gate capacitance",
+                  "Combined power reduction"});
+    for (const itrs::RoadmapYear &y : itrs::Roadmap::instance().years()) {
+        t.addRow({std::to_string(y.year), fmtFixed(y.pins, 3),
+                  fmtFixed(y.vdd, 3), fmtFixed(y.gateCap, 3),
+                  fmtFixed(y.combinedPower, 3)});
+    }
+    return t;
+}
+
+} // namespace
 
 plot::Figure
 projectionFigure(const std::string &id, const std::string &caption,
@@ -409,6 +653,120 @@ fig10MmmEnergy()
     return fig;
 }
 
+std::optional<plot::Figure>
+figure(int which)
+{
+    switch (which) {
+      case 2:
+        return fig2FftPerf();
+      case 3:
+        return fig3FftPower();
+      case 4:
+        return fig4FftEnergyBandwidth();
+      case 5:
+        return fig5Itrs();
+      case 6:
+        return fig6FftProjection();
+      case 7:
+        return fig7MmmProjection();
+      case 8:
+        return fig8BsProjection();
+      case 9:
+        return fig9Fft1TbProjection();
+      case 10:
+        return fig10MmmEnergy();
+      default:
+        return std::nullopt;
+    }
+}
+
+namespace {
+
+/**
+ * The numbers behind a projection figure: one table per f, one row per
+ * organization, one column per node, each cell tagged with its limiter.
+ */
+void
+writeProjectionRows(std::ostream &os, const wl::Workload &w,
+                    const std::vector<double> &fractions,
+                    const Scenario &scenario, bool energy = false)
+{
+    for (double f : fractions) {
+        TextTable t((energy ? "Energy (normalized to BCE@40nm), " :
+                              "Speedup (vs 1 BCE), ") +
+                    w.name() + ", f=" + fmtFixed(f, 3) + ", scenario=" +
+                    scenario.name);
+        std::vector<std::string> headers = {"Organization"};
+        for (const auto &node : itrs::nodeTable())
+            headers.push_back(node.label());
+        t.setHeaders(headers);
+        for (const ProjectionSeries &series : projectAll(w, f, scenario)) {
+            std::vector<std::string> row = {
+                "(" + std::to_string(series.org.paperIndex) + ") " +
+                series.org.name};
+            for (const NodePoint &pt : series.points) {
+                if (!pt.design.feasible) {
+                    row.push_back("infeasible");
+                    continue;
+                }
+                double v = energy ? pt.energyNormalized()
+                                  : pt.design.speedup;
+                row.push_back(fmtSig(v, 3) + " (" +
+                              limiterName(pt.design.limiter).substr(0, 1) +
+                              ")");
+            }
+            t.addRow(row);
+        }
+        os << t << "\n";
+    }
+    os << "legend: "
+       << limiterLegend(1, scenario.thermalBounded(), "-limited") << "\n\n";
+}
+
+} // namespace
+
+void
+writeFigureRows(std::ostream &os, int which)
+{
+    switch (which) {
+      case 2:
+        writeFig2Rows(os);
+        return;
+      case 3:
+        os << fig3Rows();
+        return;
+      case 4:
+        writeFig4Rows(os);
+        return;
+      case 5:
+        os << fig5Rows();
+        return;
+      case 6:
+        writeProjectionRows(os, wl::Workload::fft(1024),
+                            standardFractions(), baselineScenario());
+        return;
+      case 7:
+        writeProjectionRows(os, wl::Workload::mmm(), standardFractions(),
+                            baselineScenario());
+        return;
+      case 8:
+        writeProjectionRows(os, wl::Workload::blackScholes(), {0.5, 0.9},
+                            baselineScenario());
+        return;
+      case 9:
+        writeProjectionRows(os, wl::Workload::fft(1024),
+                            standardFractions(),
+                            scenarioByName("bandwidth-1tb"));
+        return;
+      case 10:
+        writeProjectionRows(os, wl::Workload::mmm(), {0.5, 0.9, 0.99},
+                            baselineScenario(), /*energy=*/true);
+        return;
+      default:
+        hcm_panic("no figure ", which);
+    }
+}
+
 TextTable
 scenarioSummary(const wl::Workload &w, double f)
 {
@@ -438,6 +796,14 @@ scenarioSummary(const wl::Workload &w, double f)
     for (const Scenario &s : alternativeScenarios())
         add_scenario(s);
     return t;
+}
+
+void
+writeScenarioSummary(std::ostream &os, const wl::Workload &w, double f)
+{
+    // The study's rows include the thermal-bounded scenarios.
+    os << scenarioSummary(w, f) << "limiters: "
+       << limiterLegend(2, /*thermal=*/true) << "\n";
 }
 
 } // namespace paper

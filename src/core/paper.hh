@@ -1,14 +1,18 @@
 /**
  * @file
  * Report generators: every table and figure of the paper, assembled from
- * the library's models into TextTable / plot::Figure objects. The bench
- * binaries print and export these; the integration tests assert on the
- * same data the benches show.
+ * the library's models into TextTable / plot::Figure objects. `hcm
+ * table`, `hcm figure` and `hcm scenarios` print them (writeTable,
+ * figure, writeFigureRows, writeScenarioSummary), and
+ * tests/golden/paper pins those bytes; the integration tests assert on
+ * the same data.
  */
 
 #ifndef HCM_CORE_PAPER_HH
 #define HCM_CORE_PAPER_HH
 
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -37,6 +41,15 @@ TextTable table5UCores();
 
 /** Table 6: technology scaling parameters. */
 TextTable table6Scaling();
+
+/**
+ * Table @p which (1-6) as `hcm table` prints it: the table, then its
+ * numeric illustration where it has one (Table 1's bounds at r = 4,
+ * Table 3's compulsory intensities, Table 5's agreement with the
+ * published values, Table 6's BCE-unit budgets). False for no such
+ * table.
+ */
+bool writeTable(std::ostream &os, int which);
 
 /** Figure 2: FFT performance, raw and area-normalized. */
 plot::Figure fig2FftPerf();
@@ -76,11 +89,26 @@ plot::Figure fig9Fft1TbProjection();
 /** Figure 10: MMM energy (normalized to BCE@40nm), f in {.5, .9, .99}. */
 plot::Figure fig10MmmEnergy();
 
+/** Figure @p which (2-10), or nullopt for no such figure. */
+std::optional<plot::Figure> figure(int which);
+
+/**
+ * The numeric rows `hcm figure` prints under figure @p which's chart:
+ * the device, power, bandwidth and ITRS tables behind Figures 2-5, and
+ * per f one table of every organization's value and limiter per node
+ * for Figures 6-10.
+ */
+void writeFigureRows(std::ostream &os, int which);
+
 /**
  * Section 6.2 summary: per scenario, each organization's speedup and
  * limiter at the final (11nm) node for workload @p w at fraction @p f.
  */
 TextTable scenarioSummary(const wl::Workload &w, double f);
+
+/** scenarioSummary() followed by the key to its limiter tags. */
+void writeScenarioSummary(std::ostream &os, const wl::Workload &w,
+                          double f);
 
 /** The standard f sweep of Figures 6 and 7. */
 const std::vector<double> &standardFractions();

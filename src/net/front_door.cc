@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "net/fleet.hh"
+#include "net/hash_ring.hh"
 #include "obs/metrics.hh"
 #include "obs/request_id.hh"
 #include "obs/trace.hh"
@@ -130,7 +131,7 @@ class FrontDoor::Impl
     Impl(std::vector<std::unique_ptr<ShardBackend>> backends,
          FrontDoorOptions opts)
         : _backends(std::move(backends)),
-          _ring(opts.ringReplicas),
+          _ring(HashRing::kDefaultReplicas),
           _routed(obs::globalRegistry().counter(
               "hcm_net_routed_total")),
           _shed(obs::globalRegistry().counter("hcm_net_shed_total")),
@@ -352,8 +353,11 @@ class FrontDoor::Impl
     handleMetrics(const svc::ParsedRequest &request)
     {
         std::string body;
+        // The door has no engine of its own, so both scopes answer the
+        // process registry; a bad scope is refused as a plain serve
+        // refuses it.
         auto format = svc::verbFormat(request, true, &body);
-        if (!format)
+        if (!format || !svc::metricsScope(request, &body))
             return body;
         if (*format == "prom") {
             std::ostringstream oss;

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "net/framing.hh"
-#include "net/hash_ring.hh"
 #include "net/socket.hh"
 #include "svc/router.hh"
 
@@ -165,8 +164,6 @@ bool parseHostPort(const std::string &spec, std::string *host,
 /** Front door policy knobs. */
 struct FrontDoorOptions
 {
-    /** Virtual points per shard on the ring. */
-    std::size_t ringReplicas = HashRing::kDefaultReplicas;
     /**
      * Period of the background fleet scrape in milliseconds; 0 (the
      * default) disables the thread, and {"type":"fleet"} requests

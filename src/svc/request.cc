@@ -387,6 +387,20 @@ verbFormat(const ParsedRequest &request, bool prom_ok, std::string *body)
     return std::nullopt;
 }
 
+std::optional<std::string>
+metricsScope(const ParsedRequest &request, std::string *body)
+{
+    const JsonValue *field = request.doc ? request.doc->find("scope")
+                                         : nullptr;
+    if (!field)
+        return "svc";
+    if (field->isString() && (field->asString() == "svc" ||
+                              field->asString() == "all"))
+        return field->asString();
+    *body = errorBody("metrics scope must be svc or all");
+    return std::nullopt;
+}
+
 std::string
 errorBody(std::string_view why)
 {

@@ -117,6 +117,14 @@ ParsedRequest classifyRequest(const std::string &text);
 std::optional<std::string> verbFormat(const ParsedRequest &request,
                                       bool prom_ok, std::string *body);
 
+/**
+ * The metrics verb's "scope" member: "svc" when absent, else "svc" or
+ * "all". Anything else returns nullopt after setting @p body to
+ * {"error":"metrics scope must be svc or all"}.
+ */
+std::optional<std::string> metricsScope(const ParsedRequest &request,
+                                        std::string *body);
+
 /** The {"error": @p why} answer body. */
 std::string errorBody(std::string_view why);
 

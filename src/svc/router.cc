@@ -72,15 +72,9 @@ RequestRouter::answerVerb(const ParsedRequest &request, std::string *body)
         // registry; "all" wraps it with the process-wide one, which is
         // what the fleet collector scrapes for queue depth, uptime,
         // and RSS.
-        std::string scope = "svc";
-        if (const JsonValue *field = request.doc->find("scope")) {
-            if (!field->isString() || (field->asString() != "svc" &&
-                                       field->asString() != "all")) {
-                *body = errorBody("metrics scope must be svc or all");
-                return true;
-            }
-            scope = field->asString();
-        }
+        auto scope = metricsScope(request, body);
+        if (!scope)
+            return true;
         if (*format == "prom") {
             // Prometheus text is multi-line; keep the trailing newline
             // so the line transport's delimiter becomes the blank line
@@ -92,7 +86,7 @@ RequestRouter::answerVerb(const ParsedRequest &request, std::string *body)
             return true;
         }
         JsonWriter json(*body);
-        if (scope == "all") {
+        if (*scope == "all") {
             json.beginObject();
             json.key("svc");
             _engine.writeMetricsJson(json);

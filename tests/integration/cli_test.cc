@@ -103,6 +103,35 @@ TEST(CliTest, ProjectMmmHighParallelism)
     EXPECT_NE(out.find("(p)"), std::string::npos);
 }
 
+// Each legend names every tag its table prints: a thermal-bounded
+// scenario's projection keys "(t)", and the scenario study, whose rows
+// include the thermal scenarios, keys "(th)".
+TEST(CliTest, LimiterLegendsNameThermal)
+{
+    auto [code, out] = runCli("project --scenario thermal-85c --f 0.99");
+    EXPECT_EQ(code, 0) << out;
+    EXPECT_NE(out.find(" (t)"), std::string::npos) << out;
+    EXPECT_NE(out.find("limiters: (a) area, (p) power, (b) bandwidth, "
+                       "(t) thermal\n"),
+              std::string::npos)
+        << out;
+
+    auto [base_code, base_out] = runCli("project --f 0.99");
+    EXPECT_EQ(base_code, 0) << base_out;
+    EXPECT_NE(base_out.find("limiters: (a) area, (p) power, "
+                            "(b) bandwidth\n"),
+              std::string::npos)
+        << base_out;
+
+    auto [s_code, s_out] = runCli("scenarios --f 0.99");
+    EXPECT_EQ(s_code, 0) << s_out;
+    EXPECT_NE(s_out.find(" (th)"), std::string::npos) << s_out;
+    EXPECT_NE(s_out.find("limiters: (ar) area, (po) power, "
+                         "(ba) bandwidth, (th) thermal\n"),
+              std::string::npos)
+        << s_out;
+}
+
 TEST(CliTest, OptimizeWithScenario)
 {
     auto [code, out] = runCli(
@@ -500,6 +529,21 @@ TEST(CliTest, ServeMetricsVerbSupportsPromFormat)
         HCM_CLI_PATH + " serve");
     EXPECT_EQ(bad_code, 0);
     EXPECT_NE(bad_out.find("metrics format must be json or prom"),
+              std::string::npos)
+        << bad_out;
+}
+
+// --cache-entries 0 is how to serve without the answer cache.
+TEST(CliTest, CacheEntriesZeroDisablesTheCache)
+{
+    auto [code, out] = runShell(
+        std::string("echo '{\"type\":\"metrics\"}' | ") + HCM_CLI_PATH +
+        " serve --cache-entries 0");
+    EXPECT_EQ(code, 0) << out;
+    EXPECT_NE(out.find("\"capacity\":0"), std::string::npos) << out;
+    auto [bad_code, bad_out] = runCli("serve --no-cache < /dev/null");
+    EXPECT_EQ(bad_code, 1) << bad_out;
+    EXPECT_NE(bad_out.find("unknown option '--no-cache'"),
               std::string::npos)
         << bad_out;
 }

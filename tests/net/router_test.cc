@@ -430,6 +430,28 @@ TEST(FrontDoorTest, VerbFormatErrorsMatchTheRouter)
               R"({"error":"requests format must be json"})");
 }
 
+TEST(FrontDoorTest, MetricsScopeErrorsMatchTheRouter)
+{
+    TwoShardFixture tier;
+    for (const char *verb :
+         {R"({"type":"metrics","scope":"bogus"})",
+          R"({"type":"metrics","scope":7})",
+          R"({"type":"metrics","scope":null})",
+          R"({"type":"metrics","format":"prom","scope":"bogus"})",
+          R"({"type":"metrics","format":"xml","scope":"bogus"})"}) {
+        EXPECT_EQ(tier.front.handle(verb), tier.direct.route(verb).body)
+            << verb;
+    }
+    EXPECT_EQ(tier.front.handle(R"({"type":"metrics","scope":"bogus"})"),
+              R"({"error":"metrics scope must be svc or all"})");
+    // Both good scopes still answer the door's process registry.
+    for (const char *verb : {R"({"type":"metrics","scope":"svc"})",
+                             R"({"type":"metrics","scope":"all"})"})
+        EXPECT_EQ(tier.front.handle(verb).rfind("{\"error\"", 0),
+                  std::string::npos)
+            << verb;
+}
+
 TEST(FrontDoorTest, TypelessShardErrorIsRecordedAsError)
 {
     // A shard's transport-level rejection ({"error": why}, no "type")

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -169,8 +170,8 @@ options (sweep):
 
 options (batch/serve):
   --threads <n>               worker threads (default: hardware)
-  --cache-entries <n>         memoization cache capacity (default 4096)
-  --no-cache                  disable the memoization cache
+  --cache-entries <n>         memoization cache capacity (default 4096;
+                              0 disables the cache)
   --slow-query-ms <ms>        log queries slower than this (queue wait
                               + eval) and count them in
                               hcm_svc_slow_queries_total (default: off)
@@ -290,7 +291,6 @@ struct Options
     std::string out = "bench_out";
     std::size_t threads = 0;
     std::size_t cacheEntries = 4096;
-    bool noCache = false;
     std::uint64_t slowQueryNs = 0;
     std::uint64_t deadlineNs = 0;
     std::uint64_t admissionWaitNs = 5'000'000'000;
@@ -458,8 +458,6 @@ parseOptions(const std::vector<std::string> &args, std::size_t start,
             number(opts.threads);
         else if (a == "--cache-entries")
             number(opts.cacheEntries);
-        else if (a == "--no-cache")
-            opts.noCache = true;
         else if (a == "--slow-query-ms")
             nanoseconds(opts.slowQueryNs);
         else if (a == "--deadline-ms")
@@ -681,62 +679,21 @@ writeMetricsFile(const Options &opts, const svc::QueryEngine *engine)
 int
 cmdTable(int which)
 {
-    using namespace core::paper;
-    switch (which) {
-      case 1:
-        std::cout << table1Bounds();
-        return 0;
-      case 2:
-        std::cout << table2Devices();
-        return 0;
-      case 3:
-        std::cout << table3Workloads();
-        return 0;
-      case 4:
-        std::cout << table4Baseline();
-        return 0;
-      case 5:
-        std::cout << table5UCores();
-        return 0;
-      case 6:
-        std::cout << table6Scaling();
-        return 0;
-      default:
+    if (!core::paper::writeTable(std::cout, which))
         hcm_fatal("no table ", which, " (1-6)");
-    }
+    return 0;
 }
 
 int
 cmdFigure(int which, const Options &opts)
 {
-    using namespace core::paper;
-    plot::Figure fig = [&] {
-        switch (which) {
-          case 2:
-            return fig2FftPerf();
-          case 3:
-            return fig3FftPower();
-          case 4:
-            return fig4FftEnergyBandwidth();
-          case 5:
-            return fig5Itrs();
-          case 6:
-            return fig6FftProjection();
-          case 7:
-            return fig7MmmProjection();
-          case 8:
-            return fig8BsProjection();
-          case 9:
-            return fig9Fft1TbProjection();
-          case 10:
-            return fig10MmmEnergy();
-          default:
-            hcm_fatal("no figure ", which, " (2-10)");
-        }
-    }();
-    fig.renderAscii(std::cout);
-    fig.writeFiles(opts.out);
-    std::cout << "[files] " << opts.out << "/" << fig.id() << ".csv\n";
+    std::optional<plot::Figure> fig = core::paper::figure(which);
+    if (!fig)
+        hcm_fatal("no figure ", which, " (2-10)");
+    fig->renderAscii(std::cout);
+    fig->writeFiles(opts.out);
+    std::cout << "[files] " << opts.out << "/" << fig->id() << ".csv\n";
+    core::paper::writeFigureRows(std::cout, which);
     return 0;
 }
 
@@ -781,8 +738,8 @@ cmdProject(const Options &opts)
         }
         t.addRow(row);
     }
-    std::cout << t
-              << "limiters: (a) area, (p) power, (b) bandwidth\n";
+    std::cout << t << "limiters: "
+              << core::limiterLegend(1, scenario.thermalBounded()) << "\n";
     return 0;
 }
 
@@ -1180,7 +1137,7 @@ engineOptions(const Options &opts)
 {
     svc::EngineOptions eopts;
     eopts.threads = opts.threads;
-    eopts.cacheCapacity = opts.noCache ? 0 : opts.cacheEntries;
+    eopts.cacheCapacity = opts.cacheEntries;
     eopts.slowQueryNs = opts.slowQueryNs;
     eopts.deadlineNs = opts.deadlineNs;
     eopts.admissionWaitNs = opts.admissionWaitNs;
@@ -1588,7 +1545,7 @@ main(int argc, char **argv)
         return cmdRoofline(parseOptions(args, 1));
     if (cmd == "scenarios") {
         Options opts = parseOptions(args, 1);
-        std::cout << core::paper::scenarioSummary(opts.workload, opts.f);
+        core::paper::writeScenarioSummary(std::cout, opts.workload, opts.f);
         return 0;
     }
     if (cmd == "batch") {
