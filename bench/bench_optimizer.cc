@@ -5,8 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_counters.hh"
-#include "core/paper.hh"
 #include "core/projection.hh"
+#include "report/paper.hh"
 
 namespace {
 
@@ -68,7 +68,7 @@ void
 BM_Figure6EndToEnd(benchmark::State &state)
 {
     for (auto _ : state) {
-        plot::Figure fig = core::paper::fig6FftProjection();
+        plot::Figure fig = report::fig6FftProjection();
         benchmark::DoNotOptimize(&fig);
     }
 }

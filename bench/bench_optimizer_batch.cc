@@ -9,7 +9,6 @@
 
 #include "bench_counters.hh"
 #include "core/optimizer_batch.hh"
-#include "core/paper.hh"
 #include "core/projection.hh"
 
 namespace {

@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
-# Regenerate the paper's artifacts through `hcm` and compare them byte
-# for byte with the goldens in tests/golden/paper:
-#   table<N>.txt   stdout of `hcm table N`, N = 1..6
-#   fig<N>.txt     stdout of `hcm figure N`, N = 2..10, without the
-#                  `[files]` line (it names the output directory)
-#   out/           every CSV, gnuplot .dat and .gp file the figures write
-#   scenarios.txt  `hcm scenarios` for FFT-1024, MMM and Black-Scholes
-#                  at f = 0.9 and 0.99, in that order
+# Regenerate the paper's artifacts and the extension studies through
+# `hcm` and compare them byte for byte with the goldens in tests/golden:
+#   paper/table<N>.txt   stdout of `hcm table N`, N = 1..6
+#   paper/fig<N>.txt     stdout of `hcm figure N`, N = 2..10, without
+#                        the `[files]` line (it names the output
+#                        directory)
+#   paper/out/           every CSV, gnuplot .dat and .gp file the
+#                        figures write
+#   paper/scenarios.txt  `hcm scenarios` for FFT-1024, MMM and
+#                        Black-Scholes at f = 0.9 and 0.99, in that order
+#   paper/project/fig<N>_f<f>.csv
+#                        `hcm project --csv` (17 significant digits) for
+#                        every series of Figures 6-10 at each figure's
+#                        own f values
+#   studies/<name>.txt   stdout of `hcm study <name>`, for each name in
+#                        the `studies:` line of `hcm list`
 #
 # Usage: scripts/paper_goldens.sh <hcm> [--refresh]
 #
@@ -20,13 +28,13 @@ if [ $# -lt 1 ] || [ $# -gt 2 ] || { [ $# -eq 2 ] && [ "$2" != --refresh ]; }; t
     exit 2
 fi
 HCM=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
-GOLDEN=$(cd "$(dirname "$0")/../tests/golden/paper" && pwd)
+GOLDEN=$(cd "$(dirname "$0")/../tests/golden" && pwd)
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-cd "$WORK"
-mkdir out
+mkdir -p "$WORK/paper/out" "$WORK/paper/project" "$WORK/studies"
+cd "$WORK/paper"
 for n in 1 2 3 4 5 6; do
     "$HCM" table "$n" > "table$n.txt"
 done
@@ -41,11 +49,29 @@ for w in fft:1024 mmm bs; do
     done
 done > scenarios.txt
 
+# figure, workload, scenario, f values: as in src/report/paper.cc.
+while read -r fig w s fs; do
+    for f in $fs; do
+        "$HCM" project --csv --workload "$w" --scenario "$s" --f "$f" \
+            > "project/${fig}_f$f.csv"
+    done
+done <<'EOF'
+fig6 fft:1024 baseline 0.5 0.9 0.99 0.999
+fig7 mmm baseline 0.5 0.9 0.99 0.999
+fig8 bs baseline 0.5 0.9
+fig9 fft:1024 bandwidth-1tb 0.5 0.9 0.99 0.999
+fig10 mmm baseline 0.5 0.9 0.99
+EOF
+
+for name in $("$HCM" list | sed -n 's/^studies: //p'); do
+    "$HCM" study "$name" > "$WORK/studies/$name.txt"
+done
+
 if [ "${2:-}" = --refresh ]; then
-    rm -rf "${GOLDEN:?}"/*
+    rm -rf "${GOLDEN:?}/paper" "${GOLDEN:?}/studies"
     cp -R "$WORK"/. "$GOLDEN"/
     echo "refreshed $GOLDEN"
     exit 0
 fi
 diff -r "$GOLDEN" "$WORK"
-echo "paper goldens match: $GOLDEN"
+echo "goldens match: $GOLDEN"

@@ -47,5 +47,12 @@ projectAll(const wl::Workload &w, double f, const Scenario &scenario,
     return out;
 }
 
+const std::vector<double> &
+standardFractions()
+{
+    static const std::vector<double> fs = {0.5, 0.9, 0.99, 0.999};
+    return fs;
+}
+
 } // namespace core
 } // namespace hcm

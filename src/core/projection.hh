@@ -89,6 +89,9 @@ std::vector<ProjectionSeries> projectAll(
     OptimizerOptions opts = {},
     const BceCalibration &calib = BceCalibration::standard());
 
+/** The paper's standard f sweep (Figures 6, 7 and 9): 0.5 to 0.999. */
+const std::vector<double> &standardFractions();
+
 } // namespace core
 } // namespace hcm
 

@@ -1,6 +1,6 @@
 #include "spec.hh"
 
-#include "core/paper.hh"
+#include "core/projection.hh"
 #include "svc/request.hh"
 #include "util/format.hh"
 
@@ -34,7 +34,7 @@ paperSweep()
     SweepSpec spec;
     spec.workloads = {wl::Workload::mmm(), wl::Workload::blackScholes(),
                       wl::Workload::fft(1024)};
-    spec.fractions = core::paper::standardFractions();
+    spec.fractions = core::standardFractions();
     spec.scenarios = {core::baselineScenario()};
     return spec;
 }

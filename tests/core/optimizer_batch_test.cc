@@ -255,8 +255,9 @@ TEST(BatchKernelTest, DispatchResolvesToARealKernel)
 {
     BatchKernel k = batchKernelInUse();
     EXPECT_TRUE(k == BatchKernel::Scalar || k == BatchKernel::Simd);
-    if (!batchSimdCompiledIn())
+    if (!batchSimdCompiledIn()) {
         EXPECT_EQ(k, BatchKernel::Scalar);
+    }
 }
 
 TEST(BatchEvaluatorDeathTest, RejectsBadFraction)

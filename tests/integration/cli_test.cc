@@ -160,6 +160,33 @@ TEST(CliTest, ListShowsVocabulary)
     EXPECT_NE(out.find("V6-LX760"), std::string::npos);
 }
 
+TEST(CliTest, StudyNamesAreListedAndAnUnknownOneIsFatal)
+{
+    auto [code, out] = runCli("list");
+    EXPECT_EQ(code, 0);
+    EXPECT_NE(out.find("\nstudies: ablation_model crossover "
+                       "generation_validation hillmarty_baseline "
+                       "mem_traffic mixed_fabric pareto_frontier roofline "
+                       "sensitivity sim_validation\n"),
+              std::string::npos)
+        << out;
+
+    auto [bad, err] = runCli("study nosuch");
+    EXPECT_EQ(bad, 1);
+    EXPECT_EQ(err.rfind("fatal: no study 'nosuch' (ablation_model, "
+                        "crossover, generation_validation, "
+                        "hillmarty_baseline, mem_traffic, mixed_fabric, "
+                        "pareto_frontier, roofline, sensitivity, "
+                        "sim_validation)",
+                        0),
+              0u)
+        << err;
+
+    // A study takes no flags, so it prints the same bytes every run.
+    EXPECT_EQ(runCli("study sensitivity --f 0.5").first, 1);
+    EXPECT_EQ(runCli("study").first, 1);
+}
+
 TEST(CliTest, BadInputsFailCleanly)
 {
     EXPECT_EQ(runCli("table 9").first, 1);

@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/export.hh"
+#include "report/export.hh"
 
 namespace hcm {
 namespace {
@@ -217,7 +217,7 @@ TEST_P(ExportIsValidJson, ParsesCompletely)
           core::scenarioByName("bandwidth-1tb"),
           core::scenarioByName("power-10w")}) {
         std::ostringstream oss;
-        core::exportProjectionJson(oss, w, {0.5, 0.9, 0.99, 0.999}, s);
+        report::exportProjectionJson(oss, w, {0.5, 0.9, 0.99, 0.999}, s);
         std::string doc = oss.str();
         JsonValidator v(doc);
         EXPECT_TRUE(v.valid())

@@ -246,7 +246,7 @@ TEST(LoadGenTest, TaggedOutputMatchesUntaggedByteForByte)
     // The byte-identity contract behind the CI cmp check: minted ids
     // ride the request, never the response.
     TcpServer server(
-        TcpServerOptions{}, [](const std::string &request) {
+        TcpServerOptions{}, [](const std::string &) {
             // Success bodies never depend on the id; errors only echo
             // CLIENT-supplied ids, and a loadgen-minted one counts as
             // client-supplied only on the error path, which this

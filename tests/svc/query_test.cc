@@ -189,8 +189,9 @@ TEST(QueryKeyTest, RecordKeysMatchTheTextKeyExactly)
                             std::string text = textKey(q);
                             bool registered = node != 7.0 &&
                                               scenario != "Baseline";
-                            if (registered)
+                            if (registered) {
                                 ASSERT_LE(record.size(), 15u) << text;
+                            }
                             auto [r, r_new] =
                                 text_of.emplace(record, text);
                             ASSERT_EQ(r->second, text) << "record shared";

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/paper.hh"
 #include "sweep/spec.hh"
 #include "sweep/sweep.hh"
 

@@ -18,9 +18,7 @@
 #include <vector>
 
 #include "core/crossover.hh"
-#include "core/export.hh"
 #include "core/mixed.hh"
-#include "core/paper.hh"
 #include "devices/roofline.hh"
 #include "core/pareto.hh"
 #include "core/projection.hh"
@@ -35,6 +33,9 @@
 #include "plot/figure.hh"
 #include "prof/bench_results.hh"
 #include "prof/profiler.hh"
+#include "report/export.hh"
+#include "report/paper.hh"
+#include "report/studies.hh"
 #include "sim/simulator.hh"
 #include "net/fleet.hh"
 #include "net/front_door.hh"
@@ -85,6 +86,7 @@ commands:
                           to also write it; --smoke shrinks the
                           probes for CI)
   scenarios               Section 6.2 scenario summary
+  study <name>            print one extension study (see hcm list)
   batch <requests.json>   evaluate a batch of JSON queries on the
                           thread-pooled engine; emits results + metrics
                           (--results-only: just {"results":[...]})
@@ -123,7 +125,8 @@ commands:
                           well-formed Chrome trace — merged files also
                           get flow pairing and per-process timestamp
                           monotonicity checks (exit 1 with a reason)
-  list                    devices, workloads, scenarios
+  list                    devices, workloads, scenarios, nodes,
+                          studies
   help                    this text
 
 options (project/optimize/scenarios):
@@ -679,7 +682,7 @@ writeMetricsFile(const Options &opts, const svc::QueryEngine *engine)
 int
 cmdTable(int which)
 {
-    if (!core::paper::writeTable(std::cout, which))
+    if (!report::writeTable(std::cout, which))
         hcm_fatal("no table ", which, " (1-6)");
     return 0;
 }
@@ -687,13 +690,13 @@ cmdTable(int which)
 int
 cmdFigure(int which, const Options &opts)
 {
-    std::optional<plot::Figure> fig = core::paper::figure(which);
+    std::optional<plot::Figure> fig = report::figure(which);
     if (!fig)
         hcm_fatal("no figure ", which, " (2-10)");
     fig->renderAscii(std::cout);
     fig->writeFiles(opts.out);
     std::cout << "[files] " << opts.out << "/" << fig->id() << ".csv\n";
-    core::paper::writeFigureRows(std::cout, which);
+    report::writeFigureRows(std::cout, which);
     return 0;
 }
 
@@ -708,7 +711,7 @@ cmdProject(const Options &opts)
         return 0;
     }
     if (opts.json) {
-        core::exportProjectionJson(std::cout, opts.workload, {opts.f},
+        report::exportProjectionJson(std::cout, opts.workload, {opts.f},
                                    scenario);
         return 0;
     }
@@ -1494,7 +1497,23 @@ cmdList()
     std::cout << "\nnodes:";
     for (const auto &node : itrs::nodeTable())
         std::cout << " " << node.label();
+    std::cout << "\nstudies:";
+    for (const std::string &name : report::studyNames())
+        std::cout << " " << name;
     std::cout << "\n";
+    return 0;
+}
+
+int
+cmdStudy(const std::vector<std::string> &args)
+{
+    std::string names;
+    for (const std::string &name : report::studyNames())
+        names += (names.empty() ? "" : ", ") + name;
+    if (args.size() != 2)
+        hcm_fatal("usage: hcm study <name> (", names, ")");
+    if (!report::writeStudy(std::cout, args[1]))
+        hcm_fatal("no study '", args[1], "' (", names, ")");
     return 0;
 }
 
@@ -1545,9 +1564,11 @@ main(int argc, char **argv)
         return cmdRoofline(parseOptions(args, 1));
     if (cmd == "scenarios") {
         Options opts = parseOptions(args, 1);
-        core::paper::writeScenarioSummary(std::cout, opts.workload, opts.f);
+        report::writeScenarioSummary(std::cout, opts.workload, opts.f);
         return 0;
     }
+    if (cmd == "study")
+        return cmdStudy(args);
     if (cmd == "batch") {
         if (args.size() < 2 || args[1].rfind("--", 0) == 0)
             hcm_fatal("usage: hcm batch <requests.json> [options]");
