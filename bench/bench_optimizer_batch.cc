@@ -10,6 +10,7 @@
 #include "bench_counters.hh"
 #include "core/optimizer_batch.hh"
 #include "core/projection.hh"
+#include "oracle/scalar_oracle.hh"
 
 namespace {
 

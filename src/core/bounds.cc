@@ -62,6 +62,18 @@ classifyLimiter(double n_area, double n_power, double n_bw)
                            std::numeric_limits<double>::infinity());
 }
 
+UCoreRows
+ucoreRows(const UCoreParams &ucore, bool bandwidth_exempt,
+          const Budget &budget)
+{
+    // n - r BCE-tiles of U-core at power phi each; parallel perf
+    // mu*(n-r) consumes mu*(n-r) units of traffic.
+    return {budget.power / ucore.phi,
+            bandwidth_exempt ? std::numeric_limits<double>::infinity()
+                             : budget.bandwidth / ucore.mu,
+            budget.thermal / ucore.phi};
+}
+
 double
 areaBoundN(const Budget &budget)
 {
@@ -81,8 +93,7 @@ powerBoundN(const Organization &org, double r, const Budget &budget,
         // n - r BCEs at power 1; the big core is powered off.
         return p + r;
       case OrgKind::Heterogeneous:
-        // n - r BCE-tiles of U-core at power phi each.
-        return p / org.ucore.phi + r;
+        return ucoreRows(org.ucore, org.bandwidthExempt, budget).power + r;
       case OrgKind::DynamicCmp:
         // All n resources active as BCEs in the parallel phase.
         return p;
@@ -100,11 +111,11 @@ bandwidthBoundN(const Organization &org, double r, const Budget &budget)
         return b * std::sqrt(r);
       case OrgKind::AsymmetricCmp:
         return b + r;
-      case OrgKind::Heterogeneous:
-        if (org.bandwidthExempt)
-            return std::numeric_limits<double>::infinity();
-        // Parallel perf mu*(n-r) consumes mu*(n-r) units of traffic.
-        return b / org.ucore.mu + r;
+      case OrgKind::Heterogeneous: {
+        // +inf when exempt: the row stays vacuous after the + r.
+        UCoreRows rows = ucoreRows(org.ucore, org.bandwidthExempt, budget);
+        return rows.bandwidth + r;
+      }
       case OrgKind::DynamicCmp:
         return b;
     }
@@ -123,8 +134,10 @@ thermalBoundN(const Organization &org, double r, const Budget &budget,
         return th / std::pow(r, alpha / 2.0 - 1.0);
       case OrgKind::AsymmetricCmp:
         return th + r;
-      case OrgKind::Heterogeneous:
-        return th / org.ucore.phi + r;
+      case OrgKind::Heterogeneous: {
+        UCoreRows rows = ucoreRows(org.ucore, org.bandwidthExempt, budget);
+        return rows.thermal + r;
+      }
       case OrgKind::DynamicCmp:
         return th;
     }

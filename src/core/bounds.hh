@@ -92,6 +92,24 @@ ParallelBound parallelBound(const Organization &org, double r,
  */
 double serialRCap(const Budget &budget, double alpha);
 
+/**
+ * The heterogeneous rows of Table 1 before the "+ r": the U-core area
+ * n - r that the power, bandwidth and thermal budgets each admit.
+ * powerBoundN / bandwidthBoundN / thermalBoundN, the batch kernel and
+ * the mixed-chip slots all read these, so one definition serves them.
+ */
+struct UCoreRows
+{
+    double power = 0.0;     ///< P / phi
+    double bandwidth = 0.0; ///< B / mu; +inf when bandwidth-exempt
+    double thermal = 0.0;   ///< TH / phi
+};
+
+/** The U-core rows of a fabric (@p ucore, @p bandwidth_exempt) under
+ *  @p budget. */
+UCoreRows ucoreRows(const UCoreParams &ucore, bool bandwidth_exempt,
+                    const Budget &budget);
+
 /** Individual parallel bounds, exposed for tests and reports. */
 double areaBoundN(const Budget &budget);
 double powerBoundN(const Organization &org, double r, const Budget &budget,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 
 #include "amdahl/pollack.hh"
 #include "core/projection.hh"
@@ -15,29 +13,6 @@ namespace core {
 namespace {
 
 constexpr double kEps = 1e-12;
-
-/** Per-slot cap from the phase-exclusive power and bandwidth budgets. */
-double
-slotCap(const KernelSlot &slot, const Budget &slot_budget)
-{
-    double cap = slot_budget.power / slot.ucore.phi;
-    if (!slot.bandwidthExempt)
-        cap = std::min(cap, slot_budget.bandwidth / slot.ucore.mu);
-    return cap;
-}
-
-Limiter
-slotLimiterAt(const KernelSlot &slot, const Budget &slot_budget,
-              double area)
-{
-    double p_cap = slot_budget.power / slot.ucore.phi;
-    double b_cap = slot.bandwidthExempt
-                       ? std::numeric_limits<double>::infinity()
-                       : slot_budget.bandwidth / slot.ucore.mu;
-    if (area + kEps < std::min(p_cap, b_cap))
-        return Limiter::Area;
-    return b_cap <= p_cap ? Limiter::Bandwidth : Limiter::Power;
-}
 
 } // namespace
 
@@ -137,20 +112,29 @@ optimizeMixed(const std::vector<KernelSlot> &slots, FabricMode mode,
                "' has a segment profile; mixed chips take their phases "
                "from the slots");
     double f_par = 0.0;
+    std::vector<double> fractions, mus;
     for (const KernelSlot &s : slots) {
         s.ucore.check();
         f_par += s.fraction;
+        fractions.push_back(s.fraction);
+        mus.push_back(s.ucore.mu);
     }
     double f_ser = 1.0 - std::min(f_par, 1.0);
 
     // Phase-exclusive budgets per slot (bandwidth units depend on the
-    // slot's workload intensity).
+    // slot's workload intensity), read through the heterogeneous rows
+    // of Table 1: each slot's fabric may not exceed its tightest row.
     std::vector<Budget> slot_budgets;
-    slot_budgets.reserve(slots.size());
+    std::vector<UCoreRows> rows;
+    std::vector<double> caps;
     for (const KernelSlot &s : slots) {
         AppliedScenario applied =
             applyScenario(scenario, node, s.workload, opts, calib);
         slot_budgets.push_back(applied.budget);
+        rows.push_back(
+            ucoreRows(s.ucore, s.bandwidthExempt, applied.budget));
+        caps.push_back(std::min(
+            {rows.back().power, rows.back().bandwidth, rows.back().thermal}));
         opts = applied.opts; // the scenario's alpha, the same per slot
     }
     double area_budget = slot_budgets.front().area;
@@ -163,28 +147,13 @@ optimizeMixed(const std::vector<KernelSlot> &slots, FabricMode mode,
         r_cap = std::min(r_cap, serialRCap(b, opts.alpha));
 
     MixedDesign best;
-    if (r_cap < 1.0)
-        return best;
-
-    std::vector<double> candidates;
-    for (double r = 1.0; r <= std::floor(r_cap); r += 1.0)
-        candidates.push_back(r);
-    if (r_cap > candidates.back())
-        candidates.push_back(r_cap);
-
-    for (double r : candidates) {
+    for (double r : rCandidateGrid(r_cap)) {
         double fabric_area = area_budget - r;
         if (fabric_area <= kEps)
             continue;
 
         std::vector<double> areas(slots.size(), 0.0);
         if (mode == FabricMode::Partitioned) {
-            std::vector<double> fractions, mus, caps;
-            for (std::size_t i = 0; i < slots.size(); ++i) {
-                fractions.push_back(slots[i].fraction);
-                mus.push_back(slots[i].ucore.mu);
-                caps.push_back(slotCap(slots[i], slot_budgets[i]));
-            }
             areas = waterfillAreas(fractions, mus, caps, fabric_area);
         } else {
             // One fabric reused by every phase: its size is bounded by
@@ -192,7 +161,7 @@ optimizeMixed(const std::vector<KernelSlot> &slots, FabricMode mode,
             double a = fabric_area;
             for (std::size_t i = 0; i < slots.size(); ++i)
                 if (slots[i].fraction > 0.0)
-                    a = std::min(a, slotCap(slots[i], slot_budgets[i]));
+                    a = std::min(a, caps[i]);
             areas.assign(slots.size(), a);
         }
 
@@ -219,10 +188,12 @@ optimizeMixed(const std::vector<KernelSlot> &slots, FabricMode mode,
             best.r = r;
             best.areas = areas;
             best.speedup = speedup;
+            // A slot given less area than its rows admit is area-bound.
             best.slotLimiter.clear();
             for (std::size_t i = 0; i < slots.size(); ++i)
-                best.slotLimiter.push_back(
-                    slotLimiterAt(slots[i], slot_budgets[i], areas[i]));
+                best.slotLimiter.push_back(classifyLimiter(
+                    areas[i] + kEps, rows[i].power, rows[i].bandwidth,
+                    rows[i].thermal));
             // Energy: serial phase + per-slot f_i * phi_i / mu_i.
             best.energy = f_ser / model::perfSeq(r) *
                           model::powerSeq(r, opts.alpha);

@@ -13,10 +13,16 @@
  *   Partitioned:  every slot gets its own fabric; areas a_i are
  *                 disjoint, sum a_i <= A - r. Optimal areas follow a
  *                 water-filling rule: a_i ~ sqrt(f_i / mu_i) up to each
- *                 slot's power/bandwidth cap min(P/phi_i, B_i/mu_i).
+ *                 slot's cap c_i = min(P/phi_i, B_i/mu_i, TH/phi_i),
+ *                 the heterogeneous rows of Table 1 before the "+ r"
+ *                 (core::ucoreRows).
  *   Shared:       one fabric (e.g. an FPGA or GPU pool) of area a is
  *                 reused by every phase with per-workload (mu_i, phi_i);
- *                 a <= min(A - r, min_i P/phi_i, min_i B_i/mu_i).
+ *                 a <= min(A - r, min_i c_i).
+ *
+ * The r sweep is the optimizer's grid (core::rCandidateGrid) and each
+ * slot's limiter is classifyLimiter() over its area and rows, so a
+ * single slot reproduces optimize() on the same heterogeneous chip.
  *
  * Speedup = 1 / ((1 - sum f_i)/sqrt(r) + sum_i f_i/(mu_i a_i)).
  */

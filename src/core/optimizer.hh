@@ -91,8 +91,9 @@ bool needsParallelHeadroom(const Organization &org, double f);
  * r = 1 .. floor(cap) plus the fractional cap itself (the largest core
  * the serial bounds allow). Empty when @p cap < 1 or NaN — not even a
  * single-BCE core fits. Caps beyond kMaxRGridCap (including +inf) are
- * clamped to it. Both optimize() and enumerateDesigns() draw their
- * candidates from here, so the two paths can never diverge.
+ * clamped to it. optimize(), enumerateDesigns(), optimizeMixed() and
+ * optimizeProfiled() all draw their candidates from here, so no search
+ * can diverge from the others.
  */
 std::vector<double> rCandidateGrid(double cap);
 
@@ -103,26 +104,16 @@ void rCandidateGridInto(double cap, std::vector<double> &out);
 /**
  * Best design for @p org under @p budget at parallel fraction @p f.
  * Routed through the structure-of-arrays batch kernel
- * (core::BatchEvaluator); results are bit-identical to
- * optimizeScalar(), which tests and CI enforce.
+ * (core::BatchEvaluator); results are bit-identical to the scalar
+ * oracle the tests keep (tests/oracle, 0-ULP; see DESIGN.md).
  */
 DesignPoint optimize(const Organization &org, double f,
                      const Budget &budget, OptimizerOptions opts = {});
 
 /**
- * The scalar reference implementation — one candidate at a time through
- * parallelBound() / evaluateSpeedup() / designEnergy(). Kept as the
- * oracle the batch kernel is verified against (0-ULP; see DESIGN.md);
- * not a hot path.
- */
-DesignPoint optimizeScalar(const Organization &org, double f,
-                           const Budget &budget,
-                           OptimizerOptions opts = {});
-
-/**
  * Dynamic CMP has no independent r (all n resources morph between one
  * big core and n BCEs), so it skips the r grid entirely; exposed so
- * optimize(), optimizeScalar(), and the batch kernel share one copy of
+ * optimize(), the batch kernel and the scalar oracle share one copy of
  * the bound-and-classify logic.
  */
 DesignPoint optimizeDynamicCmp(const Organization &org, double f,

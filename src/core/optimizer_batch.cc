@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 
 #include "util/logging.hh"
 #include "util/math.hh"
@@ -63,21 +61,8 @@ simdPassMatchesScalar()
 BatchKernel
 resolveBatchKernel()
 {
-    const char *env = std::getenv("HCM_BATCH_KERNEL");
-    std::string requested = env ? env : "auto";
-    if (requested == "scalar")
+    if (!batchSimdCompiledIn())
         return BatchKernel::Scalar;
-    if (requested != "auto" && requested != "simd") {
-        hcm_warn("unknown HCM_BATCH_KERNEL value; using auto",
-                 logField("value", requested));
-        requested = "auto";
-    }
-    if (!batchSimdCompiledIn()) {
-        if (requested == "simd")
-            hcm_warn("HCM_BATCH_KERNEL=simd requested but the SIMD pass "
-                     "is not compiled in; using scalar");
-        return BatchKernel::Scalar;
-    }
     if (!simdPassMatchesScalar()) {
         hcm_warn("batch SIMD pass disagrees with the scalar pass on the "
                  "probe table; falling back to scalar");
@@ -185,7 +170,6 @@ BatchEvaluator::assign(const Organization &org, const Budget &budget,
         org.ucore.check();
 
     kind_ = org.kind;
-    bandwidthExempt_ = org.bandwidthExempt;
     mu_ = org.ucore.mu;
     phi_ = org.ucore.phi;
     budget_ = budget;
@@ -221,7 +205,7 @@ BatchEvaluator::assign(const Organization &org, const Budget &budget,
 
     // Table 1 bound passes with the organization dispatch hoisted out
     // of the loop; every expression matches the scalar powerBoundN /
-    // bandwidthBoundN / parallelBound bit-for-bit.
+    // bandwidthBoundN / thermalBoundN / parallelBound bit-for-bit.
     const double area = budget.area;
     const double p = budget.power;
     const double b = budget.bandwidth;
@@ -257,13 +241,11 @@ BatchEvaluator::assign(const Organization &org, const Budget &budget,
       }
       case OrgKind::Heterogeneous: {
         powSym_.clear();
-        pOverPhi_ = p / phi_;
-        bOverMu_ = b / mu_;
-        thOverPhi_ = th / phi_;
+        rows_ = ucoreRows(org.ucore, org.bandwidthExempt, budget);
         for (std::size_t i = 0; i < g; ++i) {
-            double n_power = pOverPhi_ + r_[i];
-            double n_bw = bandwidthExempt_ ? kPosInf : bOverMu_ + r_[i];
-            double n_thermal = thOverPhi_ + r_[i];
+            double n_power = rows_.power + r_[i];
+            double n_bw = rows_.bandwidth + r_[i];
+            double n_thermal = rows_.thermal + r_[i];
             n_[i] = std::min({area, n_power, n_bw, n_thermal});
             limiter_[i] = static_cast<unsigned char>(
                 classifyLimiter(area, n_power, n_bw, n_thermal));
@@ -470,9 +452,9 @@ BatchEvaluator::evaluateContinuous(double r, double f,
         n_thermal = budget_.thermal + r;
         break;
       case OrgKind::Heterogeneous:
-        n_power = pOverPhi_ + r;
-        n_bw = bandwidthExempt_ ? kPosInf : bOverMu_ + r;
-        n_thermal = thOverPhi_ + r;
+        n_power = rows_.power + r;
+        n_bw = rows_.bandwidth + r;
+        n_thermal = rows_.thermal + r;
         break;
       case OrgKind::DynamicCmp:
         hcm_panic("unreachable: dynamic has no grid");

@@ -13,11 +13,12 @@
  * whole f-grid against one table (the sweep engine does exactly that).
  *
  * Numerical contract: every element is computed by the SAME IEEE-754
- * expression the scalar oracle (optimizeScalar / the model:: helpers)
- * evaluates — subexpressions are hoisted as whole values, never
- * re-associated — so batch results are BYTE-IDENTICAL to the scalar
- * path (a 0-ULP bound, enforced by tests/core/optimizer_batch_test.cc
- * and the CI equivalence smoke; see DESIGN.md "SoA batch kernel").
+ * expression the scalar oracle (the test-only optimizeScalar in
+ * tests/oracle, built on the model:: helpers) evaluates —
+ * subexpressions are hoisted as whole values, never re-associated — so
+ * batch results are BYTE-IDENTICAL to the scalar path (a 0-ULP bound,
+ * enforced by tests/core/optimizer_batch_test.cc; see DESIGN.md "SoA
+ * batch kernel").
  * The optional SIMD pass only uses correctly-rounded IEEE ops
  * (divide/add/select), so it preserves bit-identity; it is verified
  * against the scalar pass at startup and falls back if it ever
@@ -45,11 +46,10 @@ enum class BatchKernel {
 bool batchSimdCompiledIn();
 
 /**
- * The kernel the process resolved at first use: HCM_BATCH_KERNEL
- * (scalar|simd|auto, default auto) requests one; "auto" and "simd"
- * run the SIMD pass against the scalar pass on a probe table first and
- * fall back to Scalar (with a warning) on any bit mismatch or when the
- * pass is not compiled in.
+ * The kernel the process resolved at first use: Simd when the SIMD pass
+ * is compiled in and reproduces the scalar pass bit-for-bit on a probe
+ * table, Scalar otherwise (with a warning on a mismatch).
+ * detail::forceBatchKernelForTest() is the only way to pin one.
  */
 BatchKernel batchKernelInUse();
 
@@ -99,7 +99,7 @@ class BatchEvaluator
 
     /**
      * Best design at parallel fraction @p f — the same contract (and
-     * bit-exact results) as optimizeScalar() on the assigned triple,
+     * bit-exact results) as the scalar oracle on the assigned triple,
      * including the continuousR golden-section refinement, which is
      * bracketed to the grid neighborhood of the discrete argmax.
      */
@@ -133,15 +133,12 @@ class BatchEvaluator
 
     // Snapshot of the triple (plain scalars only — no allocation).
     OrgKind kind_ = OrgKind::SymmetricCmp;
-    bool bandwidthExempt_ = false;
     double mu_ = 1.0;
     double phi_ = 1.0;
     Budget budget_;
     OptimizerOptions opts_;
     double alphaHalfM1_ = 0.0; ///< alpha/2 - 1, the symmetric pow exponent
-    double pOverPhi_ = 0.0;    ///< P/phi (heterogeneous power bound)
-    double bOverMu_ = 0.0;     ///< B/mu (heterogeneous bandwidth bound)
-    double thOverPhi_ = 0.0;   ///< TH/phi (heterogeneous thermal bound)
+    UCoreRows rows_;           ///< heterogeneous rows before the + r
     double cap_ = 0.0;         ///< serial-bound r cap (continuousR upper)
 
     // SoA tables over the r-candidate grid.

@@ -27,58 +27,15 @@ ParetoPoint::dominates(const ParetoPoint &other) const
 }
 
 std::vector<ParetoPoint>
-enumerateDesignsScalar(const wl::Workload &w, double f,
-                       const itrs::NodeParams &node,
-                       const Scenario &scenario, OptimizerOptions opts,
-                       const BceCalibration &calib)
-{
-    AppliedScenario applied = applyScenario(scenario, node, w, opts, calib);
-    const Budget &budget = applied.budget;
-    double alpha = applied.opts.alpha;
-
-    std::vector<ParetoPoint> points;
-    double cap = std::min(opts.rMax, serialRCap(budget, alpha));
-    std::vector<double> candidates = rCandidateGrid(cap);
-    double f_eff = applied.fraction(f);
-    for (const Organization &org : paperOrganizations(w, calib)) {
-        Organization eff = applied.organization(org);
-        for (double r : candidates) {
-            // Evaluate the design at exactly this r.
-            ParallelBound pb = parallelBound(eff, r, budget, alpha);
-            if (pb.n < r)
-                continue;
-            if (needsParallelHeadroom(eff, f_eff) &&
-                pb.n - r < kMinParallelHeadroom)
-                continue;
-
-            ParetoPoint pt;
-            pt.orgName = org.name;
-            pt.paperIndex = org.paperIndex;
-            pt.design.f = f_eff;
-            pt.design.r = r;
-            pt.design.n = pb.n;
-            pt.design.limiter = pb.limiter;
-            pt.design.speedup = evaluateSpeedup(eff, f_eff, r, pb.n);
-            pt.design.energy = designEnergy(eff, f_eff, r, pb.n, alpha);
-            pt.design.feasible = true;
-            pt.energyNormalized = normalizedEnergy(
-                pt.design.energy, node.relPowerPerTransistor);
-            points.push_back(pt);
-        }
-    }
-    return points;
-}
-
-std::vector<ParetoPoint>
 enumerateDesigns(const wl::Workload &w, double f,
                  const itrs::NodeParams &node, const Scenario &scenario,
                  OptimizerOptions opts, const BceCalibration &calib)
 {
     AppliedScenario applied = applyScenario(scenario, node, w, opts, calib);
 
-    // One SoA table per organization; the per-candidate bound walk of
-    // the scalar oracle above becomes contiguous array passes. Results
-    // are bit-identical (enforced by tests/core/optimizer_batch_test.cc).
+    // One SoA table per organization; the scalar oracle's per-candidate
+    // bound walk becomes contiguous array passes. Results are
+    // bit-identical (enforced by tests/core/optimizer_batch_test.cc).
     std::vector<ParetoPoint> points;
     std::vector<DesignPoint> designs;
     BatchEvaluator evaluator;

@@ -38,7 +38,8 @@ struct ParetoPoint
  * Enumerate all feasible designs for @p w at @p node: every paper
  * organization crossed with every integer r up to the serial cap
  * (plus the fractional cap). Routed through the SoA batch kernel
- * (core::BatchEvaluator), bit-identical to enumerateDesignsScalar().
+ * (core::BatchEvaluator), bit-identical to the scalar enumeration
+ * the tests keep as its oracle (tests/oracle).
  */
 std::vector<ParetoPoint> enumerateDesigns(
     const wl::Workload &w, double f, const itrs::NodeParams &node,
@@ -52,17 +53,6 @@ std::vector<ParetoPoint> bestDesigns(
     const wl::Workload &w, double f, const itrs::NodeParams &node,
     const Scenario &scenario = baselineScenario(),
     std::optional<dev::DeviceId> device = std::nullopt,
-    OptimizerOptions opts = {},
-    const BceCalibration &calib = BceCalibration::standard());
-
-/**
- * Scalar reference enumeration — one candidate at a time through
- * parallelBound() / evaluateSpeedup() / designEnergy(). Kept as the
- * oracle the batch enumeration is verified against; not a hot path.
- */
-std::vector<ParetoPoint> enumerateDesignsScalar(
-    const wl::Workload &w, double f, const itrs::NodeParams &node,
-    const Scenario &scenario = baselineScenario(),
     OptimizerOptions opts = {},
     const BceCalibration &calib = BceCalibration::standard());
 

@@ -143,16 +143,7 @@ optimizeProfiled(const Organization &org,
     best.f = profile.parallelFraction();
 
     double cap = std::min(opts.rMax, serialRCap(budget, opts.alpha));
-    if (cap < 1.0)
-        return best;
-
-    std::vector<double> candidates;
-    for (double r = 1.0; r <= std::floor(cap); r += 1.0)
-        candidates.push_back(r);
-    if (cap > candidates.back())
-        candidates.push_back(cap);
-
-    for (double r : candidates) {
+    for (double r : rCandidateGrid(cap)) {
         ParallelBound pb = parallelBound(org, r, budget, opts.alpha);
         if (pb.n < r)
             continue;

@@ -77,12 +77,22 @@ headline(const wl::Workload &w, double f, core::OptimizerOptions opts,
     return h;
 }
 
-void
+/** One f row of Ablation 1: the 11nm ASIC headline per r discipline. */
+struct RSweepRow
+{
+    double f = 0.0;
+    double discrete = 0.0;
+    double continuous = 0.0;
+    double wide = 0.0;
+};
+
+std::vector<RSweepRow>
 rSweepAblation(std::ostream &os)
 {
     TextTable t("Ablation 1: r-sweep discipline (FFT-1024 @11nm)");
     t.setHeaders({"f", "discrete r<=16 (paper)", "continuous r<=16",
                   "discrete r<=64"});
+    std::vector<RSweepRow> rows;
     for (double f : {0.5, 0.9, 0.99}) {
         core::OptimizerOptions discrete;
         core::OptimizerOptions continuous;
@@ -90,15 +100,27 @@ rSweepAblation(std::ostream &os)
         core::OptimizerOptions wide;
         wide.rMax = 64.0;
         auto w = wl::Workload::fft(1024);
-        t.addRow({fmtFixed(f, 3),
-                  fmtSig(headline(w, f, discrete).asic, 4),
-                  fmtSig(headline(w, f, continuous).asic, 4),
-                  fmtSig(headline(w, f, wide).asic, 4)});
+        RSweepRow row{f, headline(w, f, discrete).asic,
+                      headline(w, f, continuous).asic,
+                      headline(w, f, wide).asic};
+        t.addRow({fmtFixed(f, 3), fmtSig(row.discrete, 4),
+                  fmtSig(row.continuous, 4), fmtSig(row.wide, 4)});
+        rows.push_back(row);
     }
     os << t << "\n";
+    return rows;
 }
 
-void
+/** One alpha row of Ablation 2: the 40nm headlines of its columns. */
+struct AlphaRow
+{
+    double alpha = 0.0;
+    Headline fftLow;  ///< FFT-1024, f = 0.5
+    Headline fftHigh; ///< FFT-1024, f = 0.99
+    Headline mmmHigh; ///< MMM, f = 0.99
+};
+
+std::vector<AlphaRow>
 alphaAblation(std::ostream &os)
 {
     // Evaluated at 40nm: that is where P is smallest and the serial
@@ -108,6 +130,7 @@ alphaAblation(std::ostream &os)
     TextTable t("Ablation 2: serial power exponent alpha "
                 "(ASIC / best CMP at 40nm)");
     t.setHeaders({"alpha", "FFT f=0.5", "FFT f=0.99", "MMM f=0.99"});
+    std::vector<AlphaRow> rows;
     for (double alpha : {1.5, 1.75, 2.0, 2.25}) {
         core::Scenario scenario;
         scenario.name = "alpha-ablation";
@@ -115,21 +138,27 @@ alphaAblation(std::ostream &os)
         core::OptimizerOptions opts;
         auto fft = wl::Workload::fft(1024);
         auto mmm = wl::Workload::mmm();
-        auto h1 = headline(fft, 0.5, opts,
-                           core::BceCalibration::standard(), scenario, 0);
-        auto h2 = headline(fft, 0.99, opts,
-                           core::BceCalibration::standard(), scenario, 0);
-        auto h3 = headline(mmm, 0.99, opts,
-                           core::BceCalibration::standard(), scenario, 0);
+        AlphaRow row{
+            alpha,
+            headline(fft, 0.5, opts, core::BceCalibration::standard(),
+                     scenario, 0),
+            headline(fft, 0.99, opts, core::BceCalibration::standard(),
+                     scenario, 0),
+            headline(mmm, 0.99, opts, core::BceCalibration::standard(),
+                     scenario, 0)};
         auto cell = [](const Headline &h) {
             return fmtSig(h.asic, 3) + " / " + fmtSig(h.cmp, 3);
         };
-        t.addRow({fmtFixed(alpha, 2), cell(h1), cell(h2), cell(h3)});
+        t.addRow({fmtFixed(alpha, 2), cell(row.fftLow),
+                  cell(row.fftHigh), cell(row.mmmHigh)});
+        rows.push_back(row);
     }
     os << t << "\n";
+    return rows;
 }
 
-void
+/** Ablation 3: the 11nm headlines per BCE power scale. */
+std::vector<Headline>
 bcePowerAblation(std::ostream &os)
 {
     // Scale the Core i7 power entries (and thus the derived BCE watts)
@@ -139,6 +168,7 @@ bcePowerAblation(std::ostream &os)
                 "(equivalently the W->BCE conversion), FFT-1024 f=0.99");
     t.setHeaders({"BCE power scale", "ASIC @11nm", "best CMP @11nm",
                   "ASIC limiter"});
+    std::vector<Headline> rows;
     for (double scale : {0.7, 1.0, 1.3}) {
         core::Scenario scenario;
         scenario.name = "bce-power-ablation";
@@ -155,22 +185,58 @@ bcePowerAblation(std::ostream &os)
                     series.points.back().design.limiter);
         t.addRow({fmtFixed(scale, 2), fmtSig(h.asic, 4),
                   fmtSig(h.cmp, 4), limiter});
+        rows.push_back(h);
     }
     os << t << "\n";
-    os << "Reading: the ASIC's bandwidth-limited headline is "
-          "insensitive to the BCE-watt\ncalibration; the CMPs "
-          "(power-limited) move with it. The discrete r-sweep "
-          "costs\nnothing at high f and the alpha choice only "
-          "moves low-f results, matching the\npaper's scenario-6 "
-          "discussion.\n";
+    return rows;
+}
+
+/** "a" when @p a and @p b print alike at @p digits, else "a to b". */
+std::string
+span(double a, double b, int digits)
+{
+    std::string from = fmtSig(a, digits);
+    std::string to = fmtSig(b, digits);
+    return from == to ? from : from + " to " + to;
 }
 
 void
 ablationModel(std::ostream &os)
 {
-    rSweepAblation(os);
-    alphaAblation(os);
-    bcePowerAblation(os);
+    std::vector<RSweepRow> sweep = rSweepAblation(os);
+    std::vector<AlphaRow> alpha = alphaAblation(os);
+    std::vector<Headline> bce = bcePowerAblation(os);
+
+    Range asic;
+    for (const Headline &h : bce)
+        asic.add(h.asic);
+    double continuous_gain = 0.0;
+    for (const RSweepRow &row : sweep)
+        continuous_gain =
+            std::max(continuous_gain, row.continuous / row.discrete - 1.0);
+    Range mmm;
+    for (const AlphaRow &row : alpha)
+        mmm.add(row.mmmHigh.asic);
+    const AlphaRow &lo = alpha.front();
+    const AlphaRow &hi = alpha.back();
+
+    os << "Reading: the ASIC's bandwidth-limited headline reads "
+       << span(asic.lo, asic.hi, 4) << " at every BCE-watt\nscale, while "
+       << "the power-limited best CMP moves from "
+       << fmtSig(bce.front().cmp, 4) << " to " << fmtSig(bce.back().cmp, 4)
+       << ". Continuous r\ngains at most " << fmtPercent(continuous_gain, 1)
+       << " over the discrete r<=16 sweep; r<=64 gains "
+       << fmtPercent(sweep.front().wide / sweep.front().discrete - 1.0, 1)
+       << " at\nf=" << fmtFixed(sweep.front().f, 3) << " and "
+       << fmtPercent(sweep.back().wide / sweep.back().discrete - 1.0, 1)
+       << " at f=" << fmtFixed(sweep.back().f, 3) << ". From alpha "
+       << fmtFixed(lo.alpha, 2) << " to " << fmtFixed(hi.alpha, 2)
+       << " the 40nm ASIC\ngoes " << span(lo.fftLow.asic, hi.fftLow.asic, 3)
+       << " on FFT f=0.5, " << span(lo.fftHigh.asic, hi.fftHigh.asic, 3)
+       << " on FFT f=0.99 and\n"
+       << span(lo.mmmHigh.asic, hi.mmmHigh.asic, 3) << " on MMM f=0.99 ("
+       << fmtSig(mmm.lo, 3) << "-" << fmtSig(mmm.hi, 3)
+       << " across the column):\nalpha moves the high-f results too.\n";
 }
 
 // crossover: conclusion 1 quantified — the minimum parallel fraction at

@@ -112,8 +112,7 @@ errorAnswer(const Query &q, QueryErrorKind kind, std::string why,
 QueryEngine::QueryEngine(EngineOptions opts)
     : _opts(opts),
       _cache(opts.cacheCapacity > 0
-                 ? std::make_unique<QueryCache>(opts.cacheCapacity,
-                                                opts.cacheShards)
+                 ? std::make_unique<QueryCache>(opts.cacheCapacity)
                  : nullptr),
       _pool(opts.threads, opts.queueCapacity, opts.shardLabel)
 {

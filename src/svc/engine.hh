@@ -47,9 +47,9 @@ struct EngineOptions
     std::size_t threads = 0;
     /** Bound on queued-but-unstarted tasks (submit blocks past it). */
     std::size_t queueCapacity = ThreadPool::kDefaultQueueCapacity;
-    /** Memoization entries across all shards; 0 disables the cache. */
+    /** Memoization entries across the cache's shards (QueryCache's
+     *  default count); 0 disables the cache. */
     std::size_t cacheCapacity = 4096;
-    std::size_t cacheShards = 8;
     /**
      * Queries whose total latency (queue wait + evaluation; cache hits
      * use the lookup time) exceeds this emit one structured warn line

@@ -1,10 +1,13 @@
 /** @file Tests for the mixed U-core chip extension (Section 6.3). */
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/mixed.hh"
+#include "core/projection.hh"
+#include "devices/measured.hh"
 
 namespace hcm {
 namespace core {
@@ -99,22 +102,50 @@ TEST(MixedTest, MakeSlotDerivesParameters)
                  "no measurement");
 }
 
-TEST(MixedTest, SingleSlotMatchesClassicOptimizer)
+TEST(MixedTest, SingleSlotMatchesOptimizeOnEverySegmentFreeScenario)
 {
-    // One slot covering fraction f is exactly the Section 3.3 chip.
-    auto w = wl::Workload::fft(1024);
-    double f = 0.99;
-    std::vector<KernelSlot> slots = {
-        makeSlot(dev::DeviceId::Gtx285, w, f)};
-    MixedDesign mixed = optimizeMixed(slots, FabricMode::Partitioned,
-                                      node11);
-
-    auto org = *heterogeneous(dev::DeviceId::Gtx285, w);
-    Budget budget = makeBudget(node11, w);
-    DesignPoint classic = optimize(org, f, budget);
-
-    ASSERT_TRUE(mixed.feasible && classic.feasible);
-    EXPECT_NEAR(mixed.speedup / classic.speedup, 1.0, 0.01);
+    // One slot covering fraction f is exactly the Section 3.3 chip: the
+    // same r grid, the same heterogeneous rows of Table 1 (the thermal
+    // row included) and the same limiter tie-break as optimize(), over
+    // every calibrated (device, workload) pair, node and scenario.
+    std::size_t cases = 0;
+    for (const Scenario &scenario : allScenarios()) {
+        if (!scenario.segments.empty())
+            continue;
+        for (const wl::Workload &w : dev::table5Workloads()) {
+            for (const Organization &org : paperOrganizations(w)) {
+                if (!org.isHet())
+                    continue;
+                for (const itrs::NodeParams &node : itrs::nodeTable()) {
+                    AppliedScenario applied =
+                        applyScenario(scenario, node, w);
+                    for (double f : {0.5, 0.9, 0.99}) {
+                        SCOPED_TRACE(scenario.name + " " + org.name +
+                                     ":" + w.name() + " " + node.label() +
+                                     " f=" + std::to_string(f));
+                        ++cases;
+                        MixedDesign mixed = optimizeMixed(
+                            {makeSlot(*org.device, w, f)},
+                            FabricMode::Partitioned, node, scenario);
+                        DesignPoint classic = optimize(
+                            applied.organization(org),
+                            applied.fraction(f), applied.budget,
+                            applied.opts);
+                        ASSERT_EQ(mixed.feasible, classic.feasible);
+                        if (!classic.feasible)
+                            continue;
+                        EXPECT_EQ(mixed.r, classic.r);
+                        EXPECT_EQ(mixed.slotLimiter.at(0), classic.limiter);
+                        EXPECT_EQ(mixed.energy, classic.energy.total());
+                        EXPECT_NEAR(mixed.speedup / classic.speedup, 1.0,
+                                    1e-12);
+                    }
+                }
+            }
+        }
+    }
+    // 20 calibrated pairs x 5 nodes x 3 fractions x 9 scenarios.
+    EXPECT_EQ(cases, 2700u);
 }
 
 TEST(MixedTest, PaperSuggestionAsicMmmPlusGpuFft)

@@ -25,6 +25,7 @@
 #include "core/pareto.hh"
 #include "core/projection.hh"
 #include "itrs/scaling.hh"
+#include "oracle/scalar_oracle.hh"
 #include "workloads/workload.hh"
 
 namespace hcm {

@@ -20,6 +20,7 @@
 #include "core/optimizer_batch.hh"
 #include "core/pareto.hh"
 #include "itrs/scaling.hh"
+#include "oracle/scalar_oracle.hh"
 #include "workloads/workload.hh"
 
 namespace hcm {

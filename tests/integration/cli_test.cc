@@ -314,6 +314,29 @@ TEST(CliTest, MixedFabricChip)
     EXPECT_NE(out.find("11nm"), std::string::npos);
 }
 
+// hcm mixed keys its slot tags like hcm project: a thermal-bounded
+// scenario's ASIC:MMM slot binds the thermal row at 11nm and the legend
+// names "(t)"; a non-thermal scenario's legend stops at bandwidth.
+TEST(CliTest, MixedLegendNamesThermalOnlyWhenBounded)
+{
+    auto [code, out] =
+        runCli("mixed --slot asic:mmm:0.99 --scenario thermal-85c");
+    EXPECT_EQ(code, 0) << out;
+    EXPECT_NE(out.find("37.1 BCE (t)"), std::string::npos) << out;
+    EXPECT_NE(out.find("+\nlimiters: (a) area, (p) power, (b) bandwidth, "
+                       "(t) thermal\n"),
+              std::string::npos)
+        << out;
+
+    auto [base_code, base_out] = runCli("mixed --slot asic:mmm:0.99");
+    EXPECT_EQ(base_code, 0) << base_out;
+    EXPECT_EQ(base_out.find("(t)"), std::string::npos) << base_out;
+    EXPECT_NE(base_out.find("+\nlimiters: (a) area, (p) power, "
+                            "(b) bandwidth\n"),
+              std::string::npos)
+        << base_out;
+}
+
 TEST(CliTest, MixedInfeasibleNodeKeepsTableWidth)
 {
     // Regression: an infeasible node's row had 4 cells under a header

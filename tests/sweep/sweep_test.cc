@@ -4,7 +4,9 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "core/optimizer_batch.hh"
 #include "obs/metrics.hh"
 #include "sweep/export.hh"
 #include "sweep/sweep.hh"
@@ -96,6 +98,44 @@ TEST(SweepTest, MatchesSerialProjectionReference)
     SweepResult reference =
         projectionReference(wl::Workload::mmm(), 0.99, scenario);
     EXPECT_EQ(toCsv(swept), toCsv(reference));
+}
+
+TEST(SweepTest, PinnedBatchKernelsPrintTheSameCsv)
+{
+    // The SIMD value pass may not move a byte of any scenario's rows,
+    // the f = 0 and f = 1 edges included, and the scalar pass run
+    // inline must still reproduce the serial projectAll() reference.
+    const core::BatchKernel scalar = core::BatchKernel::Scalar;
+    const core::BatchKernel simd = core::BatchKernel::Simd;
+    SweepSpec spec;
+    spec.workloads = {wl::Workload::mmm()};
+    spec.scenarios = core::allScenarios();
+    SweepOptions two_jobs;
+    two_jobs.jobs = 2;
+    for (double f : {0.0, 0.5, 0.99, 1.0}) {
+        spec.fractions = {f};
+        core::detail::forceBatchKernelForTest(&scalar);
+        std::string via_scalar = toCsv(runSweep(spec, two_jobs));
+        if (core::batchSimdCompiledIn()) {
+            core::detail::forceBatchKernelForTest(&simd);
+            EXPECT_EQ(toCsv(runSweep(spec, two_jobs)), via_scalar)
+                << "f=" << f;
+        }
+        core::detail::forceBatchKernelForTest(nullptr);
+    }
+
+    const core::Scenario &baseline = core::baselineScenario();
+    SweepSpec slice;
+    slice.workloads = {wl::Workload::mmm()};
+    slice.fractions = {0.99};
+    slice.scenarios = {baseline};
+    SweepOptions inline_run;
+    inline_run.jobs = 1;
+    core::detail::forceBatchKernelForTest(&scalar);
+    std::string swept = toCsv(runSweep(slice, inline_run));
+    core::detail::forceBatchKernelForTest(nullptr);
+    EXPECT_EQ(swept, toCsv(projectionReference(wl::Workload::mmm(), 0.99,
+                                               baseline)));
 }
 
 TEST(SweepTest, ProgressIsMonotoneAndComplete)

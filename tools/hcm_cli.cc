@@ -1048,7 +1048,8 @@ cmdMixed(const Options &opts)
                               .substr(0, 1) + ")");
         t.addRow(row);
     }
-    std::cout << t;
+    std::cout << t << "limiters: "
+              << core::limiterLegend(1, scenario.thermalBounded()) << "\n";
     return 0;
 }
 
