@@ -1,10 +1,10 @@
 #include "bounds.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "amdahl/pollack.hh"
+#include "core/org_rules.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -62,7 +62,7 @@ classifyLimiter(double n_area, double n_power, double n_bw)
                            std::numeric_limits<double>::infinity());
 }
 
-UCoreRows
+ParallelRows
 ucoreRows(const UCoreParams &ucore, bool bandwidth_exempt,
           const Budget &budget)
 {
@@ -84,64 +84,21 @@ double
 powerBoundN(const Organization &org, double r, const Budget &budget,
             double alpha)
 {
-    double p = budget.power;
-    switch (org.kind) {
-      case OrgKind::SymmetricCmp:
-        // n/r cores, each burning r^(alpha/2): n * r^(alpha/2 - 1) <= P.
-        return p / std::pow(r, alpha / 2.0 - 1.0);
-      case OrgKind::AsymmetricCmp:
-        // n - r BCEs at power 1; the big core is powered off.
-        return p + r;
-      case OrgKind::Heterogeneous:
-        return ucoreRows(org.ucore, org.bandwidthExempt, budget).power + r;
-      case OrgKind::DynamicCmp:
-        // All n resources active as BCEs in the parallel phase.
-        return p;
-    }
-    hcm_panic("bad organization kind");
+    return OrgRules(org).rows(r, budget, alpha).power;
 }
 
 double
 bandwidthBoundN(const Organization &org, double r, const Budget &budget)
 {
-    double b = budget.bandwidth;
-    switch (org.kind) {
-      case OrgKind::SymmetricCmp:
-        // n/r cores of perf sqrt(r): traffic n/sqrt(r) <= B.
-        return b * std::sqrt(r);
-      case OrgKind::AsymmetricCmp:
-        return b + r;
-      case OrgKind::Heterogeneous: {
-        // +inf when exempt: the row stays vacuous after the + r.
-        UCoreRows rows = ucoreRows(org.ucore, org.bandwidthExempt, budget);
-        return rows.bandwidth + r;
-      }
-      case OrgKind::DynamicCmp:
-        return b;
-    }
-    hcm_panic("bad organization kind");
+    // No bandwidth row reads alpha; any value serves.
+    return OrgRules(org).rows(r, budget, model::kDefaultAlpha).bandwidth;
 }
 
 double
 thermalBoundN(const Organization &org, double r, const Budget &budget,
               double alpha)
 {
-    // The thermal budget caps the same quantity the power budget does
-    // (active watts), so its rows are powerBoundN's with TH for P.
-    double th = budget.thermal;
-    switch (org.kind) {
-      case OrgKind::SymmetricCmp:
-        return th / std::pow(r, alpha / 2.0 - 1.0);
-      case OrgKind::AsymmetricCmp:
-        return th + r;
-      case OrgKind::Heterogeneous: {
-        UCoreRows rows = ucoreRows(org.ucore, org.bandwidthExempt, budget);
-        return rows.thermal + r;
-      }
-      case OrgKind::DynamicCmp:
-        return th;
-    }
-    hcm_panic("bad organization kind");
+    return OrgRules(org).rows(r, budget, alpha).thermal;
 }
 
 ParallelBound
@@ -149,15 +106,8 @@ parallelBound(const Organization &org, double r, const Budget &budget,
               double alpha)
 {
     hcm_assert(r > 0.0, "core size must be positive");
-    double n_area = areaBoundN(budget);
-    double n_power = powerBoundN(org, r, budget, alpha);
-    double n_bw = bandwidthBoundN(org, r, budget);
-    double n_thermal = thermalBoundN(org, r, budget, alpha);
-
-    ParallelBound out;
-    out.n = std::min({n_area, n_power, n_bw, n_thermal});
-    out.limiter = classifyLimiter(n_area, n_power, n_bw, n_thermal);
-    return out;
+    return parallelBound(areaBoundN(budget),
+                         OrgRules(org).rows(r, budget, alpha));
 }
 
 double

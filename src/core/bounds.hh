@@ -29,6 +29,7 @@
 #ifndef HCM_CORE_BOUNDS_HH
 #define HCM_CORE_BOUNDS_HH
 
+#include <algorithm>
 #include <string>
 
 #include "core/budget.hh"
@@ -78,6 +79,24 @@ struct ParallelBound
     Limiter limiter = Limiter::Area;
 };
 
+/** Table 1's three parallel rows: the n each budget admits. */
+struct ParallelRows
+{
+    double power = 0.0;
+    double bandwidth = 0.0;
+    double thermal = 0.0;
+};
+
+/** The usable n under the area row and @p rows, and which one binds
+ *  (inline: the batch kernel evaluates it per grid candidate). */
+inline ParallelBound
+parallelBound(double n_area, const ParallelRows &rows)
+{
+    return {std::min({n_area, rows.power, rows.bandwidth, rows.thermal}),
+            classifyLimiter(n_area, rows.power, rows.bandwidth,
+                            rows.thermal)};
+}
+
 /**
  * Usable total resources n for organization @p org with a sequential
  * core of size @p r (Table 1, parallel rows + area row, plus the
@@ -94,21 +113,13 @@ double serialRCap(const Budget &budget, double alpha);
 
 /**
  * The heterogeneous rows of Table 1 before the "+ r": the U-core area
- * n - r that the power, bandwidth and thermal budgets each admit.
- * powerBoundN / bandwidthBoundN / thermalBoundN, the batch kernel and
- * the mixed-chip slots all read these, so one definition serves them.
+ * n - r that the power, bandwidth and thermal budgets each admit
+ * (P / phi, B / mu or +inf when @p bandwidth_exempt, TH / phi). The
+ * Offload rules (core/org_rules) and the mixed-chip slots both read
+ * them, so one definition serves them.
  */
-struct UCoreRows
-{
-    double power = 0.0;     ///< P / phi
-    double bandwidth = 0.0; ///< B / mu; +inf when bandwidth-exempt
-    double thermal = 0.0;   ///< TH / phi
-};
-
-/** The U-core rows of a fabric (@p ucore, @p bandwidth_exempt) under
- *  @p budget. */
-UCoreRows ucoreRows(const UCoreParams &ucore, bool bandwidth_exempt,
-                    const Budget &budget);
+ParallelRows ucoreRows(const UCoreParams &ucore, bool bandwidth_exempt,
+                       const Budget &budget);
 
 /** Individual parallel bounds, exposed for tests and reports. */
 double areaBoundN(const Budget &budget);

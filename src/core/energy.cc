@@ -1,8 +1,7 @@
 #include "energy.hh"
 
-#include <cmath>
-
 #include "amdahl/pollack.hh"
+#include "core/org_rules.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -14,42 +13,23 @@ designEnergy(const Organization &org, double f, double r, double n,
 {
     hcm_assert(f >= 0.0 && f <= 1.0, "fraction outside [0,1]");
     hcm_assert(r > 0.0 && n >= r, "invalid design (r=", r, ", n=", n, ")");
+    OrgRules rules(org);
+    hcm_assert(!rules.needsHeadroom(f) || n > r,
+               "offload design needs parallel resources");
 
-    EnergyBreakdown e;
-
-    // Serial phase: time (1-f)/perf, power perf^alpha.
-    double serial_perf = (org.kind == OrgKind::DynamicCmp)
-                             ? model::perfSeq(n)
-                             : model::perfSeq(r);
-    e.serial = (1.0 - f) / serial_perf *
-               model::powerForPerf(serial_perf, alpha);
-
-    if (f <= 0.0)
+    return rules.visit([&](const auto &form) {
+        CoreSize core = form.size(r, alpha);
+        EnergyBreakdown e;
+        // Serial phase: time (1-f)/perf, power perf^alpha.
+        double serial_perf = form.serialPerf(core, n);
+        e.serial = (1.0 - f) / serial_perf *
+                   model::powerForPerf(serial_perf, alpha);
+        // Parallel phase: time f/perf_par, power of the active fabric.
+        if (f > 0.0)
+            e.parallel = form.parallelEnergy(f, core, n,
+                                             parallelPerf(form, core, n));
         return e;
-
-    // Parallel phase: time f/perf_par, power of the active fabric.
-    switch (org.kind) {
-      case OrgKind::SymmetricCmp: {
-        double perf_par = (n / r) * model::perfSeq(r);
-        double power_par = n * std::pow(r, alpha / 2.0 - 1.0);
-        e.parallel = f / perf_par * power_par;
-        break;
-      }
-      case OrgKind::AsymmetricCmp:
-        // (n - r) BCEs at power 1 and perf 1 each: energy = f.
-        e.parallel = f;
-        break;
-      case OrgKind::Heterogeneous: {
-        hcm_assert(n > r, "heterogeneous design needs parallel resources");
-        e.parallel = f * org.ucore.phi / org.ucore.mu;
-        break;
-      }
-      case OrgKind::DynamicCmp:
-        // n BCEs at power 1 and perf 1 each.
-        e.parallel = f;
-        break;
-    }
-    return e;
+    });
 }
 
 double

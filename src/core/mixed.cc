@@ -125,7 +125,7 @@ optimizeMixed(const std::vector<KernelSlot> &slots, FabricMode mode,
     // slot's workload intensity), read through the heterogeneous rows
     // of Table 1: each slot's fabric may not exceed its tightest row.
     std::vector<Budget> slot_budgets;
-    std::vector<UCoreRows> rows;
+    std::vector<ParallelRows> rows;
     std::vector<double> caps;
     for (const KernelSlot &s : slots) {
         AppliedScenario applied =

@@ -18,33 +18,24 @@ optimizeDynamicCmp(const Organization &org, double f, const Budget &budget,
     DesignPoint dp;
     dp.f = f;
     // Parallel rows (n BCEs active) and serial rows (one sqrt(n) core).
-    double n_power = std::min(budget.power,
-                              model::maxSerialRForPower(budget.power,
-                                                        opts.alpha));
-    double n_bw = std::min(budget.bandwidth,
-                           model::maxSerialRForBandwidth(budget.bandwidth));
-    double n_thermal = std::min(budget.thermal,
-                                model::maxSerialRForPower(budget.thermal,
-                                                          opts.alpha));
-    double n = std::min({budget.area, n_power, n_bw, n_thermal});
-    if (n < 1.0)
+    DynamicForm form;
+    ParallelRows rows = form.budgetRows(budget);
+    rows.power = std::min(rows.power,
+                          model::maxSerialRForPower(budget.power, opts.alpha));
+    rows.bandwidth = std::min(
+        rows.bandwidth, model::maxSerialRForBandwidth(budget.bandwidth));
+    rows.thermal = std::min(
+        rows.thermal, model::maxSerialRForPower(budget.thermal, opts.alpha));
+    ParallelBound pb = parallelBound(budget.area, rows);
+    if (pb.n < 1.0)
         return dp; // infeasible
-    dp.limiter = classifyLimiter(budget.area, n_power, n_bw, n_thermal);
-    dp.r = n;
-    dp.n = n;
-    dp.speedup = model::speedupDynamic(f, n);
-    dp.energy = designEnergy(org, f, n, n, opts.alpha);
+    dp.limiter = pb.limiter;
+    dp.r = pb.n;
+    dp.n = pb.n;
+    dp.speedup = form.speedup(f, pb.n, pb.n);
+    dp.energy = designEnergy(org, f, pb.n, pb.n, opts.alpha);
     dp.feasible = true;
     return dp;
-}
-
-bool
-needsParallelHeadroom(const Organization &org, double f)
-{
-    if (f <= 0.0)
-        return false;
-    return org.kind == OrgKind::AsymmetricCmp ||
-           org.kind == OrgKind::Heterogeneous;
 }
 
 void
@@ -79,21 +70,7 @@ rCandidateGrid(double cap)
 double
 evaluateSpeedup(const Organization &org, double f, double r, double n)
 {
-    switch (org.kind) {
-      case OrgKind::SymmetricCmp:
-        return model::speedupSymmetric(f, n, r);
-      case OrgKind::AsymmetricCmp:
-        if (f <= 0.0)
-            return model::perfSeq(r);
-        return model::speedupAsymmetricOffload(f, n, r);
-      case OrgKind::Heterogeneous:
-        if (f <= 0.0)
-            return model::perfSeq(r);
-        return model::speedupHeterogeneous(f, n, r, org.ucore.mu);
-      case OrgKind::DynamicCmp:
-        return model::speedupDynamic(f, n);
-    }
-    hcm_panic("bad organization kind");
+    return OrgRules(org).speedup(f, r, n);
 }
 
 DesignPoint
@@ -101,13 +78,10 @@ optimize(const Organization &org, double f, const Budget &budget,
          OptimizerOptions opts)
 {
     hcm_assert(f >= 0.0 && f <= 1.0, "fraction outside [0,1]");
-    if (org.kind == OrgKind::DynamicCmp) {
-        budget.check();
-        return optimizeDynamicCmp(org, f, budget, opts);
-    }
-    // Route through the SoA batch kernel. The scratch evaluator is
-    // reused across calls so steady-state single-shot optimization
-    // never allocates; results are bit-identical to the scalar oracle.
+    // Route through the SoA batch kernel (which hands the dynamic CMP to
+    // optimizeDynamicCmp). The scratch evaluator is reused across calls
+    // so steady-state single-shot optimization never allocates; results
+    // are bit-identical to the scalar oracle.
     thread_local BatchEvaluator scratch;
     scratch.assign(org, budget, opts);
     return scratch.best(f);

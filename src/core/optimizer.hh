@@ -14,6 +14,7 @@
 
 #include "core/bounds.hh"
 #include "core/energy.hh"
+#include "core/org_rules.hh"
 #include "core/organization.hh"
 
 namespace hcm {
@@ -24,13 +25,6 @@ enum class Objective {
     MaxSpeedup,
     MinEnergy,
 };
-
-/**
- * Minimum parallel headroom (n - r) required of organizations that run
- * parallel work on resources beyond the sequential core. Shared by the
- * optimizer and the Pareto enumerator so both agree on feasibility.
- */
-constexpr double kMinParallelHeadroom = 1e-9;
 
 /**
  * Hard ceiling on the r-candidate grid. The paper sweeps r <= 16; the
@@ -74,17 +68,10 @@ struct DesignPoint
 
 /**
  * Speedup of organization @p org at an explicit (f, r, n)
- * (the Section 2.1 / 3.3 formulas, dispatched by kind).
+ * (the Section 2.1 / 3.3 formulas, read from its OrgRules).
  */
 double evaluateSpeedup(const Organization &org, double f, double r,
                        double n);
-
-/**
- * True when @p org runs parallel work on resources beyond the
- * sequential core, so a feasible design needs n - r >=
- * kMinParallelHeadroom (false whenever f == 0: nothing parallel runs).
- */
-bool needsParallelHeadroom(const Organization &org, double f);
 
 /**
  * The paper's discrete r sweep for a serial cap of @p cap:
@@ -113,8 +100,8 @@ DesignPoint optimize(const Organization &org, double f,
 /**
  * Dynamic CMP has no independent r (all n resources morph between one
  * big core and n BCEs), so it skips the r grid entirely; exposed so
- * optimize(), the batch kernel and the scalar oracle share one copy of
- * the bound-and-classify logic.
+ * the batch kernel behind optimize() and the scalar oracle share one
+ * copy of the bound-and-classify logic.
  */
 DesignPoint optimizeDynamicCmp(const Organization &org, double f,
                                const Budget &budget,

@@ -154,6 +154,58 @@ forceBatchKernelForTest(const BatchKernel *kernel)
 
 } // namespace detail
 
+namespace {
+
+/** Table 1's bound and the parallel performance at one core size. */
+struct Candidate
+{
+    CoreSize core;
+    ParallelBound bound;
+    double parPerf = 0.0;
+};
+
+/** Candidate @p r under @p form, given the form's budget rows. */
+template <typename Form>
+Candidate
+candidateAt(const Form &form, const ParallelRows &base, double r,
+            double area, double alpha)
+{
+    CoreSize core = form.size(r, alpha);
+    ParallelBound bound = parallelBound(area, form.rowsAt(base, core));
+    return {core, bound, parallelPerf(form, core, bound.n)};
+}
+
+/**
+ * The combine() expression of model::speedup*, or sqrt(r) where the
+ * rules short-circuit f == 0 (Cores reach combine() even at f == 0,
+ * exactly like speedupSymmetric()).
+ */
+double
+speedupOf(const OrgRules &rules, double sqrt_r, double par_perf, double f)
+{
+    if (rules.coreAlone(f))
+        return sqrt_r;
+    double serial_time = (1.0 - f) / sqrt_r;
+    double parallel_time = f > 0.0 ? f / par_perf : 0.0;
+    return 1.0 / (serial_time + parallel_time);
+}
+
+/** designEnergy()'s expressions; @p pow_serial is pow(sqrt r, alpha). */
+EnergyBreakdown
+energyOf(const OrgRules &rules, const CoreSize &core, double n,
+         double par_perf, double f, double pow_serial)
+{
+    EnergyBreakdown e;
+    e.serial = (1.0 - f) / core.perf * pow_serial;
+    if (f > 0.0)
+        e.parallel = rules.visit([&](const auto &form) {
+            return form.parallelEnergy(f, core, n, par_perf);
+        });
+    return e;
+}
+
+} // namespace
+
 BatchEvaluator::BatchEvaluator(const Organization &org,
                                const Budget &budget,
                                const OptimizerOptions &opts)
@@ -169,99 +221,47 @@ BatchEvaluator::assign(const Organization &org, const Budget &budget,
     if (org.isHet())
         org.ucore.check();
 
-    kind_ = org.kind;
-    mu_ = org.ucore.mu;
-    phi_ = org.ucore.phi;
+    rules_ = OrgRules(org);
     budget_ = budget;
     opts_ = opts;
-    alphaHalfM1_ = opts.alpha / 2.0 - 1.0;
 
-    if (kind_ == OrgKind::DynamicCmp) {
-        // No independent r: best() routes to optimizeDynamicCmp().
-        r_.clear();
-        sqrtR_.clear();
-        n_.clear();
-        parPerf_.clear();
-        powSym_.clear();
-        powSerial_.clear();
-        feasGeom_.clear();
-        feasHead_.clear();
-        limiter_.clear();
-        return;
-    }
-
-    cap_ = std::min(opts.rMax, serialRCap(budget, opts.alpha));
+    // The dynamic CMP has no independent r: its grid is empty, and
+    // best() routes it to optimizeDynamicCmp().
+    cap_ = rules_.isDynamic()
+               ? 0.0
+               : std::min(opts.rMax, serialRCap(budget, opts.alpha));
     rCandidateGridInto(cap_, r_);
     const std::size_t g = r_.size();
     sqrtR_.resize(g);
+    density_.resize(g);
     n_.resize(g);
     parPerf_.resize(g);
     feasGeom_.resize(g);
     feasHead_.resize(g);
     limiter_.resize(g);
 
-    for (std::size_t i = 0; i < g; ++i)
-        sqrtR_[i] = std::sqrt(r_[i]);
-
-    // Table 1 bound passes with the organization dispatch hoisted out
-    // of the loop; every expression matches the scalar powerBoundN /
-    // bandwidthBoundN / thermalBoundN / parallelBound bit-for-bit.
+    // The form dispatch is hoisted out of the loop: each element runs
+    // the form's own rules, the same expressions the scalar oracle
+    // evaluates.
     const double area = budget.area;
-    const double p = budget.power;
-    const double b = budget.bandwidth;
-    const double th = budget.thermal;
-    switch (kind_) {
-      case OrgKind::SymmetricCmp: {
-        powSym_.resize(g);
-        for (std::size_t i = 0; i < g; ++i)
-            powSym_[i] = std::pow(r_[i], alphaHalfM1_);
+    const double alpha = opts.alpha;
+    rules_.visit([&](const auto &form) {
+        const ParallelRows base = form.budgetRows(budget);
+        base_ = base;
         for (std::size_t i = 0; i < g; ++i) {
-            double n_power = p / powSym_[i];
-            double n_bw = b * sqrtR_[i];
-            double n_thermal = th / powSym_[i];
-            n_[i] = std::min({area, n_power, n_bw, n_thermal});
-            limiter_[i] = static_cast<unsigned char>(
-                classifyLimiter(area, n_power, n_bw, n_thermal));
-            parPerf_[i] = (n_[i] / r_[i]) * sqrtR_[i];
+            Candidate c = candidateAt(form, base, r_[i], area, alpha);
+            sqrtR_[i] = c.core.perf;
+            density_[i] = c.core.density;
+            n_[i] = c.bound.n;
+            parPerf_[i] = c.parPerf;
+            limiter_[i] = static_cast<unsigned char>(c.bound.limiter);
         }
-        break;
-      }
-      case OrgKind::AsymmetricCmp: {
-        powSym_.clear();
-        for (std::size_t i = 0; i < g; ++i) {
-            double n_power = p + r_[i];
-            double n_bw = b + r_[i];
-            double n_thermal = th + r_[i];
-            n_[i] = std::min({area, n_power, n_bw, n_thermal});
-            limiter_[i] = static_cast<unsigned char>(
-                classifyLimiter(area, n_power, n_bw, n_thermal));
-            parPerf_[i] = n_[i] - r_[i];
-        }
-        break;
-      }
-      case OrgKind::Heterogeneous: {
-        powSym_.clear();
-        rows_ = ucoreRows(org.ucore, org.bandwidthExempt, budget);
-        for (std::size_t i = 0; i < g; ++i) {
-            double n_power = rows_.power + r_[i];
-            double n_bw = rows_.bandwidth + r_[i];
-            double n_thermal = rows_.thermal + r_[i];
-            n_[i] = std::min({area, n_power, n_bw, n_thermal});
-            limiter_[i] = static_cast<unsigned char>(
-                classifyLimiter(area, n_power, n_bw, n_thermal));
-            parPerf_[i] = mu_ * (n_[i] - r_[i]);
-        }
-        break;
-      }
-      case OrgKind::DynamicCmp:
-        hcm_panic("unreachable: dynamic handled above");
-    }
-
+    });
     for (std::size_t i = 0; i < g; ++i) {
         bool geom = n_[i] >= r_[i];
         feasGeom_[i] = geom ? 1.0 : 0.0;
         feasHead_[i] =
-            geom && n_[i] - r_[i] >= kMinParallelHeadroom ? 1.0 : 0.0;
+            geom && OrgRules::hasHeadroom(r_[i], n_[i]) ? 1.0 : 0.0;
     }
 
     // The MinEnergy selection scans every candidate's energy, so its
@@ -279,51 +279,23 @@ BatchEvaluator::assign(const Organization &org, const Budget &budget,
 const std::vector<double> &
 BatchEvaluator::feasMask(double f) const
 {
-    bool need_headroom = f > 0.0 && (kind_ == OrgKind::AsymmetricCmp ||
-                                     kind_ == OrgKind::Heterogeneous);
-    return need_headroom ? feasHead_ : feasGeom_;
+    return rules_.needsHeadroom(f) ? feasHead_ : feasGeom_;
 }
 
 double
 BatchEvaluator::speedupAt(std::size_t i, double f) const
 {
-    // model::perfSeq short-circuit for f == 0 asymmetric/heterogeneous;
-    // everything else goes through the combine() expression (symmetric
-    // reaches it even at f == 0, exactly like speedupSymmetric()).
-    if (f <= 0.0 && kind_ != OrgKind::SymmetricCmp)
-        return sqrtR_[i];
-    double serial_time = (1.0 - f) / sqrtR_[i];
-    double parallel_time = f > 0.0 ? f / parPerf_[i] : 0.0;
-    return 1.0 / (serial_time + parallel_time);
+    return speedupOf(rules_, sqrtR_[i], parPerf_[i], f);
 }
 
 EnergyBreakdown
 BatchEvaluator::energyAt(std::size_t i, double f) const
 {
-    EnergyBreakdown e;
-    double serial_perf = sqrtR_[i];
     double pow_serial = powSerial_.empty()
-                            ? std::pow(serial_perf, opts_.alpha)
+                            ? std::pow(sqrtR_[i], opts_.alpha)
                             : powSerial_[i];
-    e.serial = (1.0 - f) / serial_perf * pow_serial;
-    if (f <= 0.0)
-        return e;
-    switch (kind_) {
-      case OrgKind::SymmetricCmp: {
-        double power_par = n_[i] * powSym_[i];
-        e.parallel = f / parPerf_[i] * power_par;
-        break;
-      }
-      case OrgKind::AsymmetricCmp:
-        e.parallel = f;
-        break;
-      case OrgKind::Heterogeneous:
-        e.parallel = f * phi_ / mu_;
-        break;
-      case OrgKind::DynamicCmp:
-        hcm_panic("unreachable: dynamic has no grid");
-    }
-    return e;
+    return energyOf(rules_, {r_[i], sqrtR_[i], density_[i]}, n_[i],
+                    parPerf_[i], f, pow_serial);
 }
 
 DesignPoint
@@ -331,11 +303,8 @@ BatchEvaluator::best(double f) const
 {
     hcm_assert(f >= 0.0 && f <= 1.0, "fraction outside [0,1]");
 
-    if (kind_ == OrgKind::DynamicCmp) {
-        Organization dyn;
-        dyn.kind = OrgKind::DynamicCmp;
-        return optimizeDynamicCmp(dyn, f, budget_, opts_);
-    }
+    if (rules_.isDynamic())
+        return optimizeDynamicCmp(dynamicCmp(), f, budget_, opts_);
 
     DesignPoint best;
     best.f = f;
@@ -411,8 +380,7 @@ void
 BatchEvaluator::evaluateAll(double f, std::vector<DesignPoint> &out) const
 {
     hcm_assert(f >= 0.0 && f <= 1.0, "fraction outside [0,1]");
-    hcm_assert(kind_ != OrgKind::DynamicCmp,
-               "dynamic CMP has no candidate grid");
+    hcm_assert(!rules_.isDynamic(), "dynamic CMP has no candidate grid");
     const std::vector<double> &feas = feasMask(f);
     for (std::size_t i = 0; i < r_.size(); ++i) {
         if (feas[i] == 0.0)
@@ -433,88 +401,22 @@ bool
 BatchEvaluator::evaluateContinuous(double r, double f,
                                    DesignPoint &dp) const
 {
-    // Bit-exact twin of the oracle's evaluateAtR(): same bound,
+    // Bit-exact twin of the oracle's evaluateAtR(): the same candidate,
     // feasibility, speedup, and energy expressions at an arbitrary r.
-    double n_power = 0.0;
-    double n_bw = 0.0;
-    double n_thermal = 0.0;
-    switch (kind_) {
-      case OrgKind::SymmetricCmp: {
-        double pow_sym = std::pow(r, alphaHalfM1_);
-        n_power = budget_.power / pow_sym;
-        n_bw = budget_.bandwidth * std::sqrt(r);
-        n_thermal = budget_.thermal / pow_sym;
-        break;
-      }
-      case OrgKind::AsymmetricCmp:
-        n_power = budget_.power + r;
-        n_bw = budget_.bandwidth + r;
-        n_thermal = budget_.thermal + r;
-        break;
-      case OrgKind::Heterogeneous:
-        n_power = rows_.power + r;
-        n_bw = rows_.bandwidth + r;
-        n_thermal = rows_.thermal + r;
-        break;
-      case OrgKind::DynamicCmp:
-        hcm_panic("unreachable: dynamic has no grid");
-    }
-    double n = std::min({budget_.area, n_power, n_bw, n_thermal});
-    if (n < r)
+    Candidate c = rules_.visit([&](const auto &form) {
+        return candidateAt(form, base_, r, budget_.area, opts_.alpha);
+    });
+    if (c.bound.n < r)
         return false;
-    bool need_headroom = f > 0.0 && (kind_ == OrgKind::AsymmetricCmp ||
-                                     kind_ == OrgKind::Heterogeneous);
-    if (need_headroom && n - r < kMinParallelHeadroom)
+    if (rules_.needsHeadroom(f) && !OrgRules::hasHeadroom(r, c.bound.n))
         return false;
-
-    double sqrt_r = std::sqrt(r);
     dp.f = f;
     dp.r = r;
-    dp.n = n;
-    dp.limiter = classifyLimiter(budget_.area, n_power, n_bw, n_thermal);
-
-    double par_perf = 0.0;
-    switch (kind_) {
-      case OrgKind::SymmetricCmp:
-        par_perf = (n / r) * sqrt_r;
-        break;
-      case OrgKind::AsymmetricCmp:
-        par_perf = n - r;
-        break;
-      case OrgKind::Heterogeneous:
-        par_perf = mu_ * (n - r);
-        break;
-      case OrgKind::DynamicCmp:
-        break;
-    }
-    if (f <= 0.0 && kind_ != OrgKind::SymmetricCmp) {
-        dp.speedup = sqrt_r;
-    } else {
-        double serial_time = (1.0 - f) / sqrt_r;
-        double parallel_time = f > 0.0 ? f / par_perf : 0.0;
-        dp.speedup = 1.0 / (serial_time + parallel_time);
-    }
-
-    EnergyBreakdown e;
-    e.serial = (1.0 - f) / sqrt_r * std::pow(sqrt_r, opts_.alpha);
-    if (f > 0.0) {
-        switch (kind_) {
-          case OrgKind::SymmetricCmp: {
-            double power_par = n * std::pow(r, alphaHalfM1_);
-            e.parallel = f / par_perf * power_par;
-            break;
-          }
-          case OrgKind::AsymmetricCmp:
-            e.parallel = f;
-            break;
-          case OrgKind::Heterogeneous:
-            e.parallel = f * phi_ / mu_;
-            break;
-          case OrgKind::DynamicCmp:
-            break;
-        }
-    }
-    dp.energy = e;
+    dp.n = c.bound.n;
+    dp.limiter = c.bound.limiter;
+    dp.speedup = speedupOf(rules_, c.core.perf, c.parPerf, f);
+    dp.energy = energyOf(rules_, c.core, c.bound.n, c.parPerf, f,
+                         std::pow(c.core.perf, opts_.alpha));
     dp.feasible = true;
     return true;
 }

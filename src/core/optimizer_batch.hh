@@ -7,18 +7,20 @@
  * limiter, the parallel-phase performance, and the feasibility masks —
  * so evaluating a parallel fraction f is a handful of branch-free array
  * passes instead of a per-candidate walk through parallelBound /
- * evaluateSpeedup / designEnergy. The organization dispatch, budget
- * validation, and every pow() that does not depend on f are hoisted
- * into assign(); best(f) is then nearly free and can be called for a
+ * evaluateSpeedup / designEnergy. Every element reads the organization's
+ * rules (core/org_rules): assign() resolves the form once and runs its
+ * loop with the form known, so the dispatch, budget validation, and
+ * every pow() that does not depend on f stay out of the per-candidate
+ * and per-f paths; best(f) is then nearly free and can be called for a
  * whole f-grid against one table (the sweep engine does exactly that).
  *
  * Numerical contract: every element is computed by the SAME IEEE-754
  * expression the scalar oracle (the test-only optimizeScalar in
- * tests/oracle, built on the model:: helpers) evaluates —
- * subexpressions are hoisted as whole values, never re-associated — so
- * batch results are BYTE-IDENTICAL to the scalar path (a 0-ULP bound,
- * enforced by tests/core/optimizer_batch_test.cc; see DESIGN.md "SoA
- * batch kernel").
+ * tests/oracle, which states each kind's rules itself on the model::
+ * helpers) evaluates — subexpressions are hoisted as whole values, never
+ * re-associated — so batch results are BYTE-IDENTICAL to the scalar
+ * path (a 0-ULP bound, enforced by tests/core/optimizer_batch_test.cc;
+ * see DESIGN.md "SoA batch kernel").
  * The optional SIMD pass only uses correctly-rounded IEEE ops
  * (divide/add/select), so it preserves bit-identity; it is verified
  * against the scalar pass at startup and falls back if it ever
@@ -132,21 +134,18 @@ class BatchEvaluator
                           DesignPoint &best) const;
 
     // Snapshot of the triple (plain scalars only — no allocation).
-    OrgKind kind_ = OrgKind::SymmetricCmp;
-    double mu_ = 1.0;
-    double phi_ = 1.0;
+    OrgRules rules_;
     Budget budget_;
     OptimizerOptions opts_;
-    double alphaHalfM1_ = 0.0; ///< alpha/2 - 1, the symmetric pow exponent
-    UCoreRows rows_;           ///< heterogeneous rows before the + r
-    double cap_ = 0.0;         ///< serial-bound r cap (continuousR upper)
+    ParallelRows base_; ///< the form's Table 1 rows before r enters
+    double cap_ = 0.0;  ///< serial-bound r cap (continuousR upper)
 
     // SoA tables over the r-candidate grid.
     std::vector<double> r_;        ///< candidate core sizes
     std::vector<double> sqrtR_;    ///< perfSeq(r) = sqrt(r)
+    std::vector<double> density_;  ///< CoreSize::density (Cores: pow)
     std::vector<double> n_;        ///< min of the Table 1 bounds
     std::vector<double> parPerf_;  ///< parallel-phase performance
-    std::vector<double> powSym_;   ///< pow(r, alpha/2-1), symmetric only
     std::vector<double> powSerial_; ///< pow(sqrt r, alpha), MinEnergy only
     std::vector<double> feasGeom_; ///< 1.0 when n >= r
     std::vector<double> feasHead_; ///< 1.0 when also n-r >= headroom

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "amdahl/pollack.hh"
+#include "core/org_rules.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -79,56 +80,32 @@ ParallelismProfile::effectiveWidth() const
     return frac / time;
 }
 
-namespace {
-
-/** Throughput of one profile segment on the given design. */
-double
-segmentPerf(const Organization &org, const ProfileSegment &seg, double r,
-            double n)
-{
-    double core_perf = model::perfSeq(
-        org.kind == OrgKind::DynamicCmp ? n : r);
-
-    // A single sequential task stays on the sequential core — offloading
-    // serial code to a U-core tile is the Section 6.3 "conservation
-    // cores" idea, deliberately outside this model (as in the paper).
-    if (seg.width <= 1.0)
-        return core_perf;
-
-    double fabric_perf = 0.0;
-    switch (org.kind) {
-      case OrgKind::SymmetricCmp: {
-        // Up to n/r cores, each sqrt(r); one task per core.
-        double cores = std::min(seg.width, n / r);
-        fabric_perf = cores * model::perfSeq(r);
-        break;
-      }
-      case OrgKind::AsymmetricCmp:
-        fabric_perf = std::min(seg.width, n - r);
-        break;
-      case OrgKind::Heterogeneous:
-        fabric_perf = org.ucore.mu * std::min(seg.width, n - r);
-        break;
-      case OrgKind::DynamicCmp:
-        fabric_perf = std::min(seg.width, n);
-        break;
-    }
-    return std::max(core_perf, fabric_perf);
-}
-
-} // namespace
-
 double
 profiledSpeedup(const Organization &org, const ParallelismProfile &profile,
                 double r, double n)
 {
     hcm_assert(r > 0.0 && n >= r, "invalid design");
-    double time = 0.0;
-    for (const ProfileSegment &seg : profile.segments()) {
-        if (seg.fraction <= 0.0)
-            continue;
-        time += seg.fraction / segmentPerf(org, seg, r, n);
-    }
+    double time = OrgRules(org).visit([&](const auto &form) {
+        // No throughput here reads alpha; any value serves.
+        CoreSize core = form.size(r, model::kDefaultAlpha);
+        double core_perf = form.serialPerf(core, n);
+        double sum = 0.0;
+        for (const ProfileSegment &seg : profile.segments()) {
+            if (seg.fraction <= 0.0)
+                continue;
+            // A single sequential task stays on the sequential core —
+            // offloading serial code to a U-core tile is the Section 6.3
+            // "conservation cores" idea, deliberately outside this model
+            // (as in the paper). Wider segments run one task per tile.
+            double perf = core_perf;
+            if (seg.width > 1.0)
+                perf = std::max(core_perf,
+                                std::min(seg.width, form.tiles(core, n)) *
+                                    form.tilePerf(core));
+            sum += seg.fraction / perf;
+        }
+        return sum;
+    });
     hcm_assert(time > 0.0, "profile with no work");
     return 1.0 / time;
 }

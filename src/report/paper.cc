@@ -95,8 +95,6 @@ table1AtR4()
     t.setHeaders({"Organization", "area n<=", "power n<=", "bandwidth n<=",
                   "serial r<="});
     for (const Organization &org : paperOrganizations(w)) {
-        if (org.kind == OrgKind::DynamicCmp)
-            continue;
         t.addRow({org.name, fmtSig(areaBoundN(b), 3),
                   fmtSig(powerBoundN(org, r, b, alpha), 3),
                   fmtSig(bandwidthBoundN(org, r, b), 3),

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "amdahl/pollack.hh"
+#include "core/org_rules.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -30,34 +31,16 @@ Machine::fromDesign(const core::Organization &org,
     m.serialPower = model::powerSeq(design.r, alpha);
     m.bandwidth = budget.bandwidth;
 
-    switch (org.kind) {
-      case core::OrgKind::SymmetricCmp: {
+    core::OrgRules rules(org);
+    rules.visit([&](const auto &form) {
+        core::CoreSize core = form.size(design.r, alpha);
         m.tiles = static_cast<std::size_t>(
-            std::floor(design.n / design.r));
-        m.tilePerf = model::perfSeq(design.r);
-        m.tilePower = model::powerSeq(design.r, alpha);
-        break;
-      }
-      case core::OrgKind::AsymmetricCmp:
-        m.tiles = static_cast<std::size_t>(
-            std::floor(design.n - design.r));
-        m.tilePerf = 1.0;
-        m.tilePower = 1.0;
-        break;
-      case core::OrgKind::Heterogeneous:
-        m.tiles = static_cast<std::size_t>(
-            std::floor(design.n - design.r));
-        m.tilePerf = org.ucore.mu;
-        m.tilePower = org.ucore.phi;
-        if (org.bandwidthExempt)
-            m.bandwidth = std::numeric_limits<double>::infinity();
-        break;
-      case core::OrgKind::DynamicCmp:
-        m.tiles = static_cast<std::size_t>(std::floor(design.n));
-        m.tilePerf = 1.0;
-        m.tilePower = 1.0;
-        break;
-    }
+            std::floor(form.tiles(core, design.n)));
+        m.tilePerf = form.tilePerf(core);
+        m.tilePower = form.tilePower(core, alpha);
+    });
+    if (rules.bandwidthExempt())
+        m.bandwidth = std::numeric_limits<double>::infinity();
     hcm_assert(m.tiles >= 1, "design rounds to zero tiles");
     m.check();
     return m;

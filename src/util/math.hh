@@ -63,7 +63,10 @@ bisect(Fn &&fn, double lo, double hi, double tol = 1e-9)
 
 /**
  * Maximize a unimodal function on [lo, hi] by golden-section search.
- * Returns the argmax; the caller re-evaluates for the max value.
+ * Returns the better of the last two probes, not the final bracket's
+ * midpoint: when the maximum sits on an edge past which @p fn falls off
+ * a cliff (an infeasible design), the midpoint can land past the edge.
+ * The caller re-evaluates for the max value.
  */
 template <typename Fn>
 double
@@ -89,7 +92,7 @@ goldenMax(Fn &&fn, double lo, double hi, double tol = 1e-9)
             fd = fn(d);
         }
     }
-    return 0.5 * (a + b);
+    return fc > fd ? c : d;
 }
 
 /** Geometric mean of strictly positive values. */

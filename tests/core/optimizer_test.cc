@@ -217,18 +217,50 @@ TEST(OptimizerTest, ContinuousRefinementEscapesInfeasibilityPlateau)
     EXPECT_NEAR(c.speedup, 2.0412, 1e-3);
 }
 
+TEST(OptimizerTest, ContinuousRefinementKeepsEdgeOptimum)
+{
+    // Regression: the golden-section search returned the midpoint of
+    // its last bracket, which can land just past the edge where n < r.
+    // The refinement then saw an infeasible r and kept the grid answer.
+    // In both cases the optimum sits on that edge, at r = n = A.
+    struct Case
+    {
+        double f, area, power, bandwidth, thermal;
+        double grid_r, r, speedup;
+    };
+    const Case cases[] = {
+        {0.33857837674876184, 3.4870387614914233, 40.878085541603717,
+         201.87354767590841, 93.798582033248721, 3.0, 3.48704, 1.86736},
+        {0.23887618691573334, 1.8558721775346207, 99.518791636086917,
+         197.30960897210304, 40.665676426490236, 1.0, 1.85587, 1.36230},
+    };
+    for (const Case &c : cases) {
+        Budget b{c.area, c.power, c.bandwidth, c.thermal};
+        OptimizerOptions discrete;
+        OptimizerOptions continuous;
+        continuous.continuousR = true;
+        DesignPoint d = optimize(symmetricCmp(), c.f, b, discrete);
+        DesignPoint dp = optimize(symmetricCmp(), c.f, b, continuous);
+        ASSERT_TRUE(d.feasible && dp.feasible) << "f=" << c.f;
+        EXPECT_DOUBLE_EQ(d.r, c.grid_r) << "f=" << c.f;
+        EXPECT_NEAR(dp.r, c.r, 1e-5) << "f=" << c.f;
+        EXPECT_NEAR(dp.speedup, c.speedup, 1e-5) << "f=" << c.f;
+        EXPECT_GT(dp.speedup, d.speedup + 1e-3) << "f=" << c.f;
+    }
+}
+
 TEST(OptimizerTest, ParallelHeadroomAppliesToSharedSerialCoreOrgs)
 {
     // AsymCMP and HET run the parallel phase beside a serial core, so
     // they need n - r headroom whenever there is parallel work at all;
     // SymCMP's cores are the parallel fabric, so it never does.
-    Organization ucore = het(10.0, 1.0);
-    EXPECT_TRUE(needsParallelHeadroom(ucore, 0.5));
-    EXPECT_TRUE(needsParallelHeadroom(asymmetricCmp(), 0.5));
-    EXPECT_FALSE(needsParallelHeadroom(symmetricCmp(), 0.5));
+    OrgRules ucore(het(10.0, 1.0));
+    EXPECT_TRUE(ucore.needsHeadroom(0.5));
+    EXPECT_TRUE(OrgRules(asymmetricCmp()).needsHeadroom(0.5));
+    EXPECT_FALSE(OrgRules(symmetricCmp()).needsHeadroom(0.5));
     // A fully serial workload has no parallel phase to make room for.
-    EXPECT_FALSE(needsParallelHeadroom(ucore, 0.0));
-    EXPECT_FALSE(needsParallelHeadroom(asymmetricCmp(), 0.0));
+    EXPECT_FALSE(ucore.needsHeadroom(0.0));
+    EXPECT_FALSE(OrgRules(asymmetricCmp()).needsHeadroom(0.0));
 }
 
 TEST(OptimizerDeathTest, RejectsBadFraction)

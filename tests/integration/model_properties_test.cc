@@ -3,6 +3,9 @@
  *  budget monotonicity across randomly drawn model instances. */
 
 #include <cmath>
+#include <iomanip>
+#include <limits>
+#include <random>
 
 #include <gtest/gtest.h>
 
@@ -188,6 +191,65 @@ TEST(ModelProperties, LimitersShiftMonotonicallyWithBudgetsAtFixedR)
                 EXPECT_FALSE(seen_non_bw)
                     << "bandwidth-limited after escaping it, trial "
                     << trial << " scale " << scale;
+        }
+    }
+}
+
+TEST(ModelProperties, OptimalSpeedupNeverFallsAsAreaGrows)
+{
+    // Area does not enter serialRCap, so the r grid stays fixed while A
+    // grows; every candidate's n = min(A, rows) can only grow, and so
+    // can the best speedup. Continuous refinement may move the answer
+    // by its golden-section tolerance, hence the 1e-9 relative slack.
+    // (The same law does not hold for P: the fractional grid point at
+    // the serial cap moves as P grows; see EXPERIMENTS.md.)
+    const unsigned seed = 0xa2ea;
+    std::mt19937 gen(seed);
+    std::uniform_real_distribution<double> u01(0.0, 1.0);
+    const double kInf = std::numeric_limits<double>::infinity();
+    for (int trial = 0; trial < 4000; ++trial) {
+        Organization org;
+        switch (trial % 4) {
+          case 0:
+            org = symmetricCmp();
+            break;
+          case 1:
+            org = asymmetricCmp();
+            break;
+          case 2:
+            org.kind = OrgKind::Heterogeneous;
+            org.name = "random-ucore";
+            org.ucore = UCoreParams{0.25 + 64.0 * u01(gen),
+                                    0.05 + 2.0 * u01(gen)};
+            org.bandwidthExempt = u01(gen) < 0.2;
+            break;
+          default:
+            org = dynamicCmp();
+            break;
+        }
+        double f = u01(gen);
+        Budget b{1.0 + 40.0 * u01(gen), 0.5 + 200.0 * u01(gen),
+                 0.5 + 300.0 * u01(gen),
+                 u01(gen) < 0.5 ? 1.0 + 150.0 * u01(gen) : kInf};
+        OptimizerOptions opts;
+        opts.continuousR = trial % 8 < 4;
+        opts.alpha = 1.5 + u01(gen);
+
+        double prev = 0.0;
+        for (int step = 0; step < 6; ++step) {
+            DesignPoint dp = optimize(org, f, b, opts);
+            double speedup = dp.feasible ? dp.speedup : 0.0;
+            EXPECT_GE(speedup, prev * (1.0 - 1e-9))
+                << std::setprecision(17) << "seed=" << seed
+                << " trial=" << trial << " step=" << step << " "
+                << org.name << " mu=" << org.ucore.mu
+                << " phi=" << org.ucore.phi << " f=" << f
+                << " A=" << b.area << " P=" << b.power
+                << " B=" << b.bandwidth << " TH=" << b.thermal
+                << " alpha=" << opts.alpha
+                << " continuousR=" << opts.continuousR;
+            prev = speedup;
+            b.area *= 1.0 + 0.5 * u01(gen);
         }
     }
 }

@@ -1,8 +1,12 @@
 #include "oracle/scalar_oracle.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
 
+#include "amdahl/multicore.hh"
+#include "amdahl/pollack.hh"
 #include "core/projection.hh"
 #include "util/logging.hh"
 #include "util/math.hh"
@@ -12,16 +16,120 @@ namespace core {
 
 namespace {
 
+// The oracle states each organization kind's rules itself, literally,
+// instead of reading core::OrgRules: the batch kernel and the shipped
+// scalar functions read OrgRules, so comparing them with this file
+// checks the rule set against an independent copy.
+
+/** Table 1's parallel rows and area row at r, min'd and classified. */
+ParallelBound
+boundAtR(const Organization &org, double r, const Budget &budget,
+         double alpha)
+{
+    double n_power = 0.0, n_bw = 0.0, n_thermal = 0.0;
+    switch (org.kind) {
+      case OrgKind::SymmetricCmp:
+        n_power = budget.power / std::pow(r, alpha / 2.0 - 1.0);
+        n_bw = budget.bandwidth * std::sqrt(r);
+        n_thermal = budget.thermal / std::pow(r, alpha / 2.0 - 1.0);
+        break;
+      case OrgKind::AsymmetricCmp:
+        n_power = budget.power + r;
+        n_bw = budget.bandwidth + r;
+        n_thermal = budget.thermal + r;
+        break;
+      case OrgKind::Heterogeneous:
+        n_power = budget.power / org.ucore.phi + r;
+        n_bw = org.bandwidthExempt
+                   ? std::numeric_limits<double>::infinity()
+                   : budget.bandwidth / org.ucore.mu + r;
+        n_thermal = budget.thermal / org.ucore.phi + r;
+        break;
+      case OrgKind::DynamicCmp:
+        n_power = budget.power;
+        n_bw = budget.bandwidth;
+        n_thermal = budget.thermal;
+        break;
+    }
+    ParallelBound pb;
+    pb.n = std::min({budget.area, n_power, n_bw, n_thermal});
+    pb.limiter = classifyLimiter(budget.area, n_power, n_bw, n_thermal);
+    return pb;
+}
+
+/** AsymCMP and HET need n - r headroom once there is parallel work. */
+bool
+needsHeadroom(const Organization &org, double f)
+{
+    if (f <= 0.0)
+        return false;
+    return org.kind == OrgKind::AsymmetricCmp ||
+           org.kind == OrgKind::Heterogeneous;
+}
+
+/** The Section 2.1 / 3.3 speedup formulas, by kind. */
+double
+speedupAt(const Organization &org, double f, double r, double n)
+{
+    switch (org.kind) {
+      case OrgKind::SymmetricCmp:
+        return model::speedupSymmetric(f, n, r);
+      case OrgKind::AsymmetricCmp:
+        if (f <= 0.0)
+            return model::perfSeq(r);
+        return model::speedupAsymmetricOffload(f, n, r);
+      case OrgKind::Heterogeneous:
+        if (f <= 0.0)
+            return model::perfSeq(r);
+        return model::speedupHeterogeneous(f, n, r, org.ucore.mu);
+      case OrgKind::DynamicCmp:
+        return model::speedupDynamic(f, n);
+    }
+    hcm_panic("bad organization kind");
+}
+
+/** Serial plus parallel phase energy of design (r, n), by kind. */
+EnergyBreakdown
+energyAt(const Organization &org, double f, double r, double n,
+         double alpha)
+{
+    EnergyBreakdown e;
+    double serial_perf = org.kind == OrgKind::DynamicCmp
+                             ? model::perfSeq(n)
+                             : model::perfSeq(r);
+    e.serial = (1.0 - f) / serial_perf *
+               model::powerForPerf(serial_perf, alpha);
+    if (f <= 0.0)
+        return e;
+    switch (org.kind) {
+      case OrgKind::SymmetricCmp: {
+        double perf_par = (n / r) * model::perfSeq(r);
+        double power_par = n * std::pow(r, alpha / 2.0 - 1.0);
+        e.parallel = f / perf_par * power_par;
+        break;
+      }
+      case OrgKind::AsymmetricCmp:
+      case OrgKind::DynamicCmp:
+        // BCEs at power 1 and perf 1 each.
+        e.parallel = f;
+        break;
+      case OrgKind::Heterogeneous:
+        e.parallel = f * org.ucore.phi / org.ucore.mu;
+        break;
+    }
+    return e;
+}
+
 /** Evaluate a candidate r; nullopt when the design cannot be built. */
 std::optional<DesignPoint>
 evaluateAtR(const Organization &org, double f, double r,
             const Budget &budget, const OptimizerOptions &opts)
 {
-    ParallelBound pb = parallelBound(org, r, budget, opts.alpha);
+    ParallelBound pb = boundAtR(org, r, budget, opts.alpha);
     double n = pb.n;
     if (n < r)
         return std::nullopt; // the sequential core alone overflows a bound
-    if (needsParallelHeadroom(org, f) && n - r < kMinParallelHeadroom)
+    if (needsHeadroom(org, f) && n - r < kMinParallelHeadroom)
         return std::nullopt;
 
     DesignPoint dp;
@@ -29,8 +137,8 @@ evaluateAtR(const Organization &org, double f, double r,
     dp.r = r;
     dp.n = n;
     dp.limiter = pb.limiter;
-    dp.speedup = evaluateSpeedup(org, f, r, n);
-    dp.energy = designEnergy(org, f, r, n, opts.alpha);
+    dp.speedup = speedupAt(org, f, r, n);
+    dp.energy = energyAt(org, f, r, n, opts.alpha);
     dp.feasible = true;
     return dp;
 }

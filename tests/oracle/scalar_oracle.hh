@@ -1,11 +1,12 @@
 /**
  * @file
  * The scalar reference implementations of the design-point search:
- * one candidate at a time through parallelBound() / evaluateSpeedup() /
- * designEnergy(). They are the oracles the SoA batch kernel behind
- * optimize() and enumerateDesigns() is verified against (0-ULP; see
- * DESIGN.md "SoA batch kernel"), so they live with the tests and the
- * batch benchmark, not in the shipped library.
+ * one candidate at a time, with each organization kind's Table 1 rows,
+ * headroom rule, speedup and energy written out per kind rather than
+ * read from core::OrgRules. They are the oracles the SoA batch kernel
+ * behind optimize() and enumerateDesigns() is verified against (0-ULP;
+ * see DESIGN.md "SoA batch kernel"), so they live with the tests and
+ * the batch benchmark, not in the shipped library.
  */
 
 #ifndef HCM_TESTS_ORACLE_SCALAR_ORACLE_HH
