@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "amdahl/pollack.hh"
+#include "core/org_rules.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -29,7 +30,16 @@ matchBaselinePerformance(const Organization &het,
     DesignPoint het_design = optimize(het, f, budget, opts);
     if (!het_design.feasible)
         return res;
-    double fabric_perf = het.ucore.mu * (het_design.n - het_design.r);
+    // The design's fabric as its rules state it: tiles, their
+    // performance, and the energy of the parallel phase on them.
+    double fabric_perf = 0.0;
+    double parallel_energy = 0.0;
+    OrgRules(het).visit([&](const auto &form) {
+        CoreSize core = form.size(het_design.r, opts.alpha);
+        fabric_perf = parallelPerf(form, core, het_design.n);
+        parallel_energy =
+            form.parallelEnergy(f, core, het_design.n, fabric_perf);
+    });
 
     // Required serial perf: (1-f)/p + f/fabric = 1/S0.
     double budget_time = 1.0 / baseline.speedup;
@@ -48,8 +58,7 @@ matchBaselinePerformance(const Organization &het,
     res.serialPerf = p;
     res.serialPower = model::powerForPerf(p, opts.alpha);
     // Energy: serial phase at the slowed point + parallel phase.
-    res.energy = (1.0 - f) / p * res.serialPower +
-                 f * het.ucore.phi / het.ucore.mu;
+    res.energy = (1.0 - f) / p * res.serialPower + parallel_energy;
     return res;
 }
 

@@ -1,5 +1,7 @@
 #include "org_rules.hh"
 
+#include <cmath>
+
 #include "util/logging.hh"
 
 namespace hcm {
@@ -45,6 +47,16 @@ OrgRules::speedup(double f, double r, double n) const
     if (coreAlone(f))
         return model::perfSeq(r);
     return visit([&](const auto &form) { return form.speedup(f, r, n); });
+}
+
+double
+OrgRules::wholeTileN(double r, double n) const
+{
+    return visit([&](const auto &form) {
+        // No area here reads alpha; any value serves.
+        CoreSize core = form.size(r, model::kDefaultAlpha);
+        return form.areaOf(core, std::floor(form.tiles(core, n)));
+    });
 }
 
 } // namespace core

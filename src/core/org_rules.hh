@@ -13,8 +13,9 @@
  *  - Dynamic: all n resources are one sqrt(n) core serially and n BCEs
  *             in parallel (Hill-Marty's upper bound).
  *
- * Each form states its Table 1 rows, its fabric (tile count, tile
- * performance and power), its parallel-phase energy and its speedup;
+ * Each form states its Table 1 rows, its fabric (tile count and the
+ * area that count fills, tile performance and power), its
+ * parallel-phase energy and its speedup;
  * OrgRules adds the n - r headroom rule and the f = 0 short-circuit.
  * Bounds, the optimizer and its batch kernel, energy, profiles and
  * sim::Machine read them here; OrgKind stays for names and legends.
@@ -64,6 +65,8 @@ struct CoresForm
     }
     double serialPerf(const CoreSize &c, double) const { return c.perf; }
     double tiles(const CoreSize &c, double n) const { return n / c.r; }
+    double areaOf(const CoreSize &c, double tiles) const
+    { return tiles * c.r; }
     double tilePerf(const CoreSize &c) const { return c.perf; }
     double tilePower(const CoreSize &c, double alpha) const
     { return model::powerSeq(c.r, alpha); }
@@ -88,6 +91,8 @@ struct OffloadForm
     { return {base.power + c.r, base.bandwidth + c.r, base.thermal + c.r}; }
     double serialPerf(const CoreSize &c, double) const { return c.perf; }
     double tiles(const CoreSize &c, double n) const { return n - c.r; }
+    double areaOf(const CoreSize &c, double tiles) const
+    { return c.r + tiles; }
     double tilePerf(const CoreSize &) const { return tile.mu; }
     double tilePower(const CoreSize &, double) const { return tile.phi; }
     double parallelEnergy(double f, const CoreSize &, double, double) const
@@ -107,6 +112,7 @@ struct DynamicForm
     double serialPerf(const CoreSize &, double n) const
     { return model::perfSeq(n); }
     double tiles(const CoreSize &, double n) const { return n; }
+    double areaOf(const CoreSize &, double tiles) const { return tiles; }
     double tilePerf(const CoreSize &) const { return 1.0; }
     double tilePower(const CoreSize &, double) const { return 1.0; }
     double parallelEnergy(double f, const CoreSize &, double, double) const
@@ -158,6 +164,10 @@ class OrgRules
 
     /** Speedup of a design (r, n) at parallel fraction @p f. */
     double speedup(double f, double r, double n) const;
+
+    /** The n of design (r, n) once its fabric is cut to whole tiles
+     *  (the chip sim::Machine builds). */
+    double wholeTileN(double r, double n) const;
 
   private:
     bool offloads() const

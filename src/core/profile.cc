@@ -85,7 +85,10 @@ profiledSpeedup(const Organization &org, const ParallelismProfile &profile,
                 double r, double n)
 {
     hcm_assert(r > 0.0 && n >= r, "invalid design");
-    double time = OrgRules(org).visit([&](const auto &form) {
+    OrgRules rules(org);
+    if (rules.coreAlone(profile.parallelFraction()))
+        return model::perfSeq(r);
+    double time = rules.visit([&](const auto &form) {
         // No throughput here reads alpha; any value serves.
         CoreSize core = form.size(r, model::kDefaultAlpha);
         double core_perf = form.serialPerf(core, n);
@@ -96,12 +99,12 @@ profiledSpeedup(const Organization &org, const ParallelismProfile &profile,
             // A single sequential task stays on the sequential core —
             // offloading serial code to a U-core tile is the Section 6.3
             // "conservation cores" idea, deliberately outside this model
-            // (as in the paper). Wider segments run one task per tile.
-            double perf = core_perf;
-            if (seg.width > 1.0)
-                perf = std::max(core_perf,
-                                std::min(seg.width, form.tiles(core, n)) *
-                                    form.tilePerf(core));
+            // (as in the paper). Wider segments run on the parallel
+            // fabric, one task per tile, as every parallel phase does.
+            double perf = seg.width > 1.0
+                              ? std::min(seg.width, form.tiles(core, n)) *
+                                    form.tilePerf(core)
+                              : core_perf;
             sum += seg.fraction / perf;
         }
         return sum;
@@ -116,13 +119,25 @@ optimizeProfiled(const Organization &org,
                  OptimizerOptions opts)
 {
     budget.check();
-    DesignPoint best;
-    best.f = profile.parallelFraction();
+    const double f = profile.parallelFraction();
+    OrgRules rules(org);
+    if (rules.isDynamic()) {
+        // No independent r: optimize()'s bounds, serial rows included,
+        // fix the design; only the objective reads the profile.
+        DesignPoint dp = optimizeDynamicCmp(org, f, budget, opts);
+        if (dp.feasible)
+            dp.speedup = profiledSpeedup(org, profile, dp.r, dp.n);
+        return dp;
+    }
 
+    DesignPoint best;
+    best.f = f;
     double cap = std::min(opts.rMax, serialRCap(budget, opts.alpha));
     for (double r : rCandidateGrid(cap)) {
         ParallelBound pb = parallelBound(org, r, budget, opts.alpha);
         if (pb.n < r)
+            continue;
+        if (rules.needsHeadroom(f) && !OrgRules::hasHeadroom(r, pb.n))
             continue;
         double speedup = profiledSpeedup(org, profile, r, pb.n);
         if (!best.feasible || speedup > best.speedup) {
@@ -131,9 +146,7 @@ optimizeProfiled(const Organization &org,
             best.n = pb.n;
             best.speedup = speedup;
             best.limiter = pb.limiter;
-            best.energy = designEnergy(org, best.f, r,
-                                       std::max(pb.n, r + 1e-9),
-                                       opts.alpha);
+            best.energy = designEnergy(org, f, r, pb.n, opts.alpha);
         }
     }
     return best;

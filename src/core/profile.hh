@@ -8,19 +8,19 @@
  *
  * A profile splits baseline execution into segments, each with a
  * parallelism width: the number of concurrent BCE-granularity tasks the
- * software exposes there. A segment runs on whichever side of the chip
- * is faster for it:
+ * software exposes there. Width-1 segments stay on the sequential core
+ * (as in the paper — offloading serial code to U-cores is Section 6.3's
+ * separate "conservation cores" discussion). Wider segments run on the
+ * organization's parallel fabric, as the two-point model's parallel
+ * phase does: min(width, tiles) tiles of the form's tile performance
+ * (n - r tiles of mu on an Offload chip, whose core is powered off
+ * meanwhile; n/r cores of sqrt(r) on a symmetric CMP; n BCEs on a
+ * dynamic CMP).
  *
- *   fabric:  min(width, n - r) tiles, each mu (BCE tiles: mu = 1)
- *   core:    the sqrt(r) sequential core
- *
- * so segment perf = max(perf_seq(r), mu * min(width, tiles)) for
- * parallel segments; width-1 segments stay on the sequential core (as
- * in the paper — offloading serial code to U-cores is Section 6.3's
- * separate "conservation cores" discussion). The classic two-point
- * model is the special case of one width-1 segment plus one
- * infinite-width segment, and profiledSpeedup() reduces to the
- * Section 3.3 formula there (tested).
+ * The classic two-point model is the special case of one width-1 segment
+ * plus one infinite-width segment: on ParallelismProfile::uniform(f),
+ * profiledSpeedup() is the Section 3.3 formula and optimizeProfiled()
+ * returns optimize()'s design for every organization (tested).
  */
 
 #ifndef HCM_CORE_PROFILE_HH
@@ -75,9 +75,8 @@ class ParallelismProfile
 };
 
 /**
- * Speedup of organization @p org on profile @p profile at design (r, n)
- * — each segment on its faster executor (see file comment). Symmetric
- * chips run segments on min(width, n/r) cores of perf sqrt(r).
+ * Speedup of organization @p org on profile @p profile at design (r, n),
+ * each segment by its width's rule (see file comment).
  */
 double profiledSpeedup(const Organization &org,
                        const ParallelismProfile &profile, double r,
@@ -85,8 +84,9 @@ double profiledSpeedup(const Organization &org,
 
 /**
  * Best design for @p org under @p budget for a profiled application:
- * the same Table 1 bounds and r-sweep as optimize(), with
- * profiledSpeedup() as the objective.
+ * the same Table 1 bounds, r grid and n - r headroom rule as optimize()
+ * (without its continuousR refinement), with profiledSpeedup() as the
+ * objective.
  */
 DesignPoint optimizeProfiled(const Organization &org,
                              const ParallelismProfile &profile,

@@ -239,22 +239,24 @@ class FrontDoor::Impl
         ShardBackend &backend = *_backends[index];
         // One slice per hop: batch members dispatch on fan-out
         // workers outside the net.route slice, so the flow start
-        // needs its own enclosing span on this thread.
-        obs::Span span("net.dispatch", "net");
+        // needs its own enclosing span on this thread. Its duration is
+        // the shard hop the flight record keeps.
+        obs::Span span("net.dispatch", "net",
+                       svc::FlightRecorder::instance().enabled());
         span.arg("shard", backend.name());
         if (!q.requestId.empty()) {
             span.arg("rid", q.requestId);
-            if (obs::Tracer::instance().enabled())
+            if (span.active())
                 obs::Tracer::instance().recordFlow("req", "net", 's',
                                                    q.requestId);
         }
         _routed.add(1);
         _routedByShard[index]->add(1);
-        bool flight = svc::FlightRecorder::instance().enabled();
-        std::uint64_t net_start = flight ? obs::Tracer::nowNs() : 0;
         std::string response;
         std::string error;
-        if (!backend.answerQuery(sq, &response, &error)) {
+        bool answered = backend.answerQuery(sq, &response, &error);
+        std::uint64_t net_ns = span.end();
+        if (!answered) {
             _shardUnavailable.add(1);
             _unavailableByShard[index]->add(1);
             hcm_warn("shard unavailable",
@@ -263,8 +265,8 @@ class FrontDoor::Impl
                                                ? "-"
                                                : q.requestId),
                      logField("error", error));
-            recordFlight(q, backend.name(), "shard_unavailable",
-                         flight ? obs::Tracer::nowNs() - net_start : 0);
+            svc::recordFlight(q, "shard_unavailable", 0, 0, net_ns,
+                              backend.name());
             std::size_t outstanding =
                 _outstanding.load(std::memory_order_relaxed);
             // The door's own answer: an id it minted stays out of it.
@@ -281,28 +283,9 @@ class FrontDoor::Impl
         std::string error_type = svc::responseErrorType(response);
         if (error_type == "overloaded")
             _shed.add(1);
-        recordFlight(q, backend.name(),
-                     error_type.empty() ? "ok" : error_type.c_str(),
-                     flight ? obs::Tracer::nowNs() - net_start : 0);
+        svc::recordFlight(q, error_type.empty() ? "ok" : error_type.c_str(),
+                          0, 0, net_ns, backend.name());
         return response;
-    }
-
-    /** Front-door flight record: the shard hop as this process saw it. */
-    static void
-    recordFlight(const svc::Query &q, const std::string &shard,
-                 const char *outcome, std::uint64_t net_ns)
-    {
-        svc::FlightRecorder &recorder =
-            svc::FlightRecorder::instance();
-        if (!recorder.enabled())
-            return;
-        svc::RequestRecord rec;
-        rec.requestId = q.requestId;
-        rec.type = svc::queryTypeName(q.type);
-        rec.shard = shard;
-        rec.outcome = outcome;
-        rec.netNs = net_ns;
-        recorder.record(std::move(rec));
     }
 
     std::string

@@ -183,32 +183,23 @@ runLoadGen(const std::vector<std::string> &requests,
                     rids[i] = tag.fixed;
                 }
             }
-            Clock::time_point before = Clock::now();
+            // The client hop of the merged timeline: the span brackets
+            // the whole round trip, the flow start binds it to the
+            // server-side spans sharing the id. Its duration is the
+            // exact latency reported.
+            obs::Span span("lg.request", "net", true);
+            if (span.active() && !rids[i].empty()) {
+                span.arg("rid", rids[i]);
+                obs::Tracer::instance().recordFlow("req", "net", 's',
+                                                   rids[i]);
+            }
             std::string response;
             std::string io_error;
-            bool ok;
-            {
-                // The client hop of the merged timeline: the span
-                // brackets the whole round trip, the flow start binds
-                // it to the server-side spans sharing the id.
-                obs::Span span("lg.request", "net");
-                if (span.active() && !rids[i].empty()) {
-                    span.arg("rid", rids[i]);
-                    obs::Tracer::instance().recordFlow(
-                        "req", "net", 's', rids[i]);
-                }
-                ok = backend.roundTrip(payload, &response, &io_error);
-            }
-            Clock::time_point after = Clock::now();
-            double ms = std::chrono::duration<double, std::milli>(
-                            after - before)
-                            .count();
-            latencies[i] = ms;
+            bool ok = backend.roundTrip(payload, &response, &io_error);
+            std::uint64_t ns = span.end();
+            latencies[i] = static_cast<double>(ns) / 1e6;
             loadGenMetrics().sent.add(1);
-            loadGenMetrics().latencyNs.record(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    after - before)
-                    .count()));
+            loadGenMetrics().latencyNs.record(ns);
             if (!ok) {
                 responses[i] = "";
                 loadGenMetrics().errors.add(1);

@@ -59,12 +59,6 @@ Tracer::wallAnchorUs()
     return clockAnchor().wallUs;
 }
 
-void
-Tracer::setEnabled(bool on)
-{
-    _enabled.store(on, std::memory_order_relaxed);
-}
-
 Tracer::ThreadBuffer &
 Tracer::localBuffer()
 {

@@ -1,14 +1,15 @@
 /**
  * @file
- * Span-based tracing for the service and simulator hot paths. RAII
- * Span objects time a scope and attach key=value args; completed spans
- * land in per-thread buffers (one short uncontended lock per span) and
- * are exported on demand as Chrome trace_event JSON, loadable in
- * chrome://tracing or Perfetto. Tracing is off by default: a disabled
- * Span construction is one relaxed atomic load and a couple of member
- * stores, so instrumentation can stay in release builds. The buffer is
- * bounded (kMaxEvents across all threads); spans past the cap are
- * counted as dropped rather than growing memory without limit.
+ * Stage timing for the service, network, sweep and simulator paths.
+ * obs::Span is the one RAII timing stage: two clock reads feed every
+ * collector that is on (the Tracer's span, the Profiler's call tree)
+ * and the caller's histograms, flight records and deadline checks.
+ * Completed spans land in per-thread buffers (one short uncontended
+ * lock per span) and are exported as Chrome trace_event JSON, loadable
+ * in chrome://tracing or Perfetto. Off by default: a stage with nothing
+ * on is one relaxed atomic load and a few member stores, so it stays in
+ * release builds. The buffer is bounded (kMaxEvents across all
+ * threads); spans past the cap are counted as dropped.
  */
 
 #ifndef HCM_OBS_TRACE_HH
@@ -22,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/profiler.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -48,18 +50,18 @@ class Tracer
 
     static Tracer &instance();
 
-    void setEnabled(bool on);
+    void setEnabled(bool on) { sink::set(sink::kTrace, on); }
 
     bool
     enabled() const
     {
-        return _enabled.load(std::memory_order_relaxed);
+        return sink::on.load(std::memory_order_relaxed) & sink::kTrace;
     }
 
     /**
-     * Record a completed span with explicit timing (for durations not
-     * tied to one scope, e.g. queue wait measured across threads).
-     * Call only when enabled(); events past kMaxEvents are dropped.
+     * Record a completed span with explicit timing (the Span's trace
+     * sink). Call only when enabled(); events past kMaxEvents are
+     * dropped.
      */
     void recordSpan(const char *name, const char *category,
                     std::uint64_t start_ns, std::uint64_t dur_ns,
@@ -107,8 +109,6 @@ class Tracer
     static std::uint64_t wallAnchorUs();
 
   private:
-    friend class Span;
-
     struct Event
     {
         const char *name;
@@ -135,7 +135,6 @@ class Tracer
     /** Move every buffered event into _retired. */
     void flushBuffers();
 
-    std::atomic<bool> _enabled{false};
     std::atomic<std::uint64_t> _recorded{0};
     std::atomic<std::uint64_t> _dropped{0};
     std::atomic<std::uint32_t> _nextTid{1};
@@ -144,56 +143,112 @@ class Tracer
     std::vector<Event> _retired;
 };
 
+/** An opening time read earlier on the tracing clock (nowNs()). */
+struct Since
+{
+    std::uint64_t ns;
+};
+
 /**
- * RAII span: times its scope and records on destruction when tracing
- * is enabled. Names and categories must be string literals (or
- * otherwise outlive the tracer) — spans never copy them, which keeps
- * the disabled path free of allocation.
+ * RAII stage: reads the tracing clock at most twice, when it opens and
+ * when it closes, and gives that one duration to every collector on at
+ * open and to end()'s caller. Names and categories must be string
+ * literals (or otherwise outlive the collectors): stages never copy
+ * them, which keeps the off path free of allocation.
  */
 class Span
 {
   public:
-    explicit Span(const char *name, const char *category = "hcm")
-        : _active(Tracer::instance().enabled()),
-          _name(name),
+    /**
+     * Opens now; reads the clock only when a collector is on or the
+     * caller wants end()'s duration (@p timed). A null @p name is a
+     * bare timer that feeds no collector.
+     */
+    explicit Span(const char *name, const char *category = "hcm",
+                  bool timed = false)
+        : _name(name),
           _category(category),
-          _startNs(_active ? Tracer::nowNs() : 0)
+          _sinks(name ? sink::on.load(std::memory_order_relaxed) : 0u),
+          _open(_sinks != 0 || timed),
+          _startNs(_open ? openAt(Tracer::nowNs()) : 0)
+    {
+    }
+
+    /** Opens at @p start, possibly read on another thread (a queue
+     *  wait); always timed. */
+    Span(const char *name, const char *category, Since start)
+        : _name(name),
+          _category(category),
+          _sinks(sink::on.load(std::memory_order_relaxed)),
+          _open(true),
+          _startNs(openAt(start.ns))
     {
     }
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
-    ~Span() { end(); }
+    /** With no collector on, an unread duration is never read. */
+    ~Span()
+    {
+        if (_sinks != 0)
+            end();
+    }
 
-    bool active() const { return _active; }
+    /** True when the trace collector takes this span (args kept). */
+    bool active() const { return _sinks & sink::kTrace; }
 
-    /** Attach a key=value annotation (no-op when inactive). */
+    /** The opening time on the tracing clock; 0 when untimed. */
+    std::uint64_t startNs() const { return _startNs; }
+
+    /** Attach a key=value annotation (kept only for the trace). */
     template <typename T>
     void
     arg(const char *key, const T &value)
     {
-        if (_active)
+        if (active() && _open)
             _args.push_back(TraceArg{key, detail::concat(value)});
     }
 
-    /** Record now instead of at scope exit (idempotent). */
-    void
+    /** Close now and return the duration in ns (0 when untimed);
+     *  later calls return it again and feed nothing. */
+    std::uint64_t
     end()
     {
-        if (!_active)
-            return;
-        _active = false;
-        Tracer::instance().recordSpan(_name, _category, _startNs,
-                                      Tracer::nowNs() - _startNs,
-                                      std::move(_args));
+        if (_open) {
+            _open = false;
+            std::uint64_t now = Tracer::nowNs();
+            _durNs = now > _startNs ? now - _startNs : 0;
+            if (_sinks & sink::kTrace)
+                Tracer::instance().recordSpan(_name, _category, _startNs,
+                                              _durNs, std::move(_args));
+            if (_sinks & sink::kProfile)
+                Profiler::instance().exit(_durNs);
+        }
+        return _durNs;
     }
 
   private:
-    bool _active;
+    /**
+     * Open the profile frame if profiling; returns @p start_ns. Runs
+     * in the member initializers, before _args exists, and hands the
+     * collectors values rather than `this`: a stage with nothing on
+     * then compiles down to the one load.
+     */
+    std::uint64_t
+    openAt(std::uint64_t start_ns)
+    {
+        if (_sinks & sink::kProfile)
+            Profiler::instance().enter(_name);
+        return start_ns;
+    }
+
     const char *_name;
     const char *_category;
+    unsigned _sinks; ///< sink::on at open
+    bool _open;      ///< timed and not yet ended
     std::uint64_t _startNs;
+    std::uint64_t _durNs = 0;
     std::vector<TraceArg> _args;
 };
 

@@ -7,6 +7,7 @@
 #include "core/calibration.hh"
 #include "core/crossover.hh"
 #include "core/mixed.hh"
+#include "core/org_rules.hh"
 #include "core/pareto.hh"
 #include "core/projection.hh"
 #include "core/sensitivity.hh"
@@ -816,9 +817,7 @@ validateDesigns(std::ostream &os, const wl::Workload &w, double f)
             sim::ChipSimulator(m).run(sim::TaskGraph::amdahl(f, 50000));
 
         double n_discrete =
-            org.kind == core::OrgKind::SymmetricCmp
-                ? static_cast<double>(m.tiles) * design.r
-                : design.r + static_cast<double>(m.tiles);
+            core::OrgRules(org).wholeTileN(design.r, design.n);
         double discrete =
             core::evaluateSpeedup(org, f, design.r, n_discrete);
         double simulated = stats.speedup(1.0);

@@ -6,7 +6,7 @@
 #include <functional>
 
 #include "obs/metrics.hh"
-#include "prof/profiler.hh"
+#include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace hcm {
@@ -60,7 +60,7 @@ ChipSimulator::ChipSimulator(Machine machine, Schedule schedule)
 SimStats
 ChipSimulator::run(const TaskGraph &program)
 {
-    prof::Scope run_scope("sim.run", "sim");
+    obs::Span run_scope("sim.run", "sim");
     run_scope.arg("phases", program.phases().size());
     run_scope.arg("tiles", _machine.tiles);
     SimStats stats;
@@ -92,7 +92,7 @@ void
 ChipSimulator::runSerial(const Phase &phase, EventQueue &queue,
                          SimStats &stats)
 {
-    prof::Scope phase_scope("sim.phase", "sim");
+    obs::Span phase_scope("sim.phase", "sim");
     phase_scope.arg("kind", "serial");
     phase_scope.arg("work", phase.work);
     SimCounters::instance().serialPhases.add(1);
@@ -113,7 +113,7 @@ void
 ChipSimulator::runParallel(const Phase &phase, EventQueue &queue,
                            SimStats &stats)
 {
-    prof::Scope phase_scope("sim.phase", "sim");
+    obs::Span phase_scope("sim.phase", "sim");
     phase_scope.arg("kind", "parallel");
     phase_scope.arg("work", phase.work);
     phase_scope.arg("chunks", phase.chunks);

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <ostream>
 #include <utility>
 
 #include "obs/trace.hh"
-#include "prof/profiler.hh"
 #include "svc/backpressure.hh"
 #include "svc/fault.hh"
 #include "svc/flight_recorder.hh"
@@ -16,15 +14,6 @@
 namespace hcm {
 namespace svc {
 namespace {
-
-std::uint64_t
-elapsedNs(std::chrono::steady_clock::time_point start)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-}
 
 /**
  * Runs its function at scope exit, exceptions included — the miss
@@ -76,23 +65,6 @@ operator<<(std::ostream &os, const QueryFields &fields)
         os << logField("node", q.node);
     return os << logField("device",
                           q.device ? dev::deviceName(*q.device) : "*");
-}
-
-/** One flight-recorder entry for a locally-served query. */
-void
-recordFlight(const Query &q, const char *outcome,
-             std::uint64_t queue_ns, std::uint64_t eval_ns)
-{
-    FlightRecorder &recorder = FlightRecorder::instance();
-    if (!recorder.enabled())
-        return;
-    RequestRecord rec;
-    rec.requestId = q.requestId;
-    rec.type = queryTypeName(q.type);
-    rec.outcome = outcome;
-    rec.queueNs = queue_ns;
-    rec.evalNs = eval_ns;
-    recorder.record(std::move(rec));
 }
 
 /**
@@ -172,27 +144,17 @@ QueryEngine::Pending::get() const
 void
 QueryEngine::runMiss(const Query &q, const std::string &key,
                      std::promise<ResultPtr> &prom, std::uint64_t submit_ns,
-                     std::uint64_t deadline_ns,
-                     std::chrono::steady_clock::time_point start)
+                     std::uint64_t deadline_at)
 {
-    std::uint64_t wait_ns = 0;
-    if (submit_ns > 0) {
-        std::uint64_t now = obs::Tracer::nowNs();
-        wait_ns = now > submit_ns ? now - submit_ns : 0;
-        if (obs::Tracer::instance().enabled()) {
-            std::vector<obs::TraceArg> wargs = {
-                {"type", queryTypeName(q.type)}};
-            if (!q.requestId.empty())
-                wargs.push_back({"rid", q.requestId});
-            obs::Tracer::instance().recordSpan(
-                "svc.queue_wait", "svc", submit_ns, wait_ns,
-                std::move(wargs));
-        }
-        // Queue wait has no RAII scope (it straddles threads), so
-        // hand the measured duration to the profiler directly.
-        prof::Profiler::instance().record("svc.queue_wait", wait_ns);
-    }
-    auto task_start = std::chrono::steady_clock::now();
+    // The queue wait straddles threads: it opened at the hand-off on
+    // the submitting thread and closes here, at dequeue.
+    obs::Span wait("svc.queue_wait", "svc", obs::Since{submit_ns});
+    wait.arg("type", queryTypeName(q.type));
+    if (!q.requestId.empty())
+        wait.arg("rid", q.requestId);
+    const std::uint64_t wait_ns = wait.end();
+    const std::uint64_t dequeue_ns = submit_ns + wait_ns;
+    std::uint64_t eval_ns = 0;
     ResultPtr result;
     bool hit = false;
     // The seed bug this layer kills: nothing below may leave the
@@ -203,16 +165,16 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
             result = errorAnswer(
                 q, QueryErrorKind::EvaluationFailed,
                 "internal error: worker produced no result");
-        // Erase before resolving: a waiter that has seen the
-        // result must also see the key gone, so its retry starts
-        // a fresh evaluation instead of rendezvousing with a
-        // finished one.
         recordFlight(q,
                      result->ok()
                          ? (hit ? "hit" : "ok")
                          : queryErrorKindName(result->errorKind)
                                .c_str(),
-                     wait_ns, elapsedNs(task_start));
+                     wait_ns, eval_ns);
+        // Erase before resolving: a waiter that has seen the
+        // result must also see the key gone, so its retry starts
+        // a fresh evaluation instead of rendezvousing with a
+        // finished one.
         {
             std::lock_guard<std::mutex> inner(_inflightMu);
             _inflight.erase(key);
@@ -221,7 +183,7 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
     });
     try {
         FaultInjector::instance().maybeInject("dequeue");
-        if (deadline_ns > 0 && elapsedNs(start) > deadline_ns) {
+        if (deadline_at > 0 && dequeue_ns > deadline_at) {
             // Abandoned in the queue: don't burn the worker on it.
             _metrics.recordDeadlineExceeded();
             result = errorAnswer(q, QueryErrorKind::DeadlineExceeded,
@@ -236,10 +198,12 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
             hit = result != nullptr;
         }
         if (!result) {
-            prof::Scope eval_scope("svc.eval", "svc");
-            eval_scope.arg("type", queryTypeName(q.type));
+            // Evaluation starts where the wait ended, so the two
+            // stages tile the task's time from hand-off to answer.
+            obs::Span eval("svc.eval", "svc", obs::Since{dequeue_ns});
+            eval.arg("type", queryTypeName(q.type));
             if (!q.requestId.empty())
-                eval_scope.arg("rid", q.requestId);
+                eval.arg("rid", q.requestId);
             try {
                 FaultInjector::instance().maybeInject("eval");
                 // Render once and keep only the bytes: every later
@@ -248,14 +212,15 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
                 result = std::make_shared<const Answer>(
                     renderAnswer(evaluateQuery(q)));
             } catch (...) {
-                eval_scope.arg("outcome", "error");
+                eval.arg("outcome", "error");
+                eval_ns = eval.end();
                 throw;
             }
-            eval_scope.end();
+            eval_ns = eval.end();
             if (_cache)
                 _cache->put(key, result);
         }
-        if (deadline_ns > 0 && elapsedNs(start) > deadline_ns) {
+        if (deadline_at > 0 && dequeue_ns + eval_ns > deadline_at) {
             // Evaluated, but past its deadline: the cache keeps
             // the value for a retry; this waiter gets the error.
             _metrics.recordDeadlineExceeded();
@@ -280,8 +245,9 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
             "evaluation failed with a non-standard exception");
         return;
     }
-    std::uint64_t eval_ns = elapsedNs(task_start);
-    _metrics.recordQuery(q.type, eval_ns, hit);
+    // A double-check hit evaluated nothing: its latency is the wait
+    // before the answer was known, as an acquire-time hit's is.
+    _metrics.recordQuery(q.type, hit ? wait_ns : eval_ns, hit);
     if (_opts.slowQueryNs > 0 &&
         wait_ns + eval_ns > _opts.slowQueryNs)
         noteSlowQuery(q, wait_ns, eval_ns);
@@ -290,27 +256,28 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
 QueryEngine::Pending
 QueryEngine::acquire(const Query &q, const std::string &key, bool run_here)
 {
-    auto start = std::chrono::steady_clock::now();
-    // One scope per query on the submitting thread; the miss task adds
-    // queue-wait and eval scopes (nested here when it runs inline).
-    prof::Scope query_scope("svc.query", "svc");
-    query_scope.arg("type", queryTypeName(q.type));
+    // One timed stage per query on the submitting thread. It opens at
+    // the query's admission (the deadline's origin), and on a hit its
+    // duration is what every sink records. The miss task adds
+    // queue-wait and eval stages (nested here when it runs inline).
+    obs::Span query("svc.query", "svc", true);
+    query.arg("type", queryTypeName(q.type));
     if (!q.requestId.empty()) {
-        query_scope.arg("rid", q.requestId);
+        query.arg("rid", q.requestId);
         // Finish the flow the ingress started: Perfetto draws the
         // arrow from the front door's dispatch slice into this shard's
         // svc.query slice once the traces are merged.
-        if (obs::Tracer::instance().enabled())
+        if (query.active())
             obs::Tracer::instance().recordFlow("req", "net", 'f',
                                                q.requestId);
     }
     // Fast path: a warm hit never touches the pool.
     if (_cache) {
-        prof::Scope lookup_scope("svc.cache.lookup", "svc");
+        obs::Span lookup("svc.cache.lookup", "svc");
         if (ResultPtr hit = _cache->get(key)) {
-            lookup_scope.end();
-            query_scope.arg("outcome", "hit");
-            std::uint64_t hit_ns = elapsedNs(start);
+            lookup.end();
+            query.arg("outcome", "hit");
+            std::uint64_t hit_ns = query.end();
             _metrics.recordQuery(q.type, hit_ns, true);
             recordFlight(q, "hit", 0, hit_ns);
             if (_opts.slowQueryNs > 0 && hit_ns > _opts.slowQueryNs)
@@ -325,7 +292,7 @@ QueryEngine::acquire(const Query &q, const std::string &key, bool run_here)
         std::lock_guard<std::mutex> lock(_inflightMu);
         auto it = _inflight.find(key);
         if (it != _inflight.end()) {
-            query_scope.arg("outcome", "inflight");
+            query.arg("outcome", "inflight");
             return {nullptr, it->second}; // someone is computing it
         }
         prom = std::make_shared<std::promise<ResultPtr>>();
@@ -336,29 +303,29 @@ QueryEngine::acquire(const Query &q, const std::string &key, bool run_here)
     // here, and finishing tasks need that mutex to erase their
     // entries. Later acquirers of this key rendezvous on the map entry
     // made above and wait on the future, not the queue.
-    bool timing_wanted = obs::Tracer::instance().enabled() ||
-                         prof::Profiler::instance().enabled() ||
-                         FlightRecorder::instance().enabled() ||
-                         _opts.slowQueryNs > 0;
-    std::uint64_t submit_ns = timing_wanted ? obs::Tracer::nowNs() : 0;
     std::uint64_t deadline_ns = effectiveDeadlineNs(q);
+    std::uint64_t deadline_at =
+        deadline_ns > 0 ? query.startNs() + deadline_ns : 0;
+    // A bare timer marks the hand-off: its opening read is where the
+    // queue wait starts, on whichever thread the task then runs.
+    std::uint64_t submit_ns = obs::Span(nullptr, nullptr, true).startNs();
     if (run_here && _pool.tryRunHere([&] {
-            runMiss(q, key, *prom, submit_ns, deadline_ns, start);
+            runMiss(q, key, *prom, submit_ns, deadline_at);
         })) {
         // A free worker slot and an empty queue: handing the task to a
         // worker would only add a wake-up, so it ran here, in full.
-        query_scope.arg("outcome", "miss");
+        query.arg("outcome", "miss");
         return {fut.get(), {}};
     }
-    auto task = [this, q, key, prom, submit_ns, deadline_ns, start] {
-        runMiss(q, key, *prom, submit_ns, deadline_ns, start);
+    auto task = [this, q, key, prom, submit_ns, deadline_at] {
+        runMiss(q, key, *prom, submit_ns, deadline_at);
     };
     if (!_pool.trySubmit(std::move(task), _opts.admissionWaitNs)) {
         // Admission shed the task (queue saturated for the whole
         // bounded wait, or the pool is stopping). Resolve the promise
         // ourselves — piggybacked waiters get the same error — and
         // clear the in-flight entry so a retry starts fresh.
-        query_scope.arg("outcome", "rejected");
+        query.arg("outcome", "rejected");
         _metrics.recordRejected();
         recordFlight(q, "overloaded", 0, 0);
         bool stopping = _pool.stopping();
@@ -373,7 +340,7 @@ QueryEngine::acquire(const Query &q, const std::string &key, bool run_here)
         prom->set_value(error);
         return {std::move(error), {}};
     }
-    query_scope.arg("outcome", "miss");
+    query.arg("outcome", "miss");
     return {nullptr, std::move(fut)};
 }
 
@@ -392,8 +359,8 @@ QueryEngine::evaluate(const Query &q, const std::string &key)
 std::vector<QueryEngine::ResultPtr>
 QueryEngine::evaluateBatch(const std::vector<Query> &queries)
 {
-    prof::Scope batch_scope("svc.batch", "svc");
-    batch_scope.arg("queries", queries.size());
+    obs::Span batch("svc.batch", "svc");
+    batch.arg("queries", queries.size());
     std::vector<Pending> pending;
     pending.reserve(queries.size());
     // Batch-local dedup keeps repeated queries down to one future even

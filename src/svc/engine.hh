@@ -22,7 +22,6 @@
 #ifndef HCM_SVC_ENGINE_HH
 #define HCM_SVC_ENGINE_HH
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <future>
@@ -152,12 +151,13 @@ class QueryEngine
     /**
      * The miss task: evaluate @p q (deadline and fault checks, render,
      * cache insert) and always resolve @p prom and erase the in-flight
-     * entry, on whichever thread runs it.
+     * entry, on whichever thread runs it. @p submit_ns is the
+     * hand-off time and @p deadline_at the absolute deadline (0 =
+     * none), both on the tracing clock.
      */
     void runMiss(const Query &q, const std::string &key,
                  std::promise<ResultPtr> &prom, std::uint64_t submit_ns,
-                 std::uint64_t deadline_ns,
-                 std::chrono::steady_clock::time_point start);
+                 std::uint64_t deadline_at);
 
     /** Count + log one query past the slow threshold. */
     void noteSlowQuery(const Query &q, std::uint64_t wait_ns,

@@ -88,5 +88,24 @@ FlightRecorder::writeJson(JsonWriter &json) const
     json.endObject();
 }
 
+void
+recordFlight(const Query &q, const char *outcome, std::uint64_t queue_ns,
+             std::uint64_t eval_ns, std::uint64_t net_ns,
+             const std::string &shard)
+{
+    FlightRecorder &recorder = FlightRecorder::instance();
+    if (!recorder.enabled())
+        return;
+    RequestRecord rec;
+    rec.requestId = q.requestId;
+    rec.type = queryTypeName(q.type);
+    rec.shard = shard;
+    rec.outcome = outcome;
+    rec.queueNs = queue_ns;
+    rec.evalNs = eval_ns;
+    rec.netNs = net_ns;
+    recorder.record(std::move(rec));
+}
+
 } // namespace svc
 } // namespace hcm

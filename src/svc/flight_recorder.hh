@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "svc/query.hh"
 #include "util/json.hh"
 
 namespace hcm {
@@ -85,6 +86,12 @@ class FlightRecorder
     std::size_t _next = 0; ///< ring slot the next record lands in
     std::uint64_t _recorded = 0;
 };
+
+/** Record @p q when the recorder is on, with its stages' durations;
+ *  @p shard is the owning shard at a front door ("" when local). */
+void recordFlight(const Query &q, const char *outcome,
+                  std::uint64_t queue_ns, std::uint64_t eval_ns,
+                  std::uint64_t net_ns = 0, const std::string &shard = "");
 
 } // namespace svc
 } // namespace hcm

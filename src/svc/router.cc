@@ -3,9 +3,9 @@
 #include <sstream>
 
 #include "obs/metrics.hh"
+#include "obs/profiler.hh"
 #include "obs/request_id.hh"
 #include "obs/trace.hh"
-#include "prof/profiler.hh"
 #include "svc/flight_recorder.hh"
 #include "svc/request.hh"
 
@@ -111,7 +111,7 @@ RequestRouter::answerVerb(const ParsedRequest &request, std::string *body)
         // The aggregated profile tree as one JSON body (empty roots
         // when profiling is off).
         std::ostringstream oss;
-        prof::Profiler::instance().writeJson(oss);
+        obs::Profiler::instance().writeJson(oss);
         *body = oss.str();
     }
     return true;

@@ -1,5 +1,7 @@
 #include "thread_pool.hh"
 
+#include <chrono>
+
 #include "util/logging.hh"
 
 namespace hcm {
@@ -137,9 +139,9 @@ ThreadPool::tryTakeSlot()
 }
 
 void
-ThreadPool::releaseCallerSlot(std::chrono::steady_clock::time_point start)
+ThreadPool::releaseCallerSlot(std::uint64_t dur_ns)
 {
-    recordTask(start);
+    recordTask(dur_ns);
     bool queued, stopping;
     {
         std::lock_guard<std::mutex> lock(_mu);
@@ -157,12 +159,9 @@ ThreadPool::releaseCallerSlot(std::chrono::steady_clock::time_point start)
 }
 
 void
-ThreadPool::recordTask(std::chrono::steady_clock::time_point start)
+ThreadPool::recordTask(std::uint64_t dur_ns)
 {
-    _taskLatencyNs.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count()));
+    _taskLatencyNs.record(dur_ns);
     _tasksRun.add(1);
 }
 
@@ -183,10 +182,10 @@ ThreadPool::workerLoop()
         _queueDepth.set(static_cast<std::int64_t>(_queue.size()));
         lock.unlock();
         _notFull.notify_one();
-        auto start = std::chrono::steady_clock::now();
+        obs::Span timer(nullptr, nullptr, true);
         task();
         task = nullptr; // release its captures before taking the lock
-        recordTask(start);
+        recordTask(timer.end());
         lock.lock();
         --_running;
     }

@@ -19,7 +19,6 @@
 #ifndef HCM_SVC_THREAD_POOL_HH
 #define HCM_SVC_THREAD_POOL_HH
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 
 namespace hcm {
 namespace svc {
@@ -89,9 +89,8 @@ class ThreadPool
         struct Slot
         {
             ThreadPool &pool;
-            std::chrono::steady_clock::time_point start =
-                std::chrono::steady_clock::now();
-            ~Slot() { pool.releaseCallerSlot(start); }
+            obs::Span timer{nullptr, nullptr, true};
+            ~Slot() { pool.releaseCallerSlot(timer.end()); }
         } slot{*this};
         task();
         return true;
@@ -123,11 +122,11 @@ class ThreadPool
     /** Take a slot for a caller-run task (tryRunHere()'s admission). */
     bool tryTakeSlot();
 
-    /** Give back a caller's slot and record its task from @p start. */
-    void releaseCallerSlot(std::chrono::steady_clock::time_point start);
+    /** Give back a caller's slot and record its @p dur_ns long task. */
+    void releaseCallerSlot(std::uint64_t dur_ns);
 
-    /** Count one finished task in the pool instruments. */
-    void recordTask(std::chrono::steady_clock::time_point start);
+    /** Count one finished, @p dur_ns long task in the pool instruments. */
+    void recordTask(std::uint64_t dur_ns);
 
     mutable std::mutex _mu;
     std::condition_variable _notEmpty;

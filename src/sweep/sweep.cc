@@ -8,7 +8,7 @@
 
 #include "core/optimizer_batch.hh"
 #include "obs/metrics.hh"
-#include "prof/profiler.hh"
+#include "obs/trace.hh"
 #include "svc/thread_pool.hh"
 #include "util/logging.hh"
 
@@ -67,7 +67,7 @@ validate(const SweepSpec &spec)
 void
 evaluateUnit(const Unit &unit, SweepRow &row)
 {
-    prof::Scope scope("sweep.unit", "sweep");
+    obs::Span scope("sweep.unit", "sweep");
     scope.arg("workload", row.workload);
     scope.arg("f", row.f);
     scope.arg("scenario", row.scenario);
@@ -201,7 +201,7 @@ runSweep(const SweepSpec &spec, const SweepOptions &opts)
                            ? opts.jobs
                            : std::max(1u,
                                       std::thread::hardware_concurrency());
-    prof::Scope run_scope("sweep.run", "sweep");
+    obs::Span run_scope("sweep.run", "sweep");
     run_scope.arg("units", units.size());
     run_scope.arg("jobs", jobs);
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -156,6 +158,45 @@ TEST(ProfileTest, OptimizeProfiledMatchesClassicOnUniform)
     ASSERT_TRUE(profiled.feasible && classic.feasible);
     EXPECT_NEAR(profiled.speedup / classic.speedup, 1.0, 1e-6);
     EXPECT_DOUBLE_EQ(profiled.r, classic.r);
+}
+
+TEST(ProfileTest, UniformProfileMatchesOptimizeOnEveryForm)
+{
+    // The two-point profile is the classic model, so optimizeProfiled()
+    // must return optimize()'s design for every form: Cores, Offload
+    // (the unit-tile asymmetric CMP and a drawn U-core) and Dynamic.
+    std::mt19937_64 rng(20101204);
+    std::uniform_real_distribution<double> area(1.0, 13.0);
+    std::uniform_real_distribution<double> power(0.5, 200.0);
+    std::uniform_real_distribution<double> bandwidth(1.0, 300.0);
+    std::uniform_real_distribution<double> fraction(0.0, 1.0);
+    std::uniform_real_distribution<double> mu(0.5, 50.0);
+    std::uniform_real_distribution<double> phi(0.2, 5.0);
+    for (int draw = 0; draw < 2000; ++draw) {
+        Budget b{area(rng), power(rng), bandwidth(rng)};
+        double f = draw % 100 == 0 ? (draw % 200 == 0 ? 0.0 : 1.0)
+                                   : fraction(rng);
+        std::vector<Organization> orgs = {symmetricCmp(), asymmetricCmp(),
+                                          dynamicCmp(),
+                                          het(mu(rng), phi(rng))};
+        for (const Organization &o : orgs) {
+            DesignPoint want = optimize(o, f, b);
+            DesignPoint got =
+                optimizeProfiled(o, ParallelismProfile::uniform(f), b);
+            std::string where = o.name + " draw " + std::to_string(draw) +
+                                " f=" + std::to_string(f) +
+                                " A=" + std::to_string(b.area) +
+                                " P=" + std::to_string(b.power) +
+                                " B=" + std::to_string(b.bandwidth);
+            ASSERT_EQ(got.feasible, want.feasible) << where;
+            if (!want.feasible)
+                continue;
+            EXPECT_EQ(got.r, want.r) << where;
+            EXPECT_EQ(got.n, want.n) << where;
+            EXPECT_EQ(got.speedup, want.speedup) << where;
+            EXPECT_EQ(got.limiter, want.limiter) << where;
+        }
+    }
 }
 
 TEST(ProfileTest, InfeasibleBudgetsReportInfeasible)

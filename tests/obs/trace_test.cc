@@ -1,5 +1,8 @@
-/** @file Tests for span tracing and the Chrome trace_event exporter. */
+/** @file Tests for span tracing, the stage's sinks and clock reads,
+ *  and the Chrome trace_event exporter. */
 
+#include <chrono>
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -224,6 +227,115 @@ TEST_F(TraceTest, NowNsIsMonotonic)
     std::uint64_t a = Tracer::nowNs();
     std::uint64_t b = Tracer::nowNs();
     EXPECT_GE(b, a);
+}
+
+/** Stages feed both collectors, so these tests reset both. */
+class StageTest : public TraceTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        TraceTest::SetUp();
+        Profiler::instance().setEnabled(false);
+        Profiler::instance().clear();
+    }
+
+    void
+    TearDown() override
+    {
+        Profiler::instance().setEnabled(false);
+        Profiler::instance().clear();
+        TraceTest::TearDown();
+    }
+
+    static void
+    spin()
+    {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+};
+
+TEST_F(StageTest, TraceAndProfileGetTheDurationEndReturns)
+{
+    Tracer::instance().setEnabled(true);
+    Profiler::instance().setEnabled(true);
+    std::uint64_t dur = 0;
+    {
+        Span span("test.both", "test");
+        spin();
+        dur = span.end();
+    }
+    Tracer::instance().setEnabled(false);
+    EXPECT_GT(dur, 0u);
+
+    auto doc = exportTrace();
+    ASSERT_TRUE(doc);
+    const JsonValue *events = doc->find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->size(), 1u);
+    EXPECT_EQ(std::llround(events->items()[0].find("dur")->asNumber() *
+                           1e3),
+              static_cast<long long>(dur));
+
+    std::ostringstream profile;
+    Profiler::instance().writeJson(profile);
+    auto tree = JsonValue::parse(profile.str());
+    ASSERT_TRUE(tree);
+    const JsonValue &root = tree->find("roots")->items()[0];
+    EXPECT_EQ(root.find("name")->asString(), "test.both");
+    EXPECT_EQ(root.find("totalNs")->asNumber(), static_cast<double>(dur));
+}
+
+TEST_F(StageTest, UntimedStageWithNothingOnReadsNoClock)
+{
+    Span span("test.off", "test");
+    EXPECT_FALSE(span.active());
+    EXPECT_EQ(span.startNs(), 0u);
+    EXPECT_EQ(span.end(), 0u);
+}
+
+TEST_F(StageTest, TimedStageMeasuresWithNothingOn)
+{
+    Span span("test.timed", "test", true);
+    spin();
+    std::uint64_t dur = span.end();
+    EXPECT_GE(dur, 200'000u);
+    EXPECT_EQ(span.end(), dur); // idempotent, same duration
+    EXPECT_EQ(Tracer::instance().spanCount(), 0u);
+    EXPECT_EQ(Profiler::instance().siteCount(), 0u);
+}
+
+TEST_F(StageTest, ExplicitStartCountsFromThatInstant)
+{
+    Tracer::instance().setEnabled(true);
+    std::uint64_t start = Tracer::nowNs();
+    spin();
+    Span span("test.since", "test", Since{start});
+    std::uint64_t dur = span.end();
+    Tracer::instance().setEnabled(false);
+    EXPECT_EQ(span.startNs(), start);
+    EXPECT_GE(dur, 200'000u);
+    auto doc = exportTrace();
+    ASSERT_TRUE(doc);
+    const JsonValue &ev = doc->find("traceEvents")->items()[0];
+    EXPECT_EQ(std::llround(ev.find("ts")->asNumber() * 1e3),
+              static_cast<long long>(start));
+}
+
+TEST_F(StageTest, NamelessTimerFeedsNoCollector)
+{
+    Tracer::instance().setEnabled(true);
+    Profiler::instance().setEnabled(true);
+    std::uint64_t dur = 0;
+    {
+        Span timer(nullptr, nullptr, true);
+        spin();
+        dur = timer.end();
+    }
+    EXPECT_GE(dur, 200'000u);
+    EXPECT_EQ(Tracer::instance().spanCount(), 0u);
+    EXPECT_EQ(Profiler::instance().siteCount(), 0u);
 }
 
 } // namespace

@@ -3,6 +3,7 @@
  *  request-lifecycle failure paths (errors, deadlines, overload). */
 
 #include <chrono>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -11,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/profiler.hh"
+#include "obs/trace.hh"
 #include "svc/engine.hh"
 #include "svc/fault.hh"
+#include "svc/flight_recorder.hh"
 #include "util/json_parse.hh"
 #include "util/logging.hh"
 
@@ -293,6 +297,58 @@ class LogCapture
     std::ostream *_previousSink;
     LogLevel _previousThreshold;
 };
+
+TEST(QueryEngineTest, ServedHitReportsOneDurationToEverySink)
+{
+    // One hit, one pair of clock reads: the trace span, the profile
+    // node, the flight record and the latency histogram all carry the
+    // duration of the query's svc.query stage.
+    Query q = mixedQueries().front();
+    QueryEngine engine(options(2, 64));
+    engine.evaluate(q); // warm the cache: the next call is a hit
+    obs::Tracer &tracer = obs::Tracer::instance();
+    obs::Profiler &profiler = obs::Profiler::instance();
+    FlightRecorder &recorder = FlightRecorder::instance();
+    tracer.clear();
+    profiler.clear();
+    recorder.configure(8);
+    std::uint64_t before = engine.metrics().snapshot(q.type).latency.sum();
+    tracer.setEnabled(true);
+    profiler.setEnabled(true);
+    engine.evaluate(q);
+    tracer.setEnabled(false);
+    profiler.setEnabled(false);
+    std::uint64_t hist_ns =
+        engine.metrics().snapshot(q.type).latency.sum() - before;
+    std::vector<RequestRecord> records = recorder.snapshot();
+    recorder.configure(0);
+    std::ostringstream trace_text, profile_text;
+    tracer.writeChromeTrace(trace_text);
+    profiler.writeJson(profile_text);
+    tracer.clear();
+    profiler.clear();
+
+    ASSERT_GT(hist_ns, 0u);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].outcome, "hit");
+    EXPECT_EQ(records[0].evalNs, hist_ns);
+
+    auto trace = JsonValue::parse(trace_text.str());
+    ASSERT_TRUE(trace);
+    double dur_us = -1.0;
+    for (const JsonValue &ev : trace->find("traceEvents")->items())
+        if (ev.find("name")->asString() == "svc.query")
+            dur_us = ev.find("dur")->asNumber();
+    ASSERT_GE(dur_us, 0.0);
+    EXPECT_EQ(std::llround(dur_us * 1e3), static_cast<long long>(hist_ns));
+
+    auto profile = JsonValue::parse(profile_text.str());
+    ASSERT_TRUE(profile);
+    const JsonValue &root = profile->find("roots")->items()[0];
+    ASSERT_EQ(root.find("name")->asString(), "svc.query");
+    EXPECT_EQ(root.find("totalNs")->asNumber(),
+              static_cast<double>(hist_ns));
+}
 
 TEST(QueryEngineTest, SlowQueriesAreLoggedAndCounted)
 {

@@ -28,11 +28,11 @@
 #include "obs/build_info.hh"
 #include "obs/metrics.hh"
 #include "obs/process_metrics.hh"
+#include "obs/profiler.hh"
 #include "obs/trace.hh"
 #include "obs/trace_merge.hh"
 #include "plot/figure.hh"
 #include "prof/bench_results.hh"
-#include "prof/profiler.hh"
 #include "report/export.hh"
 #include "report/paper.hh"
 #include "report/studies.hh"
@@ -606,7 +606,7 @@ class TraceSession
 };
 
 /**
- * RAII profiling session: --profile-out enables the scoped profiler
+ * RAII profiling session: --profile-out enables the profiler
  * for the command's lifetime and writes the aggregated profile —
  * collapsed-stack text or the JSON tree — on scope exit.
  */
@@ -617,14 +617,14 @@ class ProfileSession
         : _path(opts.profileOut), _format(opts.profileFormat)
     {
         if (!_path.empty())
-            prof::Profiler::instance().setEnabled(true);
+            obs::Profiler::instance().setEnabled(true);
     }
 
     ~ProfileSession()
     {
         if (_path.empty())
             return;
-        prof::Profiler &profiler = prof::Profiler::instance();
+        obs::Profiler &profiler = obs::Profiler::instance();
         profiler.setEnabled(false);
         std::ofstream out(_path);
         std::size_t sites = profiler.siteCount();
