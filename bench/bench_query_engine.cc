@@ -2,13 +2,16 @@
  *  engine: batch throughput versus worker-thread count and cache
  *  state, the cost of a hit through to its answer bytes, a single
  *  miss through evaluate(), the one-time JSON render per query type,
- *  packing and expanding the cached answer bytes, and building a key
- *  and looking it up. The acceptance ratio for the subsystem is the
+ *  formatting one answer-like double at 12 and 17 digits, packing and
+ *  expanding the cached answer bytes, and building a key and looking
+ *  it up. The acceptance ratio for the subsystem is the
  *  warm-cache 8-thread batch against the cold-cache single-thread
  *  batch. */
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "svc/cache.hh"
 #include "svc/engine.hh"
 #include "svc/request.hh"
+#include "util/format.hh"
 
 namespace {
 
@@ -181,6 +185,44 @@ BENCHMARK_CAPTURE(BM_RenderQueryResult, energy, svc::QueryType::Energy);
 BENCHMARK_CAPTURE(BM_RenderQueryResult, pareto, svc::QueryType::Pareto);
 BENCHMARK_CAPTURE(BM_RenderQueryResult, projection,
                   svc::QueryType::Projection);
+
+/**
+ * Formatting one double as "%.{precision}g" (formatGeneral), the unit
+ * of every answer's render (12 digits) and every CSV cell (17). The
+ * iterations cycle through a fixed seeded set shaped like answer
+ * fields: full-precision model outputs from 0.01 to 1000, short
+ * fractions such as 0.75, and small integers such as r and node.
+ */
+void
+BM_FormatDouble(benchmark::State &state)
+{
+    const int precision = static_cast<int>(state.range(0));
+    constexpr std::size_t kValues = 1024; // a power of two: i wraps by mask
+    std::mt19937_64 rng(20101204);
+    std::uniform_real_distribution<double> exponent(-2.0, 3.0);
+    std::vector<double> values;
+    for (std::size_t i = 0; i < kValues; ++i) {
+        switch (i % 3) {
+        case 0:
+            values.push_back(std::pow(10.0, exponent(rng)));
+            break;
+        case 1:
+            values.push_back(static_cast<double>(rng() % 100) / 100.0);
+            break;
+        default:
+            values.push_back(static_cast<double>(rng() % 64));
+        }
+    }
+    char buf[kGeneralRoom];
+    std::size_t i = 0;
+    for (auto _ : state) {
+        char *end = formatGeneral(buf, values[i], precision);
+        benchmark::DoNotOptimize(end);
+        benchmark::ClobberMemory();
+        i = (i + 1) & (kValues - 1);
+    }
+}
+BENCHMARK(BM_FormatDouble)->Arg(12)->Arg(17);
 
 /** The golden answer mix's queries; empty when the file is missing. */
 std::vector<svc::Query>

@@ -1,12 +1,193 @@
 #include "format.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 namespace hcm {
+
+namespace {
+
+using u128 = unsigned __int128;
+
+/** formatGeneral's exact path takes |k| <= this in m * 2^e * 10^k. */
+constexpr int kMaxScale = 27;
+
+/** 5^0 .. 5^27; 5^27 < 2^63. */
+constexpr auto kPow5 = [] {
+    struct Table
+    {
+        std::uint64_t at[kMaxScale + 1] = {};
+    } table;
+    table.at[0] = 1;
+    for (int i = 1; i <= kMaxScale; ++i)
+        table.at[i] = table.at[i - 1] * 5;
+    return table;
+}();
+
+/** 10^0 .. 10^17. */
+constexpr auto kPow10 = [] {
+    struct Table
+    {
+        std::uint64_t at[18] = {};
+    } table;
+    table.at[0] = 1;
+    for (int i = 1; i < 18; ++i)
+        table.at[i] = table.at[i - 1] * 10;
+    return table;
+}();
+
+/** "00" "01" .. "99": two digits per store. */
+constexpr auto kDigitPairs = [] {
+    struct Table
+    {
+        char at[200] = {};
+    } table;
+    for (int i = 0; i < 100; ++i) {
+        table.at[2 * i] = static_cast<char>('0' + i / 10);
+        table.at[2 * i + 1] = static_cast<char>('0' + i % 10);
+    }
+    return table;
+}();
+
+/** Write the @p count low digits of @p v backwards from @p end. */
+inline void
+writeDigits(char *end, std::uint32_t v, int count)
+{
+    for (; count >= 2; count -= 2) {
+        end -= 2;
+        std::memcpy(end, kDigitPairs.at + 2 * (v % 100), 2);
+        v /= 100;
+    }
+    if (count)
+        end[-1] = static_cast<char>('0' + v);
+}
+
+/**
+ * round-half-even(m * 2^e * 10^k), exactly, for m < 2^53,
+ * |k| <= kMaxScale and a result of at least 1 and below 2^64. For
+ * k >= 0 the product m * 5^k fits in 116 bits and is divided by a power
+ * of two; for k < 0 the divisor is 5^-k < 2^63, times a power of two
+ * when e + k < 0.
+ */
+std::uint64_t
+scaleRounded(std::uint64_t m, int e, int k)
+{
+    int s = e + k; // 10^k = 5^k * 2^k leaves the power 2^s
+    if (k >= 0) {
+        u128 num = u128(m) * kPow5.at[k];
+        if (s >= 0)
+            return static_cast<std::uint64_t>(num << s); // an integer
+        // The quotient is the high bits, the remainder the low ones.
+        u128 q = num >> -s;
+        u128 rem = num - (q << -s);
+        u128 half = u128(1) << (-s - 1);
+        return static_cast<std::uint64_t>(q) +
+               (rem > half || (rem == half && (q & 1)));
+    }
+    u128 num = m;
+    u128 den = kPow5.at[-k];
+    if (s >= 0)
+        num <<= s;
+    else
+        den <<= -s;
+    u128 q = num / den;
+    u128 rem2 = 2 * (num - q * den);
+    return static_cast<std::uint64_t>(q) +
+           (rem2 > den || (rem2 == den && (q & 1)));
+}
+
+} // namespace
+
+char *
+formatGeneral(char *dst, double v, int precision)
+{
+    const int P = precision;
+    std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    int biased = static_cast<int>(bits >> 52) & 0x7ff;
+    std::uint64_t fraction = bits & ((std::uint64_t(1) << 52) - 1);
+    if (biased == 0 && fraction == 0) {
+        if (bits >> 63)
+            *dst++ = '-';
+        *dst++ = '0';
+        return dst;
+    }
+    auto fallback = [&] {
+        return std::to_chars(dst, dst + kGeneralRoom, v,
+                             std::chars_format::general, precision)
+            .ptr;
+    };
+    if (biased == 0 || biased == 0x7ff)
+        return fallback(); // subnormal, inf or nan
+
+    // |v| = m * 2^e, in [2^b, 2^(b+1)). Its decimal exponent x is at
+    // least floor(b * log10(2)) (b * 78913 >> 18 is that floor for
+    // every normal b), and one more when |v| >= 10^that or when
+    // rounding to P digits carries into a (P+1)th: scale by 10^k,
+    // k = P - 1 - x, and step x up while the rounded significand d has
+    // more than P digits.
+    std::uint64_t m = fraction | std::uint64_t(1) << 52;
+    int e = biased - 1075;
+    int b = biased - 1023;
+    int k = P - 1 - ((b * 78913) >> 18);
+    if (k < -kMaxScale || k > kMaxScale)
+        return fallback();
+    std::uint64_t d = scaleRounded(m, e, k);
+    while (d >= kPow10.at[P]) {
+        if (--k < -kMaxScale)
+            return fallback();
+        d = scaleRounded(m, e, k);
+    }
+    const int x = P - 1 - k;
+
+    // The P digits of d, in two independent halves below 10^8 and
+    // 10^9; then the significant ones: %g drops trailing zeros (and a
+    // bare decimal point). The layout reads up to 33 bytes.
+    char digits[40] = {};
+    if (P > 8) {
+        writeDigits(digits + P, static_cast<std::uint32_t>(d % 100000000),
+                    8);
+        writeDigits(digits + P - 8,
+                    static_cast<std::uint32_t>(d / 100000000), P - 8);
+    } else {
+        writeDigits(digits + P, static_cast<std::uint32_t>(d), P);
+    }
+    int n = P;
+    while (n > 1 && digits[n - 1] == '0')
+        --n;
+
+    // The layout copies fixed-size blocks (variable-length copies were
+    // half the routine's time) and moves the end past the kept digits.
+    if (bits >> 63)
+        *dst++ = '-';
+    if (x < -4 || x >= P) {
+        // Scientific: d[.ddd]e±XX; the scale window keeps |x| < 100.
+        dst[0] = digits[0];
+        dst[1] = '.';
+        std::memcpy(dst + 2, digits + 1, 16);
+        dst += n > 1 ? n + 1 : 1;
+        dst[0] = 'e';
+        dst[1] = x < 0 ? '-' : '+';
+        std::memcpy(dst + 2, kDigitPairs.at + 2 * (x < 0 ? -x : x), 2);
+        return dst + 4;
+    }
+    if (x >= 0) {
+        // Fixed: x + 1 integer digits, all kept, then the fraction.
+        std::memcpy(dst, digits, 17);
+        dst[x + 1] = '.';
+        std::memcpy(dst + x + 2, digits + x + 1, 16);
+        return dst + (n > x + 1 ? n + 1 : x + 1);
+    }
+    // Fixed below 1: "0." and -x - 1 zeros before the digits.
+    std::memcpy(dst, "0.000000", 8);
+    std::memcpy(dst + 1 - x, digits, 17);
+    return dst + 1 - x + n;
+}
 
 std::string
 fmtFixed(double value, int precision)

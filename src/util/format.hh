@@ -10,6 +10,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,19 +30,37 @@ std::string fmtFixed(double value, int precision);
 std::string fmtSig(double value, int sig = 3);
 
 /**
- * Append @p v as printf "%.17g" would print it — the standard defines
- * to_chars(general, 17) as exactly that, and 17 significant digits
- * round-trip every double. The one home of the round-trip-exact text
- * form: canonical query keys, sweep CSV cells and Prometheus bucket
- * bounds all print through it.
+ * Bytes formatGeneral() may write at its destination: the text, at most
+ * 24 bytes ("-2.2250738585072014e-308"), and scratch past its end, for
+ * it lays digits out with fixed-size copies (at most 35 bytes in all).
+ */
+inline constexpr std::size_t kGeneralRoom = 40;
+
+/**
+ * Write @p v at @p dst exactly as printf "%.*g" prints it, with
+ * @p precision (1 to 17) significant digits, in the "C" locale; returns
+ * the end of the text. @p dst needs kGeneralRoom bytes of room.
+ *
+ * A normal double whose decimal exponent is within 27 of the precision
+ * (1e-16 to 1e38 at precision 12, 1e-11 to 1e43 at 17) is rounded
+ * half-even in 128-bit integers and laid out here; ±0 is written
+ * directly; everything else (subnormals, far exponents, inf and nan)
+ * goes through std::to_chars(general, precision), which the standard
+ * defines as the same "%.*g".
+ */
+char *formatGeneral(char *dst, double v, int precision);
+
+/**
+ * Append @p v as printf "%.17g" would print it (formatGeneral); 17
+ * significant digits round-trip every double. The one home of the
+ * round-trip-exact text form: sweep CSV cells and Prometheus bucket
+ * bounds print through it.
  */
 inline void
 appendDouble17(std::string &out, double v)
 {
-    char buf[32]; // "-2.2250738585072014e-308" is the longest: 24 chars
-    auto result = std::to_chars(buf, buf + sizeof(buf), v,
-                                std::chars_format::general, 17);
-    out.append(buf, result.ptr);
+    char buf[kGeneralRoom];
+    out.append(buf, formatGeneral(buf, v, 17));
 }
 
 /** Format in scientific notation with @p precision mantissa digits. */

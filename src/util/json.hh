@@ -21,13 +21,14 @@
 #ifndef HCM_UTIL_JSON_HH
 #define HCM_UTIL_JSON_HH
 
-#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <ostream>
 #include <string>
 #include <string_view>
+
+#include "util/format.hh"
 
 namespace hcm {
 
@@ -62,7 +63,10 @@ class JsonWriter
     /** Emit an object key; the next emission is its value. */
     JsonWriter &key(std::string_view name);
 
-    /** Finite doubles print as printf "%.12g"; inf/nan as null. */
+    /**
+     * Finite doubles print as printf "%.12g" (formatGeneral); inf/nan
+     * as null.
+     */
     JsonWriter &value(double v);
     JsonWriter &value(long long v);
     JsonWriter &value(int v) { return value(static_cast<long long>(v)); }
@@ -302,17 +306,9 @@ JsonWriter::key(std::string_view name)
 inline JsonWriter &
 JsonWriter::value(double v)
 {
-    char *p = beforeValue(room(33));
+    char *p = beforeValue(room(kGeneralRoom + 1));
     if (std::isfinite(v)) {
-        // The standard defines to_chars(general, precision) as printf
-        // "%.*g" in the "C" locale, so these are "%.12g"'s bytes
-        // without snprintf's format parsing and locale lookup; at most
-        // 19 of them.
-        auto [end, ec] = std::to_chars(p, p + 32, v,
-                                       std::chars_format::general, 12);
-        if (ec != std::errc())
-            misuse("to_chars overflowed");
-        p = end;
+        p = formatGeneral(p, v, 12); // "%.12g": at most 19 bytes
     } else {
         std::memcpy(p, "null", 4); // JSON has no inf/nan
         p += 4;

@@ -583,6 +583,15 @@ TEST(CliTest, ServeMetricsVerbSupportsPromFormat)
         << bad_out;
 }
 
+// Regression: without --port, serve --shards N answered from one
+// engine on stdin and never said so.
+TEST(CliTest, ServeShardsNeedsPort)
+{
+    expectFatal("serve --shards 2 < /dev/null", "--shards 2 needs --port");
+    auto [code, out] = runCli("serve --shards 1 < /dev/null");
+    EXPECT_EQ(code, 0) << out;
+}
+
 // --cache-entries 0 is how to serve without the answer cache.
 TEST(CliTest, CacheEntriesZeroDisablesTheCache)
 {

@@ -1200,6 +1200,10 @@ waitForShutdownSignal()
 int
 cmdServe(const Options &opts)
 {
+    // The stdin/stdout loop serves one engine; sharding is the TCP
+    // front door's.
+    if (opts.port < 0 && opts.shards > 1)
+        hcm_fatal("serve: --shards ", opts.shards, " needs --port");
     // Quiet by default: stdout carries the wire protocol, and stderr
     // chatter is noise for a supervised daemon (satellite: Warn).
     applyLogOptions(opts, true);
