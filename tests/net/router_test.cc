@@ -2,12 +2,14 @@
 
 #include <memory>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "net/front_door.hh"
 #include "net/server.hh"
+#include "obs/metrics.hh"
 #include "svc/engine.hh"
 #include "svc/fault.hh"
 #include "svc/flight_recorder.hh"
@@ -125,6 +127,63 @@ TEST(RequestRouterTest, AnswersMetricsVerb)
         router.route(R"({"type":"metrics","format":"xml"})");
     EXPECT_NE(bad.body.find("metrics format must be json or prom"),
               std::string::npos);
+}
+
+/** The process registry's JSON document as it reads now. */
+std::string
+processJson()
+{
+    std::string doc;
+    JsonWriter json(doc);
+    obs::globalRegistry().writeJson(json);
+    return doc;
+}
+
+/** The process registry's Prometheus series as they read now. */
+std::string
+processProm()
+{
+    std::ostringstream out;
+    obs::globalRegistry().writePrometheus(out);
+    return out.str();
+}
+
+// On a quiesced engine every metrics payload is exactly the bytes its
+// parts write: the engine's document (or series), then the process
+// registry's. One worker and single queries keep every instrument
+// update on this thread, so nothing moves between the two reads.
+TEST(RequestRouterTest, MetricsPayloadsAreTheirPartsBytes)
+{
+    svc::EngineOptions opts;
+    opts.threads = 1;
+    svc::QueryEngine engine(opts);
+    svc::RequestRouter router(engine);
+    const std::string query = R"({"type":"optimize","workload":"mmm"})";
+    router.route(query);
+    router.route(query); // a hit
+    std::string svc_doc;
+    {
+        JsonWriter json(svc_doc);
+        engine.writeMetricsJson(json);
+    }
+    std::ostringstream svc_prom;
+    engine.writeMetricsProm(svc_prom);
+
+    EXPECT_EQ(router.route(R"({"type":"metrics"})").body, svc_doc);
+    EXPECT_EQ(router.route(R"({"type":"metrics","scope":"svc"})").body,
+              svc_doc);
+    std::string all = "{\"svc\":" + svc_doc + ",\"process\":" +
+                      processJson() + "}";
+    EXPECT_EQ(router.route(R"({"type":"metrics","scope":"all"})").body,
+              all);
+    std::string prom = svc_prom.str() + processProm();
+    EXPECT_EQ(router.route(R"({"type":"metrics","format":"prom"})").body,
+              prom);
+    EXPECT_EQ(router
+                  .route(R"({"type":"metrics","format":"prom",)"
+                         R"("scope":"all"})")
+                  .body,
+              prom);
 }
 
 TEST(RequestRouterTest, MalformedRequestAnswersError)
@@ -450,6 +509,22 @@ TEST(FrontDoorTest, MetricsScopeErrorsMatchTheRouter)
         EXPECT_EQ(tier.front.handle(verb).rfind("{\"error\"", 0),
                   std::string::npos)
             << verb;
+}
+
+// The door has no engine: both JSON scopes answer the bare process
+// registry document, and Prometheus its series.
+TEST(FrontDoorTest, MetricsScopesAnswerTheProcessRegistryBytes)
+{
+    TwoShardFixture tier;
+    for (const char *verb : {R"({"type":"metrics"})",
+                             R"({"type":"metrics","scope":"svc"})",
+                             R"({"type":"metrics","scope":"all"})"}) {
+        std::string expected = processJson();
+        EXPECT_EQ(tier.front.handle(verb), expected) << verb;
+    }
+    std::string expected = processProm();
+    EXPECT_EQ(tier.front.handle(R"({"type":"metrics","format":"prom"})"),
+              expected);
 }
 
 TEST(FrontDoorTest, TypelessShardErrorIsRecordedAsError)

@@ -119,6 +119,33 @@ TEST(ServeControlVerbTest, PromBlockEndsWithBlankLine)
         << text.substr(gap + 2, 40);
 }
 
+// runBatch's "metrics" member is the engine's own document, written
+// after every answer resolved; the rest is the results-only bytes.
+TEST(RunBatchTest, MetricsMemberIsTheEngineDocument)
+{
+    const std::string batch =
+        R"([{"type":"optimize","workload":"mmm","f":0.9,"node":22},)"
+        R"({"type":"energy","workload":"mmm","f":0.9,"node":11},)"
+        R"({"type":"optimize","workload":"mmm","f":0.9,"node":22}])";
+    std::string error;
+    QueryEngine reference(smallEngine());
+    std::ostringstream results_only;
+    ASSERT_TRUE(runBatch(batch, reference, results_only, &error, true))
+        << error;
+    QueryEngine engine(smallEngine());
+    std::ostringstream out;
+    ASSERT_TRUE(runBatch(batch, engine, out, &error)) << error;
+    std::string doc;
+    {
+        JsonWriter json(doc);
+        engine.writeMetricsJson(json);
+    }
+    std::string results = results_only.str();
+    ASSERT_EQ(results.substr(results.size() - 2), "}\n");
+    EXPECT_EQ(out.str(), results.substr(0, results.size() - 2) +
+                             ",\"metrics\":" + doc + "}\n");
+}
+
 // served counts successful evaluations only: parse failures and error
 // results (here a fault-injected evaluation) answer with an error line
 // but do not count.
