@@ -16,6 +16,7 @@
 #include "svc/backpressure.hh"
 #include "svc/flight_recorder.hh"
 #include "svc/request.hh"
+#include "svc/service.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
 
@@ -342,14 +343,7 @@ class FrontDoor::Impl
         auto format = svc::verbFormat(request, true, &body);
         if (!format || !svc::metricsScope(request, &body))
             return body;
-        if (*format == "prom") {
-            std::ostringstream oss;
-            obs::globalRegistry().writePrometheus(oss);
-            return oss.str();
-        }
-        JsonWriter json(body);
-        obs::globalRegistry().writeJson(json);
-        return body;
+        return svc::metricsPayload(nullptr, *format, "svc");
     }
 
     /** The fleet verb: per-shard telemetry plus this door's counters. */

@@ -21,6 +21,23 @@ CacheStats::writeJson(JsonWriter &json) const
     json.endObject();
 }
 
+void
+CacheStats::writePrometheus(std::ostream &out) const
+{
+    out << "# TYPE hcm_svc_cache_hits_total counter\n"
+        << "hcm_svc_cache_hits_total " << hits << "\n"
+        << "# TYPE hcm_svc_cache_misses_total counter\n"
+        << "hcm_svc_cache_misses_total " << misses << "\n"
+        << "# TYPE hcm_svc_cache_evictions_total counter\n"
+        << "hcm_svc_cache_evictions_total " << evictions << "\n"
+        << "# TYPE hcm_svc_cache_entries gauge\n"
+        << "hcm_svc_cache_entries " << entries << "\n"
+        << "# TYPE hcm_svc_cache_bytes gauge\n"
+        << "hcm_svc_cache_bytes " << bytes << "\n"
+        << "# TYPE hcm_svc_cache_capacity gauge\n"
+        << "hcm_svc_cache_capacity " << capacity << "\n";
+}
+
 QueryCache::QueryCache(std::size_t capacity, std::size_t shards)
     : _capacity(capacity)
 {

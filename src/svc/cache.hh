@@ -18,6 +18,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -49,6 +50,9 @@ struct CacheStats
 
     /** Emit {"hits": ..., "hitRate": ...} (one JSON object). */
     void writeJson(JsonWriter &json) const;
+
+    /** The same counters as hcm_svc_cache_* Prometheus series. */
+    void writePrometheus(std::ostream &out) const;
 };
 
 /** Sharded LRU cache: canonical key -> shared immutable answer. */

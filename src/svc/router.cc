@@ -2,12 +2,12 @@
 
 #include <sstream>
 
-#include "obs/metrics.hh"
 #include "obs/profiler.hh"
 #include "obs/request_id.hh"
 #include "obs/trace.hh"
 #include "svc/flight_recorder.hh"
 #include "svc/request.hh"
+#include "svc/service.hh"
 
 namespace hcm {
 namespace svc {
@@ -69,33 +69,14 @@ RequestRouter::answerVerb(const ParsedRequest &request, std::string *body)
     if (verb == "metrics") {
         // "scope" widens the JSON payload: "svc" (the default,
         // byte-compatible with pre-fleet clients) is the engine's own
-        // registry; "all" wraps it with the process-wide one, which is
-        // what the fleet collector scrapes for queue depth, uptime,
-        // and RSS.
+        // document; "all" wraps it with the process-wide registry,
+        // which is what the fleet collector scrapes for queue depth,
+        // uptime, and RSS. Prometheus text keeps its trailing newline
+        // so the line transport's delimiter becomes the blank line
+        // that terminates the block.
         auto scope = metricsScope(request, body);
-        if (!scope)
-            return true;
-        if (*format == "prom") {
-            // Prometheus text is multi-line; keep the trailing newline
-            // so the line transport's delimiter becomes the blank line
-            // that terminates the block.
-            std::ostringstream oss;
-            _engine.writeMetricsProm(oss);
-            obs::globalRegistry().writePrometheus(oss);
-            *body = oss.str();
-            return true;
-        }
-        JsonWriter json(*body);
-        if (*scope == "all") {
-            json.beginObject();
-            json.key("svc");
-            _engine.writeMetricsJson(json);
-            json.key("process");
-            obs::globalRegistry().writeJson(json);
-            json.endObject();
-        } else {
-            _engine.writeMetricsJson(json);
-        }
+        if (scope)
+            *body = metricsPayload(&_engine, *format, *scope);
     } else if (verb == "requests") {
         // The flight recorder's ring as one JSON body (capacity 0 and
         // no records when the process never sized it).

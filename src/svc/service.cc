@@ -1,5 +1,8 @@
 #include "service.hh"
 
+#include <sstream>
+
+#include "obs/metrics.hh"
 #include "svc/request.hh"
 #include "svc/router.hh"
 #include "util/format.hh"
@@ -7,6 +10,37 @@
 
 namespace hcm {
 namespace svc {
+
+std::string
+metricsPayload(const QueryEngine *engine, std::string_view format,
+               std::string_view scope)
+{
+    const obs::Registry &process = obs::globalRegistry();
+    if (format == "prom") {
+        std::ostringstream out;
+        if (engine)
+            engine->writeMetricsProm(out);
+        process.writePrometheus(out);
+        return out.str();
+    }
+    std::string body;
+    JsonWriter json(body);
+    if (scope == "all") {
+        json.beginObject();
+        if (engine) {
+            json.key("svc");
+            engine->writeMetricsJson(json);
+        }
+        json.key("process");
+        process.writeJson(json);
+        json.endObject();
+    } else if (engine) {
+        engine->writeMetricsJson(json);
+    } else {
+        process.writeJson(json);
+    }
+    return body;
+}
 
 bool
 runBatch(const std::string &text, QueryEngine &engine, std::ostream &out,
@@ -24,7 +58,7 @@ runBatch(const std::string &text, QueryEngine &engine, std::ostream &out,
     if (!results_only)
         metrics = [&] {
             json.key("metrics");
-            engine.writeMetricsJson(json);
+            json.raw(metricsPayload(&engine, "json", "svc"));
         };
     writeBatchAnswer(
         json, answers.size(),

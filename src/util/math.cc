@@ -1,36 +1,10 @@
 #include "math.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "logging.hh"
 
 namespace hcm {
-
-std::vector<double>
-linspace(double lo, double hi, std::size_t count)
-{
-    hcm_assert(count >= 2, "linspace needs at least two points");
-    std::vector<double> out(count);
-    double step = (hi - lo) / static_cast<double>(count - 1);
-    for (std::size_t i = 0; i < count; ++i)
-        out[i] = lo + step * static_cast<double>(i);
-    out.back() = hi;
-    return out;
-}
-
-std::vector<double>
-logspace(double lo, double hi, std::size_t count)
-{
-    hcm_assert(lo > 0.0 && hi > 0.0, "logspace needs positive bounds");
-    std::vector<double> exps = linspace(std::log(lo), std::log(hi), count);
-    std::vector<double> out(count);
-    for (std::size_t i = 0; i < count; ++i)
-        out[i] = std::exp(exps[i]);
-    out.front() = lo;
-    out.back() = hi;
-    return out;
-}
 
 double
 lerp(double x0, double y0, double x1, double y1, double x)
@@ -67,55 +41,6 @@ interpLinear(const std::vector<double> &xs, const std::vector<double> &ys,
     hcm_assert(xs.size() == ys.size(), "knot vectors must match");
     std::size_t i = segmentIndex(xs, x);
     return lerp(xs[i], ys[i], xs[i + 1], ys[i + 1], x);
-}
-
-double
-interpLogLog(const std::vector<double> &xs, const std::vector<double> &ys,
-             double x)
-{
-    hcm_assert(xs.size() == ys.size(), "knot vectors must match");
-    hcm_assert(x > 0.0, "interpLogLog needs positive x");
-    std::size_t i = segmentIndex(xs, x);
-    hcm_assert(xs[i] > 0.0 && xs[i + 1] > 0.0 && ys[i] > 0.0 &&
-               ys[i + 1] > 0.0, "interpLogLog needs positive knots");
-    double ly = lerp(std::log(xs[i]), std::log(ys[i]), std::log(xs[i + 1]),
-                     std::log(ys[i + 1]), std::log(x));
-    return std::exp(ly);
-}
-
-double
-geomean(const std::vector<double> &values)
-{
-    hcm_assert(!values.empty(), "geomean of empty set");
-    double acc = 0.0;
-    for (double v : values) {
-        hcm_assert(v > 0.0, "geomean needs positive values");
-        acc += std::log(v);
-    }
-    return std::exp(acc / static_cast<double>(values.size()));
-}
-
-double
-mean(const std::vector<double> &values)
-{
-    hcm_assert(!values.empty(), "mean of empty set");
-    double acc = 0.0;
-    for (double v : values)
-        acc += v;
-    return acc / static_cast<double>(values.size());
-}
-
-double
-relError(double a, double b)
-{
-    double scale = std::max({std::fabs(a), std::fabs(b), 1e-300});
-    return std::fabs(a - b) / scale;
-}
-
-bool
-approxEqual(double a, double b, double tol)
-{
-    return relError(a, b) <= tol;
 }
 
 double

@@ -1,7 +1,7 @@
 /**
  * @file
- * Numeric helpers shared across the modeling code: sequence generation,
- * interpolation (linear and log-log), root finding, and small statistics.
+ * Numeric helpers shared across the modeling code: linear
+ * interpolation, root finding, maximization, and integer powers of two.
  */
 
 #ifndef HCM_UTIL_MATH_HH
@@ -12,12 +12,6 @@
 
 namespace hcm {
 
-/** @p count evenly spaced values from @p lo to @p hi inclusive. */
-std::vector<double> linspace(double lo, double hi, std::size_t count);
-
-/** @p count logarithmically spaced values from @p lo to @p hi inclusive. */
-std::vector<double> logspace(double lo, double hi, std::size_t count);
-
 /** Linear interpolation between (x0,y0) and (x1,y1) evaluated at x. */
 double lerp(double x0, double y0, double x1, double y1, double x);
 
@@ -27,14 +21,6 @@ double lerp(double x0, double y0, double x1, double y1, double x);
  * nearest segment.
  */
 double interpLinear(const std::vector<double> &xs,
-                    const std::vector<double> &ys, double x);
-
-/**
- * Piecewise interpolation that is linear in (log x, log y) space —
- * appropriate for quantities plotted on log-log axes such as the paper's
- * FFT performance curves. Requires strictly positive xs, ys, and x.
- */
-double interpLogLog(const std::vector<double> &xs,
                     const std::vector<double> &ys, double x);
 
 /**
@@ -94,18 +80,6 @@ goldenMax(Fn &&fn, double lo, double hi, double tol = 1e-9)
     }
     return fc > fd ? c : d;
 }
-
-/** Geometric mean of strictly positive values. */
-double geomean(const std::vector<double> &values);
-
-/** Arithmetic mean. */
-double mean(const std::vector<double> &values);
-
-/** Relative error |a-b| / max(|a|,|b|, eps). */
-double relError(double a, double b);
-
-/** True when a and b agree within relative tolerance @p tol. */
-bool approxEqual(double a, double b, double tol = 1e-9);
 
 /** Clamp @p x to [lo, hi]. */
 double clamp(double x, double lo, double hi);

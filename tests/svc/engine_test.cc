@@ -17,12 +17,35 @@
 #include "svc/engine.hh"
 #include "svc/fault.hh"
 #include "svc/flight_recorder.hh"
+#include "svc/service.hh"
 #include "util/json_parse.hh"
 #include "util/logging.hh"
 
 namespace hcm {
 namespace svc {
 namespace {
+
+/** The series of family @p name for query type @p type. */
+std::string
+typed(const std::string &name, QueryType type)
+{
+    return name + "{type=\"" + queryTypeName(type) + "\"}";
+}
+
+/**
+ * The value of Prometheus series @p series (a name and its labels) in
+ * the engine's exported metrics; fails the test when it is absent.
+ */
+std::uint64_t
+exported(const QueryEngine &engine, const std::string &series)
+{
+    std::string text = "\n" + metricsPayload(&engine, "prom", "svc");
+    std::size_t at = text.find("\n" + series + " ");
+    EXPECT_NE(at, std::string::npos) << series;
+    if (at == std::string::npos)
+        return 0;
+    return std::stoull(text.substr(at + series.size() + 2));
+}
 
 /** A mixed workload of distinct queries (some expensive). */
 std::vector<Query>
@@ -111,7 +134,8 @@ TEST(QueryEngineTest, DuplicateQueriesEvaluateOnce)
     CacheStats stats = engine.cacheStats();
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(engine.metrics().snapshot(QueryType::Optimize).queries,
+    EXPECT_EQ(exported(engine, typed("hcm_svc_queries_total",
+                                     QueryType::Optimize)),
               1u);
 }
 
@@ -231,7 +255,8 @@ TEST(QueryEngineTest, DisabledCacheStillDedupesWithinABatch)
     auto results = engine.evaluateBatch(queries);
     for (const auto &result : results)
         EXPECT_EQ(result, results[0]);
-    EXPECT_EQ(engine.metrics().snapshot(QueryType::Optimize).queries,
+    EXPECT_EQ(exported(engine, typed("hcm_svc_queries_total",
+                                     QueryType::Optimize)),
               1u);
 }
 
@@ -259,7 +284,7 @@ TEST(QueryEngineTest, MetricsCoverEveryQueryType)
     QueryEngine engine(options(2, 64));
     engine.evaluateBatch(mixedQueries());
     for (QueryType t : allQueryTypes())
-        EXPECT_GT(engine.metrics().snapshot(t).queries, 0u)
+        EXPECT_GT(exported(engine, typed("hcm_svc_queries_total", t)), 0u)
             << queryTypeName(t);
 
     std::ostringstream oss;
@@ -312,14 +337,15 @@ TEST(QueryEngineTest, ServedHitReportsOneDurationToEverySink)
     tracer.clear();
     profiler.clear();
     recorder.configure(8);
-    std::uint64_t before = engine.metrics().snapshot(q.type).latency.sum();
+    const std::string latency_sum =
+        typed("hcm_svc_query_latency_ns_sum", q.type);
+    std::uint64_t before = exported(engine, latency_sum);
     tracer.setEnabled(true);
     profiler.setEnabled(true);
     engine.evaluate(q);
     tracer.setEnabled(false);
     profiler.setEnabled(false);
-    std::uint64_t hist_ns =
-        engine.metrics().snapshot(q.type).latency.sum() - before;
+    std::uint64_t hist_ns = exported(engine, latency_sum) - before;
     std::vector<RequestRecord> records = recorder.snapshot();
     recorder.configure(0);
     std::ostringstream trace_text, profile_text;
@@ -364,7 +390,7 @@ TEST(QueryEngineTest, SlowQueriesAreLoggedAndCounted)
     q.f = 0.9;
     engine.evaluate(q);
 
-    EXPECT_EQ(engine.metrics().slowQueries(), 1u);
+    EXPECT_EQ(exported(engine, "hcm_svc_slow_queries_total"), 1u);
     std::string log = capture.text();
     EXPECT_NE(log.find("slow query"), std::string::npos) << log;
     EXPECT_NE(log.find("type=optimize"), std::string::npos) << log;
@@ -379,7 +405,7 @@ TEST(QueryEngineTest, SlowQueriesAreLoggedAndCounted)
 
     // A warm cache hit past the threshold counts too (queue wait 0).
     engine.evaluate(q);
-    EXPECT_EQ(engine.metrics().slowQueries(), 2u);
+    EXPECT_EQ(exported(engine, "hcm_svc_slow_queries_total"), 2u);
 }
 
 TEST(QueryEngineTest, FastQueriesAreNotFlaggedSlow)
@@ -390,7 +416,7 @@ TEST(QueryEngineTest, FastQueriesAreNotFlaggedSlow)
     opts.slowQueryNs = 60'000'000'000ULL; // one minute: nothing is slow
     QueryEngine engine(opts);
     engine.evaluateBatch(mixedQueries());
-    EXPECT_EQ(engine.metrics().slowQueries(), 0u);
+    EXPECT_EQ(exported(engine, "hcm_svc_slow_queries_total"), 0u);
     EXPECT_EQ(capture.text().find("slow query"), std::string::npos);
 }
 
@@ -400,7 +426,7 @@ TEST(QueryEngineTest, SlowQueryLogDisabledByDefault)
     setLogThreshold(LogLevel::Warn);
     QueryEngine engine(options(2, 64));
     engine.evaluateBatch(mixedQueries());
-    EXPECT_EQ(engine.metrics().slowQueries(), 0u);
+    EXPECT_EQ(exported(engine, "hcm_svc_slow_queries_total"), 0u);
     EXPECT_EQ(capture.text().find("slow query"), std::string::npos);
 }
 
@@ -441,7 +467,7 @@ TEST_F(QueryEngineLifecycleTest, ThrowingEvaluationResolvesToError)
     EXPECT_FALSE(result->ok());
     EXPECT_EQ(result->errorKind, QueryErrorKind::EvaluationFailed);
     EXPECT_EQ(engine.inflightCount(), 0u);
-    EXPECT_EQ(engine.metrics().errors(), 1u);
+    EXPECT_EQ(exported(engine, "hcm_svc_errors_total"), 1u);
     // Rendered when made: exactly the error document a client gets.
     EXPECT_EQ(textOf(*result),
               makeQueryError(q, QueryErrorKind::EvaluationFailed,
@@ -494,7 +520,8 @@ TEST_F(QueryEngineLifecycleTest, DeadlineAfterEvaluationStillCaches)
     EXPECT_NE(textOf(*late).find(
                   "\"error\":\"deadline exceeded during evaluation\""),
               std::string::npos);
-    EXPECT_EQ(engine.metrics().deadlineExceeded(), 1u);
+    EXPECT_EQ(exported(engine, "hcm_svc_deadline_exceeded_total"),
+              1u);
     EXPECT_NE(textOf(*late).find("\"type\":\"deadline_exceeded\""),
               std::string::npos);
 
@@ -528,7 +555,8 @@ TEST_F(QueryEngineLifecycleTest, DeadlineCheckedAtDequeue)
               std::string::npos);
     // The doomed query never reached evaluation.
     EXPECT_EQ(FaultInjector::instance().callCount("eval"), 1u);
-    EXPECT_EQ(engine.metrics().deadlineExceeded(), 1u);
+    EXPECT_EQ(exported(engine, "hcm_svc_deadline_exceeded_total"),
+              1u);
 }
 
 TEST_F(QueryEngineLifecycleTest, PerQueryDeadlineOverridesEngineDefault)
@@ -580,7 +608,7 @@ TEST_F(QueryEngineLifecycleTest, SaturatedQueueShedsWithRetryHint)
     EXPECT_EQ(doc->find("type")->asString(), "overloaded");
     ASSERT_NE(doc->find("retryAfterMs"), nullptr) << textOf(*r3);
     EXPECT_GE(doc->find("retryAfterMs")->asNumber(), 1.0);
-    EXPECT_GE(engine.metrics().rejected(), 1u);
+    EXPECT_GE(exported(engine, "hcm_svc_rejected_total"), 1u);
 
     c1.join();
     c2.join();

@@ -9,32 +9,6 @@
 namespace hcm {
 namespace {
 
-TEST(MathTest, Linspace)
-{
-    auto v = linspace(0.0, 1.0, 5);
-    ASSERT_EQ(v.size(), 5u);
-    EXPECT_DOUBLE_EQ(v[0], 0.0);
-    EXPECT_DOUBLE_EQ(v[2], 0.5);
-    EXPECT_DOUBLE_EQ(v[4], 1.0);
-}
-
-TEST(MathTest, LinspaceDescending)
-{
-    auto v = linspace(2.0, -2.0, 3);
-    EXPECT_DOUBLE_EQ(v[1], 0.0);
-    EXPECT_DOUBLE_EQ(v[2], -2.0);
-}
-
-TEST(MathTest, Logspace)
-{
-    auto v = logspace(1.0, 1000.0, 4);
-    ASSERT_EQ(v.size(), 4u);
-    EXPECT_DOUBLE_EQ(v[0], 1.0);
-    EXPECT_NEAR(v[1], 10.0, 1e-9);
-    EXPECT_NEAR(v[2], 100.0, 1e-9);
-    EXPECT_DOUBLE_EQ(v[3], 1000.0);
-}
-
 TEST(MathTest, Lerp)
 {
     EXPECT_DOUBLE_EQ(lerp(0, 0, 1, 10, 0.5), 5.0);
@@ -52,15 +26,6 @@ TEST(MathTest, InterpLinearInsideAndOutside)
     // Linear extrapolation from the end segments.
     EXPECT_DOUBLE_EQ(interpLinear(xs, ys, 0.0), 0.0);
     EXPECT_DOUBLE_EQ(interpLinear(xs, ys, 5.0), 50.0);
-}
-
-TEST(MathTest, InterpLogLogIsExactOnPowerLaws)
-{
-    // y = x^2 is linear in log-log space.
-    std::vector<double> xs = {1, 10, 100};
-    std::vector<double> ys = {1, 100, 10000};
-    EXPECT_NEAR(interpLogLog(xs, ys, 3.0), 9.0, 1e-9);
-    EXPECT_NEAR(interpLogLog(xs, ys, 31.623), 1000.0, 1.0);
 }
 
 TEST(MathTest, BisectFindsRoot)
@@ -89,21 +54,6 @@ TEST(MathTest, GoldenMaxAtBoundary)
     EXPECT_NEAR(x, 5.0, 1e-6);
 }
 
-TEST(MathTest, GeomeanAndMean)
-{
-    EXPECT_NEAR(geomean({1.0, 100.0}), 10.0, 1e-9);
-    EXPECT_NEAR(geomean({2.0, 2.0, 2.0}), 2.0, 1e-12);
-    EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
-}
-
-TEST(MathTest, RelErrorAndApproxEqual)
-{
-    EXPECT_NEAR(relError(100.0, 101.0), 0.0099, 1e-4);
-    EXPECT_TRUE(approxEqual(1.0, 1.0 + 1e-12));
-    EXPECT_FALSE(approxEqual(1.0, 1.1));
-    EXPECT_TRUE(approxEqual(0.0, 0.0));
-}
-
 TEST(MathTest, Clamp)
 {
     EXPECT_DOUBLE_EQ(clamp(5.0, 0.0, 1.0), 1.0);
@@ -121,30 +71,6 @@ TEST(MathTest, PowersOfTwo)
     EXPECT_EQ(ilog2(1024), 10u);
     EXPECT_EQ(ilog2(std::size_t{1} << 40), 40u);
 }
-
-/** Property sweep: interpLogLog reproduces y = c * x^k for many (c, k). */
-class LogLogPowerLaw : public ::testing::TestWithParam<double>
-{
-};
-
-TEST_P(LogLogPowerLaw, Exact)
-{
-    double k = GetParam();
-    std::vector<double> xs, ys;
-    for (double x = 1.0; x <= 1024.0; x *= 4.0) {
-        xs.push_back(x);
-        ys.push_back(3.0 * std::pow(x, k));
-    }
-    for (double x = 1.5; x < 1000.0; x *= 2.7) {
-        double expect = 3.0 * std::pow(x, k);
-        EXPECT_NEAR(interpLogLog(xs, ys, x) / expect, 1.0, 1e-9)
-            << "k=" << k << " x=" << x;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Exponents, LogLogPowerLaw,
-                         ::testing::Values(-2.0, -0.5, 0.0, 0.5, 1.0, 1.75,
-                                           3.0));
 
 } // namespace
 } // namespace hcm
