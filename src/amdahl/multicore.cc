@@ -1,6 +1,5 @@
 #include "multicore.hh"
 
-#include "amdahl/amdahl.hh"
 #include "amdahl/pollack.hh"
 #include "util/logging.hh"
 
@@ -8,6 +7,13 @@ namespace hcm {
 namespace model {
 
 namespace {
+
+/** Validate f in [0, 1]; panics otherwise. */
+void
+checkFraction(double f)
+{
+    hcm_assert(f >= 0.0 && f <= 1.0, "fraction f=", f, " outside [0,1]");
+}
 
 /** Shared validation for (f, n, r) triples. */
 void

@@ -15,13 +15,6 @@ perfSeq(double r)
 }
 
 double
-areaForPerf(double perf)
-{
-    hcm_assert(perf > 0.0, "performance must be positive");
-    return perf * perf;
-}
-
-double
 powerForPerf(double perf, double alpha)
 {
     hcm_assert(perf > 0.0, "performance must be positive");

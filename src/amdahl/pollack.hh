@@ -23,9 +23,6 @@ constexpr double kHighAlpha = 2.25;
 /** Sequential performance of a core built from @p r BCEs: sqrt(r). */
 double perfSeq(double r);
 
-/** BCE resources needed for sequential performance @p perf: perf^2. */
-double areaForPerf(double perf);
-
 /** Power of a core with sequential performance @p perf: perf^alpha. */
 double powerForPerf(double perf, double alpha = kDefaultAlpha);
 

@@ -55,13 +55,6 @@ classifyLimiter(double n_area, double n_power, double n_bw,
     return Limiter::Power;
 }
 
-Limiter
-classifyLimiter(double n_area, double n_power, double n_bw)
-{
-    return classifyLimiter(n_area, n_power, n_bw,
-                           std::numeric_limits<double>::infinity());
-}
-
 ParallelRows
 ucoreRows(const UCoreParams &ucore, bool bandwidth_exempt,
           const Budget &budget)
@@ -92,13 +85,6 @@ bandwidthBoundN(const Organization &org, double r, const Budget &budget)
 {
     // No bandwidth row reads alpha; any value serves.
     return OrgRules(org).rows(r, budget, model::kDefaultAlpha).bandwidth;
-}
-
-double
-thermalBoundN(const Organization &org, double r, const Budget &budget,
-              double alpha)
-{
-    return OrgRules(org).rows(r, budget, alpha).thermal;
 }
 
 ParallelBound

@@ -69,9 +69,6 @@ std::string limiterLegend(std::size_t tag_len, bool thermal,
 Limiter classifyLimiter(double n_area, double n_power, double n_bw,
                         double n_thermal);
 
-/** Three-budget form: classifies with a vacuous (+inf) thermal bound. */
-Limiter classifyLimiter(double n_area, double n_power, double n_bw);
-
 /** Result of evaluating the parallel-phase bounds at a given r. */
 struct ParallelBound
 {
@@ -127,8 +124,6 @@ double powerBoundN(const Organization &org, double r, const Budget &budget,
                    double alpha);
 double bandwidthBoundN(const Organization &org, double r,
                        const Budget &budget);
-double thermalBoundN(const Organization &org, double r, const Budget &budget,
-                     double alpha);
 
 } // namespace core
 } // namespace hcm

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "core/projection.hh"
-#include "util/logging.hh"
 #include "util/math.hh"
 
 namespace hcm {
@@ -21,26 +20,6 @@ speedupRatio(const Organization &challenger, const Organization &incumbent,
     if (!i.feasible)
         return std::numeric_limits<double>::infinity();
     return c.speedup / i.speedup;
-}
-
-std::optional<double>
-crossoverFraction(const Organization &challenger,
-                  const Organization &incumbent, double target,
-                  const Budget &budget, OptimizerOptions opts, double lo,
-                  double hi, double tol)
-{
-    hcm_assert(target > 0.0, "target ratio must be positive");
-    hcm_assert(lo >= 0.0 && hi <= 1.0 && lo < hi, "bad bracket");
-
-    auto gap = [&](double f) {
-        return speedupRatio(challenger, incumbent, f, budget, opts) -
-               target;
-    };
-    if (gap(hi) < 0.0)
-        return std::nullopt; // never reaches the target
-    if (gap(lo) >= 0.0)
-        return lo; // already there at the low end
-    return bisect(gap, lo, hi, tol);
 }
 
 std::optional<double>

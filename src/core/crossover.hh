@@ -3,10 +3,9 @@
  * Crossover analysis: the paper's first conclusion — "effectively
  * exploiting the performance gain of U-cores requires sufficient
  * parallelism in excess of 90%" — computed instead of eyeballed. For a
- * pair of organizations under one budget, find the parallel fraction
- * at which the challenger first beats the incumbent by a target ratio;
- * speedup ratios are monotone in f for HET-vs-CMP pairs, so bisection
- * applies.
+ * device's HET, find the parallel fraction at which it first beats the
+ * better CMP by a target ratio; speedup ratios are monotone in f for
+ * HET-vs-CMP pairs, so bisection applies.
  */
 
 #ifndef HCM_CORE_CROSSOVER_HH
@@ -27,17 +26,6 @@ namespace core {
 double speedupRatio(const Organization &challenger,
                     const Organization &incumbent, double f,
                     const Budget &budget, OptimizerOptions opts = {});
-
-/**
- * The smallest f in [lo, hi] at which challenger >= target x incumbent,
- * found by bisection to @p tol; nullopt when the target is not reached
- * even at hi (or already exceeded below lo, in which case lo is
- * returned as the trivial answer).
- */
-std::optional<double> crossoverFraction(
-    const Organization &challenger, const Organization &incumbent,
-    double target, const Budget &budget, OptimizerOptions opts = {},
-    double lo = 0.0, double hi = 0.9999, double tol = 1e-5);
 
 /**
  * Convenience: the minimum parallelism at which the HET for @p device

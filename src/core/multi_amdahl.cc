@@ -46,24 +46,6 @@ segmentShares(const SegmentProfile &profile, double mu)
     return shares;
 }
 
-double
-segmentParallelTimeRef(const SegmentProfile &profile, double mu,
-                       const std::vector<double> &shares)
-{
-    hcm_assert(shares.size() == profile.segments.size(),
-               "one share per segment required");
-    double time = 0.0;
-    for (std::size_t i = 0; i < profile.segments.size(); ++i) {
-        double c = segmentCost(profile.segments[i], mu);
-        if (c == 0.0)
-            continue; // no parallel work in this segment
-        hcm_assert(shares[i] > 0.0,
-                   "segment with parallel work granted zero area");
-        time += c / shares[i];
-    }
-    return time;
-}
-
 EffectiveOrg
 effectiveOrganization(const Organization &org, const SegmentProfile &profile)
 {

@@ -81,16 +81,6 @@ double effectiveFraction(double f, const SegmentProfile &profile);
  */
 std::vector<double> segmentShares(const SegmentProfile &profile, double mu);
 
-/**
- * Reference evaluation used by tests: the parallel-phase time of the
- * explicit per-segment sum at shares @p shares, in units where the
- * U-core pool (n - r) is 1 and the sweep fraction f is 1 — i.e.
- * Sum_i c_i / s_i. The reduction theorem says minimizing this equals
- * fScale / mu_eff.
- */
-double segmentParallelTimeRef(const SegmentProfile &profile, double mu,
-                              const std::vector<double> &shares);
-
 } // namespace core
 } // namespace hcm
 

@@ -16,16 +16,6 @@ constexpr double kTieEps = 1e-12;
 
 } // namespace
 
-bool
-ParetoPoint::dominates(const ParetoPoint &other) const
-{
-    bool no_worse = design.speedup >= other.design.speedup - kTieEps &&
-                    energyNormalized <= other.energyNormalized + kTieEps;
-    bool better = design.speedup > other.design.speedup + kTieEps ||
-                  energyNormalized < other.energyNormalized - kTieEps;
-    return no_worse && better;
-}
-
 std::vector<ParetoPoint>
 enumerateDesigns(const wl::Workload &w, double f,
                  const itrs::NodeParams &node, const Scenario &scenario,
@@ -86,11 +76,11 @@ paretoFrontier(std::vector<ParetoPoint> points)
     // Dominance scan in O(n log n): view the points sorted by speedup
     // descending (ties: energy ascending). p dominates c exactly when
     //   (p.s >  c.s + eps && p.e <= c.e + eps)   [speedup win]
-    // or (p.s >= c.s - eps && p.e <  c.e - eps)  [energy win]
-    // — the expansion of dominates() — and walking candidates in that
-    // order makes the points satisfying either speedup condition two
-    // growing prefixes of the same order, so a running minimum energy
-    // per prefix answers both existence tests in O(1) per candidate.
+    // or (p.s >= c.s - eps && p.e <  c.e - eps)  [energy win],
+    // and walking candidates in that order makes the points satisfying
+    // either speedup condition two growing prefixes of the same order,
+    // so a running minimum energy per prefix answers both existence
+    // tests in O(1) per candidate.
     std::vector<std::size_t> order(points.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
@@ -153,13 +143,6 @@ paretoFrontier(std::vector<ParetoPoint> points)
                   return a.design.speedup < b.design.speedup;
               });
     return frontier;
-}
-
-std::vector<ParetoPoint>
-paretoFrontier(const wl::Workload &w, double f,
-               const itrs::NodeParams &node, const Scenario &scenario)
-{
-    return paretoFrontier(enumerateDesigns(w, f, node, scenario));
 }
 
 } // namespace core

@@ -28,10 +28,6 @@ struct ParetoPoint
     int paperIndex = -1;
     DesignPoint design;
     double energyNormalized = 0.0;
-
-    /** True when this point dominates @p other (no worse in both,
-     *  strictly better in one). */
-    bool dominates(const ParetoPoint &other) const;
 };
 
 /**
@@ -57,15 +53,12 @@ std::vector<ParetoPoint> bestDesigns(
     const BceCalibration &calib = BceCalibration::standard());
 
 /**
- * The non-dominated subset of @p points, sorted by increasing speedup.
- * Ties collapse to a single representative.
+ * The non-dominated subset of @p points, sorted by increasing speedup:
+ * a point dominates another when it is no worse in both objectives and
+ * strictly better in one (within 1e-12). Ties collapse to a single
+ * representative.
  */
 std::vector<ParetoPoint> paretoFrontier(std::vector<ParetoPoint> points);
-
-/** Convenience: enumerate + filter in one call. */
-std::vector<ParetoPoint> paretoFrontier(
-    const wl::Workload &w, double f, const itrs::NodeParams &node,
-    const Scenario &scenario = baselineScenario());
 
 } // namespace core
 } // namespace hcm

@@ -62,25 +62,6 @@ ParallelismProfile::parallelFraction() const
 }
 
 double
-ParallelismProfile::effectiveWidth() const
-{
-    // Harmonic mean weighted by time: the width a uniform profile would
-    // need to finish the parallel work in the same time on BCE tiles.
-    double time = 0.0, frac = 0.0;
-    for (const ProfileSegment &s : _segments) {
-        if (s.width <= 1.0)
-            continue;
-        frac += s.fraction;
-        time += s.fraction / s.width; // 0 for infinite width
-    }
-    if (frac <= 0.0)
-        return 1.0;
-    if (time <= 0.0)
-        return std::numeric_limits<double>::infinity();
-    return frac / time;
-}
-
-double
 profiledSpeedup(const Organization &org, const ParallelismProfile &profile,
                 double r, double n)
 {

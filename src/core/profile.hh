@@ -67,9 +67,6 @@ class ParallelismProfile
     /** Fraction of time with width > 1. */
     double parallelFraction() const;
 
-    /** Time-weighted harmonic-mean width of the parallel segments. */
-    double effectiveWidth() const;
-
   private:
     std::vector<ProfileSegment> _segments;
 };

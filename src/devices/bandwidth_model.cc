@@ -42,18 +42,6 @@ FftBandwidthModel::defaultCapacity(DeviceId id)
     hcm_panic("no FFT bandwidth model for device");
 }
 
-std::size_t
-FftBandwidthModel::capacityFromOnchipBytes(std::size_t bytes)
-{
-    hcm_assert(bytes >= 32, "on-chip memory too small for any FFT");
-    std::size_t points = bytes / 16; // two buffers x 8 B per point
-    // Round down to a power of two.
-    std::size_t cap = 1;
-    while (cap * 2 <= points)
-        cap *= 2;
-    return cap;
-}
-
 Bandwidth
 FftBandwidthModel::compulsoryAt(std::size_t n) const
 {

@@ -64,15 +64,6 @@ class FftBandwidthModel
     /** Default on-chip capacity (in points) for @p id. */
     static std::size_t defaultCapacity(DeviceId id);
 
-    /**
-     * Derive the largest power-of-two FFT that fits an on-chip memory
-     * of @p bytes: two single-precision complex ping-pong buffers need
-     * 16 N bytes, so N = 2^floor(log2(bytes/16)). The GTX285's
-     * effective ~64 KB per-kernel on-chip storage gives N = 2^12 —
-     * exactly the spill point the paper measured (Figure 4).
-     */
-    static std::size_t capacityFromOnchipBytes(std::size_t bytes);
-
   private:
     DeviceId _id;
     std::size_t _capacity;

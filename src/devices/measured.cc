@@ -121,15 +121,6 @@ publishedTable5()
     return table;
 }
 
-std::optional<PublishedUCore>
-findPublished(DeviceId device, const wl::Workload &workload)
-{
-    for (const PublishedUCore &p : publishedTable5())
-        if (p.device == device && p.workload == workload)
-            return p;
-    return std::nullopt;
-}
-
 const std::vector<std::size_t> &
 table5FftSizes()
 {

@@ -93,10 +93,6 @@ class MeasurementDb
  */
 const std::vector<PublishedUCore> &publishedTable5();
 
-/** Published (phi, mu) for (device, workload) when Table 5 has an entry. */
-std::optional<PublishedUCore> findPublished(DeviceId device,
-                                            const wl::Workload &workload);
-
 /** The FFT sizes Table 5 reports: 64, 1024, 16384. */
 const std::vector<std::size_t> &table5FftSizes();
 

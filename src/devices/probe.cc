@@ -24,15 +24,6 @@ CurrentProbe::sampleTotal(std::size_t fft_n)
 }
 
 Power
-CurrentProbe::sampleIdle()
-{
-    // Capacity index is irrelevant for the static components; use the
-    // smallest modeled size.
-    PowerBreakdown b = _model.breakdownAt(16);
-    return Power(noisy((b.uncoreStatic + b.unknown).value()));
-}
-
-Power
 CurrentProbe::sampleMemoryStress(std::size_t fft_n)
 {
     PowerBreakdown b = _model.breakdownAt(fft_n);
@@ -62,16 +53,6 @@ UncoreSubtraction::estimateCorePower(std::size_t n)
     Power total = average(n, &CurrentProbe::sampleTotal);
     Power stress = average(n, &CurrentProbe::sampleMemoryStress);
     return total - stress;
-}
-
-Power
-UncoreSubtraction::estimateUncoreDynamic(std::size_t n)
-{
-    Power stress = average(n, &CurrentProbe::sampleMemoryStress);
-    double idle_acc = 0.0;
-    for (int i = 0; i < _samples; ++i)
-        idle_acc += _probe.sampleIdle().value();
-    return stress - Power(idle_acc / _samples);
 }
 
 } // namespace dev

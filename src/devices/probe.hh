@@ -2,11 +2,12 @@
  * @file
  * Simulated current-probe measurement, standing in for the paper's
  * Section 4.2 methodology: a probe samples total wall power in steady
- * state; dedicated microbenchmarks isolate the non-compute components
- * (idle uncore, memory-stress traffic) which are then subtracted to
- * recover core-only power. The simulation draws from the FftPowerModel
- * ground truth plus multiplicative sampling noise, and the subtraction
- * pipeline is validated against that ground truth in the tests.
+ * state; a memory-stress microbenchmark isolates the non-compute
+ * components (the idle uncore plus the FFT's traffic), which are then
+ * subtracted to recover core-only power. The simulation draws from the
+ * FftPowerModel ground truth plus multiplicative sampling noise, and
+ * the subtraction pipeline is validated against that ground truth in
+ * the tests.
  */
 
 #ifndef HCM_DEVICES_PROBE_HH
@@ -38,12 +39,6 @@ class CurrentProbe
     Power sampleTotal(std::size_t fft_n);
 
     /**
-     * Total wall power with compute idle (power-gated cores): uncore
-     * static + unknown residual.
-     */
-    Power sampleIdle();
-
-    /**
      * Total wall power while a memory microbenchmark reproduces the
      * FFT's off-chip traffic with cores otherwise idle: idle components
      * plus uncore dynamic at that traffic level.
@@ -73,9 +68,6 @@ class UncoreSubtraction
 
     /** Estimated core-only (dynamic + leakage) power at size @p n. */
     Power estimateCorePower(std::size_t n);
-
-    /** Estimated uncore-dynamic power at size @p n. */
-    Power estimateUncoreDynamic(std::size_t n);
 
   private:
     Power average(std::size_t n, Power (CurrentProbe::*sampler)(std::size_t));

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "net/fleet.hh"
+#include "net/framing.hh"
 #include "net/hash_ring.hh"
 #include "obs/metrics.hh"
 #include "obs/request_id.hh"
@@ -24,12 +25,10 @@ namespace hcm {
 namespace net {
 TcpShardBackend::TcpShardBackend(const std::string &host,
                                  std::uint16_t port,
-                                 std::uint64_t timeout_ms,
-                                 std::uint32_t max_frame_bytes)
+                                 std::uint64_t timeout_ms)
     : _host(host),
       _port(port),
       _timeoutMs(timeout_ms),
-      _maxFrameBytes(max_frame_bytes),
       _name(host + ":" + std::to_string(port))
 {
 }
@@ -65,7 +64,7 @@ TcpShardBackend::roundTrip(const std::string &request,
             !_sock.sendAll(frame.data(), frame.size(), error))
             return false;
     }
-    FrameDecoder decoder(_maxFrameBytes);
+    FrameDecoder decoder;
     char buf[64 * 1024];
     while (true) {
         if (decoder.next(response))
@@ -132,7 +131,6 @@ class FrontDoor::Impl
     Impl(std::vector<std::unique_ptr<ShardBackend>> backends,
          FrontDoorOptions opts)
         : _backends(std::move(backends)),
-          _ring(HashRing::kDefaultReplicas),
           _routed(obs::globalRegistry().counter(
               "hcm_net_routed_total")),
           _shed(obs::globalRegistry().counter("hcm_net_shed_total")),

@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "net/framing.hh"
 #include "net/socket.hh"
 #include "svc/router.hh"
 
@@ -133,9 +132,7 @@ class TcpShardBackend : public ShardBackend
      * of the degraded-mode contract.
      */
     TcpShardBackend(const std::string &host, std::uint16_t port,
-                    std::uint64_t timeout_ms,
-                    std::uint32_t max_frame_bytes =
-                        kDefaultMaxFrameBytes);
+                    std::uint64_t timeout_ms);
 
     const std::string &name() const override { return _name; }
 
@@ -149,7 +146,6 @@ class TcpShardBackend : public ShardBackend
     std::string _host;
     std::uint16_t _port;
     std::uint64_t _timeoutMs;
-    std::uint32_t _maxFrameBytes;
     std::string _name;
 
     /** Serializes use of the one persistent connection. */

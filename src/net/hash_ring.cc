@@ -44,40 +44,16 @@ ringPoint(const std::string &text)
 
 } // namespace
 
-HashRing::HashRing(std::size_t replicas)
-    : _replicas(replicas > 0 ? replicas : 1)
-{
-}
-
 void
 HashRing::addShard(const std::string &shard)
 {
     if (std::find(_shards.begin(), _shards.end(), shard) !=
         _shards.end())
         return;
+    std::size_t s = _shards.size();
     _shards.push_back(shard);
-    rebuild();
-}
-
-void
-HashRing::removeShard(const std::string &shard)
-{
-    auto it = std::find(_shards.begin(), _shards.end(), shard);
-    if (it == _shards.end())
-        return;
-    _shards.erase(it);
-    rebuild();
-}
-
-void
-HashRing::rebuild()
-{
-    _ring.clear();
-    _ring.reserve(_shards.size() * _replicas);
-    for (std::size_t s = 0; s < _shards.size(); ++s)
-        for (std::size_t i = 0; i < _replicas; ++i)
-            _ring.emplace_back(
-                ringPoint(_shards[s] + "#" + std::to_string(i)), s);
+    for (std::size_t i = 0; i < kReplicas; ++i)
+        _ring.emplace_back(ringPoint(shard + "#" + std::to_string(i)), s);
     // Ties (hash collisions between shards) resolve by shard index so
     // placement never depends on sort stability.
     std::sort(_ring.begin(), _ring.end());

@@ -1,7 +1,7 @@
 /**
  * @file
  * Consistent-hash ring over the canonical memoization-key space. Each
- * shard contributes `replicas` virtual points on a 64-bit ring
+ * shard contributes kReplicas virtual points on a 64-bit ring
  * (FNV-1a of "<shard>#<i>", passed through a 64-bit avalanche
  * finalizer — raw FNV of short, similar strings clusters); a key
  * belongs to the first shard point at or after its own hash, wrapping
@@ -11,8 +11,9 @@
  *  - partition: every key maps to exactly one shard, so shard caches
  *    never duplicate entries — N shards really hold N x capacity
  *    distinct designs;
- *  - stability: removing a shard remaps only the keys that shard
- *    owned; everything else keeps its placement (and its warm cache).
+ *  - stability: a ring without one of its shards places only the keys
+ *    that shard owned elsewhere; everything else keeps its placement
+ *    (and its warm cache).
  *
  * The ring is deterministic across processes and platforms — a front
  * door and an offline capacity planner given the same shard names
@@ -38,15 +39,10 @@ class HashRing
 {
   public:
     /** Virtual points per shard; more = smoother key distribution. */
-    static constexpr std::size_t kDefaultReplicas = 97;
-
-    explicit HashRing(std::size_t replicas = kDefaultReplicas);
+    static constexpr std::size_t kReplicas = 97;
 
     /** Add @p shard (idempotent; duplicate names are ignored). */
     void addShard(const std::string &shard);
-
-    /** Remove @p shard; keys it owned redistribute to the survivors. */
-    void removeShard(const std::string &shard);
 
     std::size_t shardCount() const { return _shards.size(); }
     const std::vector<std::string> &shards() const { return _shards; }
@@ -63,9 +59,6 @@ class HashRing
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   private:
-    void rebuild();
-
-    std::size_t _replicas;
     std::vector<std::string> _shards; ///< insertion order
     /** (point hash, shard index), sorted by hash. */
     std::vector<std::pair<std::uint64_t, std::size_t>> _ring;

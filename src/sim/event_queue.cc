@@ -7,70 +7,24 @@
 namespace hcm {
 namespace sim {
 
-EventId
+void
 EventQueue::schedule(SimTime when, std::function<void()> action)
 {
     hcm_assert(when >= _now - 1e-12, "event scheduled in the past (t=",
                when, ", now=", _now, ")");
-    EventId id = _nextId++;
-    _heap.push(Entry{when, id, std::move(action)});
-    _pending.insert(id);
-    ++_live;
-    return id;
-}
-
-void
-EventQueue::cancel(EventId id)
-{
-    // Only a still-pending event can be cancelled; executed or unknown
-    // ids are harmless no-ops.
-    if (_pending.erase(id) == 0)
-        return;
-    _cancelled.insert(id);
-    --_live;
-}
-
-void
-EventQueue::skipCancelled()
-{
-    while (!_heap.empty()) {
-        auto it = _cancelled.find(_heap.top().id);
-        if (it == _cancelled.end())
-            return;
-        _cancelled.erase(it);
-        _heap.pop();
-    }
-}
-
-SimTime
-EventQueue::nextTime()
-{
-    skipCancelled();
-    hcm_assert(!_heap.empty(), "nextTime on empty queue");
-    return _heap.top().time;
+    _heap.push(Entry{when, _nextSeq++, std::move(action)});
 }
 
 void
 EventQueue::runNext()
 {
-    skipCancelled();
     hcm_assert(!_heap.empty(), "runNext on empty queue");
     // Copy out before pop so the action may schedule further events.
     Entry ev = _heap.top();
     _heap.pop();
-    _pending.erase(ev.id);
-    --_live;
     _now = ev.time;
     ++_executed;
     ev.action();
-}
-
-SimTime
-EventQueue::runAll()
-{
-    while (!empty())
-        runNext();
-    return _now;
 }
 
 } // namespace sim

@@ -2,10 +2,7 @@
  * @file
  * Time-ordered event queue for the discrete-event chip simulator.
  * Events at equal timestamps are delivered in insertion order (a stable
- * tie break keeps simulations deterministic), and scheduled events can
- * be cancelled — cancelled entries are lazily discarded (tombstones)
- * without advancing simulated time, the standard pattern for
- * reschedulable completion events.
+ * tie break keeps simulations deterministic).
  */
 
 #ifndef HCM_SIM_EVENT_QUEUE_HH
@@ -14,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace hcm {
@@ -23,52 +19,30 @@ namespace sim {
 /** Simulated time in seconds (of BCE-normalized execution). */
 using SimTime = double;
 
-/** Handle for cancelling a scheduled event. */
-using EventId = std::uint64_t;
-
-/** Min-heap of events ordered by (time, id), with lazy cancellation. */
+/** Min-heap of events ordered by (time, insertion sequence). */
 class EventQueue
 {
   public:
     /** Schedule @p action at absolute time @p when (>= now). */
-    EventId schedule(SimTime when, std::function<void()> action);
+    void schedule(SimTime when, std::function<void()> action);
 
-    /**
-     * Cancel a previously scheduled event. Idempotent; cancelling an
-     * already-executed id is a harmless no-op.
-     */
-    void cancel(EventId id);
-
-    /** True when no live (non-cancelled) events remain. */
-    bool empty() const { return _live == 0; }
-
-    /** Number of live events. */
-    std::size_t size() const { return _live; }
-
-    /** Timestamp of the next live event; panics when empty. */
-    SimTime nextTime();
+    /** True when no events remain. */
+    bool empty() const { return _heap.empty(); }
 
     /** Current simulated time (timestamp of the last executed event). */
     SimTime now() const { return _now; }
 
-    /**
-     * Execute the next live event; advances now(). Cancelled entries
-     * encountered on the way are discarded without touching the clock.
-     * Panics when empty.
-     */
+    /** Execute the next event; advances now(). Panics when empty. */
     void runNext();
 
-    /** Run until no live events remain; returns the final time. */
-    SimTime runAll();
-
-    /** Total events executed (cancelled ones excluded). */
+    /** Total events executed. */
     std::uint64_t executed() const { return _executed; }
 
   private:
     struct Entry
     {
         SimTime time = 0.0;
-        EventId id = 0;
+        std::uint64_t seq = 0;
         std::function<void()> action;
     };
 
@@ -79,19 +53,13 @@ class EventQueue
         {
             if (a.time != b.time)
                 return a.time > b.time;
-            return a.id > b.id;
+            return a.seq > b.seq;
         }
     };
 
-    /** Drop cancelled entries from the heap top. */
-    void skipCancelled();
-
     std::priority_queue<Entry, std::vector<Entry>, Compare> _heap;
-    std::unordered_set<EventId> _pending;
-    std::unordered_set<EventId> _cancelled;
-    std::size_t _live = 0;
     SimTime _now = 0.0;
-    EventId _nextId = 0;
+    std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
 };
 

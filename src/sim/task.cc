@@ -52,27 +52,6 @@ TaskGraph::amdahl(double f, std::size_t chunks)
 }
 
 TaskGraph
-TaskGraph::alternating(double f, std::size_t rounds,
-                       std::size_t chunks_per_round)
-{
-    hcm_assert(f >= 0.0 && f <= 1.0, "fraction outside [0,1]");
-    hcm_assert(rounds >= 1, "need at least one round");
-    std::vector<Phase> phases;
-    for (std::size_t i = 0; i < rounds; ++i) {
-        double serial = (1.0 - f) / rounds;
-        double parallel = f / rounds;
-        if (serial > 0.0)
-            phases.push_back({PhaseKind::Serial, serial, 1, {},
-                              "serial-" + std::to_string(i)});
-        if (parallel > 0.0)
-            phases.push_back({PhaseKind::Parallel, parallel,
-                              chunks_per_round, {},
-                              "parallel-" + std::to_string(i)});
-    }
-    return TaskGraph(std::move(phases));
-}
-
-TaskGraph
 TaskGraph::amdahlImbalanced(double f, std::size_t chunks, double skew,
                             std::uint64_t seed)
 {

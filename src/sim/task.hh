@@ -55,14 +55,6 @@ class TaskGraph
     static TaskGraph amdahl(double f, std::size_t chunks);
 
     /**
-     * An alternating program: @p rounds repetitions of (serial, parallel)
-     * phase pairs with the same aggregate split — stresses per-phase
-     * scheduling rather than one long bag of tasks.
-     */
-    static TaskGraph alternating(double f, std::size_t rounds,
-                                 std::size_t chunks_per_round);
-
-    /**
      * An Amdahl program whose parallel bag is imbalanced: chunk works
      * are drawn geometrically with heavy/light ratio @p skew (skew = 1
      * reduces to equal chunks), deterministically from @p seed.

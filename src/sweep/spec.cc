@@ -28,17 +28,6 @@ setError(std::string *error, const std::string &msg)
 
 } // namespace
 
-SweepSpec
-paperSweep()
-{
-    SweepSpec spec;
-    spec.workloads = {wl::Workload::mmm(), wl::Workload::blackScholes(),
-                      wl::Workload::fft(1024)};
-    spec.fractions = core::standardFractions();
-    spec.scenarios = {core::baselineScenario()};
-    return spec;
-}
-
 std::optional<std::vector<wl::Workload>>
 parseWorkloadList(const std::string &spec, std::string *error)
 {

@@ -38,12 +38,6 @@ struct SweepSpec
     core::BceCalibration calib = core::BceCalibration::standard();
 };
 
-/**
- * The full figure grid: all three paper workloads across the standard
- * fractions under the baseline scenario (Figures 6-8 in one spec).
- */
-SweepSpec paperSweep();
-
 /** Parse "mmm,bs,fft:1024" into workloads; nullopt + *error on a bad
  *  token, a workload without Table 5 calibration (svc::checkCalibrated),
  *  or an empty list. */

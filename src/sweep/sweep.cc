@@ -127,18 +127,6 @@ runUnit(const Unit &unit, SweepRow &row, Progress &progress,
 
 } // namespace
 
-std::size_t
-countUnits(const SweepSpec &spec)
-{
-    std::size_t per_workload_combos =
-        spec.fractions.size() * spec.scenarios.size();
-    std::size_t units = 0;
-    for (const wl::Workload &w : spec.workloads)
-        units += core::paperOrganizations(w, spec.calib).size() *
-                 per_workload_combos;
-    return units;
-}
-
 SweepResult
 runSweep(const SweepSpec &spec, const SweepOptions &opts)
 {

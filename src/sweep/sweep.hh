@@ -79,9 +79,6 @@ struct SweepOptions
  */
 SweepResult runSweep(const SweepSpec &spec, const SweepOptions &opts = {});
 
-/** Work units a spec decomposes into (rows of the eventual result). */
-std::size_t countUnits(const SweepSpec &spec);
-
 /**
  * The serial reference for one (workload, f, scenario) slice: the same
  * rows built from core::projectAll(). `hcm project --csv` and the CI

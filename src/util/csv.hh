@@ -1,7 +1,7 @@
 /**
  * @file
  * The one home of CSV (RFC-4180-style quoting): a row writer for the
- * sweep and figure exporters and a record scanner for reading it back.
+ * sweep and figure exporters.
  */
 
 #ifndef HCM_UTIL_CSV_HH
@@ -13,7 +13,6 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace hcm {
 
@@ -57,19 +56,6 @@ class CsvWriter
     std::string _row;
     bool _first = true;
 };
-
-/**
- * Parse CSV text into rows of unescaped cells. Records continue across
- * physical lines while inside quotes, so cells written with embedded
- * newlines round-trip through CsvWriter intact; CRLF record separators
- * are tolerated, and \r inside quotes is data. A final record needs no
- * trailing newline, and an unterminated quote at the end keeps what it
- * has read.
- */
-std::vector<std::vector<std::string>> parseCsv(std::string_view text);
-
-/** parseCsv() over a whole file; fatal() on open failure. */
-std::vector<std::vector<std::string>> readCsv(const std::string &path);
 
 } // namespace hcm
 

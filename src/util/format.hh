@@ -91,7 +91,7 @@ bool iequals(const std::string &a, const std::string &b);
 /** Strip leading and trailing whitespace. */
 std::string trim(const std::string &s);
 
-/** Split @p s on @p delim (no quoting; see parseCsv for quoted fields). */
+/** Split @p s on @p delim (no quoting). */
 std::vector<std::string> split(const std::string &s, char delim);
 
 /** All of @p text as a finite T (std::from_chars: no whitespace or

@@ -62,15 +62,6 @@ JsonWriter::~JsonWriter()
                " open scope(s)");
 }
 
-std::string
-JsonWriter::escape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    detail::appendJsonEscaped(out, s);
-    return out;
-}
-
 void
 JsonWriter::misuse(const char *why) const
 {

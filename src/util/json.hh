@@ -110,9 +110,6 @@ class JsonWriter
         return value(v);
     }
 
-    /** Escape a string per JSON rules (quotes not included). */
-    static std::string escape(std::string_view s);
-
   private:
     /** Scope bits: one byte per open scope in #_scopes. */
     static constexpr char kObject = 1;

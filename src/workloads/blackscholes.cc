@@ -67,22 +67,5 @@ priceBatch(const Option *options, float *out, std::size_t count,
         out[i] = priceOption(options[i], method);
 }
 
-std::vector<float>
-priceBatch(const std::vector<Option> &options, CndfMethod method)
-{
-    std::vector<float> out(options.size());
-    priceBatch(options.data(), out.data(), options.size(), method);
-    return out;
-}
-
-double
-opsPerOption()
-{
-    // Rough static count of the polynomial path: d1/d2 (log, div, 2 mul,
-    // 3 add, sqrt, ~10 ops), two CNDF evaluations (~25 ops each incl.
-    // exp), discounting and payoff combination (~8 ops).
-    return 68.0;
-}
-
 } // namespace wl
 } // namespace hcm

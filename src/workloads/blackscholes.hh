@@ -13,7 +13,6 @@
 #define HCM_WORKLOADS_BLACKSCHOLES_HH
 
 #include <cstddef>
-#include <vector>
 
 namespace hcm {
 namespace wl {
@@ -56,17 +55,6 @@ float priceOption(const Option &opt, CndfMethod method = CndfMethod::Erf);
  */
 void priceBatch(const Option *options, float *out, std::size_t count,
                 CndfMethod method = CndfMethod::Erf);
-
-/** Vector convenience wrapper over priceBatch. */
-std::vector<float> priceBatch(const std::vector<Option> &options,
-                              CndfMethod method = CndfMethod::Erf);
-
-/**
- * Arithmetic operations per priced option in the polynomial variant
- * (the operator mix Section 4.1 calls "rich": log, exp, sqrt, divides,
- * polynomial CNDF twice). Used for flop-style accounting.
- */
-double opsPerOption();
 
 } // namespace wl
 } // namespace hcm

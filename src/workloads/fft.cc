@@ -65,38 +65,19 @@ FftPlan::forward(cfloat *data) const
 {
     switch (_alg) {
       case Algorithm::Radix2DIT:
-        radix2(data, false);
+        radix2(data);
         break;
       case Algorithm::Stockham:
-        stockham(data, false);
+        stockham(data);
         break;
       case Algorithm::StockhamRadix4:
-        stockham4(data, false);
+        stockham4(data);
         break;
     }
 }
 
 void
-FftPlan::inverse(cfloat *data) const
-{
-    switch (_alg) {
-      case Algorithm::Radix2DIT:
-        radix2(data, true);
-        break;
-      case Algorithm::Stockham:
-        stockham(data, true);
-        break;
-      case Algorithm::StockhamRadix4:
-        stockham4(data, true);
-        break;
-    }
-    float scale = 1.0f / static_cast<float>(_n);
-    for (std::size_t i = 0; i < _n; ++i)
-        data[i] *= scale;
-}
-
-void
-FftPlan::radix2(cfloat *data, bool inv) const
+FftPlan::radix2(cfloat *data) const
 {
     // Bit-reversal permutation (swap once per pair).
     for (std::size_t i = 0; i < _n; ++i) {
@@ -111,9 +92,8 @@ FftPlan::radix2(cfloat *data, bool inv) const
         const cfloat *tw = &_twiddles[_stageOffset[s]];
         for (std::size_t base = 0; base < _n; base += span) {
             for (std::size_t k = 0; k < half; ++k) {
-                cfloat w = inv ? std::conj(tw[k]) : tw[k];
                 cfloat a = data[base + k];
-                cfloat b = data[base + k + half] * w;
+                cfloat b = data[base + k + half] * tw[k];
                 data[base + k] = a + b;
                 data[base + k + half] = a - b;
             }
@@ -123,14 +103,14 @@ FftPlan::radix2(cfloat *data, bool inv) const
 
 void
 FftPlan::stockham2Pass(cfloat *&x, cfloat *&y, std::size_t l,
-                       std::size_t m, bool inv) const
+                       std::size_t m) const
 {
     std::size_t lh = l / 2;
     // Butterfly (j, j+lh) uses w = exp(-2*pi*i*j / l); that is the
     // same factor set as DIT stage log2(l)-1 read in order.
     const cfloat *tw = &_twiddles[_stageOffset[ilog2(l) - 1]];
     for (std::size_t j = 0; j < lh; ++j) {
-        cfloat w = inv ? std::conj(tw[j]) : tw[j];
+        cfloat w = tw[j];
         const cfloat *xa = x + j * m;
         const cfloat *xb = x + (j + lh) * m;
         cfloat *ya = y + 2 * j * m;
@@ -146,7 +126,7 @@ FftPlan::stockham2Pass(cfloat *&x, cfloat *&y, std::size_t l,
 }
 
 void
-FftPlan::stockham(cfloat *data, bool inv) const
+FftPlan::stockham(cfloat *data) const
 {
     // Iterative decimation-in-frequency autosort: each pass halves the
     // butterfly length l and doubles the interleave stride m, writing to
@@ -156,7 +136,7 @@ FftPlan::stockham(cfloat *data, bool inv) const
     std::size_t l = _n;
     std::size_t m = 1;
     while (l > 1) {
-        stockham2Pass(x, y, l, m, inv);
+        stockham2Pass(x, y, l, m);
         l >>= 1;
         m <<= 1;
     }
@@ -167,7 +147,7 @@ FftPlan::stockham(cfloat *data, bool inv) const
 }
 
 void
-FftPlan::stockham4(cfloat *data, bool inv) const
+FftPlan::stockham4(cfloat *data) const
 {
     // Radix-4 decimation-in-frequency autosort. Each pass splits a
     // length-l transform into four length-l/4 transforms:
@@ -175,8 +155,7 @@ FftPlan::stockham4(cfloat *data, bool inv) const
     //   q=1: ((a-c) - i(b-d)) * w^j      (w = exp(-2*pi*i/l))
     //   q=2: ((a+c) - (b+d)) * w^2j
     //   q=3: ((a-c) + i(b-d)) * w^3j
-    // with +i for the inverse. When log2 N is odd a final radix-2 pass
-    // finishes the job.
+    // When log2 N is odd a final radix-2 pass finishes the job.
     cfloat *x = data;
     cfloat *y = _scratch.data();
     std::size_t l = _n;
@@ -189,8 +168,8 @@ FftPlan::stockham4(cfloat *data, bool inv) const
         const cfloat *tw1 = &_twiddles[_stageOffset[p - 1]];
         const cfloat *tw2 = &_twiddles[_stageOffset[p - 2]];
         for (std::size_t j = 0; j < lq; ++j) {
-            cfloat w1 = inv ? std::conj(tw1[j]) : tw1[j];
-            cfloat w2 = inv ? std::conj(tw2[j]) : tw2[j];
+            cfloat w1 = tw1[j];
+            cfloat w2 = tw2[j];
             cfloat w3 = w1 * w2;
             const cfloat *xa = x + j * m;
             const cfloat *xb = x + (j + lq) * m;
@@ -206,9 +185,7 @@ FftPlan::stockham4(cfloat *data, bool inv) const
                 cfloat t1 = a - c;
                 cfloat t2 = b + d;
                 cfloat bd = b - d;
-                // -i*(b-d) forward, +i*(b-d) inverse.
-                cfloat t3 = inv ? cfloat(-bd.imag(), bd.real())
-                                : cfloat(bd.imag(), -bd.real());
+                cfloat t3(bd.imag(), -bd.real()); // -i*(b-d)
                 y0[k] = t0 + t2;
                 y1[k] = (t1 + t3) * w1;
                 y2[k] = (t0 - t2) * w2;
@@ -220,7 +197,7 @@ FftPlan::stockham4(cfloat *data, bool inv) const
         m <<= 2;
     }
     if (l == 2)
-        stockham2Pass(x, y, l, m, inv);
+        stockham2Pass(x, y, l, m);
     if (x != data) {
         for (std::size_t i = 0; i < _n; ++i)
             data[i] = x[i];
@@ -231,43 +208,6 @@ double
 FftPlan::pseudoFlops() const
 {
     return 5.0 * static_cast<double>(_n) * static_cast<double>(_log2n);
-}
-
-double
-FftPlan::actualFlops() const
-{
-    double n = static_cast<double>(_n);
-    if (_alg == Algorithm::StockhamRadix4) {
-        // One radix-4 butterfly: 3 complex multiplies (18) + 8 complex
-        // adds (16) = 34 flops over four points; N/4 butterflies per
-        // radix-4 pass, plus one radix-2 pass when log2 N is odd.
-        unsigned radix4_passes = _log2n / 2;
-        unsigned radix2_passes = _log2n % 2;
-        return 34.0 * (n / 4.0) * radix4_passes +
-               10.0 * (n / 2.0) * radix2_passes;
-    }
-    // One radix-2 butterfly: complex multiply (6 flops) + two complex
-    // adds (4 flops). N/2 butterflies per stage, log2 N stages.
-    return 10.0 * 0.5 * n * static_cast<double>(_log2n);
-}
-
-std::vector<cfloat>
-naiveDft(const std::vector<cfloat> &input)
-{
-    std::size_t n = input.size();
-    std::vector<cfloat> out(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        std::complex<double> acc(0.0, 0.0);
-        for (std::size_t j = 0; j < n; ++j) {
-            double ang = -kTwoPi * static_cast<double>(j) *
-                         static_cast<double>(k) / static_cast<double>(n);
-            std::complex<double> w(std::cos(ang), std::sin(ang));
-            acc += std::complex<double>(input[j]) * w;
-        }
-        out[k] = cfloat(static_cast<float>(acc.real()),
-                        static_cast<float>(acc.imag()));
-    }
-    return out;
 }
 
 std::vector<cfloat>
@@ -304,20 +244,6 @@ realFft(const std::vector<float> &input)
         out[k] = e + w * o;
     }
     return out;
-}
-
-double
-rmsError(const std::vector<cfloat> &a, const std::vector<cfloat> &b)
-{
-    hcm_assert(a.size() == b.size(), "rmsError length mismatch");
-    hcm_assert(!a.empty(), "rmsError of empty vectors");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        std::complex<double> d = std::complex<double>(a[i]) -
-                                 std::complex<double>(b[i]);
-        acc += std::norm(d);
-    }
-    return std::sqrt(acc / static_cast<double>(a.size()));
 }
 
 } // namespace wl

@@ -14,9 +14,9 @@
  *                    when log2 N is odd — the classic operation-count
  *                    optimization tuned FFT libraries use.
  *
- * Both compute the unnormalized forward DFT
+ * All three compute the unnormalized forward DFT
  *   X[k] = sum_j x[j] * exp(-2*pi*i*j*k / N)
- * and agree with the naive reference to single-precision accuracy.
+ * to single-precision accuracy.
  */
 
 #ifndef HCM_WORKLOADS_FFT_HH
@@ -56,9 +56,6 @@ class FftPlan
     /** In-place forward transform of @p data (length size()). */
     void forward(cfloat *data) const;
 
-    /** In-place inverse transform (normalized by 1/N). */
-    void inverse(cfloat *data) const;
-
     std::size_t size() const { return _n; }
     Algorithm algorithm() const { return _alg; }
 
@@ -68,19 +65,12 @@ class FftPlan
     /** Pseudo-FLOPs per transform per the paper: 5 N log2 N. */
     double pseudoFlops() const;
 
-    /**
-     * Actual arithmetic operation count of this implementation
-     * (radix-2: 10 flops per butterfly, N/2 log2 N butterflies;
-     * radix-4: 34 flops per butterfly, N/4 butterflies per pass).
-     */
-    double actualFlops() const;
-
   private:
-    void radix2(cfloat *data, bool inv) const;
-    void stockham(cfloat *data, bool inv) const;
-    void stockham4(cfloat *data, bool inv) const;
+    void radix2(cfloat *data) const;
+    void stockham(cfloat *data) const;
+    void stockham4(cfloat *data) const;
     void stockham2Pass(cfloat *&x, cfloat *&y, std::size_t l,
-                       std::size_t m, bool inv) const;
+                       std::size_t m) const;
 
     std::size_t _n;
     unsigned _log2n;
@@ -93,21 +83,12 @@ class FftPlan
 };
 
 /**
- * O(N^2) reference DFT used by the tests and as the "untuned baseline"
- * in the calibration example.
- */
-std::vector<cfloat> naiveDft(const std::vector<cfloat> &input);
-
-/**
  * FFT of real input (length n, a power of two >= 4) via the half-size
  * complex-packing trick: returns the n/2 + 1 non-redundant spectrum
  * bins X[0..n/2]; the remaining bins follow from conjugate symmetry
  * X[n-k] = conj(X[k]).
  */
 std::vector<cfloat> realFft(const std::vector<float> &input);
-
-/** Root-mean-square error between two complex vectors of equal length. */
-double rmsError(const std::vector<cfloat> &a, const std::vector<cfloat> &b);
 
 } // namespace wl
 } // namespace hcm

@@ -1,7 +1,6 @@
 #include "mmm.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -31,22 +30,6 @@ gemmNaive(const float *a, const float *b, float *c, std::size_t m,
 }
 
 void
-gemmIkj(const float *a, const float *b, float *c, std::size_t m,
-        std::size_t n, std::size_t k)
-{
-    std::memset(c, 0, m * n * sizeof(float));
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t p = 0; p < k; ++p) {
-            float av = a[i * k + p];
-            const float *brow = &b[p * n];
-            float *crow = &c[i * n];
-            for (std::size_t j = 0; j < n; ++j)
-                crow[j] += av * brow[j];
-        }
-    }
-}
-
-void
 gemmBlocked(const float *a, const float *b, float *c, std::size_t m,
             std::size_t n, std::size_t k, std::size_t block)
 {
@@ -71,38 +54,6 @@ gemmBlocked(const float *a, const float *b, float *c, std::size_t m,
             }
         }
     }
-}
-
-std::vector<float>
-mmmNaive(const std::vector<float> &a, const std::vector<float> &b,
-         std::size_t n)
-{
-    hcm_assert(a.size() == n * n && b.size() == n * n,
-               "square-matrix size mismatch");
-    std::vector<float> c(n * n);
-    gemmNaive(a.data(), b.data(), c.data(), n, n, n);
-    return c;
-}
-
-std::vector<float>
-mmmBlocked(const std::vector<float> &a, const std::vector<float> &b,
-           std::size_t n, std::size_t block)
-{
-    hcm_assert(a.size() == n * n && b.size() == n * n,
-               "square-matrix size mismatch");
-    std::vector<float> c(n * n);
-    gemmBlocked(a.data(), b.data(), c.data(), n, n, n, block);
-    return c;
-}
-
-float
-maxAbsDiff(const std::vector<float> &a, const std::vector<float> &b)
-{
-    hcm_assert(a.size() == b.size(), "maxAbsDiff length mismatch");
-    float m = 0.0f;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        m = std::max(m, std::fabs(a[i] - b[i]));
-    return m;
 }
 
 } // namespace wl

@@ -2,16 +2,14 @@
  * @file
  * Single-precision dense matrix-matrix multiplication kernels
  * (C = A * B, row-major). The paper measures MKL/CUBLAS/hand-written RTL;
- * this repo carries a naive reference, a loop-reordered (ikj) kernel, and
- * a cache-blocked kernel so the host measurement harness has realistic
- * "untuned vs tuned" points.
+ * this repo carries a naive reference and a cache-blocked kernel so the
+ * host measurement harness has realistic "untuned vs tuned" points.
  */
 
 #ifndef HCM_WORKLOADS_MMM_HH
 #define HCM_WORKLOADS_MMM_HH
 
 #include <cstddef>
-#include <vector>
 
 namespace hcm {
 namespace wl {
@@ -27,29 +25,13 @@ void gemmNaive(const float *a, const float *b, float *c, std::size_t m,
                std::size_t n, std::size_t k);
 
 /**
- * Loop-reordered i-k-j kernel: unit-stride inner loop over both b and c,
- * which lets the compiler vectorize the accumulation.
- */
-void gemmIkj(const float *a, const float *b, float *c, std::size_t m,
-             std::size_t n, std::size_t k);
-
-/**
- * Cache-blocked kernel with an ikj micro-kernel inside @p block sized
- * tiles — the shape the paper's compulsory-bandwidth footnote assumes
- * (blocked at N = 128).
+ * Cache-blocked kernel inside @p block sized tiles — the shape the
+ * paper's compulsory-bandwidth footnote assumes (blocked at N = 128).
+ * Each tile runs an i-k-j micro-kernel: its unit-stride inner loop over
+ * both b and c lets the compiler vectorize the accumulation.
  */
 void gemmBlocked(const float *a, const float *b, float *c, std::size_t m,
                  std::size_t n, std::size_t k, std::size_t block = 64);
-
-/** Square-matrix convenience wrappers over vectors. */
-std::vector<float> mmmNaive(const std::vector<float> &a,
-                            const std::vector<float> &b, std::size_t n);
-std::vector<float> mmmBlocked(const std::vector<float> &a,
-                              const std::vector<float> &b, std::size_t n,
-                              std::size_t block = 64);
-
-/** Max absolute element difference between equal-length vectors. */
-float maxAbsDiff(const std::vector<float> &a, const std::vector<float> &b);
 
 } // namespace wl
 } // namespace hcm

@@ -8,14 +8,6 @@
 namespace hcm {
 namespace wl {
 
-const std::vector<Kind> &
-allKinds()
-{
-    static const std::vector<Kind> kinds = {Kind::MMM, Kind::FFT,
-                                            Kind::BlackScholes};
-    return kinds;
-}
-
 std::string
 kindName(Kind kind)
 {
@@ -26,20 +18,6 @@ kindName(Kind kind)
         return "Black-Scholes (BS)";
       case Kind::FFT:
         return "Fast Fourier Transform (FFT)";
-    }
-    hcm_panic("bad workload kind");
-}
-
-std::string
-kindId(Kind kind)
-{
-    switch (kind) {
-      case Kind::MMM:
-        return "MMM";
-      case Kind::BlackScholes:
-        return "BS";
-      case Kind::FFT:
-        return "FFT";
     }
     hcm_panic("bad workload kind");
 }
@@ -74,20 +52,6 @@ Workload::name() const
         return "BS";
       case Kind::FFT:
         return "FFT-" + std::to_string(_size);
-    }
-    hcm_panic("bad workload kind");
-}
-
-std::string
-Workload::opUnit() const
-{
-    switch (_kind) {
-      case Kind::MMM:
-        return "flop";
-      case Kind::BlackScholes:
-        return "option";
-      case Kind::FFT:
-        return "pseudo-flop";
     }
     hcm_panic("bad workload kind");
 }

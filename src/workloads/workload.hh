@@ -31,14 +31,8 @@ enum class Kind {
     FFT,
 };
 
-/** All kinds, in the paper's Table 3 order. */
-const std::vector<Kind> &allKinds();
-
 /** Human-readable kernel name ("Dense Matrix Multiplication (MMM)"). */
 std::string kindName(Kind kind);
-
-/** Short identifier ("MMM", "BS", "FFT"). */
-std::string kindId(Kind kind);
 
 /**
  * A concrete workload: a kernel plus its size parameter where relevant
@@ -63,9 +57,6 @@ class Workload
 
     /** Display name, e.g. "FFT-1024". */
     std::string name() const;
-
-    /** Unit of one "op" ("flop", "pseudo-flop", "option"). */
-    std::string opUnit() const;
 
     /** Unit of the perf column in the paper's tables. */
     std::string perfUnit() const;

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "amdahl/amdahl.hh"
 #include "amdahl/multicore.hh"
 #include "amdahl/pollack.hh"
 
@@ -15,10 +14,11 @@ namespace {
 
 TEST(MulticoreTest, SymmetricWithUnitCoresIsAmdahl)
 {
-    // r = 1: n BCE cores, the classic Amdahl multicore.
+    // r = 1: n BCE cores, the classic Amdahl multicore
+    // 1 / (f / n + (1 - f)).
     for (double f : {0.0, 0.5, 0.9, 0.99})
         EXPECT_NEAR(speedupSymmetric(f, 64.0, 1.0),
-                    amdahlSpeedup(f, 64.0), 1e-12);
+                    1.0 / (f / 64.0 + (1.0 - f)), 1e-12);
 }
 
 TEST(MulticoreTest, SymmetricHillMartyFigures)
@@ -138,7 +138,8 @@ TEST_P(MonotoneInResources, FasterUCoresNeverHurt)
     for (double mu = 0.25; mu <= 1024.0; mu *= 2.0) {
         double s = speedupHeterogeneous(f, 64.0, 4.0, mu);
         EXPECT_GE(s, prev);
-        EXPECT_LE(s, amdahlLimit(f) * perfSeq(4.0) + 1e-9);
+        // Amdahl's asymptote 1 / (1 - f) over the serial core.
+        EXPECT_LE(s, perfSeq(4.0) / (1.0 - f) + 1e-9);
         prev = s;
     }
 }

@@ -17,12 +17,6 @@ TEST(PollackTest, SquareRootPerformance)
     EXPECT_NEAR(perfSeq(2.0), std::sqrt(2.0), 1e-15);
 }
 
-TEST(PollackTest, AreaIsInverseOfPerf)
-{
-    for (double r : {1.0, 2.0, 7.5, 16.0})
-        EXPECT_NEAR(areaForPerf(perfSeq(r)), r, 1e-12);
-}
-
 TEST(PollackTest, PowerLawAtDefaultAlpha)
 {
     // power_seq(r) = r^(alpha/2); alpha = 1.75.

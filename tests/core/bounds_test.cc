@@ -1,6 +1,7 @@
 /** @file Closed-form verification of Table 1's bounds. */
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 namespace hcm {
 namespace core {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 Budget
 budget(double a, double p, double b)
@@ -116,12 +119,12 @@ TEST(BoundsTest, ClassifyLimiterBreaksTiesAreaFirstThenBandwidth)
     // The one shared tie-break definition: area wins any tie it is part
     // of, bandwidth beats power. Every caller (parallelBound, the
     // dynamic-CMP optimizer, the batch kernel) must agree on these.
-    EXPECT_EQ(classifyLimiter(5.0, 5.0, 5.0), Limiter::Area);
-    EXPECT_EQ(classifyLimiter(5.0, 5.0, 9.0), Limiter::Area);
-    EXPECT_EQ(classifyLimiter(5.0, 9.0, 5.0), Limiter::Area);
-    EXPECT_EQ(classifyLimiter(9.0, 5.0, 5.0), Limiter::Bandwidth);
-    EXPECT_EQ(classifyLimiter(9.0, 5.0, 4.0), Limiter::Bandwidth);
-    EXPECT_EQ(classifyLimiter(9.0, 4.0, 5.0), Limiter::Power);
+    EXPECT_EQ(classifyLimiter(5.0, 5.0, 5.0, kInf), Limiter::Area);
+    EXPECT_EQ(classifyLimiter(5.0, 5.0, 9.0, kInf), Limiter::Area);
+    EXPECT_EQ(classifyLimiter(5.0, 9.0, 5.0, kInf), Limiter::Area);
+    EXPECT_EQ(classifyLimiter(9.0, 5.0, 5.0, kInf), Limiter::Bandwidth);
+    EXPECT_EQ(classifyLimiter(9.0, 5.0, 4.0, kInf), Limiter::Bandwidth);
+    EXPECT_EQ(classifyLimiter(9.0, 4.0, 5.0, kInf), Limiter::Power);
 }
 
 TEST(BoundsTest, DynamicOptimizerAgreesWithParallelBoundOnTies)

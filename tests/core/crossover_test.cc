@@ -8,6 +8,7 @@
 
 #include "core/crossover.hh"
 #include "core/multi_amdahl.hh"
+#include "core/projection.hh"
 #include "util/math.hh"
 
 namespace hcm {
@@ -45,30 +46,40 @@ TEST(CrossoverTest, RatioHandlesInfeasibility)
 
 TEST(CrossoverTest, FractionBracketsTheTarget)
 {
-    Budget b{64.0, 12.0, 80.0};
-    Organization o = het(10.0, 0.8);
-    auto f_star = crossoverFraction(o, asymmetricCmp(), 1.5, b);
+    const wl::Workload w = wl::Workload::mmm();
+    auto f_star = requiredParallelism(dev::DeviceId::Asic, w, 1.5, node22);
     ASSERT_TRUE(f_star);
     EXPECT_GT(*f_star, 0.0);
     EXPECT_LT(*f_star, 1.0);
-    // Just below: under target; just above: over.
-    EXPECT_LT(speedupRatio(o, asymmetricCmp(), *f_star - 0.01, b), 1.5);
-    EXPECT_GE(speedupRatio(o, asymmetricCmp(), *f_star + 0.01, b), 1.5);
+    // Just below: under target against the better CMP; just above: over.
+    const Scenario baseline = baselineScenario();
+    AppliedScenario applied = applyScenario(baseline, node22, w);
+    Organization asic =
+        applied.organization(*heterogeneous(dev::DeviceId::Asic, w));
+    auto ratio = [&](double f) {
+        return std::min(
+            speedupRatio(asic, symmetricCmp(), f, applied.budget,
+                         applied.opts),
+            speedupRatio(asic, asymmetricCmp(), f, applied.budget,
+                         applied.opts));
+    };
+    EXPECT_LT(ratio(*f_star - 0.01), 1.5);
+    EXPECT_GE(ratio(*f_star + 0.01), 1.5);
 }
 
 TEST(CrossoverTest, UnreachableTargetIsNullopt)
 {
-    Budget b{64.0, 12.0, 80.0};
-    // A U-core barely better than a BCE can't ever 10x the CMP.
-    EXPECT_FALSE(crossoverFraction(het(1.1, 1.0), asymmetricCmp(), 10.0,
-                                   b));
+    // No fabric ever beats the better CMP a thousandfold.
+    EXPECT_FALSE(requiredParallelism(dev::DeviceId::Asic,
+                                     wl::Workload::mmm(), 1000.0, node22));
 }
 
 TEST(CrossoverTest, TrivialTargetReturnsLowBound)
 {
-    Budget b{64.0, 12.0, 80.0};
-    auto f_star = crossoverFraction(het(10.0, 0.8), asymmetricCmp(),
-                                    0.5, b);
+    // At f = 0 every chip is its serial core, so a 0.5x target is met
+    // at the low end of the bracket.
+    auto f_star = requiredParallelism(dev::DeviceId::Gtx285,
+                                      wl::Workload::fft(1024), 0.5, node22);
     ASSERT_TRUE(f_star);
     EXPECT_DOUBLE_EQ(*f_star, 0.0);
 }

@@ -37,8 +37,9 @@ TEST(ProfileTest, UniformProfileStatistics)
 {
     ParallelismProfile p = ParallelismProfile::uniform(0.9);
     EXPECT_NEAR(p.parallelFraction(), 0.9, 1e-12);
-    EXPECT_TRUE(std::isinf(p.effectiveWidth()));
-    EXPECT_EQ(p.segments().size(), 2u);
+    ASSERT_EQ(p.segments().size(), 2u);
+    EXPECT_DOUBLE_EQ(p.segments()[0].width, 1.0);
+    EXPECT_TRUE(std::isinf(p.segments()[1].width));
 }
 
 TEST(ProfileTest, GeometricLadder)
@@ -49,16 +50,14 @@ TEST(ProfileTest, GeometricLadder)
     EXPECT_NEAR(p.parallelFraction(), 0.8, 1e-12);
     EXPECT_DOUBLE_EQ(p.segments()[1].width, 4.0);
     EXPECT_DOUBLE_EQ(p.segments()[4].width, 32.0);
-    // Effective width sits between the extremes.
-    EXPECT_GT(p.effectiveWidth(), 4.0);
-    EXPECT_LT(p.effectiveWidth(), 32.0);
 }
 
 TEST(ProfileTest, AllSerialProfileHasWidthOne)
 {
     ParallelismProfile p = ParallelismProfile::uniform(0.0);
     EXPECT_DOUBLE_EQ(p.parallelFraction(), 0.0);
-    EXPECT_DOUBLE_EQ(p.effectiveWidth(), 1.0);
+    EXPECT_DOUBLE_EQ(p.segments()[0].width, 1.0);
+    EXPECT_DOUBLE_EQ(p.segments()[0].fraction, 1.0);
 }
 
 TEST(ProfileTest, UniformReducesToClassicHeterogeneous)

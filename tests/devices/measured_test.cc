@@ -10,6 +10,16 @@ namespace {
 
 const MeasurementDb &db = MeasurementDb::instance();
 
+/** Table 5's entry for (@p device, @p w); nullptr when it has none. */
+const PublishedUCore *
+published(DeviceId device, const wl::Workload &w)
+{
+    for (const PublishedUCore &p : publishedTable5())
+        if (p.device == device && p.workload == w)
+            return &p;
+    return nullptr;
+}
+
 TEST(MeasuredTest, Table4MmmRowsReproduce)
 {
     struct Expect
@@ -109,11 +119,11 @@ TEST(MeasuredTest, ForWorkloadPreservesDeviceOrder)
 TEST(MeasuredTest, PublishedTable5HasTwentyEntries)
 {
     EXPECT_EQ(publishedTable5().size(), 20u);
-    auto p = findPublished(DeviceId::Asic, wl::Workload::fft(64));
+    const PublishedUCore *p = published(DeviceId::Asic, wl::Workload::fft(64));
     ASSERT_TRUE(p);
     EXPECT_DOUBLE_EQ(p->mu, 733.0);
     EXPECT_DOUBLE_EQ(p->phi, 5.34);
-    EXPECT_FALSE(findPublished(DeviceId::CoreI7, wl::Workload::mmm()));
+    EXPECT_FALSE(published(DeviceId::CoreI7, wl::Workload::mmm()));
 }
 
 TEST(MeasuredTest, AsicIsTheEfficiencyLeaderOnEveryWorkload)

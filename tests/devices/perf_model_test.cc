@@ -11,6 +11,16 @@ namespace hcm {
 namespace dev {
 namespace {
 
+/** Table 5's entry for (@p device, @p w); nullptr when it has none. */
+const PublishedUCore *
+published(DeviceId device, const wl::Workload &w)
+{
+    for (const PublishedUCore &p : publishedTable5())
+        if (p.device == device && p.workload == w)
+            return &p;
+    return nullptr;
+}
+
 TEST(PerfModelTest, FigureSizesSpan4To20)
 {
     auto sizes = FftPerfModel::figureSizes();
@@ -114,7 +124,8 @@ TEST(PerfModelTest, AsicPerMm2UsesPerSizeAreas)
                                  .perfPerMm2();
         EXPECT_NEAR(asic.perfPerMm2At(n) / expect_asic, 1.0, 1e-9)
             << "N=" << n;
-        auto pub = findPublished(DeviceId::Asic, wl::Workload::fft(n));
+        const PublishedUCore *pub =
+            published(DeviceId::Asic, wl::Workload::fft(n));
         ASSERT_TRUE(pub);
         EXPECT_NEAR(asic.perfPerMm2At(n) / cpu.perfPerMm2At(n) /
                         (pub->mu * std::sqrt(2.0)),

@@ -237,7 +237,8 @@ TEST(CliTest, BadInputsFailCleanly)
         EXPECT_EQ(out.rfind("fatal: ", 0), 0u) << args << "\n" << out;
     }
     // A write that fails (a full disk) is an error, like a failed
-    // open. Roofline warns about counters before its fatal line.
+    // open, on stdout too whichever verb wrote it. Roofline warns about
+    // counters before its fatal line.
     if (std::filesystem::exists("/dev/full")) {
         const std::string slice =
             "sweep --workloads mmm --fractions 0.99 --scenarios baseline";
@@ -251,7 +252,10 @@ TEST(CliTest, BadInputsFailCleanly)
                  "trace-merge " + trace + " --output /dev/full",
                  "batch " + batch + " --trace-out /dev/full > /dev/null",
                  "batch " + batch +
-                     " --profile-out /dev/full > /dev/null"}) {
+                     " --profile-out /dev/full > /dev/null",
+                 "table 1 > /dev/full", "batch " + batch + " > /dev/full",
+                 "trace-merge " + trace + " > /dev/full",
+                 "list > /dev/full"}) {
             auto [code, out] = runCli(args);
             EXPECT_EQ(code, 1) << args << "\n" << out;
             EXPECT_NE(("\n" + out).find("\nfatal: "), std::string::npos)

@@ -232,7 +232,10 @@ INSTANTIATE_TEST_SUITE_P(Workloads, ExportIsValidJson,
                                            wl::Kind::BlackScholes,
                                            wl::Kind::FFT),
                          [](const auto &info) {
-                             return wl::kindId(info.param);
+                             return info.param == wl::Kind::MMM ? "MMM"
+                                    : info.param == wl::Kind::FFT
+                                        ? "FFT"
+                                        : "BS";
                          });
 
 } // namespace

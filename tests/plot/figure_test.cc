@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/csv_reader.hh"
 #include "plot/figure.hh"
-#include "util/csv.hh"
 
 namespace hcm {
 namespace plot {

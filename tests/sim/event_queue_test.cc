@@ -10,6 +10,14 @@ namespace hcm {
 namespace sim {
 namespace {
 
+/** Run events until none remain. */
+void
+runAll(EventQueue &q)
+{
+    while (!q.empty())
+        q.runNext();
+}
+
 TEST(EventQueueTest, ExecutesInTimeOrder)
 {
     EventQueue q;
@@ -17,7 +25,7 @@ TEST(EventQueueTest, ExecutesInTimeOrder)
     q.schedule(3.0, [&] { order.push_back(3); });
     q.schedule(1.0, [&] { order.push_back(1); });
     q.schedule(2.0, [&] { order.push_back(2); });
-    q.runAll();
+    runAll(q);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_DOUBLE_EQ(q.now(), 3.0);
     EXPECT_EQ(q.executed(), 3u);
@@ -29,7 +37,7 @@ TEST(EventQueueTest, TiesBreakByInsertionOrder)
     std::vector<int> order;
     for (int i = 0; i < 5; ++i)
         q.schedule(1.0, [&order, i] { order.push_back(i); });
-    q.runAll();
+    runAll(q);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -43,52 +51,9 @@ TEST(EventQueueTest, ActionsMayScheduleMoreEvents)
             q.schedule(q.now() + 1.0, chain);
     };
     q.schedule(1.0, chain);
-    q.runAll();
+    runAll(q);
     EXPECT_EQ(fired, 4);
     EXPECT_DOUBLE_EQ(q.now(), 4.0);
-}
-
-TEST(EventQueueTest, CancelledEventsDoNotRunOrAdvanceTime)
-{
-    EventQueue q;
-    bool ran_cancelled = false;
-    bool ran_kept = false;
-    EventId victim = q.schedule(10.0, [&] { ran_cancelled = true; });
-    q.schedule(2.0, [&] { ran_kept = true; });
-    q.cancel(victim);
-    EXPECT_EQ(q.size(), 1u);
-    q.runAll();
-    EXPECT_TRUE(ran_kept);
-    EXPECT_FALSE(ran_cancelled);
-    EXPECT_DOUBLE_EQ(q.now(), 2.0); // never advanced to 10.0
-    EXPECT_EQ(q.executed(), 1u);
-}
-
-TEST(EventQueueTest, CancelIsIdempotentAndSafeOnExecutedIds)
-{
-    EventQueue q;
-    int count = 0;
-    EventId id = q.schedule(1.0, [&] { ++count; });
-    q.runNext();
-    EXPECT_EQ(count, 1);
-    q.cancel(id); // already executed: no-op
-    q.cancel(id);
-    q.cancel(9999); // never issued
-    EXPECT_TRUE(q.empty());
-
-    EventId id2 = q.schedule(2.0, [] {});
-    q.cancel(id2);
-    q.cancel(id2); // double cancel must not underflow the live count
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, NextTimeSkipsCancelled)
-{
-    EventQueue q;
-    EventId early = q.schedule(1.0, [] {});
-    q.schedule(5.0, [] {});
-    q.cancel(early);
-    EXPECT_DOUBLE_EQ(q.nextTime(), 5.0);
 }
 
 TEST(EventQueueTest, EqualTimestampEventsAllRun)
@@ -97,7 +62,7 @@ TEST(EventQueueTest, EqualTimestampEventsAllRun)
     int count = 0;
     for (int i = 0; i < 100; ++i)
         q.schedule(7.0, [&] { ++count; });
-    q.runAll();
+    runAll(q);
     EXPECT_EQ(count, 100);
 }
 

@@ -3,6 +3,8 @@
  *  simulator. */
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +141,22 @@ TEST(SimulatorTest, UtilizationIsBoundedAndHighWhenOversubscribed)
     EXPECT_LE(util, 1.0 + 1e-9);
 }
 
+/** @p rounds (serial, parallel) phase pairs with the aggregate split of
+ *  TaskGraph::amdahl(f, rounds * chunks_per_round). */
+TaskGraph
+alternating(double f, std::size_t rounds, std::size_t chunks_per_round)
+{
+    std::vector<Phase> phases;
+    for (std::size_t i = 0; i < rounds; ++i) {
+        phases.push_back({PhaseKind::Serial, (1.0 - f) / rounds, 1, {},
+                          "serial-" + std::to_string(i)});
+        phases.push_back({PhaseKind::Parallel, f / rounds,
+                          chunks_per_round, {},
+                          "parallel-" + std::to_string(i)});
+    }
+    return TaskGraph(std::move(phases));
+}
+
 TEST(SimulatorTest, AlternatingProgramMatchesSingleBag)
 {
     // With chunk counts that divide the tile count, splitting the same
@@ -146,13 +164,13 @@ TEST(SimulatorTest, AlternatingProgramMatchesSingleBag)
     Machine m = hetMachine(4.0, 16, 3.0, 0.7);
     SimStats bag = ChipSimulator(m).run(TaskGraph::amdahl(0.9, 1280));
     SimStats alt = ChipSimulator(m).run(
-        TaskGraph::alternating(0.9, 8, 160));
+        alternating(0.9, 8, 160));
     EXPECT_NEAR(alt.speedup(1.0) / bag.speedup(1.0), 1.0, 1e-9);
 
     // A non-divisible per-round chunk count pays the straggler tax in
     // every round — strictly worse.
     SimStats ragged = ChipSimulator(m).run(
-        TaskGraph::alternating(0.9, 8, 200));
+        alternating(0.9, 8, 200));
     EXPECT_LT(ragged.speedup(1.0), alt.speedup(1.0));
 }
 

@@ -1,5 +1,7 @@
 /** @file Tests for the synthetic task graphs. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/task.hh"
@@ -35,7 +37,13 @@ TEST(TaskTest, DegenerateFractions)
 
 TEST(TaskTest, AlternatingPreservesAggregates)
 {
-    TaskGraph g = TaskGraph::alternating(0.8, 5, 20);
+    // Five (serial, parallel) rounds with the same aggregate split.
+    std::vector<Phase> phases;
+    for (int i = 0; i < 5; ++i) {
+        phases.push_back({PhaseKind::Serial, 0.2 / 5, 1, {}, "serial"});
+        phases.push_back({PhaseKind::Parallel, 0.8 / 5, 20, {}, "parallel"});
+    }
+    TaskGraph g(std::move(phases));
     EXPECT_EQ(g.phases().size(), 10u);
     EXPECT_NEAR(g.totalWork(), 1.0, 1e-12);
     EXPECT_NEAR(g.parallelFraction(), 0.8, 1e-12);

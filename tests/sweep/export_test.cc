@@ -7,9 +7,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "oracle/csv_reader.hh"
 #include "sweep/export.hh"
 #include "sweep/sweep.hh"
-#include "util/csv.hh"
 #include "util/json_parse.hh"
 
 namespace hcm {

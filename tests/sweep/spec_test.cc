@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/projection.hh"
 #include "sweep/spec.hh"
 #include "sweep/sweep.hh"
 
@@ -133,13 +134,13 @@ TEST(SweepSpecTest, ScenarioListDeduplicates)
     EXPECT_EQ((*led)[0].name, "power-200w");
     EXPECT_EQ((*led)[1].name, "baseline");
 
-    // The unit count downstream sees exactly one pass per scenario.
+    // The sweep downstream runs exactly one pass per scenario.
     SweepSpec once, twice;
     once.workloads = twice.workloads = {wl::Workload::mmm()};
     once.fractions = twice.fractions = {0.9};
     once.scenarios = *all;
     twice.scenarios = *extra;
-    EXPECT_EQ(countUnits(once), countUnits(twice));
+    EXPECT_EQ(runSweep(once).units, runSweep(twice).units);
 }
 
 TEST(SweepSpecTest, AllCoversEveryRegistryScenarioOnce)
@@ -174,11 +175,15 @@ TEST(SweepSpecTest, DefaultSpecStringsMatchPaperSweep)
     std::string error;
     auto spec = parseSweepSpec(SpecStrings{}, &error);
     ASSERT_TRUE(spec.has_value()) << error;
-    SweepSpec paper = paperSweep();
-    EXPECT_EQ(spec->workloads.size(), paper.workloads.size());
-    EXPECT_EQ(spec->fractions, paper.fractions);
-    ASSERT_EQ(spec->scenarios.size(), paper.scenarios.size());
-    EXPECT_EQ(spec->scenarios[0].name, paper.scenarios[0].name);
+    // The full figure grid: the three paper workloads across the
+    // standard fractions under the baseline scenario.
+    EXPECT_EQ(spec->workloads,
+              (std::vector<wl::Workload>{wl::Workload::mmm(),
+                                         wl::Workload::blackScholes(),
+                                         wl::Workload::fft(1024)}));
+    EXPECT_EQ(spec->fractions, core::standardFractions());
+    ASSERT_EQ(spec->scenarios.size(), 1u);
+    EXPECT_EQ(spec->scenarios[0].name, core::baselineScenario().name);
 }
 
 TEST(SweepSpecTest, ParseSweepSpecReportsFirstBadList)

@@ -1,4 +1,4 @@
-/** @file Unit tests for util/csv. */
+/** @file Unit tests for util/csv and the tests' CSV reader. */
 
 #include <cstdio>
 #include <filesystem>
@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/csv_reader.hh"
 #include "util/csv.hh"
 
 namespace hcm {

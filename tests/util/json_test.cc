@@ -73,11 +73,16 @@ TEST(JsonTest, ArrayCommaPlacement)
 
 TEST(JsonTest, StringEscaping)
 {
-    EXPECT_EQ(JsonWriter::escape("plain"), "plain");
-    EXPECT_EQ(JsonWriter::escape("say \"hi\""), "say \\\"hi\\\"");
-    EXPECT_EQ(JsonWriter::escape("back\\slash"), "back\\\\slash");
-    EXPECT_EQ(JsonWriter::escape("line\nbreak"), "line\\nbreak");
-    EXPECT_EQ(JsonWriter::escape(std::string(1, '\x01')), "\\u0001");
+    auto escape = [](std::string_view s) {
+        std::string out;
+        detail::appendJsonEscaped(out, s);
+        return out;
+    };
+    EXPECT_EQ(escape("plain"), "plain");
+    EXPECT_EQ(escape("say \"hi\""), "say \\\"hi\\\"");
+    EXPECT_EQ(escape("back\\slash"), "back\\\\slash");
+    EXPECT_EQ(escape("line\nbreak"), "line\\nbreak");
+    EXPECT_EQ(escape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(JsonTest, NonFiniteNumbersBecomeNull)

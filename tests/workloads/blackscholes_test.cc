@@ -1,6 +1,7 @@
 /** @file Unit and property tests for the Black-Scholes kernel. */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -60,16 +61,10 @@ TEST(BlackScholesTest, BatchMatchesScalar)
 {
     Rng rng(7);
     auto options = randomOptions(64, rng);
-    auto prices = priceBatch(options);
-    ASSERT_EQ(prices.size(), options.size());
+    std::vector<float> prices(options.size());
+    priceBatch(options.data(), prices.data(), options.size());
     for (std::size_t i = 0; i < options.size(); ++i)
         EXPECT_FLOAT_EQ(prices[i], priceOption(options[i]));
-}
-
-TEST(BlackScholesTest, OpsPerOptionIsPlausible)
-{
-    EXPECT_GT(opsPerOption(), 20.0);
-    EXPECT_LT(opsPerOption(), 500.0);
 }
 
 TEST(BlackScholesDeathTest, RejectsNonPositiveInputs)

@@ -60,7 +60,7 @@ TEST(WorkloadTest, NamesAndUnits)
     EXPECT_EQ(Workload::blackScholes().name(), "BS");
     EXPECT_EQ(Workload::blackScholes().perfUnit(), "Mopts/s");
     EXPECT_EQ(Workload::fft(64).perfUnit(), "pseudo-GFLOP/s");
-    EXPECT_EQ(Workload::mmm().opUnit(), "flop");
+    EXPECT_EQ(Workload::mmm().perfUnit(), "GFLOP/s");
 }
 
 TEST(WorkloadTest, EqualityIncludesSize)
@@ -77,9 +77,8 @@ TEST(WorkloadDeathTest, FftRejectsNonPowerOfTwo)
 
 TEST(WorkloadTest, KindCatalog)
 {
-    EXPECT_EQ(allKinds().size(), 3u);
-    EXPECT_EQ(kindId(Kind::MMM), "MMM");
-    EXPECT_EQ(kindId(Kind::BlackScholes), "BS");
+    EXPECT_NE(kindName(Kind::MMM).find("(MMM)"), std::string::npos);
+    EXPECT_NE(kindName(Kind::BlackScholes).find("(BS)"), std::string::npos);
     EXPECT_NE(kindName(Kind::FFT).find("Fourier"), std::string::npos);
 }
 

@@ -776,8 +776,6 @@ cmdSweep(const Options &opts)
     };
     if (opts.output.empty()) {
         write(std::cout);
-        if (!std::cout.flush())
-            hcm_fatal("cannot write stdout");
     } else {
         writeOutput(opts.output, "output file ", write);
         hcm_inform("sweep written", logField("file", opts.output),
@@ -1516,16 +1514,10 @@ cmdStudy(const std::vector<std::string> &args)
     return 0;
 }
 
-} // namespace
-
+/** Run the verb @p args names; returns its exit status. */
 int
-main(int argc, char **argv)
+runCommand(const std::vector<std::string> &args)
 {
-    // Identity gauge first, so every metrics export — including ones
-    // from commands that never touch the engine — carries the build.
-    hcm::obs::registerBuildInfoMetric(hcm::obs::globalRegistry());
-    hcm::obs::registerProcessMetrics(hcm::obs::globalRegistry());
-    std::vector<std::string> args(argv + 1, argv + argc);
     if (args.empty() || args[0] == "help" || args[0] == "--help" ||
         args[0] == "-h") {
         std::cout << kUsage;
@@ -1612,4 +1604,21 @@ main(int argc, char **argv)
     if (cmd == "list")
         return cmdList();
     hcm_fatal("unknown command '", cmd, "' (see hcm help)");
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Identity gauge first, so every metrics export — including ones
+    // from commands that never touch the engine — carries the build.
+    hcm::obs::registerBuildInfoMetric(hcm::obs::globalRegistry());
+    hcm::obs::registerProcessMetrics(hcm::obs::globalRegistry());
+    int status = runCommand({argv + 1, argv + argc});
+    // Every verb's stdout ends here: a failed write (a full disk) is
+    // fatal, whichever verb wrote it.
+    if (!std::cout.flush())
+        hcm_fatal("cannot write stdout");
+    return status;
 }
