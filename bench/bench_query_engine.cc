@@ -250,26 +250,36 @@ goldenQueries()
     return batch ? batch->queries : std::vector<svc::Query>{};
 }
 
-/** The golden answer mix, rendered: the bytes the codec benches pack. */
-std::vector<std::string>
-goldenAnswers()
+/** The golden answer mix, evaluated: the results the codec benches pack. */
+std::vector<svc::QueryResult>
+goldenResults()
 {
-    std::vector<std::string> answers;
+    std::vector<svc::QueryResult> results;
     for (const svc::Query &q : goldenQueries())
-        answers.push_back(svc::evaluateQuery(q).toJson());
-    return answers;
+        results.push_back(svc::evaluateQuery(q));
+    return results;
+}
+
+/** The golden answer mix, packed. */
+std::vector<std::string>
+goldenPacked()
+{
+    std::vector<std::string> packed;
+    for (const svc::QueryResult &result : goldenResults())
+        svc::packAnswer(result, packed.emplace_back());
+    return packed;
 }
 
 /**
- * Packing one answer, as a miss does before the cache keeps it; the
- * iterations cycle through the golden mix, so the time is a mean
- * answer's.
+ * Packing one answer from its result, as a miss does before the cache
+ * keeps it; the iterations cycle through the golden mix, so the time
+ * is a mean answer's.
  */
 void
 BM_AnswerPack(benchmark::State &state)
 {
-    std::vector<std::string> answers = goldenAnswers();
-    if (answers.empty()) {
+    std::vector<svc::QueryResult> results = goldenResults();
+    if (results.empty()) {
         state.SkipWithError("answers_mix.json not found");
         return;
     }
@@ -277,16 +287,16 @@ BM_AnswerPack(benchmark::State &state)
     std::size_t i = 0;
     for (auto _ : state) {
         packed.clear();
-        svc::packAnswer(answers[i], packed);
+        svc::packAnswer(results[i], packed);
         benchmark::DoNotOptimize(packed.data());
         benchmark::ClobberMemory();
-        i = (i + 1) % answers.size();
+        i = (i + 1) % results.size();
     }
     double text = 0, kept = 0;
-    for (const std::string &a : answers) {
+    for (const svc::QueryResult &result : results) {
         packed.clear();
-        svc::packAnswer(a, packed);
-        text += static_cast<double>(a.size());
+        svc::packAnswer(result, packed);
+        text += static_cast<double>(svc::expandedSize(packed));
         kept += static_cast<double>(packed.size());
     }
     state.SetLabel(labelOf("ratio", text / kept));
@@ -297,9 +307,7 @@ BENCHMARK(BM_AnswerPack);
 void
 BM_AnswerUnpack(benchmark::State &state)
 {
-    std::vector<std::string> packed;
-    for (const std::string &a : goldenAnswers())
-        svc::packAnswer(a, packed.emplace_back());
+    std::vector<std::string> packed = goldenPacked();
     if (packed.empty()) {
         state.SkipWithError("answers_mix.json not found");
         return;
@@ -320,7 +328,9 @@ BENCHMARK(BM_AnswerUnpack);
 void
 BM_AnswerCopy(benchmark::State &state)
 {
-    std::vector<std::string> answers = goldenAnswers();
+    std::vector<std::string> answers;
+    for (const svc::QueryResult &result : goldenResults())
+        answers.push_back(result.toJson());
     if (answers.empty()) {
         state.SkipWithError("answers_mix.json not found");
         return;

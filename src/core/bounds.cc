@@ -37,7 +37,13 @@ limiterLegend(std::size_t tag_len, bool thermal, const std::string &suffix)
         std::string name = limiterName(limiter);
         if (!legend.empty())
             legend += ", ";
-        legend += "(" + name.substr(0, tag_len) + ") " + name + suffix;
+        // Appended piece by piece: GCC 12 reports a false -Wrestrict in
+        // an inlined "(" + std::string at -O2.
+        legend += '(';
+        legend.append(name, 0, tag_len);
+        legend += ") ";
+        legend += name;
+        legend += suffix;
     }
     return legend;
 }

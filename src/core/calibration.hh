@@ -53,8 +53,6 @@ class BceCalibration
     /** The shared default calibration against the embedded database. */
     static const BceCalibration &standard();
 
-    const CalibConstants &constants() const { return _consts; }
-
     /** BCE core area at 40/45nm: fast core area / rFast. */
     Area bceArea() const { return _bceArea; }
 

@@ -33,8 +33,6 @@ class FftBandwidthModel
      */
     explicit FftBandwidthModel(DeviceId id, std::size_t onchip_points = 0);
 
-    DeviceId device() const { return _id; }
-
     /** Largest N whose working set fits on chip. */
     std::size_t onchipCapacityPoints() const { return _capacity; }
 

@@ -36,7 +36,7 @@ edgeShape(DeviceClass cls)
 
 } // namespace
 
-FftPerfModel::FftPerfModel(DeviceId id) : _id(id)
+FftPerfModel::FftPerfModel(DeviceId id)
 {
     const MeasurementDb &db = MeasurementDb::instance();
     auto m64 = db.find(id, wl::Workload::fft(64));

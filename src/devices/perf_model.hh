@@ -32,8 +32,6 @@ class FftPerfModel
      *  (the R5870, for which the paper obtained no tuned FFT). */
     explicit FftPerfModel(DeviceId id);
 
-    DeviceId device() const { return _id; }
-
     /** Sustained pseudo-GFLOP/s for an N-point batched FFT. */
     Perf perfAt(std::size_t n) const;
 
@@ -63,7 +61,6 @@ class FftPerfModel
     static std::vector<DeviceId> figureDevices();
 
   private:
-    DeviceId _id;
     Area _area40;
     std::vector<double> _log2n; ///< curve knots (log2 of size)
     std::vector<double> _perf;  ///< pseudo-GFLOP/s at each knot

@@ -49,8 +49,6 @@ class FftPowerModel
   public:
     explicit FftPowerModel(DeviceId id);
 
-    DeviceId device() const { return _id; }
-
     /** 40nm-normalized core power at size @p n (interpolated anchors). */
     Power corePower40At(std::size_t n) const;
 

@@ -64,13 +64,5 @@ Roadmap::instance()
     return roadmap;
 }
 
-RoadmapYear
-Roadmap::at(int year) const
-{
-    hcm_assert(year >= firstYear() && year <= lastYear(),
-               "year ", year, " outside roadmap range");
-    return _years[static_cast<std::size_t>(year - firstYear())];
-}
-
 } // namespace itrs
 } // namespace hcm

@@ -38,10 +38,6 @@ class Roadmap
 
     const std::vector<RoadmapYear> &years() const { return _years; }
 
-    /** Projection for @p year (linear interpolation between table years;
-     *  panics outside [firstYear, lastYear]). */
-    RoadmapYear at(int year) const;
-
     int firstYear() const { return _years.front().year; }
     int lastYear() const { return _years.back().year; }
 

@@ -26,15 +26,6 @@ Cache::Cache(CacheConfig config) : _config(config)
     _sets.assign(_config.sets(), std::vector<Way>(_config.ways));
 }
 
-void
-Cache::reset()
-{
-    _stats = CacheStats{};
-    _clock = 0;
-    for (auto &set : _sets)
-        std::fill(set.begin(), set.end(), Way{});
-}
-
 bool
 Cache::contains(Addr addr) const
 {

@@ -94,9 +94,6 @@ class Cache
     /** True when the line containing @p addr is resident. */
     bool contains(Addr addr) const;
 
-    /** Reset contents and statistics. */
-    void reset();
-
   private:
     struct Way
     {

@@ -321,8 +321,8 @@ class FrontDoor::Impl
         };
         runFanout(work, count);
 
-        // Merge in input order: each element is the same writeJson()
-        // byte stream a single-process engine would emit.
+        // Merge in input order: each element is the same answer bytes
+        // a single-process engine would emit.
         std::string body;
         JsonWriter json(body);
         svc::writeBatchAnswer(json, count, [&](std::size_t i) {

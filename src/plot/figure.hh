@@ -43,7 +43,6 @@ class Figure
     Panel &addPanel(std::string title, Axis x, Axis y);
 
     const std::string &id() const { return _id; }
-    const std::string &caption() const { return _caption; }
     const std::deque<Panel> &panels() const { return _panels; }
 
     /** Render all panels as ASCII charts to @p os. */

@@ -54,14 +54,6 @@ struct Series
     {
         points.push_back({x, y, s});
     }
-
-    /** Extract x (resp. y) coordinates. */
-    std::vector<double> xs() const;
-    std::vector<double> ys() const;
-
-    /** Min/max over y values; panics when empty. */
-    double minY() const;
-    double maxY() const;
 };
 
 /** Axis description. */

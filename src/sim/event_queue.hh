@@ -26,9 +26,6 @@ class EventQueue
     /** Schedule @p action at absolute time @p when (>= now). */
     void schedule(SimTime when, std::function<void()> action);
 
-    /** True when no events remain. */
-    bool empty() const { return _heap.empty(); }
-
     /** Current simulated time (timestamp of the last executed event). */
     SimTime now() const { return _now; }
 

@@ -73,9 +73,6 @@ class ChipSimulator
     explicit ChipSimulator(Machine machine,
                            Schedule schedule = Schedule::DynamicGreedy);
 
-    const Machine &machine() const { return _machine; }
-    Schedule schedule() const { return _schedule; }
-
     /** Execute @p program to completion and return the statistics. */
     SimStats run(const TaskGraph &program);
 

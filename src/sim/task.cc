@@ -79,31 +79,5 @@ TaskGraph::amdahlImbalanced(double f, std::size_t chunks, double skew,
     return TaskGraph(std::move(phases));
 }
 
-double
-TaskGraph::totalWork() const
-{
-    double sum = 0.0;
-    for (const Phase &p : _phases)
-        sum += p.work;
-    return sum;
-}
-
-double
-TaskGraph::parallelWork() const
-{
-    double sum = 0.0;
-    for (const Phase &p : _phases)
-        if (p.kind == PhaseKind::Parallel)
-            sum += p.work;
-    return sum;
-}
-
-double
-TaskGraph::parallelFraction() const
-{
-    double total = totalWork();
-    return total > 0.0 ? parallelWork() / total : 0.0;
-}
-
 } // namespace sim
 } // namespace hcm

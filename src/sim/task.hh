@@ -65,15 +65,6 @@ class TaskGraph
 
     const std::vector<Phase> &phases() const { return _phases; }
 
-    /** Sum of phase work. */
-    double totalWork() const;
-
-    /** Sum of parallel-phase work. */
-    double parallelWork() const;
-
-    /** Parallel fraction of total work. */
-    double parallelFraction() const;
-
   private:
     std::vector<Phase> _phases;
 };

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -12,18 +13,19 @@
 #include "devices/measured.hh"
 #include "itrs/scaling.hh"
 #include "svc/query.hh"
+#include "util/format.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace hcm {
 namespace svc {
 namespace {
 
-constexpr unsigned char kModeRaw = 0;
-constexpr unsigned char kModePacked = 1;
-
 constexpr unsigned kFirstToken = 0x80;
+/** The byte after this code stands for itself. */
+constexpr unsigned kLiteral = 0xDF;
 constexpr unsigned kFirstRun = 0xE0;
-constexpr std::size_t kMaxTokens = kFirstRun - kFirstToken;
+constexpr std::size_t kMaxTokens = kLiteral - kFirstToken;
 constexpr std::size_t kMaxRun = 0x100 - kFirstRun;
 /** A shorter run packs to no fewer bytes than its characters. */
 constexpr std::size_t kMinRun = 3;
@@ -34,11 +36,25 @@ constexpr std::size_t kSlot = kAnswerExpandSlack;
 constexpr char kNumberChars[16] = "0123456789.-+eE";
 
 /**
- * The fixed text between values, as QueryResult::writeJson() emits it:
- * the query echo, each row's members, and an error's dispatch keys.
- * Longest-first matching picks the longer variants when they apply.
+ * The answer's schema, stated once: its fixed fragments, in the order
+ * packAnswer() writes them. A fragment that may follow either a number
+ * or a string comes twice; the second (…Q) starts with the string's
+ * closing quote. The names and the row members joined to them follow
+ * in the vocabulary (Vocabulary's constructor).
  */
-constexpr std::string_view kPunctuation[] = {
+enum Fragment : unsigned {
+    // The query echo: success answers open with it, errors end with it.
+    kQueryOpen, kWorkload, kF, kScenario, kNode, kDevice, kDeviceQ,
+    // Success: the rows, each opening with its organization.
+    kRows, kRowsQ, kNoRows, kNoRowsQ, kNextRow, kN, kSpeedup, kLimiter,
+    kRowsEnd,
+    // Errors: the dispatch keys, then the echo.
+    kErrorOpen, kErrorType, kRetryAfter, kRequestId, kRequestIdQ, kEcho,
+    kEchoQ, kErrorEnd, kErrorEndQ,
+    kFragments
+};
+
+constexpr std::string_view kFragmentText[kFragments] = {
     R"({"query":{"type":")",
     R"(","workload":")",
     R"(","f":)",
@@ -46,22 +62,15 @@ constexpr std::string_view kPunctuation[] = {
     R"(","node":)",
     R"(,"device":")",
     R"(","device":")",
-    R"("},"rows":[{"organization":")",
     R"(},"rows":[{"organization":")",
-    R"("},"rows":[)",
-    R"(},"rows":[)",
+    R"("},"rows":[{"organization":")",
+    R"(},"rows":[]})",
+    R"("},"rows":[]})",
     R"(},{"organization":")",
-    R"(false},{"organization":")",
-    R"(","node":")",
-    R"(","feasible":)",
-    R"(true,"r":)",
-    R"(false})",
     R"(,"n":)",
     R"(,"speedup":)",
     R"(,"limiter":")",
-    R"(","energyNormalized":)",
     R"(}]})",
-    R"(]})",
     R"({"error":")",
     R"(","type":")",
     R"(","retryAfterMs":)",
@@ -69,148 +78,94 @@ constexpr std::string_view kPunctuation[] = {
     R"(","requestId":")",
     R"(,"query":{"type":")",
     R"(","query":{"type":")",
+    R"(}})",
+    R"("}})",
 };
 
-/**
- * A token of at least kKeyBytes is looked up by its first kKeyBytes,
- * hashed into one of kBuckets; few tokens share a bucket. The shorter
- * ones (a few names and closers) are tried in turn after that.
- */
-constexpr std::size_t kKeyBytes = 4;
-constexpr std::size_t kBuckets = 256;
-
-std::uint32_t
-load32(const char *p)
-{
-    std::uint32_t v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-}
-
-std::size_t
-bucketOf(std::uint32_t key)
-{
-    return (key * 0x9E3779B1u) >> 24;
-}
+/** The limiters, in enum order. */
+constexpr core::Limiter kLimiters[] = {
+    core::Limiter::Area, core::Limiter::Power, core::Limiter::Bandwidth,
+    core::Limiter::Thermal};
 
 struct Vocabulary
 {
     std::vector<std::string> strings;
+    /**
+     * The index of each group of names, which follow the fragments in
+     * registry order: query types, workloads, scenarios, devices and
+     * error kinds alone, then a row's organization (by paperIndex),
+     * node (by nodeTable() position) and limiter, each joined to the
+     * members that follow it.
+     */
+    unsigned types = 0, workloads = 0, scenarios = 0, devices = 0,
+             kinds = 0, orgs = 0, feasible = 0, infeasible = 0, limiters = 0;
     /**
      * What each code below kFirstRun expands to, zero-padded to a whole
      * slot: a literal's own byte, or a vocabulary string.
      */
     std::array<std::array<char, kSlot>, kFirstRun> slots{};
     std::array<std::uint8_t, kFirstRun> slotLen{};
-    /** Per vocabulary string, per 8-byte word of its slot, its bits. */
-    std::array<std::array<std::uint64_t, kSlot / 8>, kMaxTokens> masks{};
-    /** Long token indices by bucket, longest first within a bucket. */
-    std::vector<std::uint8_t> order;
-    std::array<std::uint16_t, kBuckets + 1> bucketBegin{};
-    /** Short token indices, longest first. */
-    std::vector<std::uint8_t> shortTokens;
-    /** Whether some short token starts with the byte. */
-    std::array<bool, 256> shortFirst{};
     /** The two characters each byte of a number run expands to. */
     std::array<std::array<char, 2>, 256> pairs{};
     /** Nibble of each number character; 0xFF for any other byte. */
     std::array<std::uint8_t, 256> nibble{};
 
     Vocabulary();
-    void add(std::string_view s);
-    /** Whether string @p t is a prefix of the @p avail bytes at @p s. */
-    bool tokenAt(std::size_t t, const char *s, std::size_t avail) const;
-    /** The longest string prefixing the @p avail bytes at @p s, or -1. */
-    int match(const char *s, std::size_t avail) const;
 };
-
-void
-Vocabulary::add(std::string_view s)
-{
-    // A string that does not fit a slot or the codes, or that a code
-    // could not stand for, is left out: the codec stays lossless, it
-    // only packs that text as literals.
-    bool ascii = std::all_of(s.begin(), s.end(), [](char c) {
-        return static_cast<unsigned char>(c) < kFirstToken;
-    });
-    if (s.size() < 2 || s.size() > kSlot || !ascii ||
-        strings.size() == kMaxTokens ||
-        std::find(strings.begin(), strings.end(), s) != strings.end())
-        return;
-    strings.emplace_back(s);
-}
 
 Vocabulary::Vocabulary()
 {
-    for (std::string_view p : kPunctuation)
-        add(p);
-    // The query echo's names.
-    for (QueryType t : allQueryTypes())
-        add(queryTypeName(t));
-    std::vector<wl::Workload> workloads = dev::table5Workloads();
-    for (const wl::Workload &w : workloads)
-        add(w.name());
-    for (const core::Scenario &s : core::allScenarios())
-        add(s.name);
-    for (dev::DeviceId id : dev::allDevices())
-        add(dev::deviceName(id));
-    // A row's names with the members that always follow them, so a
-    // row takes a few codes fewer.
-    const std::vector<core::Limiter> limiters = {
-        core::Limiter::Area, core::Limiter::Power, core::Limiter::Bandwidth,
-        core::Limiter::Thermal};
-    for (const wl::Workload &w : workloads)
-        for (const core::Organization &org : core::paperOrganizations(w))
-            add(org.name + R"(","node":")");
-    for (const std::string &label : itrs::nodeLabels()) {
-        add(label + R"(","feasible":true,"r":)");
-        add(label + R"(","feasible":false})");
+    // Append each name of @p registry, joined to @p tail; returns the
+    // group's first index.
+    auto add = [&](const auto &registry, auto name_of,
+                   std::string_view tail = {}) {
+        auto first = static_cast<unsigned>(strings.size());
+        for (const auto &item : registry)
+            strings.push_back(std::string(name_of(item)).append(tail));
+        return first;
+    };
+    auto same = [](std::string_view s) { return s; };
+    std::vector<wl::Workload> workload_list = dev::table5Workloads();
+    add(kFragmentText, same);
+    types = add(allQueryTypes(), queryTypeName);
+    workloads = add(workload_list, [](const wl::Workload &w) {
+        return w.name();
+    });
+    scenarios = add(core::allScenarios(),
+                    [](const core::Scenario &s) { return s.name; });
+    devices = add(dev::allDevices(), dev::deviceName);
+    const QueryErrorKind kind_list[] = {
+        QueryErrorKind::EvaluationFailed, QueryErrorKind::DeadlineExceeded,
+        QueryErrorKind::Overloaded, QueryErrorKind::ShardUnavailable};
+    kinds = add(kind_list, queryErrorKindName);
+    // Organizations by paperIndex: every workload's paper lines.
+    std::vector<std::string> org_names;
+    for (const wl::Workload &w : workload_list) {
+        for (const core::Organization &org : core::paperOrganizations(w)) {
+            auto at = static_cast<std::size_t>(org.paperIndex);
+            org_names.resize(std::max(org_names.size(), at + 1));
+            org_names[at] = org.name;
+        }
     }
-    for (core::Limiter l : limiters)
-        add(core::limiterName(l) + R"(","energyNormalized":)");
-    // The same names alone, for rows the composites miss.
-    for (const wl::Workload &w : workloads)
-        for (const core::Organization &org : core::paperOrganizations(w))
-            add(org.name);
-    for (const std::string &label : itrs::nodeLabels())
-        add(label);
-    for (core::Limiter l : limiters)
-        add(core::limiterName(l));
+    orgs = add(org_names, same, R"(","node":")");
+    auto label = [](const itrs::NodeParams &n) { return n.label(); };
+    feasible = add(itrs::nodeTable(), label, R"(","feasible":true,"r":)");
+    infeasible = add(itrs::nodeTable(), label, R"(","feasible":false)");
+    limiters = add(kLimiters, core::limiterName, R"(","energyNormalized":)");
 
-    std::vector<std::vector<std::uint8_t>> buckets(kBuckets);
+    hcm_assert(strings.size() <= kMaxTokens, "answer vocabulary holds ",
+               strings.size(), " strings, more than ", kMaxTokens);
     for (std::size_t i = 0; i < strings.size(); ++i) {
         const std::string &s = strings[i];
+        hcm_assert(s.size() <= kSlot, "answer vocabulary string ", s,
+                   " does not fit a slot");
         std::memcpy(slots[kFirstToken + i].data(), s.data(), s.size());
         slotLen[kFirstToken + i] = static_cast<std::uint8_t>(s.size());
-        for (std::size_t w = 0; 8 * w < s.size(); ++w) {
-            std::size_t rest = s.size() - 8 * w;
-            masks[i][w] = rest >= 8 ? ~std::uint64_t{0}
-                                    : (std::uint64_t{1} << (8 * rest)) - 1;
-        }
-        auto index = static_cast<std::uint8_t>(i);
-        if (s.size() >= kKeyBytes) {
-            buckets[bucketOf(load32(s.data()))].push_back(index);
-        } else {
-            shortTokens.push_back(index);
-            shortFirst[static_cast<unsigned char>(s[0])] = true;
-        }
     }
     for (unsigned c = 0; c < kFirstToken; ++c) {
         slots[c][0] = static_cast<char>(c);
         slotLen[c] = 1;
     }
-    auto longest_first = [&](std::uint8_t x, std::uint8_t y) {
-        return strings[x].size() > strings[y].size();
-    };
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-        std::stable_sort(buckets[b].begin(), buckets[b].end(),
-                         longest_first);
-        bucketBegin[b] = static_cast<std::uint16_t>(order.size());
-        order.insert(order.end(), buckets[b].begin(), buckets[b].end());
-    }
-    bucketBegin[kBuckets] = static_cast<std::uint16_t>(order.size());
-    std::stable_sort(shortTokens.begin(), shortTokens.end(), longest_first);
-
     nibble.fill(0xFF);
     for (std::uint8_t n = 0; n < 15; ++n)
         nibble[static_cast<unsigned char>(kNumberChars[n])] = n;
@@ -253,75 +208,125 @@ getVarint(const unsigned char *p, std::size_t &v)
     }
 }
 
-std::uint64_t
-load64(const char *p)
-{
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-}
-
-bool
-Vocabulary::tokenAt(std::size_t t, const char *s, std::size_t avail) const
-{
-    const char *bytes = slots[kFirstToken + t].data();
-    std::size_t len = slotLen[kFirstToken + t];
-    if (len > avail)
-        return false;
-    if constexpr (std::endian::native == std::endian::little) {
-        if (avail >= kSlot) {
-            // A whole slot is readable: compare every little-endian
-            // word under the string's masks, with no branch on its
-            // length.
-            std::uint64_t diff = 0;
-            for (std::size_t w = 0; w < kSlot / 8; ++w)
-                diff |= (load64(s + 8 * w) ^ load64(bytes + 8 * w)) &
-                        masks[t][w];
-            return diff == 0;
-        }
-    }
-    return std::memcmp(s, bytes, len) == 0;
-}
-
-int
-Vocabulary::match(const char *s, std::size_t avail) const
-{
-    if (avail >= kKeyBytes) {
-        std::size_t b = bucketOf(load32(s));
-        for (std::size_t k = bucketBegin[b]; k < bucketBegin[b + 1]; ++k)
-            if (tokenAt(order[k], s, avail))
-                return order[k];
-    }
-    if (!shortFirst[static_cast<unsigned char>(*s)])
-        return -1;
-    for (std::uint8_t t : shortTokens)
-        if (tokenAt(t, s, avail))
-            return t;
-    return -1;
-}
-
 /**
- * Pack the number characters that start @p u, at most @p limit, two to
- * a byte at @p q; returns how many. A pair is checked with one branch.
+ * Codes appended to a string, counting the bytes they expand to. The
+ * codes start kMaxVarint bytes in; finish() puts the length header
+ * right before them.
  */
-std::size_t
-packRun(const Vocabulary &vocab, const unsigned char *u, std::size_t limit,
-        char *q)
+struct Packer
 {
-    const std::array<std::uint8_t, 256> &nibble = vocab.nibble;
-    std::size_t run = 0;
-    for (; run + 2 <= limit; run += 2) {
-        unsigned hi = nibble[u[run]];
-        unsigned lo = nibble[u[run + 1]];
-        if ((hi | lo) > 15)
-            break;
-        q[run / 2] = static_cast<char>(hi << 4 | lo);
+    const Vocabulary &vocab;
+    std::string &out;
+    std::size_t start = out.size();
+    std::size_t expanded = 0;
+
+    /** Vocabulary string @p index. */
+    void
+    code(unsigned index)
+    {
+        out += static_cast<char>(kFirstToken + index);
+        expanded += vocab.slotLen[kFirstToken + index];
     }
-    if (run < limit && nibble[u[run]] != 0xFF) {
-        q[run / 2] = static_cast<char>(nibble[u[run]] << 4 | 15);
-        ++run;
+
+    void
+    literals(std::string_view s)
+    {
+        for (char c : s) {
+            if (static_cast<unsigned char>(c) >= kFirstToken)
+                out += static_cast<char>(kLiteral);
+            out += c;
+        }
+        expanded += s.size();
     }
-    return run;
+
+    /** @p s JSON-escaped, as literals. */
+    void
+    text(std::string_view s)
+    {
+        if (detail::jsonPlain(s))
+            return literals(s);
+        std::string escaped;
+        detail::appendJsonEscaped(escaped, s);
+        literals(escaped);
+    }
+
+    /** The string in [@p first, @p end) that reads @p s, else text. */
+    void
+    name(unsigned first, unsigned end, std::string_view s)
+    {
+        for (unsigned i = first; i < end; ++i)
+            if (vocab.strings[i] == s)
+                return code(i);
+        text(s);
+    }
+
+    /** Number characters @p s, two to a byte behind a run code. */
+    void
+    run(std::string_view s)
+    {
+        if (s.size() < kMinRun)
+            return literals(s);
+        hcm_assert(s.size() <= kMaxRun, "number of ", s.size(),
+                   " characters is longer than a run");
+        const auto *u = reinterpret_cast<const unsigned char *>(s.data());
+        out += static_cast<char>(kFirstRun + s.size() - 1);
+        for (std::size_t i = 0; i < s.size(); i += 2) {
+            unsigned lo = i + 1 < s.size() ? vocab.nibble[u[i + 1]] : 15;
+            out += static_cast<char>(vocab.nibble[u[i]] << 4 | lo);
+        }
+        expanded += s.size();
+    }
+
+    /** @p v as JsonWriter prints a double: "%.12g", or null. */
+    void
+    number(double v)
+    {
+        if (!std::isfinite(v))
+            return literals("null");
+        char buf[kGeneralRoom];
+        run({buf, static_cast<std::size_t>(formatGeneral(buf, v, 12) -
+                                           buf)});
+    }
+
+    /** Put the length header right before the codes. */
+    void
+    finish()
+    {
+        char header[kMaxVarint];
+        std::size_t head = putVarint(expanded, header) - header;
+        char *at = out.data() + start;
+        std::memmove(at + head, at + kMaxVarint,
+                     out.size() - start - kMaxVarint);
+        std::memcpy(at, header, head);
+        out.resize(out.size() - (kMaxVarint - head));
+    }
+};
+
+/** The query echo's members after its opening fragment; returns
+ *  whether it ends with a string. */
+bool
+packEcho(const Query &q, Packer &pack)
+{
+    const Vocabulary &vocab = pack.vocab;
+    pack.code(vocab.types + static_cast<unsigned>(q.type));
+    pack.code(kWorkload);
+    pack.name(vocab.workloads, vocab.scenarios, q.workload.name());
+    pack.code(kF);
+    pack.number(q.f);
+    pack.code(kScenario);
+    pack.name(vocab.scenarios, vocab.devices, q.scenario);
+    bool quoted = true;
+    if (q.type != QueryType::Projection) {
+        pack.code(kNode);
+        pack.number(q.node);
+        quoted = false;
+    }
+    if (q.device) {
+        pack.code(kDevice + quoted);
+        pack.code(vocab.devices + static_cast<unsigned>(*q.device));
+        quoted = true;
+    }
+    return quoted;
 }
 
 } // namespace
@@ -333,57 +338,69 @@ answerVocabulary()
 }
 
 void
-packAnswer(std::string_view text, std::string &out)
+packAnswer(const QueryResult &result, std::string &out)
 {
     const Vocabulary &vocab = vocabulary();
-    std::size_t start = out.size();
-    // Packed codes never outnumber the bytes they stand for: a token
-    // is at least two bytes and a run at least kMinRun characters. Two
-    // bytes more hold the scratch of a short run at the very end.
-    out.resize(start + 1 + kMaxVarint + text.size() + 2);
-    char *head = out.data() + start;
-    *head = static_cast<char>(kModePacked);
-    char *body = putVarint(text.size(), head + 1);
-    char *p = body;
-    const char *s = text.data();
-    std::size_t n = text.size();
-    bool raw = false;
-    for (std::size_t i = 0; i < n;) {
-        unsigned char c = static_cast<unsigned char>(s[i]);
-        if (c >= kFirstToken) {
-            raw = true;
-            break;
+    const Query &q = result.query;
+    Packer pack{vocab, out};
+    // A feasible row is at most 8 codes and 5 runs of 11 bytes.
+    out.reserve(out.size() + 128 + 64 * result.rows.size());
+    out.append(kMaxVarint, '\0');
+    if (!result.ok()) {
+        // Errors lead with the machine-readable fields so line-oriented
+        // clients can dispatch on the first keys; the query echo follows
+        // for correlation.
+        pack.code(kErrorOpen);
+        pack.text(result.error);
+        pack.code(kErrorType);
+        pack.code(vocab.kinds + static_cast<unsigned>(result.errorKind) - 1);
+        bool quoted = true;
+        if (result.retryAfterMs > 0) {
+            pack.code(kRetryAfter);
+            // As JsonWriter prints an unsigned count.
+            char digits[24];
+            auto [end, ec] = std::to_chars(
+                digits, digits + sizeof digits,
+                static_cast<long long>(result.retryAfterMs));
+            pack.run({digits, static_cast<std::size_t>(end - digits)});
+            quoted = false;
         }
-        std::size_t avail = n - i;
-        // A number first: no token starts with three number characters.
-        // The run is packed behind its code byte before it is known to
-        // be long enough; a short one is overwritten.
-        if (vocab.nibble[c] != 0xFF) {
-            std::size_t run =
-                packRun(vocab, reinterpret_cast<const unsigned char *>(s + i),
-                        std::min(avail, kMaxRun), p + 1);
-            if (run >= kMinRun) {
-                *p = static_cast<char>(kFirstRun + run - 1);
-                p += 1 + (run + 1) / 2;
-                i += run;
-                continue;
-            }
+        // After the dispatch keys, before the echo: clients that sent
+        // an id can join the failure to their own records. Success
+        // responses never carry the id — cache hits replay bytes to
+        // requests with different ids.
+        if (q.requestIdEcho && !q.requestId.empty()) {
+            pack.code(kRequestId + quoted);
+            pack.text(q.requestId);
+            quoted = true;
         }
-        if (int t = vocab.match(s + i, avail); t >= 0) {
-            *p++ = static_cast<char>(kFirstToken + t);
-            i += vocab.slotLen[kFirstToken + t];
+        pack.code(kEcho + quoted);
+        pack.code(kErrorEnd + packEcho(q, pack));
+        pack.finish();
+        return;
+    }
+    pack.code(kQueryOpen);
+    bool quoted = packEcho(q, pack);
+    for (std::size_t i = 0; i < result.rows.size(); ++i) {
+        const ResultRow &row = result.rows[i];
+        pack.code(i == 0 ? kRows + quoted : kNextRow);
+        pack.code(vocab.orgs + row.org);
+        if (!row.feasible) {
+            pack.code(vocab.infeasible + row.node);
             continue;
         }
-        *p++ = static_cast<char>(c);
-        ++i;
+        pack.code(vocab.feasible + row.node);
+        pack.number(row.r);
+        pack.code(kN);
+        pack.number(row.n);
+        pack.code(kSpeedup);
+        pack.number(row.speedup);
+        pack.code(kLimiter);
+        pack.code(vocab.limiters + static_cast<unsigned>(row.limiter));
+        pack.number(row.energyNormalized);
     }
-    if (raw || static_cast<std::size_t>(p - body) >= n) {
-        // Stored as is: the body is the text itself.
-        *head = static_cast<char>(kModeRaw);
-        std::memcpy(body, s, n);
-        p = body + n;
-    }
-    out.resize(static_cast<std::size_t>(p - out.data()));
+    pack.code(result.rows.empty() ? kNoRows + quoted : kRowsEnd);
+    pack.finish();
 }
 
 std::size_t
@@ -392,8 +409,7 @@ expandedSize(std::string_view packed)
     if (packed.empty())
         return 0;
     std::size_t len;
-    getVarint(reinterpret_cast<const unsigned char *>(packed.data()) + 1,
-              len);
+    getVarint(reinterpret_cast<const unsigned char *>(packed.data()), len);
     return len;
 }
 
@@ -404,23 +420,22 @@ expandAnswer(std::string_view packed, char *dst)
         return dst;
     const auto *in = reinterpret_cast<const unsigned char *>(packed.data());
     const unsigned char *end = in + packed.size();
-    unsigned char mode = *in;
     std::size_t len;
-    in = getVarint(in + 1, len);
-    if (mode == kModeRaw) {
-        std::memcpy(dst, in, len);
-        return dst + len;
-    }
+    in = getVarint(in, len);
     const Vocabulary &vocab = vocabulary();
     char *p = dst;
     while (in < end) {
         unsigned c = *in++;
-        if (c < kFirstRun) {
+        if (c < kLiteral) {
             // A literal or a vocabulary string, copied as a whole slot:
             // the bytes past it are overwritten by the codes that
             // follow, or fall in the slack.
             std::memcpy(p, vocab.slots[c].data(), kSlot);
             p += vocab.slotLen[c];
+            continue;
+        }
+        if (c == kLiteral) {
+            *p++ = static_cast<char>(*in++);
             continue;
         }
         std::size_t run = c - kFirstRun + 1;

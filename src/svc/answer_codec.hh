@@ -1,23 +1,29 @@
 /**
  * @file
- * A small lossless codec for rendered answers, so the cache keeps
- * about a quarter of each answer's bytes. A packed answer is one mode
- * byte, the expanded length as a LEB128 varint, then a body:
+ * The answer's schema, and the one writer of its bytes. packAnswer()
+ * writes a QueryResult straight into a small lossless code, so the
+ * cache keeps about a fifth of each answer's bytes and nothing
+ * renders the text first; every reader expands the codes. A packed
+ * answer is the expanded length as a LEB128 varint, then codes:
  *
- *  - raw mode: the bytes themselves;
- *  - packed mode: codes. A byte below 0x80 stands for itself. 0x80 to
- *    0xDF names one of at most 96 vocabulary strings: the member names
- *    and punctuation QueryResult::writeJson() emits, and the query
- *    type, workload, scenario, organization, node, limiter and device
- *    names from their registries, a row's names also joined to the
- *    members that follow them. 0xE0 to 0xFF starts a run of 1 to 32
- *    number characters (digits . - + e E), two to a byte, high nibble
- *    first.
+ *  - a byte below 0x80 stands for itself;
+ *  - 0x80 to 0xDE names one of at most 95 vocabulary strings, which the
+ *    schema table in answer_codec.cc lists once: the answer's fixed
+ *    fragments in the order they are written (the query echo, each
+ *    row's members, an error's dispatch keys), the query type,
+ *    workload, scenario, device and error-kind names from their
+ *    registries, and each organization, node label and limiter joined
+ *    to the members that follow it in a row;
+ *  - 0xDF stands for the byte after it, so free text with bytes of 0x80
+ *    or above packs too;
+ *  - 0xE0 to 0xFF starts a run of 1 to 32 number characters (digits
+ *    . - + e E), two to a byte, high nibble first.
  *
- * Every code expands to exactly the bytes it was packed from, so the
- * round trip is the identity. Text holding a byte of 0x80 or above
- * (which the codes could not tell from a code), or that packing would
- * not shrink, is stored raw.
+ * Free text (an error message, an echoed requestId, a workload or
+ * scenario spelled outside the registries) is JSON-escaped exactly as
+ * JsonWriter escapes it and written as literals. Numbers are written
+ * as JsonWriter prints them: "%.12g" (formatGeneral), null when not
+ * finite.
  */
 
 #ifndef HCM_SVC_ANSWER_CODEC_HH
@@ -31,14 +37,16 @@
 namespace hcm {
 namespace svc {
 
+struct QueryResult;
+
 /** Bytes expandAnswer() may overwrite past the end of its output. */
 constexpr std::size_t kAnswerExpandSlack = 32;
 
 /** The vocabulary, in code order: code 0x80 + i names entry i. */
 const std::vector<std::string> &answerVocabulary();
 
-/** Append @p text, packed, to @p out. */
-void packAnswer(std::string_view text, std::string &out);
+/** Append @p result's answer, packed, to @p out. */
+void packAnswer(const QueryResult &result, std::string &out);
 
 /** Length of the text @p packed expands to; 0 for an empty string. */
 std::size_t expandedSize(std::string_view packed);

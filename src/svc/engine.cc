@@ -89,7 +89,7 @@ operator<<(std::ostream &os, const QueryFields &fields)
 }
 
 /**
- * An engine error, rendered when it is made. Never cached: its bytes
+ * An engine error, packed when it is made. Never cached: its bytes
  * belong to the request (they may echo its requestId).
  */
 QueryEngine::ResultPtr
@@ -308,9 +308,9 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
                 eval.arg("rid", q.requestId);
             try {
                 FaultInjector::instance().maybeInject("eval");
-                // Render once and keep only the bytes: every later
-                // answer for this key, hit or piggybacked waiter,
-                // expands them instead of rendering again.
+                // Pack once, straight from the rows, and keep only the
+                // bytes: every answer for this key, this one included,
+                // expands them.
                 result = std::make_shared<const Answer>(
                     renderAnswer(evaluateQuery(q)));
             } catch (...) {

@@ -8,9 +8,9 @@
  * pure, a batch returns bit-identical answers regardless of thread
  * count or cache state.
  *
- * The engine's product is an Answer: the rendered bytes a client
- * receives. A miss renders its QueryResult once and keeps only those
- * bytes, in the cache and for every waiter.
+ * The engine's product is an Answer: the bytes a client receives. A
+ * miss packs its QueryResult once, straight from the rows, and keeps
+ * only those bytes, in the cache and for every waiter.
  *
  * Request lifecycle guarantees: every future the engine hands out
  * resolves. A throwing evaluation resolves to an evaluation_failed
@@ -197,7 +197,7 @@ class QueryEngine
                     bool run_here);
 
     /**
-     * The miss task: evaluate @p q (deadline and fault checks, render,
+     * The miss task: evaluate @p q (deadline and fault checks, pack,
      * cache insert) and always resolve @p prom and erase the in-flight
      * entry, on whichever thread runs it. @p submit_ns is the
      * hand-off time and @p deadline_at the absolute deadline (0 =

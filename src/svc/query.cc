@@ -13,29 +13,6 @@
 
 namespace hcm {
 namespace svc {
-namespace {
-
-/** One design as a result row; the numbers only when it is feasible. */
-ResultRow
-designRow(std::string org, std::string node,
-          const core::DesignPoint &design, double energy_normalized)
-{
-    ResultRow row;
-    row.org = std::move(org);
-    row.node = std::move(node);
-    row.feasible = design.feasible;
-    if (design.feasible) {
-        row.r = design.r;
-        row.n = design.n;
-        row.speedup = design.speedup;
-        row.limiter = core::limiterName(design.limiter);
-        row.energyNormalized = energy_normalized;
-    }
-    return row;
-}
-
-} // namespace
-
 const std::vector<QueryType> &
 allQueryTypes()
 {
@@ -121,6 +98,37 @@ indexIn(const Registry &registry, Field field, unsigned none)
     return none;
 }
 
+/** Position of @p node in itrs::nodeTable(). */
+std::uint8_t
+nodeIndex(const itrs::NodeParams &node)
+{
+    return static_cast<std::uint8_t>(indexIn(
+        itrs::nodeTable(),
+        [&](const itrs::NodeParams &n) { return n.nodeNm == node.nodeNm; },
+        0));
+}
+
+/** One design as a result row; the numbers only when it is feasible. */
+ResultRow
+designRow(int paper_index, std::uint8_t node,
+          const core::DesignPoint &design, double energy_normalized)
+{
+    hcm_assert(paper_index >= 0, "result row for an organization outside "
+                                 "the paper's");
+    ResultRow row;
+    row.org = static_cast<std::uint8_t>(paper_index);
+    row.node = node;
+    row.feasible = design.feasible;
+    if (design.feasible) {
+        row.r = design.r;
+        row.n = design.n;
+        row.speedup = design.speedup;
+        row.limiter = design.limiter;
+        row.energyNormalized = energy_normalized;
+    }
+    return row;
+}
+
 /**
  * The 8 bytes of @p value. Every NaN of one sign prints as the same
  * text, so NaNs are stored as the one quiet NaN of their sign.
@@ -180,80 +188,15 @@ Query::canonicalKey() const
     return key;
 }
 
-void
-QueryResult::writeJson(JsonWriter &json) const
-{
-    json.beginObject();
-    // Errors lead with the machine-readable fields so line-oriented
-    // clients can dispatch on the first keys; the query echo follows
-    // for correlation.
-    if (!ok()) {
-        json.kv("error", error);
-        json.kv("type", queryErrorKindName(errorKind));
-        if (retryAfterMs > 0)
-            json.kv("retryAfterMs", retryAfterMs);
-        // After the dispatch keys, before the echo: clients that sent
-        // an id can join the failure to their own records. Success
-        // responses never carry the id — cache hits replay bytes to
-        // requests with different ids.
-        if (query.requestIdEcho && !query.requestId.empty())
-            json.kv("requestId", query.requestId);
-    }
-    json.key("query").beginObject();
-    json.kv("type", queryTypeName(query.type));
-    json.kv("workload", query.workload.name());
-    json.kv("f", query.f);
-    json.kv("scenario", query.scenario);
-    if (query.type != QueryType::Projection)
-        json.kv("node", query.node);
-    if (query.device)
-        json.kv("device", dev::deviceName(*query.device));
-    json.endObject();
-    if (!ok()) {
-        json.endObject();
-        return;
-    }
-    json.key("rows").beginArray();
-    for (const ResultRow &row : rows) {
-        json.beginObject();
-        json.kv("organization", row.org);
-        json.kv("node", row.node);
-        json.kv("feasible", row.feasible);
-        if (row.feasible) {
-            json.kv("r", row.r);
-            json.kv("n", row.n);
-            json.kv("speedup", row.speedup);
-            json.kv("limiter", row.limiter);
-            json.kv("energyNormalized", row.energyNormalized);
-        }
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-}
-
 std::string
 QueryResult::toJson() const
 {
-    std::string body;
-    // Room for the query echo plus a handful of rows; larger answers
-    // (pareto, projection) grow it a few times.
-    body.reserve(256 + 160 * rows.size());
-    JsonWriter out(body);
-    writeJson(out);
-    return body;
-}
-
-Answer::Answer(std::string_view json, QueryErrorKind kind) : errorKind(kind)
-{
-    // Packed into a reused buffer, then copied once into a block of
-    // exactly its size.
     thread_local std::string packed;
     packed.clear();
-    packAnswer(json, packed);
-    _packedSize = packed.size();
-    _packed = std::make_unique_for_overwrite<char[]>(_packedSize);
-    std::memcpy(_packed.get(), packed.data(), _packedSize);
+    packAnswer(*this, packed);
+    std::string text;
+    appendExpanded(packed, text);
+    return text;
 }
 
 std::size_t
@@ -278,13 +221,17 @@ Answer::writeTo(JsonWriter &json) const
 Answer
 renderAnswer(const QueryResult &result)
 {
-    thread_local std::string scratch;
-    scratch.clear();
-    {
-        JsonWriter out(scratch);
-        result.writeJson(out);
-    }
-    return Answer(scratch, result.errorKind);
+    // Packed into a reused buffer, then copied once into a block of
+    // exactly its size.
+    thread_local std::string packed;
+    packed.clear();
+    packAnswer(result, packed);
+    Answer answer;
+    answer.errorKind = result.errorKind;
+    answer._packedSize = packed.size();
+    answer._packed = std::make_unique_for_overwrite<char[]>(packed.size());
+    std::memcpy(answer._packed.get(), packed.data(), packed.size());
+    return answer;
 }
 
 QueryResult
@@ -300,8 +247,8 @@ evaluateQuery(const Query &q)
                 continue;
             for (const core::NodePoint &pt : series.points)
                 result.rows.push_back(
-                    designRow(series.org.name, pt.node.label(), pt.design,
-                              pt.energyNormalized()));
+                    designRow(series.org.paperIndex, nodeIndex(pt.node),
+                              pt.design, pt.energyNormalized()));
         }
         return result;
     }
@@ -316,8 +263,9 @@ evaluateQuery(const Query &q)
                   q.workload, q.f, node, scenario))
             : core::bestDesigns(q.workload, q.f, node, scenario, q.device,
                                 opts);
+    std::uint8_t node_index = nodeIndex(node);
     for (const core::ParetoPoint &p : points)
-        result.rows.push_back(designRow(p.orgName, node.label(), p.design,
+        result.rows.push_back(designRow(p.paperIndex, node_index, p.design,
                                         p.energyNormalized));
     return result;
 }

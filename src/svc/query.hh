@@ -21,6 +21,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/bounds.hh"
 #include "devices/device.hh"
 #include "util/json.hh"
 #include "workloads/workload.hh"
@@ -91,16 +92,20 @@ struct Query
     std::string canonicalKey() const;
 };
 
-/** One evaluated design in a result (one table row). */
+/**
+ * One evaluated design in a result (one table row). Its names are
+ * indices, which the answer's schema (svc/answer_codec.hh) writes as
+ * one code each.
+ */
 struct ResultRow
 {
-    std::string org;    ///< organization legend name
-    std::string node;   ///< node label ("22nm")
+    std::uint8_t org = 0;  ///< the organization's paperIndex
+    std::uint8_t node = 0; ///< the node's position in itrs::nodeTable()
     bool feasible = false;
+    core::Limiter limiter = core::Limiter::Area; ///< set when feasible
     double r = 0.0;
     double n = 0.0;
     double speedup = 0.0;
-    std::string limiter;
     double energyNormalized = 0.0;
 };
 
@@ -120,6 +125,8 @@ enum class QueryErrorKind {
  *  "shard_unavailable"); empty for None. */
 std::string queryErrorKindName(QueryErrorKind kind);
 
+struct QueryResult;
+
 /**
  * A rendered answer: the bytes a client receives for one query, and
  * whether they say success. This is the engine's product and the
@@ -133,10 +140,6 @@ struct Answer
     QueryErrorKind errorKind = QueryErrorKind::None;
 
     Answer() = default;
-
-    /** @p json packed; @p kind says whether it is a success. */
-    explicit Answer(std::string_view json,
-                    QueryErrorKind kind = QueryErrorKind::None);
 
     bool ok() const { return errorKind == QueryErrorKind::None; }
 
@@ -153,6 +156,8 @@ struct Answer
     std::size_t packedBytes() const { return _packedSize; }
 
   private:
+    friend Answer renderAnswer(const QueryResult &result);
+
     std::string_view
     packed() const
     {
@@ -165,10 +170,10 @@ struct Answer
 };
 
 /**
- * The answer to one query before rendering: rows on success, a
- * structured error otherwise. renderAnswer() turns it into the bytes;
- * the inherited bytes stay empty here. It is an Answer so that a
- * pointer to one converts to the cache's value type.
+ * The answer to one query before packing: rows on success, a
+ * structured error otherwise. renderAnswer() packs it; the inherited
+ * bytes stay empty here. It is an Answer so that a pointer to one
+ * converts to the cache's value type.
  */
 struct QueryResult : Answer
 {
@@ -179,19 +184,17 @@ struct QueryResult : Answer
     std::uint64_t retryAfterMs = 0;
 
     /**
-     * Emit {"query": {...}, "rows": [...]} on success, or the error
-     * object {"error": ..., "type": ..., ["retryAfterMs": ...,]
-     * "query": {...}} via the writer.
+     * The answer as one compact JSON document: {"query": {...},
+     * "rows": [...]} on success, or the error object {"error": ...,
+     * "type": ..., ["retryAfterMs": ...,] ["requestId": ...,]
+     * "query": {...}}. Packed, then expanded, as a hit reads it.
      */
-    void writeJson(JsonWriter &json) const;
-
-    /** Whole result as one compact JSON document. */
     std::string toJson() const;
 };
 
 /**
- * @p result rendered once into a per-thread scratch buffer and packed
- * from it, exactly sized for keeping.
+ * @p result packed (svc/answer_codec.hh) into a per-thread scratch
+ * buffer, then copied into a block of exactly its size for keeping.
  */
 Answer renderAnswer(const QueryResult &result);
 

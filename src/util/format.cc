@@ -267,18 +267,6 @@ padCenter(const std::string &s, std::size_t width)
 }
 
 std::string
-join(const std::vector<std::string> &parts, const std::string &sep)
-{
-    std::string out;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (i > 0)
-            out += sep;
-        out += parts[i];
-    }
-    return out;
-}
-
-std::string
 repeat(const std::string &unit, std::size_t count)
 {
     std::string out;

@@ -78,10 +78,6 @@ std::string padRight(const std::string &s, std::size_t width);
 /** Center @p s in @p width columns. */
 std::string padCenter(const std::string &s, std::size_t width);
 
-/** Join @p parts with @p sep. */
-std::string join(const std::vector<std::string> &parts,
-                 const std::string &sep);
-
 /** Repeat @p unit @p count times. */
 std::string repeat(const std::string &unit, std::size_t count);
 

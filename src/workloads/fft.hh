@@ -57,7 +57,6 @@ class FftPlan
     void forward(cfloat *data) const;
 
     std::size_t size() const { return _n; }
-    Algorithm algorithm() const { return _alg; }
 
     /** log2(size()). */
     unsigned stages() const { return _log2n; }

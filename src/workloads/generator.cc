@@ -1,7 +1,5 @@
 #include "generator.hh"
 
-#include "util/logging.hh"
-
 namespace hcm {
 namespace wl {
 
@@ -36,13 +34,6 @@ float
 Rng::uniformF(float lo, float hi)
 {
     return static_cast<float>(uniform(lo, hi));
-}
-
-std::uint64_t
-Rng::below(std::uint64_t n)
-{
-    hcm_assert(n > 0, "Rng::below(0)");
-    return next() % n;
 }
 
 std::vector<float>

@@ -35,9 +35,6 @@ class Rng
     /** Uniform float in [lo, hi). */
     float uniformF(float lo, float hi);
 
-    /** Uniform integer in [0, n). */
-    std::uint64_t below(std::uint64_t n);
-
   private:
     std::uint64_t _state;
 };

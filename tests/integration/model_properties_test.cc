@@ -139,7 +139,7 @@ TEST(ModelProperties, SimulatorAgreesOnRandomMachines)
     for (int trial = 0; trial < 20; ++trial) {
         double r = 1.0 + std::floor(rng().uniform(0.0, 9.0));
         std::size_t tiles =
-            4 + static_cast<std::size_t>(rng().below(60));
+            4 + static_cast<std::size_t>(rng().next() % 60);
         double mu = rng().uniform(0.5, 16.0);
         double phi = rng().uniform(0.2, 2.0);
         double f = rng().uniform(0.3, 0.995);

@@ -10,9 +10,20 @@ namespace {
 
 const Roadmap &roadmap = Roadmap::instance();
 
+/** The roadmap's row for @p year. */
+const RoadmapYear &
+yearOf(int year)
+{
+    for (const RoadmapYear &y : roadmap.years())
+        if (y.year == year)
+            return y;
+    ADD_FAILURE() << "no roadmap row for " << year;
+    return roadmap.years().front();
+}
+
 TEST(RoadmapTest, NormalizedTo2011)
 {
-    RoadmapYear y0 = roadmap.at(2011);
+    RoadmapYear y0 = yearOf(2011);
     EXPECT_DOUBLE_EQ(y0.pins, 1.0);
     EXPECT_DOUBLE_EQ(y0.vdd, 1.0);
     EXPECT_DOUBLE_EQ(y0.gateCap, 1.0);
@@ -30,17 +41,17 @@ TEST(RoadmapTest, CoversTheFifteenYearWindow)
 TEST(RoadmapTest, CombinedPowerMatchesTable6AtNodeYears)
 {
     // {1, 0.75, 0.5, 0.36, 0.25} at {2011, 2013, 2016, 2019, 2022}.
-    EXPECT_NEAR(roadmap.at(2013).combinedPower, 0.75, 1e-9);
-    EXPECT_NEAR(roadmap.at(2016).combinedPower, 0.50, 1e-9);
-    EXPECT_NEAR(roadmap.at(2019).combinedPower, 0.36, 1e-9);
-    EXPECT_NEAR(roadmap.at(2022).combinedPower, 0.25, 1e-9);
+    EXPECT_NEAR(yearOf(2013).combinedPower, 0.75, 1e-9);
+    EXPECT_NEAR(yearOf(2016).combinedPower, 0.50, 1e-9);
+    EXPECT_NEAR(yearOf(2019).combinedPower, 0.36, 1e-9);
+    EXPECT_NEAR(yearOf(2022).combinedPower, 0.25, 1e-9);
 }
 
 TEST(RoadmapTest, VddSquaredTimesCapEqualsCombinedPower)
 {
     // The reconstruction invariant (dynamic power = C * V^2 * f, flat f).
     for (int year : {2011, 2013, 2016, 2019, 2022}) {
-        RoadmapYear y = roadmap.at(year);
+        RoadmapYear y = yearOf(year);
         EXPECT_NEAR(y.impliedPower(), y.combinedPower, 0.01)
             << "year " << year;
     }
@@ -50,8 +61,8 @@ TEST(RoadmapTest, PowerDropsOnlyFiveFoldOverFifteenYears)
 {
     // Section 6: "the reduction in power per transistor is expected to
     // drop only by a factor of 5X over the next fifteen years".
-    double ratio = roadmap.at(2011).combinedPower /
-                   roadmap.at(roadmap.lastYear()).combinedPower;
+    double ratio = yearOf(2011).combinedPower /
+                   yearOf(roadmap.lastYear()).combinedPower;
     EXPECT_GT(ratio, 3.5);
     EXPECT_LT(ratio, 6.0);
 }
@@ -59,7 +70,7 @@ TEST(RoadmapTest, PowerDropsOnlyFiveFoldOverFifteenYears)
 TEST(RoadmapTest, PinsGrowSlowly)
 {
     // "< 1.5X over fifteen years".
-    double growth = roadmap.at(roadmap.lastYear()).pins;
+    double growth = yearOf(roadmap.lastYear()).pins;
     EXPECT_GT(growth, 1.0);
     EXPECT_LT(growth, 1.5);
 }
@@ -82,15 +93,9 @@ TEST(RoadmapTest, SeriesAreMonotone)
 TEST(RoadmapTest, InterpolatesBetweenKnots)
 {
     // 2012 sits halfway between the 2011 and 2013 knots.
-    RoadmapYear y = roadmap.at(2012);
+    RoadmapYear y = yearOf(2012);
     EXPECT_NEAR(y.combinedPower, 0.875, 1e-9);
     EXPECT_NEAR(y.pins, 1.05, 1e-9);
-}
-
-TEST(RoadmapDeathTest, RejectsOutOfRangeYears)
-{
-    EXPECT_DEATH(roadmap.at(2010), "outside");
-    EXPECT_DEATH(roadmap.at(2040), "outside");
 }
 
 } // namespace

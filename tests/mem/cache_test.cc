@@ -101,15 +101,6 @@ TEST(CacheTest, TrafficAccounting)
     EXPECT_NEAR(s.missRate(), 1.0, 1e-12);
 }
 
-TEST(CacheTest, ResetClearsEverything)
-{
-    Cache cache(tiny());
-    cache.write(0, 4);
-    cache.reset();
-    EXPECT_EQ(cache.stats().accesses(), 0u);
-    EXPECT_FALSE(cache.contains(0));
-}
-
 TEST(CacheTest, StreamingFitsMissRate)
 {
     // Sequential reads at 4B over 16 lines: 1 miss per 16 accesses.

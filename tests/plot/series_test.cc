@@ -23,31 +23,6 @@ TEST(SeriesTest, AddWithExplicitStyleOverrides)
     EXPECT_EQ(s.points[0].style, LineStyle::Points);
 }
 
-TEST(SeriesTest, CoordinateExtraction)
-{
-    Series s("x");
-    s.add(1.0, 10.0);
-    s.add(2.0, 20.0);
-    EXPECT_EQ(s.xs(), (std::vector<double>{1.0, 2.0}));
-    EXPECT_EQ(s.ys(), (std::vector<double>{10.0, 20.0}));
-}
-
-TEST(SeriesTest, MinMaxY)
-{
-    Series s("y");
-    s.add(0, 5.0);
-    s.add(1, -2.0);
-    s.add(2, 7.0);
-    EXPECT_DOUBLE_EQ(s.minY(), -2.0);
-    EXPECT_DOUBLE_EQ(s.maxY(), 7.0);
-}
-
-TEST(SeriesDeathTest, MinYOfEmptySeriesPanics)
-{
-    Series s("empty");
-    EXPECT_DEATH(s.minY(), "empty");
-}
-
 } // namespace
 } // namespace plot
 } // namespace hcm

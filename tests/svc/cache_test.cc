@@ -20,10 +20,12 @@ namespace hcm {
 namespace svc {
 namespace {
 
+/** A packed answer told apart by @p label (an error answer's message). */
 std::shared_ptr<const Answer>
-answerOf(const std::string &json)
+answerOf(const std::string &label)
 {
-    return std::make_shared<const Answer>(json);
+    return std::make_shared<const Answer>(renderAnswer(makeQueryError(
+        Query{}, QueryErrorKind::EvaluationFailed, label)));
 }
 
 std::string
@@ -34,6 +36,13 @@ textOf(const Answer &answer)
     return text;
 }
 
+/** The bytes answerOf(@p label) expands to. */
+std::string
+textOf(const std::string &label)
+{
+    return textOf(*answerOf(label));
+}
+
 TEST(QueryCacheTest, MissThenHit)
 {
     QueryCache cache(8, 2);
@@ -41,7 +50,7 @@ TEST(QueryCacheTest, MissThenHit)
     cache.put("k", answerOf("ASIC"));
     auto hit = cache.get("k");
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(textOf(*hit), "ASIC");
+    EXPECT_EQ(textOf(*hit), textOf("ASIC"));
 
     CacheStats stats = cache.stats();
     EXPECT_EQ(stats.hits, 1u);
@@ -97,7 +106,7 @@ TEST(QueryCacheTest, PutRefreshesExistingKey)
     cache.put("k", answerOf("old"));
     cache.put("k", answerOf("new"));
     EXPECT_EQ(cache.stats().entries, 1u);
-    EXPECT_EQ(textOf(*cache.get("k")), "new");
+    EXPECT_EQ(textOf(*cache.get("k")), textOf("new"));
 }
 
 TEST(QueryCacheTest, ZeroCapacityDisablesStorage)
@@ -342,9 +351,9 @@ TEST(QueryCacheTest, MatchesLruModelWithEightShards)
 TEST(QueryCacheTest, BytesFollowPutRefreshEvictAndClear)
 {
     QueryCache cache(2, 1);
-    auto a = answerOf(R"({"organization":"ASIC","node":"22nm"})");
-    auto b = answerOf("plain text that is stored raw");
-    auto c = answerOf(R"({"speedup":63.8444659084})");
+    auto a = answerOf("ASIC");
+    auto b = answerOf("a longer message, so a packed answer of more bytes");
+    auto c = answerOf("63.8444659084");
     EXPECT_EQ(cache.stats().bytes, 0u);
     cache.put("a", a);
     EXPECT_EQ(cache.stats().bytes, a->packedBytes());

@@ -63,9 +63,13 @@ TEST_F(FlightRecorderTest, RingWrapsKeepingTheNewestOldestFirst)
 {
     FlightRecorder &recorder = FlightRecorder::instance();
     recorder.configure(3);
-    for (int i = 1; i <= 7; ++i)
-        recorder.record(
-            makeRecord("r" + std::to_string(i), "ok"));
+    for (int i = 1; i <= 7; ++i) {
+        // Appended, not "r" + std::to_string(i): GCC 12 reports a false
+        // -Wrestrict in the inlined operator+ at -O2.
+        std::string id = "r";
+        id += std::to_string(i);
+        recorder.record(makeRecord(id, "ok"));
+    }
     auto records = recorder.snapshot();
     ASSERT_EQ(records.size(), 3u);
     EXPECT_EQ(records[0].requestId, "r5");

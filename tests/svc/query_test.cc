@@ -273,14 +273,15 @@ TEST(QueryEvalTest, OptimizeMatchesDirectCoreCall)
             EXPECT_EQ(grid.rows[i].organization, d.orgName);
 
             const ResultRow &row = result.rows[i];
-            EXPECT_EQ(row.org, d.orgName);
+            EXPECT_EQ(row.org, d.paperIndex);
+            EXPECT_EQ(row.node, at) << where;
             EXPECT_EQ(row.feasible, d.design.feasible) << where;
             if (!d.design.feasible)
                 continue;
             EXPECT_TRUE(bitEq(row.r, d.design.r)) << where;
             EXPECT_TRUE(bitEq(row.n, d.design.n)) << where;
             EXPECT_TRUE(bitEq(row.speedup, d.design.speedup)) << where;
-            EXPECT_EQ(row.limiter, core::limiterName(d.design.limiter));
+            EXPECT_EQ(row.limiter, d.design.limiter) << where;
             EXPECT_TRUE(bitEq(row.energyNormalized, d.energyNormalized))
                 << where;
             EXPECT_TRUE(bitEq(series[i].points[at].energyNormalized(),
@@ -317,7 +318,9 @@ TEST(QueryEvalTest, DeviceFilterKeepsCmpsAndOneHet)
     QueryResult result = evaluateQuery(q);
     // SymCMP + AsymCMP + the one selected HET.
     ASSERT_EQ(result.rows.size(), 3u);
-    EXPECT_EQ(result.rows.back().org, "ASIC");
+    EXPECT_EQ(result.rows.back().org,
+              core::heterogeneous(dev::DeviceId::Asic, q.workload)
+                  ->paperIndex);
 }
 
 TEST(QueryEvalTest, EnergyObjectiveNeverBeatenOnEnergy)
@@ -338,7 +341,7 @@ TEST(QueryEvalTest, EnergyObjectiveNeverBeatenOnEnergy)
             continue;
         EXPECT_LE(frugal.rows[i].energyNormalized,
                   fast.rows[i].energyNormalized * (1.0 + 1e-9))
-            << fast.rows[i].org;
+            << int{fast.rows[i].org};
     }
 }
 

@@ -75,11 +75,8 @@ TEST(FormatTest, Padding)
     EXPECT_EQ(padLeft("abcdef", 3), "abcdef"); // never truncates
 }
 
-TEST(FormatTest, JoinAndRepeat)
+TEST(FormatTest, Repeat)
 {
-    EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-    EXPECT_EQ(join({}, ", "), "");
-    EXPECT_EQ(join({"solo"}, "-"), "solo");
     EXPECT_EQ(repeat("ab", 3), "ababab");
     EXPECT_EQ(repeat("x", 0), "");
 }
@@ -164,8 +161,11 @@ TEST(FormatTest, AppendDouble17MatchesPrintfAndOstream)
         std::ostringstream oss;
         oss.precision(17);
         oss << v;
-        if ((text != std::string("x") + buf ||
-             text != "x" + oss.str()) &&
+        // Appended, not "x" + oss.str(): GCC 12 reports a false
+        // -Wrestrict in the inlined operator+ at -O2.
+        std::string streamed = "x";
+        streamed += oss.str();
+        if ((text != std::string("x") + buf || text != streamed) &&
             ++mismatches <= 5)
             ADD_FAILURE() << text << " vs printf " << buf
                           << " vs ostream " << oss.str();

@@ -57,13 +57,6 @@ TEST(RngTest, UniformCoversTheRange)
     EXPECT_GT(hi, 0.95);
 }
 
-TEST(RngTest, BelowStaysBelow)
-{
-    Rng r(17);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_LT(r.below(7), 7u);
-}
-
 TEST(GeneratorTest, RandomMatrixDimensions)
 {
     Rng rng(3);
