@@ -373,9 +373,8 @@ BM_QueryKey(benchmark::State &state)
     }
     svc::QueryCache cache(4096);
     for (const svc::Query &q : queries)
-        cache.put(q.canonicalKey(), std::make_shared<const svc::Answer>(
-                                        svc::renderAnswer(
-                                            svc::evaluateQuery(q))));
+        cache.put(q.canonicalKey(),
+                  svc::renderAnswer(svc::evaluateQuery(q)));
     std::size_t i = 0;
     for (auto _ : state) {
         std::string key = queries[i].canonicalKey();

@@ -1,6 +1,8 @@
 #include "cache.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <functional>
 #include <utility>
 
@@ -46,10 +48,54 @@ QueryCache::QueryCache(std::size_t capacity, std::size_t shards)
         count = std::min(count, _capacity);
     // Per-shard share of the budget, rounded up so the total is never
     // below the requested capacity.
-    _perShardCapacity =
-        _capacity > 0 ? (_capacity + count - 1) / count : 0;
+    _perShardCapacity = std::min<std::size_t>(
+        _capacity > 0 ? (_capacity + count - 1) / count : 0, kNoSlot - 1);
     for (std::size_t i = 0; i < count; ++i)
         _shards.emplace_back();
+}
+
+QueryCache::SlotKey::SlotKey(SlotKey &&other) noexcept : _len(other._len)
+{
+    std::memcpy(_bytes, other._bytes, sizeof _bytes);
+    other._len = 0;
+}
+
+std::string *
+QueryCache::SlotKey::spilled() const
+{
+    std::string *heap = nullptr;
+    std::memcpy(&heap, _bytes, sizeof heap);
+    return heap;
+}
+
+void
+QueryCache::SlotKey::release()
+{
+    if (_len == kSpilled)
+        delete spilled();
+    _len = 0;
+}
+
+void
+QueryCache::SlotKey::assign(std::string_view key)
+{
+    release();
+    if (key.size() <= kInline) {
+        std::memcpy(_bytes, key.data(), key.size());
+        _len = static_cast<std::uint8_t>(key.size());
+        return;
+    }
+    std::string *heap = new std::string(key);
+    std::memcpy(_bytes, &heap, sizeof heap);
+    _len = kSpilled;
+}
+
+std::string_view
+QueryCache::SlotKey::view() const
+{
+    if (_len == kSpilled)
+        return *spilled();
+    return {_bytes, _len};
 }
 
 namespace {
@@ -62,56 +108,119 @@ bytesOf(const std::shared_ptr<const Answer> &answer)
 
 } // namespace
 
-QueryCache::Shard &
-QueryCache::shardFor(const std::string &key)
+QueryCache::Home
+QueryCache::homeOf(std::string_view key)
 {
-    return _shards[std::hash<std::string>{}(key) % _shards.size()];
+    // One hash: its value modulo the shard count picks the shard, and
+    // its high half the index cell (with a power-of-two shard count,
+    // bits the shard choice never reads).
+    std::uint64_t h = std::hash<std::string_view>{}(key);
+    return {_shards[h % _shards.size()],
+            static_cast<std::uint32_t>(h >> 32)};
+}
+
+std::uint32_t
+QueryCache::Shard::find(std::string_view key, std::uint32_t hash) const
+{
+    if (index.empty())
+        return kNoSlot;
+    std::size_t mask = index.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+        std::uint32_t s = index[i];
+        if (s == kNoSlot ||
+            (slots[s].hash == hash && slots[s].key.view() == key))
+            return s;
+    }
+}
+
+std::uint32_t
+QueryCache::Shard::addSlot(std::size_t budget)
+{
+    if (slots.size() == slots.capacity()) {
+        // Grow by doubling, never past the budget; the index keeps at
+        // least two cells per slot, so probes stay short.
+        slots.reserve(std::min(budget, std::max<std::size_t>(
+                                           8, 2 * slots.capacity())));
+        index.assign(std::bit_ceil(2 * slots.capacity()), kNoSlot);
+        for (std::uint32_t s = 0; s < slots.size(); ++s)
+            indexInsert(s);
+    }
+    slots.emplace_back();
+    return static_cast<std::uint32_t>(slots.size() - 1);
 }
 
 void
-QueryCache::Shard::unlink(Entry &e)
+QueryCache::Shard::indexInsert(std::uint32_t s)
 {
-    Slot &slot = e.second;
-    (slot.newer ? slot.newer->second.older : newest) = slot.older;
-    (slot.older ? slot.older->second.newer : oldest) = slot.newer;
-    slot.newer = slot.older = nullptr;
+    std::size_t mask = index.size() - 1;
+    std::size_t i = slots[s].hash & mask;
+    while (index[i] != kNoSlot)
+        i = (i + 1) & mask;
+    index[i] = s;
 }
 
 void
-QueryCache::Shard::pushNewest(Entry &e)
+QueryCache::Shard::indexErase(std::uint32_t s)
 {
-    e.second.older = newest;
-    (newest ? newest->second.newer : oldest) = &e;
-    newest = &e;
+    std::size_t mask = index.size() - 1;
+    std::size_t hole = slots[s].hash & mask;
+    while (index[hole] != s)
+        hole = (hole + 1) & mask;
+    // Backward shift: pull each later entry of the probe run into the
+    // hole unless its home lies after the hole, so no tombstones.
+    for (std::size_t i = (hole + 1) & mask; index[i] != kNoSlot;
+         i = (i + 1) & mask) {
+        std::size_t home = slots[index[i]].hash & mask;
+        if (((i - home) & mask) >= ((i - hole) & mask)) {
+            index[hole] = index[i];
+            hole = i;
+        }
+    }
+    index[hole] = kNoSlot;
+}
+
+void
+QueryCache::Shard::unlink(std::uint32_t s)
+{
+    Slot &slot = slots[s];
+    (slot.newer != kNoSlot ? slots[slot.newer].older : newest) = slot.older;
+    (slot.older != kNoSlot ? slots[slot.older].newer : oldest) = slot.newer;
+    slot.newer = slot.older = kNoSlot;
+}
+
+void
+QueryCache::Shard::pushNewest(std::uint32_t s)
+{
+    slots[s].older = newest;
+    (newest != kNoSlot ? slots[newest].newer : oldest) = s;
+    newest = s;
 }
 
 std::shared_ptr<const Answer>
 QueryCache::get(const std::string &key)
 {
-    Shard &shard = shardFor(key);
+    auto [shard, hash] = homeOf(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
+    std::uint32_t s = shard.find(key, hash);
+    if (s == kNoSlot) {
         ++shard.misses;
         return nullptr;
     }
     ++shard.hits;
-    shard.unlink(*it);
-    shard.pushNewest(*it);
-    return it->second.answer;
+    shard.unlink(s);
+    shard.pushNewest(s);
+    return shard.slots[s].answer;
 }
 
 std::shared_ptr<const Answer>
 QueryCache::peek(const std::string &key)
 {
-    Shard &shard = shardFor(key);
+    auto [shard, hash] = homeOf(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it == shard.index.end())
-        return nullptr;
+    std::uint32_t s = shard.find(key, hash);
     // No promotion: a peek must not reorder the entry, or internal
     // double-checks would distort the eviction order get() maintains.
-    return it->second.answer;
+    return s == kNoSlot ? nullptr : shard.slots[s].answer;
 }
 
 void
@@ -119,29 +228,35 @@ QueryCache::put(const std::string &key, std::shared_ptr<const Answer> value)
 {
     if (_perShardCapacity == 0)
         return; // storage disabled
-    Shard &shard = shardFor(key);
+    auto [shard, hash] = homeOf(key);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-        shard.bytes -= bytesOf(it->second.answer);
+    std::uint32_t s = shard.find(key, hash);
+    if (s != kNoSlot) {
+        Slot &slot = shard.slots[s];
+        shard.bytes -= bytesOf(slot.answer);
         shard.bytes += bytesOf(value);
-        it->second.answer = std::move(value);
-        shard.unlink(*it);
-        shard.pushNewest(*it);
+        slot.answer = std::move(value);
+        shard.unlink(s);
+        shard.pushNewest(s);
         return;
     }
-    if (shard.index.size() >= _perShardCapacity) {
-        Entry &victim = *shard.oldest;
-        shard.unlink(victim);
-        shard.bytes -= bytesOf(victim.second.answer);
-        // Erase by iterator: the victim's key lives in the node that
-        // erase() frees.
-        shard.index.erase(shard.index.find(victim.first));
+    if (shard.slots.size() >= _perShardCapacity) {
+        // Full: the victim's slot takes the new entry in place.
+        s = shard.oldest;
+        shard.unlink(s);
+        shard.indexErase(s);
+        shard.bytes -= bytesOf(shard.slots[s].answer);
         ++shard.evictions;
+    } else {
+        s = shard.addSlot(_perShardCapacity);
     }
+    Slot &slot = shard.slots[s];
     shard.bytes += bytesOf(value);
-    auto fresh = shard.index.emplace(key, Slot{std::move(value)}).first;
-    shard.pushNewest(*fresh);
+    slot.answer = std::move(value);
+    slot.hash = hash;
+    slot.key.assign(key);
+    shard.indexInsert(s);
+    shard.pushNewest(s);
 }
 
 void
@@ -149,8 +264,9 @@ QueryCache::clear()
 {
     for (Shard &shard : _shards) {
         std::lock_guard<std::mutex> lock(shard.mu);
-        shard.index.clear();
-        shard.newest = shard.oldest = nullptr;
+        shard.slots = std::vector<Slot>();
+        shard.index = std::vector<std::uint32_t>();
+        shard.newest = shard.oldest = kNoSlot;
         shard.bytes = 0;
     }
 }
@@ -170,7 +286,7 @@ QueryCache::stats() const
         out.hits += shard.hits;
         out.misses += shard.misses;
         out.evictions += shard.evictions;
-        out.entries += shard.index.size();
+        out.entries += shard.slots.size();
         out.bytes += shard.bytes;
     }
     return out;

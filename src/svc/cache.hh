@@ -1,13 +1,19 @@
 /**
  * @file
  * Sharded LRU memoization cache for rendered answers. Keys are the
- * canonical query strings; values are immutable shared Answers, so a
- * hit is a pointer copy and readers never block evaluators for long.
+ * canonical query keys; values are immutable shared Answers, so a hit
+ * is a pointer copy and readers never block evaluators for long.
+ *
  * Sharding by key hash splits the lock so concurrent workers rarely
  * contend; each shard keeps its own LRU order, hit/miss/eviction
- * counters and the packed answer bytes it holds, aggregated on demand. An entry is one hash-map node — the
- * key, the answer pointer and the LRU links threaded through the
- * nodes — so the key is stored once.
+ * counters and the packed answer bytes it holds, aggregated on demand.
+ *
+ * A shard is one array of slots, filled on demand up to its budget,
+ * and an open-addressing index of slot numbers. A slot holds the key
+ * (inline up to 11 bytes, the size of a record key), the key's hash,
+ * the answer pointer and its LRU neighbours as slot numbers. An
+ * eviction reuses the victim's slot, so a full cache allocates nothing
+ * of its own.
  */
 
 #ifndef HCM_SVC_CACHE_HH
@@ -20,8 +26,8 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <unordered_map>
-#include <utility>
+#include <string_view>
+#include <vector>
 
 #include "svc/query.hh"
 #include "util/json.hh"
@@ -64,7 +70,8 @@ class QueryCache
      * every lookup misses, puts are dropped). @p shards is clamped to
      * [1, capacity] so each shard holds at least one entry. The
      * per-shard budget is capacity/shards rounded up, so capacity()
-     * reports the (possibly larger) effective total.
+     * reports the (possibly larger) effective total. Slots are
+     * numbered in 32 bits, which caps the budget at 2^32 - 2 entries.
      */
     explicit QueryCache(std::size_t capacity, std::size_t shards = 8);
 
@@ -109,37 +116,89 @@ class QueryCache
     std::size_t shardCount() const { return _shards.size(); }
 
   private:
-    struct Slot;
-    /** One entry: the map node's key and its slot. */
-    using Entry = std::pair<const std::string, Slot>;
+    /** The slot number that links and index cells use for "none". */
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+    /**
+     * A key's bytes: up to kInline of them inline, a longer key (one
+     * with an out-of-registry node or scenario) in a heap string.
+     */
+    class SlotKey
+    {
+      public:
+        static constexpr std::size_t kInline = 11;
+
+        SlotKey() = default;
+        /** Moves as the slot array grows; @p other is left empty. */
+        SlotKey(SlotKey &&other) noexcept;
+        SlotKey &operator=(SlotKey &&other) = delete;
+        ~SlotKey() { release(); }
+
+        void assign(std::string_view key);
+        std::string_view view() const;
+
+      private:
+        /** _len's value when the key lives in a heap string. */
+        static constexpr std::uint8_t kSpilled = 0xff;
+
+        /** The heap string's address, kept in _bytes (_len kSpilled). */
+        std::string *spilled() const;
+        void release();
+
+        std::uint8_t _len = 0;
+        char _bytes[kInline] = {};
+    };
 
     struct Slot
     {
         std::shared_ptr<const Answer> answer;
-        Entry *newer = nullptr; ///< toward the most recently used
-        Entry *older = nullptr; ///< toward the eviction victim
+        /** The key hash's high half: the slot's home in the index. */
+        std::uint32_t hash = 0;
+        std::uint32_t newer = kNoSlot; ///< toward the most recently used
+        std::uint32_t older = kNoSlot; ///< toward the eviction victim
+        SlotKey key;
     };
 
     struct Shard
     {
         mutable std::mutex mu;
-        /** Node addresses survive rehashing, so the links stay valid. */
-        std::unordered_map<std::string, Slot> index;
-        Entry *newest = nullptr;
-        Entry *oldest = nullptr;
+        /** Grows on demand up to the per-shard budget, never past it. */
+        std::vector<Slot> slots;
+        /**
+         * Linear-probing table of slot numbers (kNoSlot when free),
+         * a power of two at least twice the slot array's capacity.
+         */
+        std::vector<std::uint32_t> index;
+        std::uint32_t newest = kNoSlot;
+        std::uint32_t oldest = kNoSlot;
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t evictions = 0;
         /** Packed answer bytes held (mu held to read or write). */
         std::size_t bytes = 0;
 
-        /** Take @p e out of the recency order (mu held). */
-        void unlink(Entry &e);
-        /** Make @p e the most recently used (mu held; e unlinked). */
-        void pushNewest(Entry &e);
+        /** The slot holding @p key, or kNoSlot (mu held). */
+        std::uint32_t find(std::string_view key, std::uint32_t hash) const;
+        /** A new slot, grown within @p budget (mu held; not full). */
+        std::uint32_t addSlot(std::size_t budget);
+        /** Enter slot @p s into the index by its hash (mu held). */
+        void indexInsert(std::uint32_t s);
+        /** Take slot @p s out of the index (mu held). */
+        void indexErase(std::uint32_t s);
+        /** Take slot @p s out of the recency order (mu held). */
+        void unlink(std::uint32_t s);
+        /** Make slot @p s the most recently used (mu held; unlinked). */
+        void pushNewest(std::uint32_t s);
     };
 
-    Shard &shardFor(const std::string &key);
+    /** The key's shard and its hash within it. */
+    struct Home
+    {
+        Shard &shard;
+        std::uint32_t hash;
+    };
+
+    Home homeOf(std::string_view key);
 
     std::size_t _capacity;
     std::size_t _perShardCapacity;

@@ -96,8 +96,8 @@ QueryEngine::ResultPtr
 errorAnswer(const Query &q, QueryErrorKind kind, std::string why,
             std::uint64_t retry_after_ms = 0)
 {
-    return std::make_shared<const Answer>(renderAnswer(
-        makeQueryError(q, kind, std::move(why), retry_after_ms)));
+    return renderAnswer(
+        makeQueryError(q, kind, std::move(why), retry_after_ms));
 }
 
 } // namespace
@@ -311,8 +311,7 @@ QueryEngine::runMiss(const Query &q, const std::string &key,
                 // Pack once, straight from the rows, and keep only the
                 // bytes: every answer for this key, this one included,
                 // expands them.
-                result = std::make_shared<const Answer>(
-                    renderAnswer(evaluateQuery(q)));
+                result = renderAnswer(evaluateQuery(q));
             } catch (...) {
                 eval.arg("outcome", "error");
                 eval_ns = eval.end();

@@ -218,20 +218,70 @@ Answer::writeTo(JsonWriter &json) const
                     [&](char *dst) { expandAnswer(packed(), dst); });
 }
 
-Answer
+Answer::Answer(InBlock, QueryErrorKind kind, std::string_view packed)
+    : errorKind(kind), _packedSize(static_cast<std::uint32_t>(packed.size()))
+{
+    std::memcpy(reinterpret_cast<char *>(this + 1), packed.data(),
+                packed.size());
+}
+
+namespace {
+
+/**
+ * Allocates each object with @p tail spare bytes behind it. Given to
+ * allocate_shared, it makes the control block, the object and the
+ * tail one heap block. The object lies inside the control block, so
+ * the tail's bytes from the object's end onward fit in the
+ * allocation.
+ */
+template <typename T>
+struct TailAllocator
+{
+    using value_type = T;
+
+    std::size_t tail;
+
+    explicit TailAllocator(std::size_t bytes) : tail(bytes) {}
+
+    template <typename U>
+    TailAllocator(const TailAllocator<U> &other) : tail(other.tail)
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T) + tail));
+    }
+
+    void
+    deallocate(T *p, std::size_t n)
+    {
+        ::operator delete(p, n * sizeof(T) + tail);
+    }
+
+    friend bool
+    operator==(const TailAllocator &a, const TailAllocator &b)
+    {
+        return a.tail == b.tail;
+    }
+};
+
+} // namespace
+
+std::shared_ptr<const Answer>
 renderAnswer(const QueryResult &result)
 {
-    // Packed into a reused buffer, then copied once into a block of
-    // exactly its size.
+    // Packed into a reused buffer, then copied once behind the header
+    // of the block that keeps it.
     thread_local std::string packed;
     packed.clear();
     packAnswer(result, packed);
-    Answer answer;
-    answer.errorKind = result.errorKind;
-    answer._packedSize = packed.size();
-    answer._packed = std::make_unique_for_overwrite<char[]>(packed.size());
-    std::memcpy(answer._packed.get(), packed.data(), packed.size());
-    return answer;
+    hcm_assert(packed.size() <= std::numeric_limits<std::uint32_t>::max(),
+               "packed answer of ", packed.size(), " bytes");
+    return std::allocate_shared<Answer>(TailAllocator<Answer>(packed.size()),
+                                        Answer::InBlock{}, result.errorKind,
+                                        packed);
 }
 
 QueryResult

@@ -131,15 +131,32 @@ struct QueryResult;
  * A rendered answer: the bytes a client receives for one query, and
  * whether they say success. This is the engine's product and the
  * cache's value; a memoized entry holds nothing else — no Query, no
- * rows, no request id. The bytes are kept packed (svc/answer_codec.hh)
- * in one exact-size block and read only by expanding them into the
- * caller's buffer.
+ * rows, no request id. renderAnswer() makes each one a single heap
+ * block: the shared_ptr control block, this 8-byte header (the error
+ * kind and the packed length) and, right behind the header, the
+ * packed bytes (svc/answer_codec.hh). They are read only by expanding
+ * them into the caller's buffer. An Answer is never copied on its
+ * own: a copy would leave its bytes behind.
  */
 struct Answer
 {
+    /** The key to the block constructor: only renderAnswer() makes one. */
+    class InBlock
+    {
+        InBlock() = default;
+        friend std::shared_ptr<const Answer>
+        renderAnswer(const QueryResult &result);
+    };
+
     QueryErrorKind errorKind = QueryErrorKind::None;
 
     Answer() = default;
+
+    /**
+     * The header of a block with @p packed.size() spare bytes behind
+     * it; copies @p packed there.
+     */
+    Answer(InBlock, QueryErrorKind kind, std::string_view packed);
 
     bool ok() const { return errorKind == QueryErrorKind::None; }
 
@@ -155,18 +172,28 @@ struct Answer
     /** Bytes the packed form holds (what the cache keeps per entry). */
     std::size_t packedBytes() const { return _packedSize; }
 
-  private:
-    friend Answer renderAnswer(const QueryResult &result);
+  protected:
+    /**
+     * The header alone, for QueryResult, whose Answer part never holds
+     * bytes (its packed length stays 0).
+     */
+    Answer(const Answer &other) : errorKind(other.errorKind) {}
 
+    Answer &
+    operator=(const Answer &other)
+    {
+        errorKind = other.errorKind;
+        return *this;
+    }
+
+  private:
     std::string_view
     packed() const
     {
-        return {_packed.get(), _packedSize};
+        return {reinterpret_cast<const char *>(this + 1), _packedSize};
     }
 
-    /** One block of exactly the packed size, with no spare capacity. */
-    std::unique_ptr<char[]> _packed;
-    std::size_t _packedSize = 0;
+    std::uint32_t _packedSize = 0;
 };
 
 /**
@@ -194,9 +221,9 @@ struct QueryResult : Answer
 
 /**
  * @p result packed (svc/answer_codec.hh) into a per-thread scratch
- * buffer, then copied into a block of exactly its size for keeping.
+ * buffer, then copied behind the header of a new one-block Answer.
  */
-Answer renderAnswer(const QueryResult &result);
+std::shared_ptr<const Answer> renderAnswer(const QueryResult &result);
 
 /** An error-carrying result for @p q (rows empty, ok() false). */
 QueryResult makeQueryError(const Query &q, QueryErrorKind kind,

@@ -64,7 +64,8 @@ expectMatchesOracle(const QueryResult &result, const std::string &where)
     char *end = expandAnswer(p, buf.data());
     EXPECT_EQ(std::string(buf.data(), end), want) << where;
 
-    Answer answer = renderAnswer(result);
+    std::shared_ptr<const Answer> answer_block = renderAnswer(result);
+    const Answer &answer = *answer_block;
     EXPECT_EQ(answer.errorKind, result.errorKind) << where;
     EXPECT_EQ(answer.packedBytes(), p.size()) << where;
     EXPECT_EQ(answer.size(), want.size()) << where;
@@ -269,7 +270,7 @@ TEST(AnswerCodecTest, HighBytesPackBehindTheLiteralCode)
     expectMatchesOracle(high, "high");
     // Each byte of 0x80 or above takes the literal code and itself.
     EXPECT_EQ(packed(high).size(), packed(plain).size() + 4);
-    EXPECT_EQ(renderAnswer(high).size(), renderAnswer(plain).size() + 2);
+    EXPECT_EQ(renderAnswer(high)->size(), renderAnswer(plain)->size() + 2);
 }
 
 TEST(AnswerCodecTest, NumberRunsOfEveryLengthRoundTrip)
@@ -394,7 +395,8 @@ TEST(AnswerCodecTest, ErrorAnswerEchoingRequestIdRoundTrips)
                                        "queue full", 25);
     std::string text = expectMatchesOracle(error, "overloaded");
     ASSERT_NE(text.find(R"("requestId":"client-7f3a")"), std::string::npos);
-    Answer answer = renderAnswer(error);
+    std::shared_ptr<const Answer> answer_block = renderAnswer(error);
+    const Answer &answer = *answer_block;
     EXPECT_FALSE(answer.ok());
     EXPECT_EQ(answer.errorKind, QueryErrorKind::Overloaded);
     EXPECT_LT(answer.packedBytes(), text.size());
@@ -406,8 +408,10 @@ TEST(AnswerCodecTest, AnswerSplicesIntoAJsonWriter)
     QueryResult ok = evaluateQuery(q);
     QueryResult error =
         makeQueryError(q, QueryErrorKind::DeadlineExceeded, "late");
-    Answer a = renderAnswer(ok);
-    Answer b = renderAnswer(error);
+    std::shared_ptr<const Answer> a_block = renderAnswer(ok);
+    const Answer &a = *a_block;
+    std::shared_ptr<const Answer> b_block = renderAnswer(error);
+    const Answer &b = *b_block;
     std::string out = "x";
     {
         JsonWriter json(out);
@@ -426,7 +430,8 @@ TEST(AnswerCodecTest, GoldenAnswersRoundTripAndPackAtLeast3_5x)
     for (const Query &q : goldenQueries()) {
         QueryResult result = evaluateQuery(q);
         std::string text = result.toJson();
-        Answer answer = renderAnswer(result);
+        std::shared_ptr<const Answer> answer_block = renderAnswer(result);
+        const Answer &answer = *answer_block;
         EXPECT_EQ(answer.size(), text.size());
         std::string out;
         answer.appendTo(out);

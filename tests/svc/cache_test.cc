@@ -1,20 +1,44 @@
 /** @file Tests for the sharded LRU memoization cache. */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <list>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <gtest/gtest.h>
 
+#include "core/scenario.hh"
+#include "devices/measured.hh"
+#include "itrs/scaling.hh"
 #include "svc/cache.hh"
+
+// mallinfo2() reads glibc's own allocator, which ASan and TSan
+// replace.
+#if defined(__GLIBC__) && __GLIBC_PREREQ(2, 33)
+#define HCM_HAVE_MALLINFO2 1
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HCM_MALLOC_REPLACED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HCM_MALLOC_REPLACED 1
+#endif
+#endif
 
 namespace hcm {
 namespace svc {
@@ -24,8 +48,34 @@ namespace {
 std::shared_ptr<const Answer>
 answerOf(const std::string &label)
 {
-    return std::make_shared<const Answer>(renderAnswer(makeQueryError(
-        Query{}, QueryErrorKind::EvaluationFailed, label)));
+    return renderAnswer(
+        makeQueryError(Query{}, QueryErrorKind::EvaluationFailed, label));
+}
+
+/**
+ * @p count queries drawn like serve-cold's: type, workload, scenario
+ * and node uniform, f uniform in [0.5, 0.9999].
+ */
+[[maybe_unused]] std::vector<Query>
+seededQueries(std::size_t count, std::uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    auto pick = [&](std::size_t n) {
+        return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    };
+    std::vector<wl::Workload> workloads = dev::table5Workloads();
+    const std::vector<core::Scenario> &scenarios = core::allScenarios();
+    const std::vector<itrs::NodeParams> &nodes = itrs::nodeTable();
+    std::uniform_real_distribution<double> f(0.5, 0.9999);
+    std::vector<Query> queries(count);
+    for (Query &q : queries) {
+        q.type = allQueryTypes()[pick(allQueryTypes().size())];
+        q.workload = workloads[pick(workloads.size())];
+        q.scenario = scenarios[pick(scenarios.size())].name;
+        q.node = nodes[pick(nodes.size())].nodeNm;
+        q.f = f(rng);
+    }
+    return queries;
 }
 
 std::string
@@ -287,10 +337,35 @@ checkAgainstModel(std::size_t shards)
     constexpr std::size_t kCapacity = 24;
     QueryCache cache(kCapacity, shards);
     LruModel model(cache);
+    // The keys straddle the slot's inline key storage: 11-byte record
+    // keys, keys holding NULs, keys that differ only in their last
+    // byte, and long keys as canonicalKey() writes them for a scenario
+    // outside the registry (its name appended) or a node outside the
+    // table (8 bytes appended), beside long text keys.
     std::vector<std::string> keys;
-    for (std::size_t i = 0; i < 3 * kCapacity; ++i)
+    for (std::size_t i = 0; keys.size() < 3 * kCapacity; ++i) {
+        Query q;
+        q.type = allQueryTypes()[i % allQueryTypes().size()];
+        q.f = 0.5 + 0.001 * static_cast<double>(i);
+        std::string record = q.canonicalKey();
+        keys.push_back(record);
+        std::string sibling = record;
+        sibling.back() = static_cast<char>(sibling.back() ^ 1);
+        keys.push_back(sibling);
+        keys.push_back(std::string("\0k\0", 3) + std::to_string(i) +
+                       std::string(i % 12, '\0'));
+        q.scenario = "outside-the-registry-" + std::to_string(i);
+        keys.push_back(q.canonicalKey());
+        q.scenario = "baseline";
+        q.type = QueryType::Optimize;
+        q.node = 23.5 + static_cast<double>(i);
+        keys.push_back(q.canonicalKey());
         keys.push_back("optimize|mmm|f=0." + std::to_string(i) +
                        "|s=baseline|n=22|d=*");
+    }
+    keys.resize(3 * kCapacity);
+    ASSERT_EQ(std::set<std::string>(keys.begin(), keys.end()).size(),
+              keys.size());
     std::mt19937 rng(1234 + static_cast<unsigned>(shards));
     for (int op = 0; op < 20000; ++op) {
         std::string key = keys[rng() % keys.size()];
@@ -370,19 +445,56 @@ TEST(QueryCacheTest, BytesFollowPutRefreshEvictAndClear)
     EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
+TEST(QueryCacheTest, HeldAnswerOutlivesItsEntry)
+{
+    // One key inside the slot's inline storage, one spilled past it.
+    for (const std::string key : {"held", "a key past any inline buffer"}) {
+        QueryCache cache(4, 1);
+        cache.put(key, answerOf("held answer"));
+        std::shared_ptr<const Answer> held = cache.get(key);
+        ASSERT_NE(held, nullptr);
+        const std::string want = textOf("held answer");
+
+        for (int i = 0; i < 4; ++i) // evicts key: its slot is reused
+            cache.put("fill" + std::to_string(i),
+                      answerOf("filler " + std::to_string(i)));
+        EXPECT_EQ(cache.peek(key), nullptr) << key;
+        EXPECT_EQ(textOf(*held), want) << key;
+
+        cache.put(key, answerOf("a different answer, of another size"));
+        cache.put(key, answerOf("x")); // refresh in place
+        EXPECT_EQ(textOf(*cache.peek(key)), textOf("x")) << key;
+        EXPECT_EQ(textOf(*held), want) << key;
+
+        cache.clear();
+        EXPECT_EQ(textOf(*held), want) << key;
+        EXPECT_EQ(held.use_count(), 1) << key;
+    }
+}
+
 TEST(QueryCacheTest, ConcurrentMixedTrafficStaysConsistent)
 {
+    // 100 keys over 64 entries: writers evict while readers expand
+    // every hit and compare it with its key's bytes.
     QueryCache cache(64, 8);
+    std::map<std::string, std::string> want;
+    for (int k = 0; k < 100; ++k) {
+        std::string key = "key" + std::to_string(k);
+        want[key] = textOf(key);
+    }
+    std::atomic<int> checked{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < 8; ++t) {
-        threads.emplace_back([&cache, t] {
+        threads.emplace_back([&cache, &want, &checked, t] {
             for (int i = 0; i < 500; ++i) {
                 std::string key =
                     "key" + std::to_string((t * 31 + i) % 100);
-                if (i % 3 == 0)
+                if (i % 3 == 0) {
                     cache.put(key, answerOf(key));
-                else
-                    cache.get(key);
+                } else if (auto hit = cache.get(key)) {
+                    EXPECT_EQ(textOf(*hit), want.at(key));
+                    ++checked;
+                }
             }
         });
     }
@@ -391,6 +503,57 @@ TEST(QueryCacheTest, ConcurrentMixedTrafficStaysConsistent)
     CacheStats stats = cache.stats();
     EXPECT_LE(stats.entries, 64u);
     EXPECT_EQ(stats.lookups(), stats.hits + stats.misses);
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_EQ(checked.load(), static_cast<int>(stats.hits));
+}
+
+// What a full cache holds beyond its answers' packed bytes: the slots,
+// the index, and each answer block's control block, header and malloc
+// chunk overhead, about 97 B. The layout before it, one unordered_map
+// node per entry with a make_shared Answer and a separate exact-size
+// byte block, read 170 B here (gcc 12.2, glibc 2.36).
+TEST(QueryCacheTest, BookkeepingPerEntryIsBounded)
+{
+#if !defined(HCM_HAVE_MALLINFO2)
+    GTEST_SKIP() << "needs glibc's mallinfo2()";
+#elif defined(HCM_MALLOC_REPLACED)
+    GTEST_SKIP() << "a sanitizer's allocator replaces glibc malloc";
+#else
+    std::vector<Query> queries = seededQueries(8000, 1);
+    // glibc's per-thread cache keeps a few freed chunks of each small
+    // size, which mallinfo2() counts as in use. Filling every one of
+    // its size classes before each reading makes it hold the same
+    // bytes at both readings.
+    auto in_use = [] {
+        std::vector<void *> chunks;
+        for (std::size_t size = 24; size <= 1032; size += 16)
+            for (int i = 0; i < 16; ++i)
+                chunks.push_back(std::malloc(size));
+        for (void *chunk : chunks)
+            std::free(chunk);
+        struct mallinfo2 info = mallinfo2();
+        return static_cast<double>(info.uordblks + info.hblkhd);
+    };
+    // Warm the per-thread pack buffer and the model's first-use state.
+    for (std::size_t i = 0; i < 200; ++i)
+        renderAnswer(evaluateQuery(queries[i]));
+    QueryCache cache(4096);
+    double before = in_use();
+    for (const Query &q : queries)
+        cache.put(q.canonicalKey(), renderAnswer(evaluateQuery(q)));
+    double after = in_use();
+    CacheStats stats = cache.stats();
+    ASSERT_EQ(stats.entries, 4096u);
+    ASSERT_GT(stats.evictions, 0u);
+    double per_entry =
+        (after - before - static_cast<double>(stats.bytes)) /
+        static_cast<double>(stats.entries);
+    EXPECT_LE(per_entry, 110.0)
+        << "in use " << before << " -> " << after << " B, packed "
+        << stats.bytes << " B";
+    RecordProperty("bookkeepingBytesPerEntry",
+                   std::to_string(per_entry));
+#endif
 }
 
 } // namespace

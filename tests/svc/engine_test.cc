@@ -633,6 +633,42 @@ TEST(QueryEngineTest, DifferingRequestIdsShareOneCacheEntry)
     EXPECT_EQ(stats.entries, 1u);
 }
 
+TEST(QueryEngineTest, OutOfRegistryScenariosStayDistinctCacheEntries)
+{
+    // A name outside the registry is appended to the key in full, so
+    // these keys spill past the cache's inline key storage and share
+    // their first 11 + 16 bytes; only the names' last byte differs.
+    Query a;
+    a.scenario = "scenario-outside-the-registry-A";
+    Query b = a;
+    b.scenario = "scenario-outside-the-registry-B";
+    std::string key_a = a.canonicalKey();
+    std::string key_b = b.canonicalKey();
+    ASSERT_EQ(key_a.substr(0, 27), key_b.substr(0, 27));
+    ASSERT_NE(key_a, key_b);
+
+    // The request parser turns such names away before an engine sees
+    // them (evaluating one panics), so each answer is the error a
+    // failed evaluation packs, which echoes its query's scenario.
+    auto failed = [](const Query &q) {
+        return renderAnswer(makeQueryError(
+            q, QueryErrorKind::EvaluationFailed, "unknown scenario"));
+    };
+    QueryEngine::ResultPtr answer_a = failed(a);
+    QueryEngine::ResultPtr answer_b = failed(b);
+    ASSERT_NE(textOf(*answer_a), textOf(*answer_b));
+
+    QueryCache cache(64, 1);
+    cache.put(key_a, answer_a);
+    cache.put(key_b, answer_b);
+    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(cache.get(key_a), answer_a);
+    EXPECT_EQ(cache.get(key_b), answer_b);
+    cache.put(key_b, failed(a)); // a refresh of b leaves a's entry alone
+    EXPECT_EQ(cache.get(key_a), answer_a);
+    EXPECT_EQ(cache.stats().entries, 2u);
+}
+
 TEST(QueryEngineTest, FaultedEvaluationEchoesAClientRequestId)
 {
     FaultInjector::instance().reset();
