@@ -15,6 +15,7 @@
 #                        own f values
 #   studies/<name>.txt   stdout of `hcm study <name>`, for each name in
 #                        the `studies:` line of `hcm list`
+#   cli/help.txt         stdout of `hcm help`
 #
 # Usage: scripts/paper_goldens.sh <hcm> [--refresh]
 #
@@ -33,7 +34,7 @@ GOLDEN=$(cd "$(dirname "$0")/../tests/golden" && pwd)
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-mkdir -p "$WORK/paper/out" "$WORK/paper/project" "$WORK/studies"
+mkdir -p "$WORK/paper/out" "$WORK/paper/project" "$WORK/studies" "$WORK/cli"
 cd "$WORK/paper"
 for n in 1 2 3 4 5 6; do
     "$HCM" table "$n" > "table$n.txt"
@@ -66,9 +67,10 @@ EOF
 for name in $("$HCM" list | sed -n 's/^studies: //p'); do
     "$HCM" study "$name" > "$WORK/studies/$name.txt"
 done
+"$HCM" help > "$WORK/cli/help.txt"
 
 if [ "${2:-}" = --refresh ]; then
-    rm -rf "${GOLDEN:?}/paper" "${GOLDEN:?}/studies"
+    rm -rf "${GOLDEN:?}/paper" "${GOLDEN:?}/studies" "${GOLDEN:?}/cli"
     cp -R "$WORK"/. "$GOLDEN"/
     echo "refreshed $GOLDEN"
     exit 0
