@@ -41,12 +41,20 @@ nodeTable()
     return table;
 }
 
-const NodeParams &
-nodeParams(double node_nm)
+const NodeParams *
+findNode(double node_nm)
 {
     for (const NodeParams &n : nodeTable())
         if (n.nodeNm == node_nm)
-            return n;
+            return &n;
+    return nullptr;
+}
+
+const NodeParams &
+nodeParams(double node_nm)
+{
+    if (const NodeParams *n = findNode(node_nm))
+        return *n;
     hcm_panic("node ", node_nm, "nm is not in Table 6");
 }
 

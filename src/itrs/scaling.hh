@@ -43,6 +43,9 @@ struct NodeParams
 /** The five Table 6 nodes in order: 40, 32, 22, 16, 11 nm. */
 const std::vector<NodeParams> &nodeTable();
 
+/** Node parameters for @p node_nm; nullptr when not a Table 6 node. */
+const NodeParams *findNode(double node_nm);
+
 /** Node parameters for @p node_nm; panics when not a Table 6 node. */
 const NodeParams &nodeParams(double node_nm);
 

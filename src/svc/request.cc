@@ -16,15 +16,6 @@ namespace svc {
 // case-insensitive registry shared with scenarioByName and the sweep
 // spec parser.
 
-bool
-nodeExists(double node_nm)
-{
-    for (const itrs::NodeParams &node : itrs::nodeTable())
-        if (node.nodeNm == node_nm)
-            return true;
-    return false;
-}
-
 std::optional<std::uint64_t>
 msToNs(double ms, std::string *error)
 {
@@ -169,7 +160,7 @@ parseQueryRequest(const JsonValue &v)
         if (!node->isNumber())
             return RequestParse::failure("'node' must be a number");
         q.node = node->asNumber();
-        if (!nodeExists(q.node))
+        if (!itrs::findNode(q.node))
             return RequestParse::failure(
                 "unknown node " + std::to_string(q.node) +
                 " (expected 40, 32, 22, 16, or 11)");

@@ -170,9 +170,6 @@ std::optional<wl::Workload> parseModelWorkload(const std::string &spec,
 /** Device name parser ("asic", "gtx285", ...); nullopt when unknown. */
 std::optional<dev::DeviceId> parseDeviceName(const std::string &name);
 
-/** Non-panicking counterpart of itrs::nodeParams(). */
-bool nodeExists(double node_nm);
-
 /**
  * @p ms milliseconds as whole nanoseconds (truncated), for the
  * duration knobs where 0 ns means "off". Nullopt + *error when @p ms
