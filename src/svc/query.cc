@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/pareto.hh"
 #include "core/scenario.hh"
@@ -289,7 +291,12 @@ evaluateQuery(const Query &q)
 {
     QueryResult result;
     result.query = q;
-    const core::Scenario &scenario = core::scenarioByName(q.scenario);
+    // Outside the registries a query fails evaluation: the request
+    // parser refuses such names, but other callers may build them.
+    const core::Scenario *found = core::findScenario(q.scenario);
+    if (!found)
+        throw std::invalid_argument("unknown scenario '" + q.scenario + "'");
+    const core::Scenario &scenario = *found;
     if (q.type == QueryType::Projection) {
         for (const core::ProjectionSeries &series :
              core::projectAll(q.workload, q.f, scenario)) {
@@ -303,7 +310,10 @@ evaluateQuery(const Query &q)
         return result;
     }
     // Optimize, Energy and Pareto: designs at one node.
-    const itrs::NodeParams &node = itrs::nodeParams(q.node);
+    const itrs::NodeParams *at = itrs::findNode(q.node);
+    if (!at)
+        throw std::invalid_argument("unknown node " + std::to_string(q.node));
+    const itrs::NodeParams &node = *at;
     core::OptimizerOptions opts;
     if (q.type == QueryType::Energy)
         opts.objective = core::Objective::MinEnergy;

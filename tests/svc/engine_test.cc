@@ -647,9 +647,9 @@ TEST(QueryEngineTest, OutOfRegistryScenariosStayDistinctCacheEntries)
     ASSERT_EQ(key_a.substr(0, 27), key_b.substr(0, 27));
     ASSERT_NE(key_a, key_b);
 
-    // The request parser turns such names away before an engine sees
-    // them (evaluating one panics), so each answer is the error a
-    // failed evaluation packs, which echoes its query's scenario.
+    // Evaluating such a query fails (see the next test), so each
+    // answer is the error a failed evaluation packs, which echoes its
+    // query's scenario.
     auto failed = [](const Query &q) {
         return renderAnswer(makeQueryError(
             q, QueryErrorKind::EvaluationFailed, "unknown scenario"));
@@ -667,6 +667,31 @@ TEST(QueryEngineTest, OutOfRegistryScenariosStayDistinctCacheEntries)
     cache.put(key_b, failed(a)); // a refresh of b leaves a's entry alone
     EXPECT_EQ(cache.get(key_a), answer_a);
     EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+// The request parser turns names outside the registries away, but an
+// engine's other callers can build such queries: each one answers
+// evaluation_failed, counts as an error and is never cached, instead of
+// aborting the process.
+TEST(QueryEngineTest, OutOfRegistryQueriesFailEvaluationUncached)
+{
+    QueryEngine engine(options(2, 64));
+    Query scenario;
+    scenario.scenario = "scenario-outside-the-registry";
+    Query projection = scenario;
+    projection.type = QueryType::Projection;
+    Query node;
+    node.node = 23.0;
+    for (const Query &q : {scenario, projection, node}) {
+        auto result = engine.evaluate(q);
+        ASSERT_NE(result, nullptr);
+        EXPECT_EQ(result->errorKind, QueryErrorKind::EvaluationFailed);
+        EXPECT_NE(textOf(*result).find("\"type\":\"evaluation_failed\""),
+                  std::string::npos)
+            << textOf(*result);
+    }
+    EXPECT_EQ(engine.cacheStats().entries, 0u);
+    EXPECT_EQ(engine.cacheStats().misses, 3u);
 }
 
 TEST(QueryEngineTest, FaultedEvaluationEchoesAClientRequestId)
