@@ -231,7 +231,29 @@ TEST(CliTest, BadInputsFailCleanly)
              "--scrape-interval-ms 1e300",
              "serve --port 0 --shards 2 --scrape-interval-ms 1e300",
              "front --port 0 --shard-addrs 127.0.0.1:1 --timeout-ms -1",
-             "loadgen " + batch + " --connect 127.0.0.1:1 --timeout-ms 0.5"}) {
+             "loadgen " + batch + " --connect 127.0.0.1:1 --timeout-ms 0.5",
+             // Each of these exited 0 having ignored an option: the verb
+             // does not read it, or does not in the mode it runs in.
+             "optimize --trace-out " + ::testing::TempDir() +
+                 "hcm_cli_ignored_trace.json --metrics-out " +
+                 ::testing::TempDir() + "hcm_cli_ignored_metrics.json",
+             "optimize --energy", "pareto --device asic",
+             "crossover --node 11", "project --json --csv",
+             "project --csv --energy", "project --json --device asic",
+             "table 5 --bogus", "list --bogus",
+             "project --threads 8 --port 5 --smoke",
+             "roofline --smoke", "roofline --json",
+             "roofline --measured --workload mmm",
+             "serve --host 127.0.0.1 < /dev/null",
+             "serve --scrape-interval-ms 5 < /dev/null",
+             "serve --port 0 --scrape-interval-ms 5",
+             "top --connect 127.0.0.1:1 --once --interval-ms 5",
+             // A negative port used to mean "no TCP" in silence.
+             "serve --port -1 < /dev/null", "front --port -1",
+             // Each positional argument is counted.
+             "table", "table 5 6", "bench-diff " + batch,
+             "validate-trace " + batch + " " + batch, "trace-merge",
+             "project " + batch}) {
         auto [code, out] = runCli(args);
         EXPECT_EQ(code, 1) << args << "\n" << out;
         EXPECT_EQ(out.rfind("fatal: ", 0), 0u) << args << "\n" << out;
@@ -266,6 +288,186 @@ TEST(CliTest, BadInputsFailCleanly)
     // cache-traffic model takes any power of two.
     EXPECT_EQ(runCli("optimize --workload Fft:1024").first, 0);
     EXPECT_EQ(runCli("traffic --workload fft:2048").first, 0);
+}
+
+/** The verbs `hcm help` lists, in its order. */
+std::vector<std::string>
+helpVerbs()
+{
+    std::istringstream help(runCli("help").second);
+    std::string line;
+    while (std::getline(help, line) && line != "commands:") {
+    }
+    std::vector<std::string> verbs;
+    while (std::getline(help, line) && !line.empty())
+        if (line.size() > 2 && line[2] != ' ')
+            verbs.push_back(line.substr(2, line.find(' ', 2) - 2));
+    return verbs;
+}
+
+// No verb accepts an option it does not read: one such option per verb
+// is refused with a fatal line that names the verb, before it runs.
+TEST(CliTest, EveryVerbRefusesAnOptionItDoesNotRead)
+{
+    const std::string file = batchRequestsFile();
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"table 5", "--f"},
+        {"figure 6", "--workload"},
+        {"project", "--node"},
+        {"sweep", "--workload"},
+        {"optimize", "--energy"},
+        {"pareto", "--device"},
+        {"simulate", "--energy"},
+        {"traffic", "--f"},
+        {"mixed", "--workload"},
+        {"crossover", "--f"},
+        {"roofline", "--f"},
+        {"scenarios", "--node"},
+        {"study sensitivity", "--f"},
+        {"batch " + file, "--port"},
+        {"serve", "--connect"},
+        {"front", "--threads"},
+        {"loadgen " + file, "--port"},
+        {"top", "--port"},
+        {"trace-merge " + file, "--trace-out"},
+        {"bench", "--output"},
+        {"bench-diff " + file + " " + file, "--smoke"},
+        {"validate-trace " + file, "--output"},
+        {"list", "--json"},
+        {"help", "--verbose"},
+    };
+    std::vector<std::string> covered;
+    for (const auto &[args, option] : cases) {
+        std::string verb = args.substr(0, args.find(' '));
+        covered.push_back(verb);
+        auto [code, out] = runCli(args + " " + option + " < /dev/null");
+        EXPECT_EQ(code, 1) << args << " " << option << "\n" << out;
+        EXPECT_EQ(out.rfind("fatal: " + verb + " does not take " + option +
+                                " (see hcm help)",
+                            0),
+                  0u)
+            << args << " " << option << "\n" << out;
+    }
+    EXPECT_EQ(covered, helpVerbs());
+}
+
+// Every hcm command line in CI, scripts/ and README parses: with an
+// unknown option appended, each fails on that option alone, so every
+// option before it was one its verb reads. Values stand in for the
+// shell variables they use; nothing runs.
+TEST(CliTest, DocumentedInvocationsParse)
+{
+    const std::string fractions = "0.000,0.005,0.010";
+    const std::string scenarios =
+        "baseline,bandwidth-90,bandwidth-1tb,half-area,power-200w,"
+        "power-10w,alpha-2.25,multi-amdahl,thermal-85c,thermal-3d";
+    std::vector<std::string> invocations = {
+        // .github/workflows/ci.yml
+        "table 5",
+        "batch obs-smoke/batch.json --threads 8 --trace-out "
+        "obs-smoke/trace.json --metrics-out obs-smoke/metrics.json "
+        "--metrics-format json",
+        "batch obs-smoke/batch.json --threads 8 --metrics-out "
+        "obs-smoke/metrics.prom --metrics-format prom",
+        "batch obs-smoke/batch.json --threads 8 --profile-out "
+        "obs-smoke/batch_profile.txt",
+        "validate-trace obs-smoke/trace.json",
+        "sweep --workloads mmm --fractions 0.9 --scenarios baseline "
+        "--output /dev/null --profile-out obs-smoke/sweep_profile.txt",
+        "batch obs-smoke/batch.json --trace-out /dev/full",
+        "roofline --measured --smoke --output hwc-smoke/self_roofline.json",
+        "sweep --scenarios all --jobs 1",
+        "sweep --scenarios all --jobs 8",
+        "sweep --scenarios all,power-200w --jobs 8",
+        "sweep --workloads mmm --fractions 0.99 --scenarios baseline "
+        "--jobs 8",
+        "project --workload mmm --f 0.99 --csv",
+        "sweep --workloads mmm,bs,fft:1024,fft:16384 --fractions " +
+            fractions + " --scenarios " + scenarios + " --jobs 4",
+        "sweep --scenarios all --format json",
+        "serve --port 0 --shard-id 0 --trace-out "
+        "net-smoke/shard0_trace.json",
+        "front --port 0 --shard-addrs 127.0.0.1:1,127.0.0.1:2 "
+        "--scrape-interval-ms 0 --trace-out net-smoke/front_trace.json",
+        "loadgen net-smoke/mix.json --connect 127.0.0.1:1 --concurrency 4 "
+        "--trace-out net-smoke/loadgen_trace.json --samples-out "
+        "net-smoke/samples.jsonl --output net-smoke/loadgen.json",
+        "batch net-smoke/mix.json --results-only",
+        "serve --port 0 --shards 2 --threads 1",
+        "loadgen net-smoke/mix.json --connect 127.0.0.1:1 --concurrency 4 "
+        "--output net-smoke/inproc.json",
+        "top --connect 127.0.0.1:1 --once",
+        "trace-merge net-smoke/shard0_trace.json "
+        "net-smoke/front_trace.json --output net-smoke/merged_trace.json",
+        "serve --port 0 --shard-id 0",
+        "front --port 0 --shard-addrs 127.0.0.1:1,127.0.0.1:2",
+        "loadgen net-smoke/mix.json --connect 127.0.0.1:1 --concurrency 4",
+        "bench --smoke --bench-dir build/bench --results "
+        "BENCH_RESULTS.json",
+        "bench-diff bench/baseline/BENCH_RESULTS.json BENCH_RESULTS.json "
+        "--tolerance-pct 400 --min-time-ns 100",
+        // scripts/
+        "bench --smoke --bench-dir build/bench --results "
+        "bench/baseline/BENCH_RESULTS.json",
+        "project --workload fft:1024 --f 0.99 --json",
+        "figure 6 --out out",
+        "scenarios --workload fft:1024 --f 0.9",
+        "project --csv --workload fft:1024 --scenario bandwidth-1tb "
+        "--f 0.5",
+        "list",
+        "study crossover",
+        "help",
+        // README.md
+        "project --workload mmm --f 0.999",
+        "optimize --workload fft:1024 --f 0.9 --node 11 "
+        "--scenario power-10w",
+        "pareto --workload mmm --f 0.99 --node 22",
+        "simulate --workload mmm --f 0.99 --node 22 --device gtx285",
+        "traffic --workload fft:16384 --cache 32",
+        "mixed --slot asic:mmm:0.5 --slot gtx285:fft:1024:0.45",
+        "scenarios --workload bs --f 0.9",
+        "batch requests.json",
+        "serve",
+        "serve --port 7070 --shards 3",
+        "front --port 7071 --shard-addrs host:1,host:2",
+        "loadgen mix.json --connect host:7071",
+        "top --connect host:7071",
+        "trace-merge a.json b.json --output m.json",
+        "bench",
+        "bench-diff old.json new.json",
+        "roofline --measured",
+        "sweep",
+        "sweep --workloads mmm,fft:16384 --fractions 0.9,0.99 "
+        "--scenarios all --jobs 8 --progress --output sweep.csv",
+        "sweep --jobs 1",
+        "optimize --workload mmm --f 0.99 --node 22 --scenario thermal-85c",
+        "sweep --scenarios multi-amdahl,thermal-85c,thermal-3d --jobs 8",
+        "loadgen mix.json --connect 127.0.0.1:7071 --rate 200 --repeat 5",
+        "batch requests.json --threads 8 --trace-out trace.json",
+        "batch requests.json --metrics-out metrics.prom "
+        "--metrics-format prom",
+        "simulate --workload mmm --f 0.99 --node 22 --device gtx285 "
+        "--trace-out sim-trace.json",
+        "validate-trace trace.json",
+        "batch requests.json --profile-out profile.txt",
+        "simulate --workload mmm --f 0.99 --node 22 --device gtx285 "
+        "--profile-out sim.json --profile-format json",
+        "batch requests.json --slow-query-ms 5",
+        "bench-diff old.json new.json --counter-tolerance-pct 10",
+        "crossover --scenario multi-amdahl",
+        "mixed --slot asic:mmm:0.99 --scenario thermal-85c",
+    };
+    // The per-scenario pin in ci.yml: four verbs over every scenario.
+    for (const char *verb : {"optimize", "project", "pareto", "crossover"})
+        invocations.push_back(std::string(verb) +
+                              " --workload fft:1024 --scenario thermal-3d");
+    for (const std::string &args : invocations) {
+        auto [code, out] = runCli(args + " --no-such-option");
+        EXPECT_EQ(code, 1) << args << "\n" << out;
+        EXPECT_EQ(out.rfind("fatal: unknown option '--no-such-option'", 0),
+                  0u)
+            << args << "\n" << out;
+    }
 }
 
 TEST(CliTest, ParetoFrontier)
