@@ -266,7 +266,8 @@ const Option kOptions[] = {
          v = *t;
      }},
     {Opt::Node, "--node", "<nm>", 22.0,
-     "40|32|22|16|11 (optimize only; default 22)",
+     "40|32|22|16|11 (optimize, pareto and\n"
+     "simulate; default 22)",
      [](Value &v, const std::string &flag, const std::string *t) {
          double node = numberOrDie<double>(flag, *t);
          if (!itrs::findNode(node))
@@ -363,8 +364,9 @@ const Option kOptions[] = {
      "keeps the stdin/stdout loop)",
      bounded<int, 0, 65535>},
     {Opt::Host, "--host", "<addr>", "127.0.0.1",
-     "listen/connect address (default\n"
-     "127.0.0.1)"},
+     "serve/front: listen address (default\n"
+     "127.0.0.1; loadgen and top take\n"
+     "--connect)"},
     {Opt::Shards, "--shards", "<n>", Count{1},
      "serve --port: shard the key space across\n"
      "n engines behind one in-process front\n"
@@ -464,7 +466,7 @@ const Option kOptions[] = {
      "lower the log threshold one step per\n"
      "occurrence (-> Info -> Debug;\n"
      "HCM_LOG_LEVEL wins when set; serve\n"
-     "defaults to warn)"},
+     "and front default to warn)"},
     // Roofline's own help lines describe it.
     {Opt::Measured, "--measured", nullptr, false, ""},
 };
