@@ -23,6 +23,11 @@ prints each side's median and quartiles, how many pairs the change won
 - "unresolved": anything else. A comparison that shows no gain is not
   evidence that nothing changed.
 
+Each metric also gets a sign test: the exact two-sided binomial
+p-value of the change's wins among the pairs that were not ties, under
+the hypothesis that either side wins a pair with probability one half
+(with 10 pairs, 9 wins give p = 0.021 and 10 give p = 0.002).
+
 Beside it, the bound check compares the change's median with the
 parent's against the metric's bound in BENCHMARK.json, a fraction of
 the parent's median: "within bound", "worse than bound", or "spread >
@@ -36,6 +41,7 @@ then exits 1. The Python standard library is all it needs.
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -73,6 +79,16 @@ def quartiles(xs):
     return q[0], q[2]
 
 
+def sign_test(wins, losses):
+    """Exact two-sided binomial p-value of @p wins against @p losses,
+    ties dropped, when each side wins with probability one half."""
+    n = wins + losses
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
 def compare(parent, change, better, bound):
     """The summary of one metric over the pairs that measured it."""
     pairs = [(p, c) for p, c in zip(parent, change)
@@ -83,6 +99,7 @@ def compare(parent, change, better, bound):
         return None
     sign = -1.0 if better == "lower" else 1.0
     wins = sum(1 for p, c in pairs if sign * (c - p) > 0)
+    losses = sum(1 for p, c in pairs if sign * (c - p) < 0)
     p_med, c_med = statistics.median(ps), statistics.median(cs)
     p_q1, p_q3 = quartiles(ps)
     gain = sign * (c_med - p_med)
@@ -100,7 +117,9 @@ def compare(parent, change, better, bound):
     return {"pairs": len(pairs), "parent_median": p_med,
             "parent_q1": p_q1, "parent_q3": p_q3, "change_median": c_med,
             "change_q1": quartiles(cs)[0], "change_q3": quartiles(cs)[1],
-            "change_wins": wins, "verdict": verdict, "bound": bound,
+            "change_wins": wins, "change_losses": losses,
+            "sign_p": sign_test(wins, losses), "verdict": verdict,
+            "bound": bound,
             "bound_check": check}
 
 
@@ -149,7 +168,8 @@ def main():
           f"{args.seconds:g} s, seeds {args.seed_base}.."
           f"{args.seed_base + args.pairs - 1}")
     print(f"{'metric':12} {'parent median [q1, q3]':>30} "
-          f"{'change median [q1, q3]':>30} {'wins':>6}  verdict     bound")
+          f"{'change median [q1, q3]':>30} {'wins':>6} {'sign p':>7}  "
+          f"verdict     bound")
     for metric, better, bound in metrics:
         s = compare([value(r["result"], metric) for r in runs["parent"]],
                     [value(r["result"], metric) for r in runs["change"]],
@@ -163,7 +183,8 @@ def main():
         c = (f"{s['change_median']:.4g} [{s['change_q1']:.4g}, "
              f"{s['change_q3']:.4g}]")
         print(f"{metric:12} {p:>30} {c:>30} "
-              f"{s['change_wins']:>3}/{s['pairs']:<2}  {s['verdict']:11} "
+              f"{s['change_wins']:>3}/{s['pairs']:<2} {s['sign_p']:>7.3g}  "
+              f"{s['verdict']:11} "
               f"{s['bound_check']}")
     if bad:
         print("runs not correct, with failures or without a result: " +
